@@ -41,11 +41,18 @@ def _precision(args):
     return Fraction(env) if env else None
 
 
+class ParseError(Exception):
+    """A malformed algebra file; reported on one line with exit code 2."""
+
+
 def _load_algebra(target: str) -> SuperAlgebra:
     """Resolve a catalog label or a JSON file path to an algebra."""
     if os.path.exists(target):
-        with open(target) as fh:
-            return SuperAlgebra.from_doc(json.load(fh))
+        try:
+            with open(target) as fh:
+                return SuperAlgebra.from_doc(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(exc) from exc
     return catalog.get(target).algebra
 
 
@@ -70,11 +77,7 @@ def cmd_show(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        g = _load_algebra(args.target)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_algebra(args.target)
     issues = list(g.check_consistency())
     jac = g.check_jacobi()
     if jac:
@@ -407,6 +410,9 @@ def main(argv=None) -> int:
     except ConsistencyViolation as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NotFound, FileNotFoundError) as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,12 +26,12 @@ phi(f1,f1) = e1 (coefficient 1, diagonal included).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, _is_zero
 from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
-from .linalg import kernel, rank, rref
+from .linalg import kernel, rank, rref, transpose
 
 
 class Cochain2Even:
@@ -136,138 +136,101 @@ def vector_to_cochain(m: int, n: int, vec) -> Cochain2Even:
 # -- differentials -------------------------------------------------------------
 
 
+def _sparse(graded) -> List[Tuple[int, FieldElem]]:
+    """Nonzero (index, coefficient) pairs of a graded vector over the
+    combined basis (odd indices offset by m)."""
+    return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
+
+
+def _bracket_table(g: SuperAlgebra):
+    """table[a][b] = [x_a, x_b] as a sparse combined-basis vector.  Built from
+    g.bracket, so the sign of [f, e] = -rho is decided there only."""
+    d = g.m + g.n
+    vecs = [g.basis_vector(k) for k in range(d)]
+    return [[_sparse(g.bracket(vecs[a], vecs[b])) for b in range(d)]
+            for a in range(d)]
+
+
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
     psi = (A on the e's, D on the f's), columns = images."""
     m, n = g.m, g.n
-    vecs = [g.basis_vector(k) for k in range(m + n)]
-
-    def psi(w):
-        ev = [ZERO] * m
-        od = [ZERO] * n
-        for k in range(m):
-            x = w[0][k]
-            if _is_zero(x):
-                continue
-            for r in range(m):
-                ev[r] = ev[r] + A[r][k] * x
-        for l in range(n):
-            x = w[1][l]
-            if _is_zero(x):
-                continue
-            for r in range(n):
-                od[r] = od[r] + D[r][l] * x
-        return ev, od
+    br = _bracket_table(g)
+    # psi[k] = psi(x_k) as a sparse combined-basis vector
+    psi = [_sparse(([A[r][k] for r in range(m)], [ZERO] * n))
+           for k in range(m)]
+    psi += [_sparse(([ZERO] * m, [D[r][l] for r in range(n)]))
+            for l in range(n)]
 
     def entry(a, b):
-        t1 = g.bracket(psi(vecs[a]), vecs[b])
-        t2 = g.bracket(vecs[a], psi(vecs[b]))
-        t3 = psi(g.bracket(vecs[a], vecs[b]))
-        return ([x + y - z for x, y, z in zip(t1[0], t2[0], t3[0])],
-                [x + y - z for x, y, z in zip(t1[1], t2[1], t3[1])])
+        acc = [ZERO] * (m + n)
+        for r, x in psi[a]:
+            for k, y in br[r][b]:
+                acc[k] = acc[k] + x * y
+        for r, x in psi[b]:
+            for k, y in br[a][r]:
+                acc[k] = acc[k] + x * y
+        for r, x in br[a][b]:
+            for k, y in psi[r]:
+                acc[k] = acc[k] - x * y
+        return acc[:m], acc[m:]
 
-    ee = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    ef = [[[ZERO] * n for _ in range(n)] for _ in range(m)]
-    ff = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            ee[i][j] = entry(i, j)[0]
-    for i in range(m):
-        for j in range(n):
-            ef[i][j] = entry(i, m + j)[1]
-    for i in range(n):
-        for j in range(n):
-            ff[i][j] = entry(m + i, m + j)[0]
+    ee = [[entry(i, j)[0] for j in range(m)] for i in range(m)]
+    ef = [[entry(i, m + j)[1] for j in range(n)] for i in range(m)]
+    ff = [[entry(m + i, m + j)[0] for j in range(n)] for i in range(n)]
     return Cochain2Even(m, n, ee, ef, ff)
 
 
 def d2(g: SuperAlgebra, phi: Cochain2Even):
     """Evaluate d2 phi on all ordered homogeneous basis triples.
 
-    Returns a dict (a,b,c) -> graded vector; zero entries omitted.
+    Returns a dict (a,b,c) -> graded vector; zero entries omitted.  Only
+    the nonzero values of phi and the nonzero brackets are visited: each of
+    the six terms of the differential is a sum over them.
     """
     m, n = g.m, g.n
     d = m + n
-    vecs = [g.basis_vector(k) for k in range(d)]
-    br = [[g.bracket(vecs[a], vecs[b]) for b in range(d)] for a in range(d)]
+    br = _bracket_table(g)
+    brackets = [(a, b, br[a][b]) for a in range(d) for b in range(d)
+                if br[a][b]]
+    values = [(a, b, v) for a in range(d) for b in range(d)
+              for v in [_sparse(phi.value(a, b))] if v]
+    into = [[] for _ in range(d)]       # into[k]: (a, [x_a, x_k])
+    for a, k, v in brackets:
+        into[k].append((a, v))
+    phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
+    phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
+    for a, b, v in values:
+        phi_left[a].append((b, v))
+        phi_right[b].append((a, v))
+    odd = [g.parity(k) for k in range(d)]
+    acc = {}
 
-    def phi_on(vec_pair_left, idx_right):
-        """phi(w, basis[idx]) for graded vector w, by bilinearity."""
-        ev = [ZERO] * m
-        od = [ZERO] * n
-        for k in range(m):
-            x = vec_pair_left[0][k]
-            if _is_zero(x):
-                continue
-            pe, po = phi.value(k, idx_right)
-            for r in range(m):
-                ev[r] = ev[r] + x * pe[r]
-            for r in range(n):
-                od[r] = od[r] + x * po[r]
-        for l in range(n):
-            x = vec_pair_left[1][l]
-            if _is_zero(x):
-                continue
-            pe, po = phi.value(m + l, idx_right)
-            for r in range(m):
-                ev[r] = ev[r] + x * pe[r]
-            for r in range(n):
-                od[r] = od[r] + x * po[r]
-        return ev, od
+    def add(key, x, vec, negate):
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = [ZERO] * d
+        for r, y in vec:
+            out[r] = out[r] - x * y if negate else out[r] + x * y
 
-    out = {}
-    for a in range(d):
-        pa = g.parity(a)
-        for b in range(d):
-            pb = g.parity(b)
-            for c in range(d):
-                pc = g.parity(c)
-                s_ab = FieldElem((-1) ** (pa * pb))
-                s_c = FieldElem((-1) ** (pc * (pa + pb)))
-                s_bc = FieldElem((-1) ** (pb * pc))
-                t1 = g.bracket(vecs[a], phi.value(b, c))
-                t2 = g.bracket(vecs[b], phi.value(a, c))
-                t3 = g.bracket(vecs[c], phi.value(a, b))
-                t4 = phi_on(br[a][b], c)
-                t5 = phi_on(br[a][c], b)
-                t6e, t6o = _phi_second(g, phi, a, br[b][c])
-                ev = [ZERO] * m
-                od = [ZERO] * n
-                for r in range(m):
-                    ev[r] = (t1[0][r] - s_ab * t2[0][r] + s_c * t3[0][r]
-                             - t4[0][r] + s_bc * t5[0][r] + t6e[r])
-                for r in range(n):
-                    od[r] = (t1[1][r] - s_ab * t2[1][r] + s_c * t3[1][r]
-                             - t4[1][r] + s_bc * t5[1][r] + t6o[r])
-                if any(not _is_zero(x) for x in ev + od):
-                    out[(a, b, c)] = (ev, od)
-    return out
-
-
-def _phi_second(g: SuperAlgebra, phi: Cochain2Even, a: int, w):
-    """phi(basis[a], w) by bilinearity in the second slot."""
-    m, n = phi.m, phi.n
-    ev = [ZERO] * m
-    od = [ZERO] * n
-    for k in range(m):
-        x = w[0][k]
-        if _is_zero(x):
-            continue
-        pe, po = phi.value(a, k)
-        for r in range(m):
-            ev[r] = ev[r] + x * pe[r]
-        for r in range(n):
-            od[r] = od[r] + x * po[r]
-    for l in range(n):
-        x = w[1][l]
-        if _is_zero(x):
-            continue
-        pe, po = phi.value(a, m + l)
-        for r in range(m):
-            ev[r] = ev[r] + x * pe[r]
-        for r in range(n):
-            od[r] = od[r] + x * po[r]
-    return ev, od
+    # [x_a, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
+    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]
+    for p, q, v in values:
+        for k, x in v:
+            for t, w in into[k]:
+                add((t, p, q), x, w, False)
+                add((p, t, q), x, w, not (odd[p] and odd[t]))
+                add((p, q, t), x, w, odd[t] and odd[p] != odd[q])
+    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z])
+    for p, q, v in brackets:
+        for k, x in v:
+            for t, w in phi_left[k]:
+                add((p, q, t), x, w, True)
+                add((p, t, q), x, w, odd[t] and odd[q])
+            for t, w in phi_right[k]:
+                add((t, p, q), x, w, False)
+    return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
+            if any(not _is_zero(x) for x in out)}
 
 
 def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
@@ -330,28 +293,15 @@ def h2_even(g: SuperAlgebra) -> Dict:
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
     d1m = _d1_matrix(g)
-    cob_rows = [list(col) for col in zip(*d1m)] if d1m else []
-    cob_rows = [r for r in cob_rows if any(not x.is_zero() for x in r)]
-    b_rank = rank(cob_rows) if cob_rows else 0
-    dim = len(cocycles) - b_rank
-    # lift a complement: add cocycle vectors that increase rank over B
-    basis = []
-    stack = list(cob_rows)
-    current = b_rank
-    for z in cocycles:
-        if rank(stack + [z]) > current:
-            stack.append(z)
-            current += 1
-            basis.append(vector_to_cochain(m, n, z))
-        if current == b_rank + dim:
-            break
-    return {"dim": dim, "basis": basis}
-
-
-def coboundary_rank(g: SuperAlgebra) -> int:
-    d1m = _d1_matrix(g)
-    rows = [list(col) for col in zip(*d1m)] if d1m else []
-    return rank(rows) if rows else 0
+    cob_rows = [r for r in transpose(d1m) if any(not x.is_zero() for x in r)]
+    # one elimination of the columns [B | Z]: pivots among the coboundary
+    # columns give dim B^2, pivots among the cocycles lift a basis of H^2
+    # (each is the first cocycle independent of B and the ones before it)
+    _, pivots = rref(transpose(cob_rows + cocycles))
+    b_rank = sum(1 for c in pivots if c < len(cob_rows))
+    basis = [vector_to_cochain(m, n, cocycles[c - len(cob_rows)])
+             for c in pivots if c >= len(cob_rows)]
+    return {"dim": len(cocycles) - b_rank, "basis": basis}
 
 
 def in_coboundaries(g: SuperAlgebra, phi: Cochain2Even) -> bool:

@@ -42,6 +42,21 @@ def test_check_tampered_file(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["check", "h2", "invariants"])
+@pytest.mark.parametrize("text", ['{"m": 1, "n": 1, "brackets": [',
+                                  '{"m": 1, "brackets": []}', '[]'],
+                         ids=["truncated", "missing-n", "not-an-object"])
+def test_malformed_file_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_label_usage_error(capsys):
     assert run(capsys, "show", "(9|9)_1")[0] == 2
     assert run(capsys, "check", "(9|9)_1")[0] == 2

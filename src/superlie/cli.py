@@ -50,8 +50,11 @@ def _load_algebra(target: str) -> SuperAlgebra:
     if os.path.exists(target):
         try:
             with open(target) as fh:
-                return SuperAlgebra.from_doc(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ParseError("expected a JSON object")
+            return SuperAlgebra.from_doc(doc)
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise ParseError(exc) from exc
     return catalog.get(target).algebra
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, _is_zero
 from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
-from .linalg import kernel, rank, rref, transpose
+from .linalg import kernel, rank
 
 
 class Cochain2Even:
@@ -293,15 +293,22 @@ def h2_even(g: SuperAlgebra) -> Dict:
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
     d1m = _d1_matrix(g)
-    cob_rows = [r for r in transpose(d1m) if any(not x.is_zero() for x in r)]
-    # one elimination of the columns [B | Z]: pivots among the coboundary
-    # columns give dim B^2, pivots among the cocycles lift a basis of H^2
-    # (each is the first cocycle independent of B and the ones before it)
-    _, pivots = rref(transpose(cob_rows + cocycles))
-    b_rank = sum(1 for c in pivots if c < len(cob_rows))
-    basis = [vector_to_cochain(m, n, cocycles[c - len(cob_rows)])
-             for c in pivots if c >= len(cob_rows)]
-    return {"dim": len(cocycles) - b_rank, "basis": basis}
+    cob_rows = [list(col) for col in zip(*d1m)] if d1m else []
+    cob_rows = [r for r in cob_rows if any(not x.is_zero() for x in r)]
+    b_rank = rank(cob_rows) if cob_rows else 0
+    dim = len(cocycles) - b_rank
+    # lift a complement: add cocycle vectors that increase rank over B
+    basis = []
+    stack = list(cob_rows)
+    current = b_rank
+    for z in cocycles:
+        if rank(stack + [z]) > current:
+            stack.append(z)
+            current += 1
+            basis.append(vector_to_cochain(m, n, z))
+        if current == b_rank + dim:
+            break
+    return {"dim": dim, "basis": basis}
 
 
 def in_coboundaries(g: SuperAlgebra, phi: Cochain2Even) -> bool:

@@ -43,9 +43,12 @@ def test_check_tampered_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "h2", "invariants"])
-@pytest.mark.parametrize("text", ['{"m": 1, "n": 1, "brackets": [',
-                                  '{"m": 1, "brackets": []}', '[]'],
-                         ids=["truncated", "missing-n", "not-an-object"])
+@pytest.mark.parametrize("text", [
+    '{"m": 1, "n": 1, "brackets": [',
+    '{"m": 1, "brackets": []}',
+    '[]',
+    '{"m": 1, "n": 0, "brackets": [{"lhs": "e1", "rhs": "x9", "value": []}]}',
+], ids=["truncated", "missing-n", "not-an-object", "unknown-basis"])
 def test_malformed_file_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

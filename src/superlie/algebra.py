@@ -13,11 +13,11 @@ c is antisymmetric and gamma symmetric; nothing else is assumed until
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, product
+from typing import Dict, List, Tuple
 
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
-from .linalg import (SingularMatrix, rref, solve, series_solve, series_matrix,
-                     transpose)
+from .linalg import rref, solve, series_solve, transpose
 from .series import PuiseuxSeries
 
 
@@ -36,6 +36,34 @@ def _known_zero(x) -> bool:
     if isinstance(x, PuiseuxSeries):
         return not x.terms
     return x.is_zero()
+
+
+def _sparse(graded) -> List[Tuple[int, FieldElem]]:
+    """Nonzero (index, coefficient) pairs of a graded vector over the
+    combined basis (odd indices offset by m)."""
+    return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
+
+
+def _right(br, a, b, c):
+    """[x_a, [x_b, x_c]] as (index, coefficient) terms, from a bracket table."""
+    return [(k, x * y) for r, x in br[b][c] for k, y in br[a][r]]
+
+
+def _left(br, a, b, c):
+    """[[x_a, x_b], x_c] as (index, coefficient) terms, from a bracket table."""
+    return [(k, x * y) for r, x in br[a][b] for k, y in br[r][c]]
+
+
+def _vanishes(parts, lo: int, hi: int) -> bool:
+    """Does the sum of the (negate, terms) parts vanish on the combined
+    coordinates lo..hi-1?"""
+    acc = {}
+    for negate, terms in parts:
+        for k, x in terms:
+            if lo <= k < hi:
+                x = -x if negate else x
+                acc[k] = acc[k] + x if k in acc else x
+    return all(_is_zero(x) for x in acc.values())
 
 
 def _zero_like(x):
@@ -171,6 +199,15 @@ class SuperAlgebra:
             odd[idx - self.m] = one
         return even, odd
 
+    def bracket_table(self):
+        """table[a][b] = [x_a, x_b] as a sparse combined-basis vector (odd
+        indices offset by m).  Built from `bracket`, so the sign of
+        [f, e] = -rho is decided there only."""
+        d = self.dim
+        vecs = [self.basis_vector(k) for k in range(d)]
+        return [[_sparse(self.bracket(vecs[a], vecs[b])) for b in range(d)]
+                for a in range(d)]
+
     # -- axioms --------------------------------------------------------------
 
     def parity(self, idx: int) -> int:
@@ -179,79 +216,52 @@ class SuperAlgebra:
     def check_jacobi(self) -> List[Tuple[int, int, int]]:
         """Super-Jacobi on all homogeneous basis triples; returns violations."""
         d = self.dim
-        vecs = [self.basis_vector(k) for k in range(d)]
+        br = self.bracket_table()
+        odd = [self.parity(k) for k in range(d)]
         bad = []
-        for a in range(d):
-            for b in range(d):
-                for cc in range(d):
-                    pa, pb, pc = self.parity(a), self.parity(b), self.parity(cc)
-                    t1 = self.bracket(vecs[a], self.bracket(vecs[b], vecs[cc]))
-                    t2 = self.bracket(vecs[b], self.bracket(vecs[cc], vecs[a]))
-                    t3 = self.bracket(vecs[cc], self.bracket(vecs[a], vecs[b]))
-                    s1 = (-1) ** (pa * pc)
-                    s2 = (-1) ** (pb * pa)
-                    s3 = (-1) ** (pc * pb)
-                    even = [s1 * t1[0][k] + s2 * t2[0][k] + s3 * t3[0][k]
-                            for k in range(self.m)]
-                    odd = [s1 * t1[1][l] + s2 * t2[1][l] + s3 * t3[1][l]
-                           for l in range(self.n)]
-                    if any(not _is_zero(x) for x in even + odd):
-                        bad.append((a, b, cc))
+        for a, b, c in product(range(d), repeat=3):
+            # (-1)^(|a||c|) [a,[b,c]] + (-1)^(|b||a|) [b,[c,a]]
+            #     + (-1)^(|c||b|) [c,[a,b]]
+            if not _vanishes([(odd[a] and odd[c], _right(br, a, b, c)),
+                              (odd[b] and odd[a], _right(br, b, c, a)),
+                              (odd[c] and odd[b], _right(br, c, a, b))],
+                             0, d):
+                bad.append((a, b, c))
         return bad
 
     def check_consistency(self) -> List[str]:
         """The (J1)/(J2) formulation: even part is a Lie algebra, rho is a
         representation, gamma is equivariant (J1) and cyclically flat (J2)."""
         m, n = self.m, self.n
+        d = m + n
+        br = self.bracket_table()
         problems = []
-        vecs = [self.basis_vector(k) for k in range(m + n)]
-        # even Jacobi
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    t = self.bracket(vecs[a], self.bracket(vecs[b], vecs[c]))
-                    u = self.bracket(self.bracket(vecs[a], vecs[b]), vecs[c])
-                    v = self.bracket(vecs[b], self.bracket(vecs[a], vecs[c]))
-                    if any(not _is_zero(t[0][k] - u[0][k] - v[0][k])
-                           for k in range(m)):
-                        problems.append(f"even Jacobi fails at (e{a+1},e{b+1},e{c+1})")
-        # rho is a representation of the even part
-        for a in range(m):
-            for b in range(m):
-                for j in range(n):
-                    lhs = self.bracket(self.bracket(vecs[a], vecs[b]), vecs[m + j])
-                    r1 = self.bracket(vecs[a], self.bracket(vecs[b], vecs[m + j]))
-                    r2 = self.bracket(vecs[b], self.bracket(vecs[a], vecs[m + j]))
-                    if any(not _is_zero(lhs[1][l] - r1[1][l] + r2[1][l])
-                           for l in range(n)):
-                        problems.append(
-                            f"rho([e{a+1},e{b+1}]) != commutator on f{j+1}")
+        # even Jacobi: [a,[b,c]] - [[a,b],c] - [b,[a,c]]
+        for a, b, c in product(range(m), repeat=3):
+            if not _vanishes([(False, _right(br, a, b, c)),
+                              (True, _left(br, a, b, c)),
+                              (True, _right(br, b, a, c))], 0, m):
+                problems.append(f"even Jacobi fails at (e{a+1},e{b+1},e{c+1})")
+        # rho is a representation of the even part:
+        # [[a,b],f] - [a,[b,f]] + [b,[a,f]]
+        for a, b, j in product(range(m), range(m), range(n)):
+            if not _vanishes([(False, _left(br, a, b, m + j)),
+                              (True, _right(br, a, b, m + j)),
+                              (False, _right(br, b, a, m + j))], m, d):
+                problems.append(
+                    f"rho([e{a+1},e{b+1}]) != commutator on f{j+1}")
         # (J1): [a, gamma(u,v)] = gamma(rho(a)u, v) + gamma(u, rho(a)v)
-        for a in range(m):
-            for i in range(n):
-                for j in range(n):
-                    lhs = self.bracket(vecs[a],
-                                       self.bracket(vecs[m + i], vecs[m + j]))
-                    r1 = self.bracket(self.bracket(vecs[a], vecs[m + i]),
-                                      vecs[m + j])
-                    r2 = self.bracket(vecs[m + i],
-                                      self.bracket(vecs[a], vecs[m + j]))
-                    if any(not _is_zero(lhs[0][k] - r1[0][k] - r2[0][k])
-                           for k in range(m)):
-                        problems.append(f"(J1) fails at (e{a+1},f{i+1},f{j+1})")
+        for a, i, j in product(range(m), range(n), range(n)):
+            if not _vanishes([(False, _right(br, a, m + i, m + j)),
+                              (True, _left(br, a, m + i, m + j)),
+                              (True, _right(br, m + i, a, m + j))], 0, m):
+                problems.append(f"(J1) fails at (e{a+1},f{i+1},f{j+1})")
         # (J2): rho(gamma(u,v))w + rho(gamma(v,w))u + rho(gamma(w,u))v = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t1 = self.bracket(self.bracket(vecs[m + i], vecs[m + j]),
-                                      vecs[m + k])
-                    t2 = self.bracket(self.bracket(vecs[m + j], vecs[m + k]),
-                                      vecs[m + i])
-                    t3 = self.bracket(self.bracket(vecs[m + k], vecs[m + i]),
-                                      vecs[m + j])
-                    if any(not _is_zero(t1[1][l] + t2[1][l] + t3[1][l])
-                           for l in range(n)):
-                        problems.append(f"(J2) fails at (f{i+1},f{j+1},f{k+1})")
+        for i, j, k in product(range(n), repeat=3):
+            if not _vanishes([(False, _left(br, m + i, m + j, m + k)),
+                              (False, _left(br, m + j, m + k, m + i)),
+                              (False, _left(br, m + k, m + i, m + j))], m, d):
+                problems.append(f"(J2) fails at (f{i+1},f{j+1},f{k+1})")
         return problems
 
     # -- lower central series -------------------------------------------------

@@ -26,10 +26,9 @@ phi(f1,f1) = e1 (coefficient 1, diagonal included).
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _is_zero
+from .algebra import SuperAlgebra, _is_zero, _sparse
 from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
 from .linalg import kernel, rank
 
@@ -136,26 +135,11 @@ def vector_to_cochain(m: int, n: int, vec) -> Cochain2Even:
 # -- differentials -------------------------------------------------------------
 
 
-def _sparse(graded) -> List[Tuple[int, FieldElem]]:
-    """Nonzero (index, coefficient) pairs of a graded vector over the
-    combined basis (odd indices offset by m)."""
-    return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
-
-
-def _bracket_table(g: SuperAlgebra):
-    """table[a][b] = [x_a, x_b] as a sparse combined-basis vector.  Built from
-    g.bracket, so the sign of [f, e] = -rho is decided there only."""
-    d = g.m + g.n
-    vecs = [g.basis_vector(k) for k in range(d)]
-    return [[_sparse(g.bracket(vecs[a], vecs[b])) for b in range(d)]
-            for a in range(d)]
-
-
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
     psi = (A on the e's, D on the f's), columns = images."""
     m, n = g.m, g.n
-    br = _bracket_table(g)
+    br = g.bracket_table()
     # psi[k] = psi(x_k) as a sparse combined-basis vector
     psi = [_sparse(([A[r][k] for r in range(m)], [ZERO] * n))
            for k in range(m)]
@@ -190,7 +174,7 @@ def d2(g: SuperAlgebra, phi: Cochain2Even):
     """
     m, n = g.m, g.n
     d = m + n
-    br = _bracket_table(g)
+    br = g.bracket_table()
     brackets = [(a, b, br[a][b]) for a in range(d) for b in range(d)
                 if br[a][b]]
     values = [(a, b, v) for a in range(d) for b in range(d)

@@ -48,12 +48,6 @@ class FieldElem:
         self.c = Fraction(c)
         self.d = Fraction(d)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "FieldElem":
-        return FieldElem(Fraction(q))
-
     def coords(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -64,11 +58,6 @@ class FieldElem:
 
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.d)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.a
 
     # -- ring operations ----------------------------------------------
 
@@ -366,9 +355,7 @@ def parse_elem(text: str) -> FieldElem:
     while peek()[0] == "op" and peek()[1] in "+-":
         op = peek()[1]
         idx += 1
-        rhs_start = idx
         rhs = term()
-        del rhs_start
         result = result + rhs if op == "+" else result - rhs
     kind, _, pos = peek()
     if kind != "end":

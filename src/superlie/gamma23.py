@@ -134,10 +134,6 @@ def _poly_trim(p: List[FieldElem]) -> List[FieldElem]:
     return p
 
 
-def _poly_deg(p: List[FieldElem]) -> int:
-    return len(_poly_trim(p)) - 1
-
-
 def _poly_divmod(a: List[FieldElem], b: List[FieldElem]):
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     if not b:

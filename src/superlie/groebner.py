@@ -10,7 +10,7 @@ when a cap is hit the verdict is "unknown" rather than a guess.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .field import FieldElem, ONE, ZERO
 
@@ -19,17 +19,6 @@ Poly = Dict[Monomial, FieldElem]
 
 MAX_BASIS = 500
 MAX_DEGREE = 12
-
-
-def poly_from_terms(terms: Iterable[Tuple[Monomial, FieldElem]]) -> Poly:
-    out: Poly = {}
-    for mono, coeff in terms:
-        acc = out.get(mono, ZERO) + coeff
-        if acc.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
-    return out
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

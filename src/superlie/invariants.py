@@ -12,9 +12,9 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import SuperAlgebra, _is_zero
-from .field import FieldElem, I, ONE, SQRT2, ZERO, format_elem
-from .groebner import Poly, poly_from_terms, system_verdict
-from .linalg import kernel, rank, rref
+from .field import FieldElem, I, ONE, SQRT2, ZERO
+from .groebner import Poly, system_verdict
+from .linalg import kernel, rank
 
 
 def center(g: SuperAlgebra):
@@ -73,76 +73,48 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     The defining equation, for homogeneous x, y:
         alpha * D[x,y] = beta * [Dx, y] + (-1)^(degree*|x|) * gamma * [x, Dy]
     evaluated on ALL ordered basis pairs (beta != gamma makes both orders
-    informative).
+    informative).  The unknowns are the elementary maps x_src -> x_dst of the
+    given degree; each equation is a sum over the nonzero brackets only.
     """
     alpha, beta, gamma = _as_field(alpha), _as_field(beta), _as_field(gamma)
     m, n = g.m, g.n
     d = m + n
     if degree == 0:
-        # unknowns: A (m x m), D (n x n); elementary maps within parity
-        unknowns = [("e", q, p) for q in range(m) for p in range(m)] + \
-                   [("f", q, p) for q in range(n) for p in range(n)]
+        # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
+        unknowns = [(p, q) for q in range(m) for p in range(m)] + \
+                   [(m + p, m + q) for q in range(n) for p in range(n)]
     else:
         # even -> odd (n x m) and odd -> even (m x n)
-        unknowns = [("eo", q, p) for q in range(n) for p in range(m)] + \
-                   [("oe", q, p) for q in range(m) for p in range(n)]
+        unknowns = [(p, m + q) for q in range(n) for p in range(m)] + \
+                   [(m + p, q) for q in range(m) for p in range(n)]
     if not unknowns:
         return 0, []
 
-    vecs = [g.basis_vector(k) for k in range(d)]
-    brackets = [[g.bracket(vecs[a], vecs[b]) for b in range(d)] for a in range(d)]
-
-    def apply_elem(u, w):
-        """Apply the elementary map u to graded vector w."""
-        kind, q, p = u
-        ev = [ZERO] * m
-        od = [ZERO] * n
-        if kind == "e":
-            ev[q] = w[0][p]
-        elif kind == "f":
-            od[q] = w[1][p]
-        elif kind == "eo":
-            od[q] = w[0][p]
-        else:
-            ev[q] = w[1][p]
-        return ev, od
-
-    def elem_basis_index(u):
-        kind, q, p = u
-        if kind in ("e", "oe"):
-            src = p if kind == "e" else m + p
-            dst = q
-        else:
-            src = p if kind == "eo" else m + p
-            dst = m + q
-        return src, dst
-
+    br = g.bracket_table()
+    from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
+    for ui, (src, dst) in enumerate(unknowns):
+        from_src[src].append((ui, dst))
     rows = []
     for a in range(d):
-        pa = g.parity(a)
-        sign = FieldElem((-1) ** (degree * pa))
+        # (-1)^(degree*|a|) * gamma
+        sgamma = -gamma if degree * g.parity(a) % 2 else gamma
         for b in range(d):
-            # residual = alpha*D[a,b] - beta*[Da,b] - sign*gamma*[a,Db]
-            # row block: one row per output coordinate
-            block = [[ZERO] * len(unknowns) for _ in range(d)]
-            for ui, u in enumerate(unknowns):
-                src, dst = elem_basis_index(u)
-                ev1, od1 = apply_elem(u, brackets[a][b])
-                res_e = [alpha * x for x in ev1]
-                res_o = [alpha * x for x in od1]
-                if src == a:
-                    br = brackets[dst][b]
-                    res_e = [x - beta * y for x, y in zip(res_e, br[0])]
-                    res_o = [x - beta * y for x, y in zip(res_o, br[1])]
-                if src == b:
-                    br = brackets[a][dst]
-                    res_e = [x - sign * gamma * y for x, y in zip(res_e, br[0])]
-                    res_o = [x - sign * gamma * y for x, y in zip(res_o, br[1])]
-                for k in range(m):
-                    block[k][ui] = res_e[k]
-                for l in range(n):
-                    block[m + l][ui] = res_o[l]
-            rows.extend(r for r in block if any(not x.is_zero() for x in r))
+            # residual = alpha*D[a,b] - beta*[Da,b] - sign*gamma*[a,Db] as
+            # (output coordinate, unknown, coefficient) terms
+            terms = [(dst, ui, alpha * x) for src, x in br[a][b]
+                     for ui, dst in from_src[src]]
+            terms += [(k, ui, -(beta * y)) for ui, dst in from_src[a]
+                      for k, y in br[dst][b]]
+            terms += [(k, ui, -(sgamma * y)) for ui, dst in from_src[b]
+                      for k, y in br[a][dst]]
+            block = {}  # output coordinate -> row
+            for k, ui, x in terms:
+                row = block.get(k)
+                if row is None:
+                    row = block[k] = [ZERO] * len(unknowns)
+                row[ui] = row[ui] + x
+            rows.extend(block[k] for k in sorted(block)
+                        if any(not x.is_zero() for x in block[k]))
     basis = kernel(rows) if rows else \
         [[ONE if i == j else ZERO for j in range(len(unknowns))]
          for i in range(len(unknowns))]
@@ -296,8 +268,7 @@ def trivial_sub_max(g: SuperAlgebra) -> Dict:
     """t(g): maximal total dimension of a trivial graded subalgebra."""
     m, n = g.m, g.n
     profile = []
-    best = 0
-    unknown_above = False
+    undecided = []
     for a in range(m + 1):
         for b in range(n + 1):
             if a + b == 0:
@@ -305,18 +276,11 @@ def trivial_sub_max(g: SuperAlgebra) -> Dict:
             res = trivial_shape_exists(g, a, b)
             if res is True:
                 profile.append((a, b))
-                best = max(best, a + b)
             elif res is None:
-                unknown_above = True
-    exact: Optional[int] = best
-    if unknown_above:
-        # only honest if no undecided shape could beat the max
-        undecided_max = max((a + b for a in range(m + 1) for b in range(n + 1)
-                             if a + b > 0 and (a, b) not in profile
-                             and trivial_shape_exists(g, a, b) is None),
-                            default=0)
-        if undecided_max > best:
-            exact = None
+                undecided.append(a + b)
+    best = max((a + b for a, b in profile), default=0)
+    # only honest if no undecided shape could beat the max
+    exact: Optional[int] = None if max(undecided, default=0) > best else best
     return {"lower": best, "exact": exact, "graded_profile": sorted(profile)}
 
 
@@ -329,12 +293,12 @@ ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
     zdim, _ = center(g)
     ddim = derived(g)
-    d0 = der0_dim(g)
     abc = {}
     for tup in ABC_TUPLES:
         for deg in (0, 1):
             abc[f"({tup[0]},{tup[1]},{tup[2]})@{deg}"] = \
                 abc_derivations(g, *tup, deg)[0]
+    d0 = abc["(1,1,1)@0"]  # Der_0 = the (1,1,1)-derivations of degree 0
     report = {
         "name": g.name,
         "shape": [g.m, g.n],

@@ -57,10 +57,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
-
-
 # -- exact field elimination ----------------------------------------------
 
 
@@ -155,11 +151,6 @@ def inv(matrix: Sequence[Row]) -> List[Row]:
     return solve(matrix, identity(len(matrix)))
 
 
-def row_space_contains(matrix: Sequence[Row], vector: Sequence[FieldElem]) -> bool:
-    base = rank(matrix) if matrix else 0
-    return rank(list(matrix) + [list(vector)]) == base
-
-
 # -- series elimination -----------------------------------------------------
 
 
@@ -204,8 +195,3 @@ def series_solve(matrix, rhs,
                 factor = aug[k][c]
                 aug[k] = [a - factor * b for a, b in zip(aug[k], aug[c])]
     return [row[n:n + width] for row in aug]
-
-
-def series_matrix(matrix_of_field) -> List[List[PuiseuxSeries]]:
-    """Lift a FieldElem matrix to a series matrix."""
-    return [[PuiseuxSeries.from_scalar(x) for x in row] for row in matrix_of_field]

@@ -103,9 +103,6 @@ class PuiseuxSeries:
         e = min(self.terms)
         return e, self.terms[e]
 
-    def is_exact(self) -> bool:
-        return self.precision is None
-
     def is_zero(self) -> bool:
         """True when the series is known to be exactly zero."""
         return not self.terms and self.precision is None

@@ -1,4 +1,10 @@
+from itertools import product
+
 from superlie import catalog, invariants
+from superlie.algebra import SuperAlgebra
+from superlie.field import I, ONE, SQRT2, ZERO, FieldElem
+from superlie.gamma23 import random_gl
+from superlie.linalg import kernel
 
 
 def test_center_examples():
@@ -69,3 +75,156 @@ def test_abelian_has_full_trivial_sub():
     g = catalog.get("(2|3)_0").algebra
     t = invariants.trivial_sub_max(g)
     assert t["exact"] == 5
+
+
+# -- dense oracles for the sparse derivation systems and axiom checks --------
+
+
+def dense_abc_derivations(g, alpha, beta, gamma, degree):
+    """Every elementary map x_src -> x_dst applied to the brackets of all
+    pairs of unit vectors; one row per (a, b, output coordinate)."""
+    alpha, beta, gamma = (x if isinstance(x, FieldElem) else FieldElem(x)
+                          for x in (alpha, beta, gamma))
+    m, n = g.m, g.n
+    d = m + n
+    if degree == 0:
+        unknowns = [("e", q, p) for q in range(m) for p in range(m)] + \
+                   [("f", q, p) for q in range(n) for p in range(n)]
+    else:
+        unknowns = [("eo", q, p) for q in range(n) for p in range(m)] + \
+                   [("oe", q, p) for q in range(m) for p in range(n)]
+    if not unknowns:
+        return 0, []
+    vecs = [g.basis_vector(k) for k in range(d)]
+    brackets = [[sum(g.bracket(x, y), []) for y in vecs] for x in vecs]
+    rows = []
+    for a in range(d):
+        sign = FieldElem((-1) ** (degree * g.parity(a)))
+        for b in range(d):
+            block = [[ZERO] * len(unknowns) for _ in range(d)]
+            for ui, (kind, q, p) in enumerate(unknowns):
+                src = p if kind in ("e", "eo") else m + p
+                dst = q if kind in ("e", "oe") else m + q
+                res = [ZERO] * d
+                res[dst] = alpha * brackets[a][b][src]
+                if src == a:
+                    res = [x - beta * y for x, y in zip(res, brackets[dst][b])]
+                if src == b:
+                    res = [x - sign * gamma * y
+                           for x, y in zip(res, brackets[a][dst])]
+                for k in range(d):
+                    block[k][ui] = res[k]
+            rows.extend(r for r in block if any(not x.is_zero() for x in r))
+    basis = kernel(rows) if rows else \
+        [[ONE if i == j else ZERO for j in range(len(unknowns))]
+         for i in range(len(unknowns))]
+    return len(basis), basis
+
+
+def _nonzero(part, *signed):
+    """Is sum(sign * vec) nonzero on the even (0) or odd (1) part?"""
+    return any(not sum((s * v[part][k] for s, v in signed), ZERO).is_zero()
+               for k in range(len(signed[0][1][part])))
+
+
+def dense_check_jacobi(g):
+    d = g.dim
+    v = [g.basis_vector(k) for k in range(d)]
+    br = g.bracket
+    bad = []
+    for a, b, c in product(range(d), repeat=3):
+        pa, pb, pc = g.parity(a), g.parity(b), g.parity(c)
+        signed = [((-1) ** (pa * pc), br(v[a], br(v[b], v[c]))),
+                  ((-1) ** (pb * pa), br(v[b], br(v[c], v[a]))),
+                  ((-1) ** (pc * pb), br(v[c], br(v[a], v[b])))]
+        if _nonzero(0, *signed) or _nonzero(1, *signed):
+            bad.append((a, b, c))
+    return bad
+
+
+def dense_check_consistency(g):
+    m, n = g.m, g.n
+    v = [g.basis_vector(k) for k in range(m + n)]
+    f = v[m:]
+    br = g.bracket
+    problems = []
+    for a, b, c in product(range(m), repeat=3):
+        if _nonzero(0, (1, br(v[a], br(v[b], v[c]))),
+                    (-1, br(br(v[a], v[b]), v[c])),
+                    (-1, br(v[b], br(v[a], v[c])))):
+            problems.append(f"even Jacobi fails at (e{a+1},e{b+1},e{c+1})")
+    for a, b, j in product(range(m), range(m), range(n)):
+        if _nonzero(1, (1, br(br(v[a], v[b]), f[j])),
+                    (-1, br(v[a], br(v[b], f[j]))),
+                    (1, br(v[b], br(v[a], f[j])))):
+            problems.append(f"rho([e{a+1},e{b+1}]) != commutator on f{j+1}")
+    for a, i, j in product(range(m), range(n), range(n)):
+        if _nonzero(0, (1, br(v[a], br(f[i], f[j]))),
+                    (-1, br(br(v[a], f[i]), f[j])),
+                    (-1, br(f[i], br(v[a], f[j])))):
+            problems.append(f"(J1) fails at (e{a+1},f{i+1},f{j+1})")
+    for i, j, k in product(range(n), repeat=3):
+        if _nonzero(1, (1, br(br(f[i], f[j]), f[k])),
+                    (1, br(br(f[j], f[k]), f[i])),
+                    (1, br(br(f[k], f[i]), f[j]))):
+            problems.append(f"(J2) fails at (f{i+1},f{j+1},f{k+1})")
+    return problems
+
+
+def test_sparse_abc_derivations_match_dense_oracle(rng):
+    """Every catalog algebra of dimension <= 4, the five dimension-5 labels
+    of the h2-catalog benchmark workload, their ab() and F reductions, and
+    two rational basis changes of each (2|2) and (1|3) algebra."""
+    base = [e.algebra for e in catalog.list_entries() if e.m + e.n <= 4]
+    base += [catalog.get(lab).algebra for lab in
+             ("(0|5)_0", "(1|4)_4", "(2|3)_6", "(3|2)_5", "(4|1)_6")]
+    cases = [h for g in base for h in (g, g.ab(), g.forget_gamma())]
+    for e in catalog.list_entries():
+        if (e.m, e.n) in ((2, 2), (1, 3)):
+            for _ in range(2):
+                cases.append(e.algebra.apply_basis_change(
+                    random_gl(e.m, rng), random_gl(e.n, rng)))
+    tuples = invariants.ABC_TUPLES + [(1, 0, 0), (2, 1, -1), (I, 1, SQRT2)]
+    for g in cases:
+        for tup in tuples:
+            for deg in (0, 1):
+                assert (invariants.abc_derivations(g, *tup, deg)
+                        == dense_abc_derivations(g, *tup, deg)), \
+                    (g.name, tup, deg)
+
+
+def _perturbed(g, rng):
+    """g with one to three structure constants moved (symmetries kept)."""
+    m, n = g.m, g.n
+    c = [[list(v) for v in row] for row in g.c]
+    rho = [[list(v) for v in row] for row in g.rho]
+    gam = [[list(v) for v in row] for row in g.gamma]
+    for _ in range(rng.randint(1, 3)):
+        x = rng.choice([ONE, -ONE, FieldElem(2), I, SQRT2])
+        kind = rng.choice("crg")
+        if kind == "c" and m >= 2:
+            i, j = rng.sample(range(m), 2)
+            k = rng.randrange(m)
+            c[i][j][k] += x
+            c[j][i][k] -= x
+        elif kind == "r" and m and n:
+            rho[rng.randrange(m)][rng.randrange(n)][rng.randrange(n)] += x
+        elif kind == "g" and m and n:
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(m)
+            gam[i][j][k] += x
+            if i != j:
+                gam[j][i][k] += x
+    return SuperAlgebra(m, n, c, rho, gam, name=f"{g.name}~")
+
+
+def test_sparse_axiom_checks_match_dense_oracles(rng):
+    """Seeded perturbations of every catalog algebra, violations included."""
+    cases = [_perturbed(e.algebra, rng) for e in catalog.list_entries()]
+    jacobi = [g.check_jacobi() for g in cases]
+    consistency = [g.check_consistency() for g in cases]
+    assert jacobi == [dense_check_jacobi(g) for g in cases]
+    assert consistency == [dense_check_consistency(g) for g in cases]
+    assert sum(1 for bad in jacobi if bad) >= 30
+    found = " ".join(p for probs in consistency for p in probs)
+    for kind in ("even Jacobi", "commutator", "(J1)", "(J2)"):
+        assert kind in found, kind

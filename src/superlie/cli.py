@@ -5,8 +5,8 @@ components, gamma23, verify-all, selftest.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 internal inconsistency.  The environment variable SUPERLIE_PRECISION
-overrides the default series precision.  JSON output is byte-deterministic
-for fixed inputs.
+overrides the default series precision; like --precision, it must be a
+positive rational.  JSON output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
 from .orbitrel import ConsistencyViolation
+from .series import InsufficientPrecision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,11 +35,17 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _precision(args):
-    if getattr(args, "precision", None) is not None:
-        return Fraction(args.precision)
-    env = os.environ.get("SUPERLIE_PRECISION")
-    return Fraction(env) if env else None
+def _positive_rational(text: str) -> Fraction:
+    """The series precision, from --precision or SUPERLIE_PRECISION."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"precision (--precision or SUPERLIE_PRECISION) must be a "
+            f"positive rational, got {text!r}")
+    return value
 
 
 class ParseError(Exception):
@@ -112,7 +119,6 @@ def cmd_h2(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
-    precision = _precision(args)
     if args.witness:
         with open(args.witness) as fh:
             doc = json.load(fh)
@@ -128,7 +134,7 @@ def cmd_degenerate(args) -> int:
             return EXIT_USAGE
     code = EXIT_OK
     for row in rows:
-        res = orbitrel.verify_degeneration(row, precision=precision)
+        res = orbitrel.verify_degeneration(row, precision=args.precision)
         if res.ok:
             alt = " (alternate branch)" if res.used_alt else ""
             print(f"Verified {args.frm} -> {args.to}{alt}")
@@ -151,7 +157,7 @@ def cmd_nondegen(args) -> int:
 
 def cmd_hasse(args) -> int:
     diagram = orbitrel.build_hasse((args.m, args.n),
-                                   precision=_precision(args))
+                                   precision=args.precision)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(orbitrel.to_dot(diagram))
@@ -165,7 +171,7 @@ def cmd_hasse(args) -> int:
 
 def cmd_components(args) -> int:
     res = orbitrel.component_analysis((args.m, args.n),
-                                      precision=_precision(args))
+                                      precision=args.precision)
     labels = res["components"]
     print(f"{len(labels)} components: " + ", ".join(labels))
     for w in res["warnings"]:
@@ -191,7 +197,6 @@ def cmd_gamma23(args) -> int:
 def cmd_verify_all(args) -> int:
     dim = (args.m, args.n)
     key = f"({args.m}|{args.n})"
-    precision = _precision(args)
     failures = []
 
     entries = catalog.list_entries(dim)
@@ -204,7 +209,7 @@ def cmd_verify_all(args) -> int:
     if bad:
         failures.append(f"axiom failures: {bad}")
 
-    results = orbitrel.verify_builtin_witnesses(key, precision=precision)
+    results = orbitrel.verify_builtin_witnesses(key, precision=args.precision)
     n_ok = sum(1 for r in results if r.ok)
     print(f"witnesses: {n_ok}/{len(results)} verified")
     for r in results:
@@ -243,7 +248,7 @@ def cmd_verify_all(args) -> int:
     print(f"h2 regression: {checked - mismatched}/{checked} match")
 
     want = sorted(catalog.expected()["components"][key])
-    res = orbitrel.component_analysis(dim, precision=precision)
+    res = orbitrel.component_analysis(dim, precision=args.precision)
     got = sorted(res["components"])
     print(f"{len(got)} components: " + ", ".join(got))
     if got != want:
@@ -334,6 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_precision(sp):
+        # argparse converts a string default with `type`, so the variable is
+        # checked exactly as the option is
+        sp.add_argument("--precision", type=_positive_rational,
+                        default=os.environ.get("SUPERLIE_PRECISION"),
+                        help="series precision, a positive rational "
+                             "(default: $SUPERLIE_PRECISION)")
+
     sp = sub.add_parser("list", help="list catalog labels")
     sp.add_argument("--dim", help='graded dimension, e.g. "(2|3)"')
     sp.add_argument("--json", action="store_true")
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="frm", required=True)
     sp.add_argument("--to", required=True)
     sp.add_argument("--witness", help="JSON file with a basis mapping")
-    sp.add_argument("--precision")
+    add_precision(sp)
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("nondegen", help="search a non-degeneration certificate")
@@ -373,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--dot", help="write DOT output to this path")
-    sp.add_argument("--precision")
+    add_precision(sp)
     sp.set_defaults(func=cmd_hasse)
 
     sp = sub.add_parser("components", help="irreducible components")
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
-    sp.add_argument("--precision")
+    add_precision(sp)
     sp.set_defaults(func=cmd_components)
 
     sp = sub.add_parser("gamma23", help="classify a pair of symmetric forms")
@@ -391,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all", help="full verification for one (m|n)")
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
-    sp.add_argument("--precision")
+    add_precision(sp)
     sp.set_defaults(func=cmd_verify_all)
 
     sp = sub.add_parser("selftest", help="seeded property tests")
@@ -420,6 +433,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except AlgebraError as exc:
         print(f"algebra error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except InsufficientPrecision as exc:
+        print(f"insufficient precision: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

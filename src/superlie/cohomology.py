@@ -1,8 +1,10 @@
 """Even adjoint 2-cohomology (H^2(g,g))_0.
 
-An even 2-cochain phi is stored as three tensors mirroring the bracket:
-phi_ee (m x m -> m, antisymmetric), phi_ef (m x n -> n), phi_ff
-(n x n -> m, symmetric).  The differential convention is, for homogeneous
+An even 2-cochain phi is stored as one vector over the slots of
+`cochain_basis_index`: the coordinates of phi(e_i, e_j) for i < j, of
+phi(e_i, f_j), and of phi(f_i, f_j) for i <= j.  `Cochain2Even.value`
+mirrors them to the other pairs (antisymmetric on e-e and e-f pairs,
+symmetric on f-f pairs).  The differential convention is, for homogeneous
 x,y,z:
 
     d2 phi(x,y,z) = [x, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
@@ -34,102 +36,68 @@ from .linalg import kernel, rank
 
 
 class Cochain2Even:
-    __slots__ = ("m", "n", "ee", "ef", "ff")
+    """An even 2-cochain as one vector over the slots of
+    `cochain_basis_index(m, n)`."""
 
-    def __init__(self, m, n, ee, ef, ff):
+    __slots__ = ("m", "n", "vec")
+
+    def __init__(self, m, n, vec):
         self.m, self.n = m, n
-        self.ee = tuple(tuple(tuple(v) for v in row) for row in ee)
-        self.ef = tuple(tuple(tuple(v) for v in row) for row in ef)
-        self.ff = tuple(tuple(tuple(v) for v in row) for row in ff)
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if not _is_zero(self.ee[i][j][k] + self.ee[j][i][k]):
-                        raise ValueError("phi_ee must be antisymmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(m):
-                    if not _is_zero(self.ff[i][j][k] - self.ff[j][i][k]):
-                        raise ValueError("phi_ff must be symmetric")
-
-    @staticmethod
-    def zero(m: int, n: int) -> "Cochain2Even":
-        return Cochain2Even(
-            m, n,
-            [[[ZERO] * m for _ in range(m)] for _ in range(m)],
-            [[[ZERO] * n for _ in range(n)] for _ in range(m)],
-            [[[ZERO] * m for _ in range(n)] for _ in range(n)])
+        self.vec = tuple(vec)
+        if len(self.vec) != cochain_dim(m, n):
+            raise ValueError(f"an even 2-cochain of ({m}|{n}) has "
+                             f"{cochain_dim(m, n)} slots, got {len(self.vec)}")
 
     def value(self, a: int, b: int):
         """phi on basis indices (0-based, odd indices offset by m), as a
-        graded vector."""
+        graded vector.  The one place that mirrors slots: phi is
+        antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
         m, n = self.m, self.n
-        even = [ZERO] * m
-        odd = [ZERO] * n
-        if a < m and b < m:
-            even = list(self.ee[a][b])
-        elif a < m <= b:
-            odd = list(self.ef[a][b - m])
-        elif b < m <= a:
-            odd = [-x for x in self.ef[b][a - m]]
-        else:
-            even = list(self.ff[a - m][b - m])
+        even, odd = [ZERO] * m, [ZERO] * n
+        if a == b < m:
+            return even, odd
+        start = _block_start(m, n, min(a, b), max(a, b))
+        out = odd if (a < m) != (b < m) else even
+        negate = a > b and b < m
+        for k in range(len(out)):
+            x = self.vec[start + k]
+            out[k] = -x if negate else x
         return even, odd
 
 
 # -- the fixed flat basis of even 2-cochains ---------------------------------
 
 
-def cochain_basis_index(m: int, n: int):
-    """Slots in the fixed lexicographic order; returns the slot list."""
-    slots = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                slots.append(("ee", i, j, k))
-    for i in range(m):
-        for j in range(n):
-            for l in range(n):
-                slots.append(("ef", i, j, l))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(m):
-                slots.append(("ff", i, j, k))
-    return slots
+def _pairs(m: int, n: int) -> List[Tuple[int, int]]:
+    """The pairs (a, b) whose value phi(x_a, x_b) the slots hold, in slot
+    order: e-e pairs a < b, then e-f pairs, then f-f pairs a <= b."""
+    d = m + n
+    return ([(a, b) for a in range(m) for b in range(a + 1, m)]
+            + [(a, b) for a in range(m) for b in range(m, d)]
+            + [(a, b) for a in range(m, d) for b in range(a, d)])
+
+
+def _block_start(m: int, n: int, a: int, b: int) -> int:
+    """First slot of phi(x_a, x_b) for a pair of `_pairs(m, n)`; its
+    coordinates fill the next m slots (n for an e-f pair)."""
+    if b < m:
+        return (a * (2 * m - a - 1) // 2 + b - a - 1) * m
+    ee = m * (m * (m - 1) // 2)
+    if a < m:
+        return ee + (a * n + b - m) * n
+    i, j = a - m, b - m
+    return ee + m * n * n + (i * (2 * n - i + 1) // 2 + j - i) * m
+
+
+def cochain_basis_index(m: int, n: int) -> List[Tuple[int, int, int]]:
+    """Slots in the fixed order: (a, b, k) is the coordinate of
+    phi(x_a, x_b) on x_k (odd indices offset by m)."""
+    return [(a, b, k) for a, b in _pairs(m, n)
+            for k in (range(m, m + n) if a < m <= b else range(m))]
 
 
 def cochain_dim(m: int, n: int) -> int:
     return m * (m * (m - 1) // 2) + n * m * n + m * (n * (n + 1) // 2)
-
-
-def cochain_to_vector(phi: Cochain2Even) -> List[FieldElem]:
-    out = []
-    for slot in cochain_basis_index(phi.m, phi.n):
-        kind, i, j, k = slot
-        if kind == "ee":
-            out.append(phi.ee[i][j][k])
-        elif kind == "ef":
-            out.append(phi.ef[i][j][k])
-        else:
-            out.append(phi.ff[i][j][k])
-    return out
-
-
-def vector_to_cochain(m: int, n: int, vec) -> Cochain2Even:
-    ee = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    ef = [[[ZERO] * n for _ in range(n)] for _ in range(m)]
-    ff = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
-    for slot, x in zip(cochain_basis_index(m, n), vec):
-        kind, i, j, k = slot
-        if kind == "ee":
-            ee[i][j][k] = x
-            ee[j][i][k] = -x
-        elif kind == "ef":
-            ef[i][j][k] = x
-        else:
-            ff[i][j][k] = x
-            ff[j][i][k] = x
-    return Cochain2Even(m, n, ee, ef, ff)
 
 
 # -- differentials -------------------------------------------------------------
@@ -157,12 +125,10 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
         for r, x in br[a][b]:
             for k, y in psi[r]:
                 acc[k] = acc[k] - x * y
-        return acc[:m], acc[m:]
+        return acc[m:] if a < m <= b else acc[:m]
 
-    ee = [[entry(i, j)[0] for j in range(m)] for i in range(m)]
-    ef = [[entry(i, m + j)[1] for j in range(n)] for i in range(m)]
-    ff = [[entry(m + i, m + j)[0] for j in range(n)] for i in range(n)]
-    return Cochain2Even(m, n, ee, ef, ff)
+    return Cochain2Even(m, n, [x for a, b in _pairs(m, n)
+                               for x in entry(a, b)])
 
 
 def d2(g: SuperAlgebra, phi: Cochain2Even):
@@ -227,14 +193,10 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 def _d2_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
     """Rows = output coordinates over all triples, columns = cochain slots."""
     m, n = g.m, g.n
-    slots = cochain_basis_index(m, n)
-    cols = []
-    for si in range(len(slots)):
-        vec = [ZERO] * len(slots)
-        vec[si] = ONE
-        phi = vector_to_cochain(m, n, vec)
-        image = d2(g, phi)
-        cols.append(image)
+    total = cochain_dim(m, n)
+    cols = [d2(g, Cochain2Even(m, n, [ONE if i == si else ZERO
+                                      for i in range(total)]))
+            for si in range(total)]
     # collect the union of output coordinates that appear
     keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
                    for p in (0, 1) for r, x in enumerate(vv[p])
@@ -259,14 +221,21 @@ def _d1_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
             A = [[ONE if (r, c) == (q, p) else ZERO for c in range(m)]
                  for r in range(m)]
             D = [[ZERO] * n for _ in range(n)]
-            cols.append(cochain_to_vector(d1(g, A, D)))
+            cols.append(d1(g, A, D).vec)
     for q in range(n):
         for p in range(n):
             A = [[ZERO] * m for _ in range(m)]
             D = [[ONE if (r, c) == (q, p) else ZERO for c in range(n)]
                  for r in range(n)]
-            cols.append(cochain_to_vector(d1(g, A, D)))
+            cols.append(d1(g, A, D).vec)
     return [list(row) for row in zip(*cols)] if cols else []
+
+
+def _coboundary_rows(g: SuperAlgebra) -> List[List[FieldElem]]:
+    """The nonzero images of the elementary even maps under d1, as cochain
+    vectors: a spanning set of B^2."""
+    return [list(col) for col in zip(*_d1_matrix(g))
+            if any(not x.is_zero() for x in col)]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
@@ -276,10 +245,8 @@ def h2_even(g: SuperAlgebra) -> Dict:
     d2m = _d2_matrix(g)
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
-    d1m = _d1_matrix(g)
-    cob_rows = [list(col) for col in zip(*d1m)] if d1m else []
-    cob_rows = [r for r in cob_rows if any(not x.is_zero() for x in r)]
-    b_rank = rank(cob_rows) if cob_rows else 0
+    cob_rows = _coboundary_rows(g)
+    b_rank = rank(cob_rows)
     dim = len(cocycles) - b_rank
     # lift a complement: add cocycle vectors that increase rank over B
     basis = []
@@ -289,27 +256,21 @@ def h2_even(g: SuperAlgebra) -> Dict:
         if rank(stack + [z]) > current:
             stack.append(z)
             current += 1
-            basis.append(vector_to_cochain(m, n, z))
+            basis.append(Cochain2Even(m, n, z))
         if current == b_rank + dim:
             break
     return {"dim": dim, "basis": basis}
 
 
 def in_coboundaries(g: SuperAlgebra, phi: Cochain2Even) -> bool:
-    d1m = _d1_matrix(g)
-    rows = [list(col) for col in zip(*d1m)] if d1m else []
-    v = cochain_to_vector(phi)
-    base = rank(rows) if rows else 0
-    return rank(rows + [v]) == base
+    return not independent_mod_coboundaries(g, [phi])
 
 
 def independent_mod_coboundaries(g: SuperAlgebra,
                                  phis: List[Cochain2Even]) -> bool:
-    d1m = _d1_matrix(g)
-    rows = [list(col) for col in zip(*d1m)] if d1m else []
-    base = rank(rows) if rows else 0
-    vs = [cochain_to_vector(p) for p in phis]
-    return rank(rows + vs) == base + len(vs)
+    rows = _coboundary_rows(g)
+    vs = [list(p.vec) for p in phis]
+    return rank(rows + vs) == rank(rows) + len(vs)
 
 
 # -- the paper-style cocycle notation ---------------------------------------------
@@ -324,9 +285,14 @@ def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
     """Parse e.g. "-2*e1*^e2*@e1 + e2*^f1*@f1" into a cochain."""
     pos = 0
     vec = [ZERO] * cochain_dim(m, n)
-    slots = cochain_basis_index(m, n)
-    index = {s: i for i, s in enumerate(slots)}
     found = False
+
+    def index(kind: str, num: str) -> int:
+        i = int(num) - 1
+        if not 0 <= i < (m if kind == "e" else n):
+            raise ValueError(f"unknown basis symbol {kind}{num}")
+        return i if kind == "e" else m + i
+
     while pos < len(text):
         mt = _COCYCLE_TERM.match(text, pos)
         if not mt:
@@ -337,45 +303,33 @@ def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
         coeff = parse_elem(coeff_txt) if coeff_txt else ONE
         if sign == "-":
             coeff = -coeff
-        a = int(i1) - 1
-        b = int(i2) - 1
-        c = int(i3) - 1
-        if k1 == "e" and k2 == "e":
-            if k3 != "e":
-                raise ValueError("even-even slot must map to an e")
-            slot = ("ee", min(a, b), max(a, b), c)
-            if a > b:
-                coeff = -coeff
-            if a == b:
-                raise ValueError("e_i*^e_i* vanishes")
-        elif k1 == "e" and k2 == "f":
-            slot = ("ef", a, b, c)
-        elif k1 == "f" and k2 == "e":
-            slot = ("ef", b, a, c)
+        a, b, c = index(k1, i1), index(k2, i2), index(k3, i3)
+        mixed = (a < m) != (b < m)
+        if (c >= m) != mixed:
+            raise ValueError(f"{k1}{i1}*^{k2}{i2}* must map to an "
+                             f"{'f' if mixed else 'e'}")
+        if a == b < m:
+            raise ValueError("e_i*^e_i* vanishes")
+        if a > b and b < m:
             coeff = -coeff
-        else:
-            slot = ("ff", min(a, b), max(a, b), c)
-        vec[index[slot]] = vec[index[slot]] + coeff
+        slot = _block_start(m, n, min(a, b), max(a, b)) + \
+            (c - m if mixed else c)
+        vec[slot] = vec[slot] + coeff
         found = True
         pos = mt.end()
     if not found:
         raise ValueError("empty cocycle expression")
-    return vector_to_cochain(m, n, vec)
+    return Cochain2Even(m, n, vec)
 
 
 def format_cocycle(phi: Cochain2Even) -> str:
     parts = []
-    vec = cochain_to_vector(phi)
-    for slot, x in zip(cochain_basis_index(phi.m, phi.n), vec):
+    names = [f"e{i + 1}" for i in range(phi.m)] + \
+            [f"f{j + 1}" for j in range(phi.n)]
+    for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n), phi.vec):
         if _is_zero(x):
             continue
-        kind, i, j, k = slot
-        if kind == "ee":
-            term = f"e{i+1}*^e{j+1}*@e{k+1}"
-        elif kind == "ef":
-            term = f"e{i+1}*^f{j+1}*@f{k+1}"
-        else:
-            term = f"f{i+1}*^f{j+1}*@e{k+1}"
+        term = f"{names[a]}*^{names[b]}*@{names[k]}"
         txt = format_elem(x)
         if txt == "1":
             parts.append(term)

@@ -18,42 +18,29 @@ from .linalg import kernel, rank
 
 
 def center(g: SuperAlgebra):
-    """Graded dimension of the center, with graded bases."""
-    m, n = g.m, g.n
-    even_rows = []  # columns: v_1..v_m, rows: all output coordinates
-    for v in range(m):
-        col = []
-        for j in range(m):
-            col.extend(g.c[v][j])
-        for j in range(n):
-            col.extend(g.rho[v][j])
-        even_rows.append(col)
-    even_basis = kernel(list(zip(*even_rows))) if m else []
-    odd_rows = []
-    for v in range(n):
-        col = []
-        for j in range(m):  # [f_v, e_j] = -rho[j][v]
-            col.extend(g.rho[j][v])
-        for j in range(n):
-            col.extend(g.gamma[v][j])
-        odd_rows.append(col)
-    odd_basis = kernel(list(zip(*odd_rows))) if n else []
+    """Graded dimension of the center, with graded bases: for each parity,
+    the kernel of ad over the combined basis."""
+    m, d = g.m, g.dim
+    br = g.bracket_table()
+
+    def ad_kernel(vs):
+        # column v, row (b, k): coordinate k of [x_v, x_b]
+        cols = [[dict(br[v][b]) for b in range(d)] for v in vs]
+        return kernel([[col[b].get(k, ZERO) for col in cols]
+                       for b in range(d) for k in range(d)]) if vs else []
+
+    even_basis, odd_basis = ad_kernel(range(m)), ad_kernel(range(m, d))
     return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
 
 
 def derived(g: SuperAlgebra) -> Tuple[int, int]:
-    """Graded dimension of [g, g]."""
-    m, n = g.m, g.n
-    even_rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            even_rows.append(list(g.c[i][j]))
-    for i in range(n):
-        for j in range(i, n):
-            even_rows.append(list(g.gamma[i][j]))
-    odd_rows = [list(g.rho[i][j]) for i in range(m) for j in range(n)]
-    return (rank(even_rows) if even_rows else 0,
-            rank(odd_rows) if odd_rows else 0)
+    """Graded dimension of [g, g]: the ranks of the even and odd parts of
+    the brackets [x_a, x_b], a <= b."""
+    m, d = g.m, g.dim
+    br = g.bracket_table()
+    rows = [[dict(br[a][b]).get(k, ZERO) for k in range(d)]
+            for a in range(d) for b in range(a, d)]
+    return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
 
 
 def gamma_is_zero(g: SuperAlgebra) -> bool:
@@ -161,9 +148,9 @@ def _subspace_vars(pivots: Sequence[int], total: int, offset: int):
     return cols, var_idx - offset
 
 
-def _bracket_polys(g: SuperAlgebra, ecols, ocols, nvars) -> List[Poly]:
-    """Quadratic equations: all brackets among subspace generators vanish."""
-    m, n = g.m, g.n
+def _bracket_polys(br, m: int, ecols, ocols, nvars) -> List[Poly]:
+    """Quadratic equations: all brackets among subspace generators vanish
+    (br is the algebra's bracket table, m its even dimension)."""
 
     def entry_poly(e) -> Poly:
         if isinstance(e, tuple):
@@ -176,48 +163,23 @@ def _bracket_polys(g: SuperAlgebra, ecols, ocols, nvars) -> List[Poly]:
 
     from .groebner import poly_add, poly_mul, poly_scale
 
-    gens = [("e", [entry_poly(x) for x in col]) for col in ecols] + \
-           [("f", [entry_poly(x) for x in col]) for col in ocols]
+    # each generator as {combined basis index: poly}, the even ones first
+    gens = [{k: p for k, p in enumerate(map(entry_poly, col)) if p}
+            for col in ecols]
+    gens += [{m + k: p for k, p in enumerate(map(entry_poly, col)) if p}
+             for col in ocols]
     eqs: List[Poly] = []
-
-    def tensor_rows(kind1, kind2):
-        if kind1 == "e" and kind2 == "e":
-            return g.c, m
-        if kind1 == "f" and kind2 == "f":
-            return g.gamma, m
-        return None, n
-
-    for i1, (k1, v1) in enumerate(gens):
-        for i2, (k2, v2) in enumerate(gens):
-            if i2 < i1:
+    for i1, v1 in enumerate(gens):
+        for i2 in range(i1, len(gens)):
+            if i1 == i2 < len(ecols):  # [x, x] = 0 for even x
                 continue
-            if k1 == "e" and k2 == "e" and i1 == i2:
-                continue
-            out_dim = m if k1 == k2 else n
-            acc = [dict() for _ in range(out_dim)]
-            dim1 = m if k1 == "e" else n
-            dim2 = m if k2 == "e" else n
-            for a in range(dim1):
-                pa = v1[a]
-                if not pa:
-                    continue
-                for b in range(dim2):
-                    pb = v2[b]
-                    if not pb:
-                        continue
-                    if k1 == "e" and k2 == "e":
-                        coefs = g.c[a][b]
-                    elif k1 == "f" and k2 == "f":
-                        coefs = g.gamma[a][b]
-                    elif k1 == "e":
-                        coefs = g.rho[a][b]
-                    else:  # f, e
-                        coefs = [-x for x in g.rho[b][a]]
+            acc: Dict[int, Poly] = {}
+            for a, pa in v1.items():
+                for b, pb in gens[i2].items():
                     prod = poly_mul(pa, pb)
-                    for k, cf in enumerate(coefs):
-                        if not _is_zero(cf):
-                            acc[k] = poly_add(acc[k], poly_scale(prod, cf))
-            eqs.extend(p for p in acc if p)
+                    for k, cf in br[a][b]:
+                        acc[k] = poly_add(acc.get(k, {}), poly_scale(prod, cf))
+            eqs.extend(acc[k] for k in sorted(acc) if acc[k])
     return eqs
 
 
@@ -242,16 +204,17 @@ def _search_witness(eqs: List[Poly], nvars: int) -> Optional[List[FieldElem]]:
     return None
 
 
-def trivial_shape_exists(g: SuperAlgebra, a: int, b: int) -> Optional[bool]:
-    """Does a trivial graded subalgebra of shape (a|b) exist?  None=unknown."""
-    m, n = g.m, g.n
+def trivial_shape_exists(br, m: int, n: int, a: int,
+                         b: int) -> Optional[bool]:
+    """Does a trivial graded subalgebra of shape (a|b) exist in the (m|n)
+    algebra with bracket table br?  None=unknown."""
     any_unknown = False
     for epiv in _echelon_patterns(m, a):
         ecols, ev = _subspace_vars(epiv, m, 0)
         for opiv in _echelon_patterns(n, b):
             ocols, ov = _subspace_vars(opiv, n, ev)
             nvars = ev + ov
-            eqs = _bracket_polys(g, ecols, ocols, max(nvars, 1))
+            eqs = _bracket_polys(br, m, ecols, ocols, max(nvars, 1))
             if not eqs:
                 return True
             verdict = system_verdict(eqs)
@@ -267,13 +230,14 @@ def trivial_shape_exists(g: SuperAlgebra, a: int, b: int) -> Optional[bool]:
 def trivial_sub_max(g: SuperAlgebra) -> Dict:
     """t(g): maximal total dimension of a trivial graded subalgebra."""
     m, n = g.m, g.n
+    br = g.bracket_table()
     profile = []
     undecided = []
     for a in range(m + 1):
         for b in range(n + 1):
             if a + b == 0:
                 continue
-            res = trivial_shape_exists(g, a, b)
+            res = trivial_shape_exists(br, m, n, a, b)
             if res is True:
                 profile.append((a, b))
             elif res is None:

@@ -287,14 +287,15 @@ class HasseDiagram:
     failed_witnesses: List[Failed]
 
 
-_WITNESS_RESULTS: Dict[Tuple[str, str, str], object] = {}
+_WITNESS_RESULTS: Dict[Tuple[str, str, str, object], object] = {}
 
 
 def verify_builtin_witnesses(dim=None, precision=None) -> List:
-    """Verify the stored witness rows (cached); stable table order."""
+    """Verify the stored witness rows (cached per precision); stable table
+    order."""
     results = []
     for doc in catalog.witnesses(dim):
-        key = (doc["from"], doc["to"], doc.get("source", ""))
+        key = (doc["from"], doc["to"], doc.get("source", ""), precision)
         if key not in _WITNESS_RESULTS:
             _WITNESS_RESULTS[key] = verify_degeneration(doc,
                                                         precision=precision)

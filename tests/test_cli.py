@@ -76,6 +76,41 @@ def test_degenerate_builtin(capsys):
     assert "Verified" in out
 
 
+@pytest.mark.parametrize("value", ["1/2", "0", "-1", "abc"])
+def test_degenerate_precision(capsys, value):
+    """A precision too low to decide fails on one line; anything but a
+    positive rational is a usage error.  No traceback either way."""
+    code = main(["degenerate", "--from", "(2|3)_6", "--to", "(2|3)_10",
+                 "--precision", value])
+    err = capsys.readouterr().err
+    if value == "1/2":
+        assert code == 1
+        assert err.startswith("insufficient precision: ")
+        assert err.count("\n") == 1
+    else:
+        assert code == 2
+        assert "must be a positive rational" in err
+    assert "Traceback" not in err
+
+
+def test_precision_environment_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERLIE_PRECISION", "abc")
+    code = main(["degenerate", "--from", "(2|3)_6", "--to", "(2|3)_10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be a positive rational" in err
+    assert "Traceback" not in err
+
+
+def test_hasse_insufficient_precision(capsys):
+    code = main(["hasse", "2", "3", "--precision", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("insufficient precision: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_degenerate_witness_file(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"basis": {"y1": "t*f1"}}))

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from superlie import catalog, cohomology, gamma23
 from superlie.catalog import heisenberg_1n
-from superlie.cohomology import (d1, d2, format_cocycle, h2_even,
-                                 independent_mod_coboundaries, is_cocycle,
-                                 parse_cocycle)
+from superlie.cohomology import (Cochain2Even, d1, d2, format_cocycle,
+                                 h2_even, independent_mod_coboundaries,
+                                 is_cocycle, parse_cocycle)
 from superlie.field import I, SQRT2, ZERO, FieldElem
 
 from conftest import rand_elem
@@ -56,8 +58,47 @@ def test_cocycle_format_roundtrip():
     for text in catalog.expected()["cocycles"]["(2|3)_24"]:
         phi = parse_cocycle(text, g.m, g.n)
         again = parse_cocycle(format_cocycle(phi), g.m, g.n)
-        assert cohomology.cochain_to_vector(again) == \
-            cohomology.cochain_to_vector(phi)
+        assert again.vec == phi.vec
+
+
+def test_parse_cocycle_reversed_pairs():
+    """A term on a pair out of slot order takes the graded sign."""
+    for text, same in [("e2*^e1*@e1", "-e1*^e2*@e1"),
+                       ("f1*^e2*@f3", "-e2*^f1*@f3"),
+                       ("f3*^f1*@e2", "f1*^f3*@e2")]:
+        assert parse_cocycle(text, 2, 3).vec == \
+            parse_cocycle(same, 2, 3).vec
+
+
+def test_parse_cocycle_rejects_bad_terms():
+    for text in ("e1*^f1*@e1", "f1*^f2*@f1", "e1*^e2*@f1", "e1*^e1*@e1",
+                 "e3*^f1*@f1", "e1*^f4*@f1", "e1*^f1*@f0", ""):
+        with pytest.raises(ValueError):
+            parse_cocycle(text, 2, 3)
+
+
+def test_cochain_value_graded_symmetry(rng):
+    """value mirrors each slot with the graded sign, and slot (a, b, k) of
+    cochain_basis_index is the coordinate of phi(x_a, x_b) on x_k."""
+    for m, n in [(m, n) for m in range(6) for n in range(6) if m + n <= 5]:
+        d = m + n
+        slots = cohomology.cochain_basis_index(m, n)
+        assert len(slots) == cohomology.cochain_dim(m, n)
+        for s, (a, b, k) in enumerate(slots):
+            unit = Cochain2Even(m, n, [FieldElem(int(i == s))
+                                       for i in range(len(slots))])
+            assert sum(unit.value(a, b), [])[k] == FieldElem(1)
+        phi = Cochain2Even(m, n, [_rand_scalar(rng) for _ in slots])
+        for a in range(d):
+            for b in range(d):
+                even, odd = phi.value(a, b)
+                mirror = sum(phi.value(b, a), [])
+                sign = 1 if a >= m and b >= m else -1
+                assert even + odd == [sign * x for x in mirror]
+                other = odd if (a < m) == (b < m) else even
+                assert all(x.is_zero() for x in other)
+        with pytest.raises(ValueError):
+            Cochain2Even(m, n, [ZERO] * (len(slots) + 1))
 
 
 def test_d2_after_d1_vanishes_on_all_catalog(rng):
@@ -141,13 +182,17 @@ def dense_d1(g, A, D):
     def entry(a, b):
         x, y = vecs[a], vecs[b]
         acc = _add(g.bracket(psi(x), y), g.bracket(x, psi(y)))
-        return _add(acc, psi(g.bracket(x, y)), -1)
+        return sum(_add(acc, psi(g.bracket(x, y)), -1), [])
 
-    return cohomology.Cochain2Even(
-        m, n,
-        [[entry(i, j)[0] for j in range(m)] for i in range(m)],
-        [[entry(i, m + j)[1] for j in range(n)] for i in range(m)],
-        [[entry(m + i, m + j)[0] for j in range(n)] for i in range(n)])
+    d = m + n
+    val = {(a, b): entry(a, b) for a in range(d) for b in range(d)}
+    # the mirrored entries: antisymmetric on e-e and e-f pairs (zero on the
+    # e-e diagonal), symmetric on f-f pairs
+    for (a, b), v in val.items():
+        sign = 1 if a >= m and b >= m else -1
+        assert v == [sign * x for x in val[(b, a)]]
+    return Cochain2Even(m, n, [val[(a, b)][k] for a, b, k in
+                               cohomology.cochain_basis_index(m, n)])
 
 
 def _rand_scalar(rng):
@@ -175,9 +220,8 @@ def test_sparse_d2_d1_match_dense_oracles(rng):
         for _ in range(2):
             vec = [_rand_scalar(rng)
                    for _ in range(cohomology.cochain_dim(g.m, g.n))]
-            phi = cohomology.vector_to_cochain(g.m, g.n, vec)
+            phi = Cochain2Even(g.m, g.n, vec)
             assert d2(g, phi) == dense_d2(g, phi), g.name
             A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
             D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
-            assert (cohomology.cochain_to_vector(d1(g, A, D))
-                    == cohomology.cochain_to_vector(dense_d1(g, A, D))), g.name
+            assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name

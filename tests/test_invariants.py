@@ -4,7 +4,8 @@ from superlie import catalog, invariants
 from superlie.algebra import SuperAlgebra
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem
 from superlie.gamma23 import random_gl
-from superlie.linalg import kernel
+from superlie.groebner import poly_add, poly_mul, poly_scale
+from superlie.linalg import identity, kernel, rank
 
 
 def test_center_examples():
@@ -14,6 +15,9 @@ def test_center_examples():
     assert (de, do) == (2, 0)
     (de, do), _ = invariants.center(catalog.get("(1|1)_1").algebra)
     assert (de, do) == (1, 0)
+    # abelian and purely odd: everything is central
+    (de, do), _ = invariants.center(catalog.get("(0|3)_0").algebra)
+    assert (de, do) == (0, 3)
 
 
 def test_derived_examples():
@@ -228,3 +232,103 @@ def test_sparse_axiom_checks_match_dense_oracles(rng):
     found = " ".join(p for probs in consistency for p in probs)
     for kind in ("even Jacobi", "commutator", "(J1)", "(J2)"):
         assert kind in found, kind
+
+
+# -- dense oracles for the invariants read from the bracket table -------------
+
+
+def _kernel_of_columns(cols, size):
+    """Kernel of the matrix with the given columns; with no rows it is
+    everything."""
+    rows = [list(r) for r in zip(*cols)]
+    return kernel(rows) if rows else identity(size)
+
+
+def dense_center(g):
+    """The kernel of ad read from the c/rho/gamma tensors."""
+    m, n = g.m, g.n
+    even_cols = [sum((list(g.c[v][j]) for j in range(m)), [])
+                 + sum((list(g.rho[v][j]) for j in range(n)), [])
+                 for v in range(m)]
+    odd_cols = [sum((list(g.rho[j][v]) for j in range(m)), [])  # = -[f_v, e_j]
+                + sum((list(g.gamma[v][j]) for j in range(n)), [])
+                for v in range(n)]
+    even = _kernel_of_columns(even_cols, m) if m else []
+    odd = _kernel_of_columns(odd_cols, n) if n else []
+    return (len(even), len(odd)), (even, odd)
+
+
+def dense_derived(g):
+    m, n = g.m, g.n
+    even_rows = [list(g.c[i][j]) for i in range(m) for j in range(i + 1, m)]
+    even_rows += [list(g.gamma[i][j]) for i in range(n) for j in range(i, n)]
+    odd_rows = [list(g.rho[i][j]) for i in range(m) for j in range(n)]
+    return (rank(even_rows) if even_rows else 0,
+            rank(odd_rows) if odd_rows else 0)
+
+
+def dense_bracket_polys(g, ecols, ocols, nvars):
+    """The bracket of every pair of generators, coordinate by coordinate of
+    the c/rho/gamma tensors."""
+    m, n = g.m, g.n
+
+    def entry_poly(e):
+        if isinstance(e, tuple):
+            mono = [0] * nvars
+            mono[e[1]] = 1
+            return {tuple(mono): ONE}
+        return {} if e.is_zero() else {tuple([0] * nvars): e}
+
+    gens = [("e", [entry_poly(x) for x in col]) for col in ecols] + \
+           [("f", [entry_poly(x) for x in col]) for col in ocols]
+    eqs = []
+    for i1, (k1, v1) in enumerate(gens):
+        for i2, (k2, v2) in enumerate(gens):
+            if i2 < i1 or (k1 == k2 == "e" and i1 == i2):
+                continue
+            acc = [{} for _ in range(m if k1 == k2 else n)]
+            for a, pa in enumerate(v1):
+                for b, pb in enumerate(v2):
+                    if not pa or not pb:
+                        continue
+                    if k1 == k2 == "e":
+                        coefs = g.c[a][b]
+                    elif k1 == k2 == "f":
+                        coefs = g.gamma[a][b]
+                    elif k1 == "e":
+                        coefs = g.rho[a][b]
+                    else:
+                        coefs = [-x for x in g.rho[b][a]]
+                    prod = poly_mul(pa, pb)
+                    for k, cf in enumerate(coefs):
+                        if not cf.is_zero():
+                            acc[k] = poly_add(acc[k], poly_scale(prod, cf))
+            eqs.extend(p for p in acc if p)
+    return eqs
+
+
+def test_table_invariants_match_dense_oracles(rng):
+    """center, derived and the trivial-subalgebra equations of every shape
+    and echelon pattern, on every catalog algebra, its ab() and F
+    reductions and one seeded rational basis change of it."""
+    cases = []
+    for e in catalog.list_entries():
+        g = e.algebra
+        cases += [g, g.ab(), g.forget_gamma(), g.apply_basis_change(
+            random_gl(g.m, rng), random_gl(g.n, rng))]
+    for g in cases:
+        assert invariants.center(g) == dense_center(g), g.name
+        assert invariants.derived(g) == dense_derived(g), g.name
+        br = g.bracket_table()
+        for a, b in product(range(g.m + 1), range(g.n + 1)):
+            for epiv in invariants._echelon_patterns(g.m, a):
+                ecols, ev = invariants._subspace_vars(epiv, g.m, 0)
+                for opiv in invariants._echelon_patterns(g.n, b):
+                    ocols, ov = invariants._subspace_vars(opiv, g.n, ev)
+                    nvars = max(ev + ov, 1)
+                    got = invariants._bracket_polys(br, g.m, ecols, ocols,
+                                                    nvars)
+                    want = dense_bracket_polys(g, ecols, ocols, nvars)
+                    assert ([list(p.items()) for p in got]
+                            == [list(p.items()) for p in want]), \
+                        (g.name, epiv, opiv)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from superlie import catalog, orbitrel
@@ -5,6 +7,7 @@ from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                auto_nondegen, build_hasse, components,
                                discrepancy_report, to_dot, verify_degeneration,
                                verify_builtin_witnesses)
+from superlie.series import InsufficientPrecision
 
 
 def test_all_builtin_witnesses_verify():
@@ -12,6 +15,12 @@ def test_all_builtin_witnesses_verify():
     assert len(results) == 117
     bad = [r for r in results if not r.ok]
     assert bad == []
+
+
+def test_witness_cache_is_keyed_by_precision():
+    verify_builtin_witnesses("(2|3)")
+    with pytest.raises(InsufficientPrecision):
+        verify_builtin_witnesses("(2|3)", precision=Fraction(1, 2))
 
 
 def test_witness_wrong_limit_detected():

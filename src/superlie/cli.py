@@ -23,7 +23,7 @@ from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
 from .orbitrel import ConsistencyViolation
-from .series import InsufficientPrecision
+from .series import InsufficientPrecision, parse_precision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,17 +35,13 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _positive_rational(text: str) -> Fraction:
-    """The series precision, from --precision or SUPERLIE_PRECISION."""
+def _precision(text: str) -> Fraction:
+    """--precision or SUPERLIE_PRECISION, by the rule the library uses."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or value <= 0:
+        return parse_precision(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"precision (--precision or SUPERLIE_PRECISION) must be a "
-            f"positive rational, got {text!r}")
-    return value
+            f"{exc} (--precision or SUPERLIE_PRECISION)") from None
 
 
 class ParseError(Exception):
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_precision(sp):
         # argparse converts a string default with `type`, so the variable is
         # checked exactly as the option is
-        sp.add_argument("--precision", type=_positive_rational,
+        sp.add_argument("--precision", type=_precision,
                         default=os.environ.get("SUPERLIE_PRECISION"),
                         help="series precision, a positive rational "
                              "(default: $SUPERLIE_PRECISION)")

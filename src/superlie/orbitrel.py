@@ -19,7 +19,7 @@ from .exprlang import ExprTypeError, evaluate_basis_vector
 from .invariants import (ABC_TUPLES, abc_derivations, center, derived,
                          gamma_is_zero, orbit_dim, trivial_sub_max)
 from .linalg import SingularMatrix
-from .series import Diverges, InsufficientPrecision
+from .series import Diverges, InsufficientPrecision, working_precision
 
 
 class ConsistencyViolation(Exception):
@@ -293,12 +293,12 @@ _WITNESS_RESULTS: Dict[Tuple[str, str, str, object], object] = {}
 def verify_builtin_witnesses(dim=None, precision=None) -> List:
     """Verify the stored witness rows (cached per precision); stable table
     order."""
+    p = precision if precision is not None else working_precision()
     results = []
     for doc in catalog.witnesses(dim):
-        key = (doc["from"], doc["to"], doc.get("source", ""), precision)
+        key = (doc["from"], doc["to"], doc.get("source", ""), p)
         if key not in _WITNESS_RESULTS:
-            _WITNESS_RESULTS[key] = verify_degeneration(doc,
-                                                        precision=precision)
+            _WITNESS_RESULTS[key] = verify_degeneration(doc, precision=p)
         results.append(_WITNESS_RESULTS[key])
     return results
 

@@ -18,12 +18,23 @@ from .field import FieldElem, ONE, ZERO, field_sqrt
 DEFAULT_PRECISION = Fraction(8)
 
 
+def parse_precision(text: str) -> Fraction:
+    """A series precision from text; it must be a positive rational."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise ValueError(f"precision must be a positive rational, got {text!r}")
+    return value
+
+
 def working_precision() -> Fraction:
     """Default truncation order; the SUPERLIE_PRECISION env var overrides it."""
     raw = os.environ.get("SUPERLIE_PRECISION")
     if raw is None:
         return DEFAULT_PRECISION
-    return Fraction(raw)
+    return parse_precision(raw)
 
 
 class SeriesError(ArithmeticError):

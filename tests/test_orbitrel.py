@@ -17,10 +17,18 @@ def test_all_builtin_witnesses_verify():
     assert bad == []
 
 
-def test_witness_cache_is_keyed_by_precision():
-    verify_builtin_witnesses("(2|3)")
+def test_witness_cache_is_keyed_by_precision(monkeypatch):
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    default = verify_builtin_witnesses("(2|3)")
     with pytest.raises(InsufficientPrecision):
         verify_builtin_witnesses("(2|3)", precision=Fraction(1, 2))
+    # the default is resolved before the lookup: an explicit 8 shares its
+    # entries, and a changed environment variable does not
+    explicit = verify_builtin_witnesses("(2|3)", precision=Fraction(8))
+    assert all(a is b for a, b in zip(default, explicit, strict=True))
+    monkeypatch.setenv("SUPERLIE_PRECISION", "1/2")
+    with pytest.raises(InsufficientPrecision):
+        verify_builtin_witnesses("(2|3)")
 
 
 def test_witness_wrong_limit_detected():

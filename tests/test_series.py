@@ -4,7 +4,8 @@ import pytest
 
 from superlie.field import FieldElem
 from superlie.series import (Diverges, InsufficientPrecision, NoRoot,
-                             NotInvertible, PuiseuxSeries, working_precision)
+                             NotInvertible, PuiseuxSeries, parse_precision,
+                             working_precision)
 
 from conftest import rand_elem
 
@@ -24,6 +25,20 @@ def test_default_precision_is_8(monkeypatch):
 def test_precision_env_override(monkeypatch):
     monkeypatch.setenv("SUPERLIE_PRECISION", "12")
     assert working_precision() == 12
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "abc", "", "1/0"])
+def test_precision_must_be_positive_rational(monkeypatch, text):
+    with pytest.raises(ValueError, match="positive rational"):
+        parse_precision(text)
+    monkeypatch.setenv("SUPERLIE_PRECISION", text)
+    with pytest.raises(ValueError, match="positive rational"):
+        working_precision()
+
+
+def test_parse_precision_accepts_rationals():
+    assert parse_precision("1/2") == Fraction(1, 2)
+    assert parse_precision(" 16 ") == 16
 
 
 def test_arith_examples():

@@ -4,6 +4,11 @@ Every scalar is ``a + b*i + c*sqrt2 + d*i*sqrt2`` with rational coordinates.
 This field is closed under the square roots needed by the degeneration
 witnesses (it contains i, sqrt2, 1/sqrt2, sqrt(-1/2), ...), and equality is
 decidable, so all verification in the package is exact.
+
+An element is stored as four integer numerators ``n0..n3`` over one integer
+denominator ``q``.  Every operation leaves it in canonical form: ``q > 0``
+and ``gcd(n0, n1, n2, n3, q) == 1``, so zero is ``0/1`` and equal elements
+have equal slots.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 
@@ -27,26 +33,67 @@ def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _raw(a, b, c, d):
-    # internal constructor for coordinates that are already Fractions
-    x = FieldElem.__new__(FieldElem)
-    x.a = a
-    x.b = b
-    x.c = c
-    x.d = d
+def _raw(n0, n1, n2, n3, q):
+    # internal constructor for slots already in canonical form
+    x = _alloc(FieldElem)
+    x.n0 = n0
+    x.n1 = n1
+    x.n2 = n2
+    x.n3 = n3
+    x.q = q
     return x
 
 
-class FieldElem:
-    """An element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2)."""
+def _reduced(n0, n1, n2, n3, q):
+    # internal constructor for integer numerators over q > 0
+    g = gcd(n0, n1, n2, n3, q)
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        n2 //= g
+        n3 //= g
+        q //= g
+    return _raw(n0, n1, n2, n3, q)
 
-    __slots__ = ("a", "b", "c", "d")
+
+class FieldElem:
+    """An element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
+
+    The coordinates are ``int`` or ``Fraction``; ``.a``, ``.b``, ``.c``,
+    ``.d`` and ``coords()`` give them back as ``Fraction``.
+    """
+
+    __slots__ = ("n0", "n1", "n2", "n3", "q")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        coords = (a, b, c, d)
+        for v in coords:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError("FieldElem coordinates must be int or "
+                                f"Fraction, not {type(v).__name__}")
+        # Over the lcm of reduced denominators the numerators are coprime
+        # to q already, so no gcd is needed here.
+        q = math.lcm(a.denominator, b.denominator, c.denominator,
+                     d.denominator)
+        self.n0, self.n1, self.n2, self.n3 = (
+            v.numerator * (q // v.denominator) for v in coords)
+        self.q = q
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.n0, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.n1, self.q)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.n2, self.q)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.n3, self.q)
 
     def coords(self):
         return (self.a, self.b, self.c, self.d)
@@ -54,29 +101,41 @@ class FieldElem:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self.n0 or self.n1 or self.n2 or self.n3)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self.n1 or self.n2 or self.n3)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _raw(self.a + other.a, self.b + other.b,
-                    self.c + other.c, self.d + other.d)
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not (other.n0 or other.n1 or other.n2 or other.n3):
+            return self
+        if not (self.n0 or self.n1 or self.n2 or self.n3):
+            return other
+        q1, q2 = self.q, other.q
+        if q1 == q2:
+            return _reduced(self.n0 + other.n0, self.n1 + other.n1,
+                            self.n2 + other.n2, self.n3 + other.n3, q1)
+        return _reduced(self.n0 * q2 + other.n0 * q1,
+                        self.n1 * q2 + other.n1 * q1,
+                        self.n2 * q2 + other.n2 * q1,
+                        self.n3 * q2 + other.n3 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(-self.a, -self.b, -self.c, -self.d)
+        return _raw(-self.n0, -self.n1, -self.n2, -self.n3, self.q)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -86,52 +145,57 @@ class FieldElem:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1 = self.n0, self.n1, self.n2, self.n3
+        a2, b2, c2, d2 = other.n0, other.n1, other.n2, other.n3
+        q = self.q * other.q
         # rational factors (the overwhelmingly common case) scale coordinatewise
-        if not (self.b or self.c or self.d):
-            q = self.a
-            if not q:
+        if not (b1 or c1 or d1):
+            if not a1:
                 return self
-            return _raw(q * other.a, q * other.b, q * other.c, q * other.d)
-        if not (other.b or other.c or other.d):
-            q = other.a
-            if not q:
+            if not (b2 or c2 or d2):
+                if not a2:
+                    return other
+                n = a1 * a2
+                g = gcd(n, q)
+                return _raw(n // g, 0, 0, 0, q // g)
+            return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q)
+        if not (b2 or c2 or d2):
+            if not a2:
                 return other
-            return _raw(q * self.a, q * self.b, q * self.c, q * self.d)
-        # Write x = (a+bi) + (c+di)*sqrt2 and multiply over Q(i).
-        a1, b1, c1, d1 = self.coords()
-        a2, b2, c2, d2 = other.coords()
-        # Gaussian products (p+qi)(r+si) = (pr-qs) + (ps+qr)i
-        # x1*x2:
-        ra = a1 * a2 - b1 * b2
-        rb = a1 * b2 + b1 * a2
-        # 2*y1*y2:
-        ra += 2 * (c1 * c2 - d1 * d2)
-        rb += 2 * (c1 * d2 + d1 * c2)
-        # x1*y2 + y1*x2:
-        rc = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-        rd = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return _raw(ra, rb, rc, rd)
+            return _reduced(a2 * a1, a2 * b1, a2 * c1, a2 * d1, q)
+        # Write x = (a+bi) + (c+di)*sqrt2 and multiply over Q(i):
+        # x1*x2 + 2*y1*y2 is the rational part, x1*y2 + y1*x2 the sqrt2 part.
+        return _reduced(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                        a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElem":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(i, sqrt2)")
-        # Multiply by the sqrt2-conjugate to land in Q(i), then invert there.
-        conj = FieldElem(self.a, self.b, -self.c, -self.d)
-        z = self * conj  # in Q(i): z = u + v*i
-        u, v = z.a, z.b
-        nrm = u * u + v * v
-        zi = FieldElem(u / nrm, -v / nrm)
-        return conj * zi
+        n0, n1, n2, n3, q = self.n0, self.n1, self.n2, self.n3, self.q
+        if not (n1 or n2 or n3):
+            if not n0:
+                raise ZeroDivisionError("division by zero in Q(i, sqrt2)")
+            return _raw(-q, 0, 0, 0, -n0) if n0 < 0 else _raw(q, 0, 0, 0, n0)
+        # With x = (A + B*sqrt2)/q for Gaussian integers A, B, the
+        # sqrt2-conjugate gives x*(A - B*sqrt2)/q = (u + v*i)/q^2, where
+        # u + v*i = A^2 - 2*B^2, so 1/x = q*(A - B*sqrt2)*(u - v*i)/(u^2+v^2).
+        u = n0 * n0 - n1 * n1 - 2 * (n2 * n2 - n3 * n3)
+        v = 2 * (n0 * n1 - 2 * n2 * n3)
+        return _reduced(q * (n0 * u + n1 * v), q * (n1 * u - n0 * v),
+                        -q * (n2 * u + n3 * v), -q * (n3 * u - n2 * v),
+                        u * u + v * v)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other):
@@ -157,13 +221,19 @@ class FieldElem:
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coords() == other.coords()
+        if type(other) is not FieldElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self.n0 == other.n0 and self.n1 == other.n1 and
+                self.n2 == other.n2 and self.n3 == other.n3 and
+                self.q == other.q)
 
     def __hash__(self):
-        return hash(self.coords())
+        # a rational element hashes like the int or Fraction it equals
+        if self.n1 or self.n2 or self.n3:
+            return hash((self.n0, self.n1, self.n2, self.n3, self.q))
+        return hash(Fraction(self.n0, self.q))
 
     def __bool__(self):
         return not self.is_zero()
@@ -175,11 +245,14 @@ class FieldElem:
         return format_elem(self)
 
 
+_alloc = FieldElem.__new__
+
+
 def _coerce(x) -> Union["FieldElem", type(NotImplemented)]:
     if isinstance(x, FieldElem):
         return x
     if isinstance(x, (int, Fraction)):
-        return FieldElem(x)
+        return _raw(x.numerator, 0, 0, 0, x.denominator)
     return NotImplemented
 
 

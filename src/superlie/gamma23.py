@@ -25,7 +25,7 @@ SymPair = Tuple[Mat, Mat]
 
 
 def _fe(x) -> FieldElem:
-    return x if isinstance(x, FieldElem) else FieldElem(Fraction(x))
+    return x if isinstance(x, FieldElem) else FieldElem(x)
 
 
 def _mat(rows) -> Mat:
@@ -116,7 +116,6 @@ def pair_act(T: Mat, S: Mat, pair: SymPair) -> SymPair:
 
 def random_gl(size: int, rng) -> Mat:
     """A random invertible matrix with small rational entries."""
-    from fractions import Fraction
     while True:
         mat = [[FieldElem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 for _ in range(size)] for _ in range(size)]
@@ -559,7 +558,7 @@ def _sym_normal_form_2(a: Mat):
 
 def _cubic_field_roots(p: List[FieldElem]) -> Optional[List[FieldElem]]:
     """Roots of a monic cubic when one root lies in a small candidate set."""
-    candidates = [FieldElem(Fraction(v)) for v in
+    candidates = [FieldElem(v) for v in
                   (0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2))]
     candidates += [I, -I, SQRT2, -SQRT2, I * SQRT2, -(I * SQRT2)]
     half = FieldElem(Fraction(1, 2))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superlie
 from superlie.cli import main
 
 
@@ -15,6 +20,20 @@ def test_list(capsys):
     code, out = run(capsys, "list", "--dim", "(1|2)")
     assert code == 0
     assert out.split() == ["(1|2)_0", "(1|2)_1", "(1|2)_2", "(1|2)_3"]
+
+
+def test_python_m_superlie_runs_from_source():
+    # the package directory's parent is enough: no install is needed
+    env = dict(os.environ)
+    src = str(Path(superlie.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "superlie", "list"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    labels = proc.stdout.split()
+    assert len(labels) == len(set(labels)) == 99
+    assert labels[0] == "(2|0)_0"
 
 
 def test_show_is_byte_deterministic(capsys):

@@ -1,11 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from superlie.field import (FieldElem, FieldSyntaxError, field_sqrt,
-                            format_elem, parse_elem)
+from superlie.field import (FieldElem, FieldSyntaxError, _gaussian_sqrt,
+                            field_sqrt, format_elem, parse_elem)
 
-from conftest import rand_elem
+from conftest import SEED, rand_elem
 
 
 def coords(x):
@@ -81,3 +83,240 @@ def test_property_sqrt_squares_back(rng):
         assert s is not None and s * s == x * x
         found += 1
     assert found == 1000
+
+
+def test_hash_agrees_with_equality():
+    assert FieldElem(1) == 1 and 1 in {FieldElem(1)}
+    assert FieldElem(1) in {1}
+    assert Fraction(-3, 4) in {FieldElem(Fraction(-3, 4))}
+    assert FieldElem(Fraction(1, 2)) in {Fraction(1, 2): None}
+    assert hash(FieldElem(Fraction(6, 4), 0, 0, 0)) == hash(Fraction(3, 2))
+    # the same element reached by different operations
+    x = FieldElem(Fraction(1, 2), Fraction(-2, 3), 0, 5)
+    y = (x * FieldElem(0, 3, 1, 0)) / FieldElem(0, 3, 1, 0)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert len({FieldElem(0), FieldElem(Fraction(0, 7)), -FieldElem(0), 0}) == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", "1", None, 1j])
+def test_constructor_rejects_non_rationals(bad):
+    with pytest.raises(TypeError):
+        FieldElem(bad)
+    with pytest.raises(TypeError):
+        FieldElem(0, 0, 0, bad)
+    with pytest.raises(TypeError):
+        FieldElem(1) + bad
+
+
+# -- differential test against the Fraction-slot implementation ---------------
+
+class RefElem:
+    """The former FieldElem, one Fraction per coordinate: the test oracle."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+        self.c, self.d = Fraction(c), Fraction(d)
+
+    def coords(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def is_zero(self):
+        return not (self.a or self.b or self.c or self.d)
+
+    def is_rational(self):
+        return not (self.b or self.c or self.d)
+
+    def __add__(self, other):
+        other = _ref(other)
+        return RefElem(self.a + other.a, self.b + other.b,
+                       self.c + other.c, self.d + other.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefElem(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, other):
+        return self + (-_ref(other))
+
+    def __rsub__(self, other):
+        return _ref(other) + (-self)
+
+    def __mul__(self, other):
+        other = _ref(other)
+        if self.is_rational():
+            return RefElem(*(self.a * v for v in other.coords()))
+        if other.is_rational():
+            return RefElem(*(other.a * v for v in self.coords()))
+        a1, b1, c1, d1 = self.coords()
+        a2, b2, c2, d2 = other.coords()
+        return RefElem(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                       a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                       a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                       a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.is_zero():
+            raise ZeroDivisionError
+        conj = RefElem(self.a, self.b, -self.c, -self.d)
+        z = self * conj
+        nrm = z.a * z.a + z.b * z.b
+        return conj * RefElem(z.a / nrm, -z.b / nrm)
+
+    def __truediv__(self, other):
+        return self * _ref(other).inv()
+
+    def __rtruediv__(self, other):
+        return _ref(other) * self.inv()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = RefElem(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.coords() == _ref(other).coords()
+
+    def __hash__(self):
+        return hash(self.coords())
+
+
+def _ref(x):
+    return x if isinstance(x, RefElem) else RefElem(x)
+
+
+def ref_sqrt(x):
+    """``field_sqrt`` as it was written over the Fraction slots."""
+    if x.is_zero():
+        return RefElem(0)
+    zero = (Fraction(0), Fraction(0))
+    X, Y = (x.a, x.b), (x.c, x.d)
+    candidates = []
+
+    def push(A, B):
+        s = RefElem(A[0], A[1], B[0], B[1])
+        if s * s == x:
+            candidates.append(s)
+
+    if Y == zero:
+        A = _gaussian_sqrt(*X)
+        if A is not None:
+            push(A, zero)
+        B = _gaussian_sqrt(X[0] / 2, X[1] / 2)
+        if B is not None:
+            push(zero, B)
+    else:
+        (Xu, Xv), (Yu, Yv) = X, Y
+        D = (Xu * Xu - Xv * Xv - 2 * (Yu * Yu - Yv * Yv),
+             2 * Xu * Xv - 4 * Yu * Yv)
+        rD = _gaussian_sqrt(*D)
+        if rD is not None:
+            for sign in (1, -1):
+                A = _gaussian_sqrt((Xu + sign * rD[0]) / 2,
+                                   (Xv + sign * rD[1]) / 2)
+                if A is None or A == zero:
+                    continue
+                au, av = A
+                nrm = au * au + av * av
+                iu, iv = au / (2 * nrm), -av / (2 * nrm)
+                push(A, (Yu * iu - Yv * iv, Yu * iv + Yv * iu))
+    if not candidates:
+        return None
+    roots = set(candidates) | {-s for s in candidates}
+    return max(roots, key=lambda s: s.coords())
+
+
+SPECIAL = [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0),
+           (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, 0),
+           (1, 1, 0, 0), (Fraction(1, 2), 0, Fraction(1, 2), 0),
+           (0, Fraction(1, 2), 0, Fraction(-1, 2))]
+
+
+def random_coords(rng):
+    if rng.random() < 0.15:
+        return rng.choice(SPECIAL)
+    big = rng.random() < 0.2
+    out = []
+    for _ in range(4):
+        if rng.random() < 0.4:
+            out.append(0)
+        elif big:
+            out.append(Fraction(rng.randint(-10**12, 10**12),
+                                rng.randint(1, 10**12)))
+        else:
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if rng.random() < 0.3:   # a rational element
+        out[1:] = [0, 0, 0]
+    return tuple(out)
+
+
+def assert_canonical(x):
+    assert type(x) is FieldElem
+    slots = (x.n0, x.n1, x.n2, x.n3, x.q)
+    assert all(type(v) is int for v in slots)
+    assert x.q > 0 and math.gcd(*slots) == 1
+    if x.is_zero():
+        assert slots == (0, 0, 0, 0, 1)
+
+
+def check_same(x, ref, text=False):
+    assert_canonical(x)
+    assert x.coords() == ref.coords()
+    assert all(type(v) is Fraction for v in x.coords())
+    assert (x.a, x.b, x.c, x.d) == ref.coords()
+    assert x.is_zero() == ref.is_zero() and bool(x) == (not ref.is_zero())
+    assert x.is_rational() == ref.is_rational()
+    if x.is_rational():
+        assert x == x.a and hash(x) == hash(x.a)
+    if text:
+        assert format_elem(x) == format_elem(ref)
+        assert parse_elem(format_elem(x)) == x
+
+
+def test_differential_against_fraction_slots():
+    rng = random.Random(SEED)
+    for _ in range(2000):
+        cs = [random_coords(rng) for _ in range(3)]
+        (x, y, z), (rx, ry, rz) = ([cls(*c) for c in cs]
+                                   for cls in (FieldElem, RefElem))
+        k = rng.choice([0, 1, 2, 5, 9, 13, 17, 23, 29, 31, 37, 41, 43])
+        r = rng.choice([k, -k, Fraction(k, 7), Fraction(-7, k or 1)])
+        check_same(x, rx, text=True)
+        check_same(x * y + z, rx * ry + rz, text=True)
+        for got, want in [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                          (-x, -rx), (x + r, rx + r), (r - x, r - rx),
+                          (x - r, rx - r), (x * r, rx * r), (r * y, r * ry)]:
+            check_same(got, want)
+        for e in range(4):
+            check_same(x ** e, rx ** e)
+        for u, ru in ((x, rx), (x * y, rx * ry)):
+            if ru.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    u.inv()
+                with pytest.raises(ZeroDivisionError):
+                    z / u
+                continue
+            check_same(u.inv(), ru.inv(), text=True)
+            check_same(z / u, rz / ru)
+            check_same(u ** -2, ru ** -2)
+            check_same(1 / u, 1 / ru)
+            if r:
+                check_same(u / r, ru / r)
+        for u, v, ru, rv in ((x, y, rx, ry), (x, -(-x), rx, rx),
+                             (x * y, y * x, rx * ry, ry * rx)):
+            assert (u == v) == (ru == rv) and (u != v) == (not ru == rv)
+            if u == v:
+                assert hash(u) == hash(v)
+        assert (x == r) == (rx == RefElem(r))
+        for u, ru in ((x, rx), (x * x, rx * rx)):
+            s, rs = field_sqrt(u), ref_sqrt(ru)
+            assert (s is None) == (rs is None)
+            if s is not None:
+                check_same(s, rs)

@@ -1,19 +1,19 @@
 """Finite-dimensional Lie superalgebras with exact structure constants.
 
-An algebra of type (m|n) is given by three tensors over the scalar ring
-(FieldElem for catalog algebras, PuiseuxSeries while verifying witnesses):
-
-* ``c[i][j]``     -- [e_i, e_j] as a coefficient vector over e_1..e_m,
-* ``rho[i][j]``   -- [e_i, f_j] as a coefficient vector over f_1..f_n,
-* ``gamma[i][j]`` -- [f_i, f_j] as a coefficient vector over e_1..e_m.
-
-c is antisymmetric and gamma symmetric; nothing else is assumed until
-`check_jacobi` / `check_consistency` are called.
+An algebra of type (m|n) has the combined graded basis x_0..x_{m+n-1}:
+e_1..e_m, then f_1..f_n (odd indices offset by m).  It stores one sparse
+map, ``consts``: each pair (a, b) of `pairs(m, n)` whose bracket is nonzero
+maps to [x_a, x_b] as (k, coefficient) terms, k increasing.  The scalars are
+FieldElem for catalog algebras and PuiseuxSeries while verifying witnesses.
+Every other bracket follows from [x_b, x_a] = -(-1)^(|a||b|) [x_a, x_b],
+which `_mirror` alone applies.  Nothing else is assumed until `check_jacobi`
+/ `check_consistency` are called.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
@@ -29,13 +29,21 @@ def _is_zero(x) -> bool:
     return x.is_zero()
 
 
-def _known_zero(x) -> bool:
-    """Zero to every known order (a truncated series with no terms counts:
-    symmetry of exact inputs is preserved by the exact arithmetic, only the
-    precision bookkeeping may differ)."""
-    if isinstance(x, PuiseuxSeries):
-        return not x.terms
-    return x.is_zero()
+def pairs(m: int, n: int) -> List[Tuple[int, int]]:
+    """The pairs (a, b) whose bracket [x_a, x_b] an (m|n) algebra stores, in
+    the order `to_doc` emits them: e-e pairs a < b, then e-f pairs, then f-f
+    pairs a <= b."""
+    d = m + n
+    return ([(a, b) for a in range(m) for b in range(a + 1, m)]
+            + [(a, b) for a in range(m) for b in range(m, d)]
+            + [(a, b) for a in range(m, d) for b in range(a, d)])
+
+
+def _mirror(m: int, a: int, b: int, terms):
+    """[x_b, x_a] from the terms of [x_a, x_b]: -(-1)^(|a||b|) times them."""
+    if a >= m and b >= m:
+        return terms
+    return [(k, -x) for k, x in terms]
 
 
 def _sparse(graded) -> List[Tuple[int, FieldElem]]:
@@ -66,47 +74,31 @@ def _vanishes(parts, lo: int, hi: int) -> bool:
     return all(_is_zero(x) for x in acc.values())
 
 
-def _zero_like(x):
-    if isinstance(x, PuiseuxSeries):
-        return PuiseuxSeries({})
-    return ZERO
-
-
 class SuperAlgebra:
-    __slots__ = ("name", "m", "n", "c", "rho", "gamma")
+    __slots__ = ("name", "m", "n", "consts")
 
-    def __init__(self, m: int, n: int, c, rho, gamma, name: str = ""):
+    def __init__(self, m: int, n: int, consts, name: str = ""):
+        """consts maps pairs of `pairs(m, n)` to iterables of (k, x) terms
+        of [x_a, x_b]; zero terms and pairs without terms are dropped."""
         self.name = name
         self.m = m
         self.n = n
-        self.c = tuple(tuple(tuple(v) for v in row) for row in c)
-        self.rho = tuple(tuple(tuple(v) for v in row) for row in rho)
-        self.gamma = tuple(tuple(tuple(v) for v in row) for row in gamma)
-        self._validate_shapes()
-
-    def _validate_shapes(self):
-        m, n = self.m, self.n
-        if len(self.c) != m or any(len(r) != m for r in self.c) or \
-                any(len(v) != m for r in self.c for v in r):
-            raise AlgebraError("c tensor has wrong shape")
-        if len(self.rho) != m or any(len(r) != n for r in self.rho) or \
-                any(len(v) != n for r in self.rho for v in r):
-            raise AlgebraError("rho tensor has wrong shape")
-        if len(self.gamma) != n or any(len(r) != n for r in self.gamma) or \
-                any(len(v) != m for r in self.gamma for v in r):
-            raise AlgebraError("gamma tensor has wrong shape")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if not _known_zero(self.c[i][j][k] + self.c[j][i][k]):
-                        raise AlgebraError(
-                            f"c is not antisymmetric at ({i},{j},{k})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(m):
-                    if not _known_zero(self.gamma[i][j][k] - self.gamma[j][i][k]):
-                        raise AlgebraError(
-                            f"gamma is not symmetric at ({i},{j},{k})")
+        order = pairs(m, n)
+        unknown = set(consts) - set(order)
+        if unknown:
+            raise AlgebraError(f"pair {min(unknown)} is not a stored pair "
+                               f"of a ({m}|{n}) algebra")
+        names = self.basis_names()
+        self.consts = {}
+        for a, b in order:
+            terms = tuple(sorted(((k, x) for k, x in consts.get((a, b), ())
+                                  if not _is_zero(x)), key=itemgetter(0)))
+            lo, hi = (m, m + n) if a < m <= b else (0, m)
+            if any(not lo <= k < hi for k, _ in terms):
+                raise AlgebraError(f"[{names[a]},{names[b]}] has an output "
+                                   "of the wrong parity")
+            if terms:
+                self.consts[(a, b)] = terms
 
     # -- basic data ------------------------------------------------------
 
@@ -120,93 +112,62 @@ class SuperAlgebra:
 
     # -- the bracket -------------------------------------------------------
 
-    def _scalar_zero(self):
-        for tensor in (self.c, self.rho, self.gamma):
-            for row in tensor:
-                for vec in row:
-                    for entry in vec:
-                        return _zero_like(entry)
-        return ZERO
+    def _terms(self, a: int, b: int):
+        """[x_a, x_b] as (k, coefficient) terms, from the stored pair."""
+        if a <= b:
+            return self.consts.get((a, b), ())
+        return _mirror(self.m, b, a, self.consts.get((b, a), ()))
 
     def bracket(self, x, y):
         """Bracket of graded vectors x=(even,odd), y=(even,odd)."""
-        m, n = self.m, self.n
-        xe, xo = x
-        ye, yo = y
-        zero = self._scalar_zero()
-        even = [zero] * m
-        odd = [zero] * n
-        for i in range(m):
-            a = xe[i]
-            if _is_zero(a):
-                continue
-            for j in range(m):
-                b = ye[j]
-                if _is_zero(b):
+        acc = {}
+        ys = _sparse(y)
+        for a, xa in _sparse(x):
+            for b, yb in ys:
+                terms = self._terms(a, b)
+                if not terms:
                     continue
-                coef = a * b
-                for k in range(m):
-                    t = self.c[i][j][k]
-                    if not _is_zero(t):
-                        even[k] = even[k] + coef * t
-            for j in range(n):
-                b = yo[j]
-                if _is_zero(b):
-                    continue
-                coef = a * b
-                for l in range(n):
-                    t = self.rho[i][j][l]
-                    if not _is_zero(t):
-                        odd[l] = odd[l] + coef * t
-        for i in range(n):
-            a = xo[i]
-            if _is_zero(a):
-                continue
-            for j in range(m):
-                b = ye[j]
-                if _is_zero(b):
-                    continue
-                coef = a * b  # [f_i, e_j] = -[e_j, f_i]
-                for l in range(n):
-                    t = self.rho[j][i][l]
-                    if not _is_zero(t):
-                        odd[l] = odd[l] - coef * t
-            for j in range(n):
-                b = yo[j]
-                if _is_zero(b):
-                    continue
-                coef = a * b
-                for k in range(m):
-                    t = self.gamma[i][j][k]
-                    if not _is_zero(t):
-                        even[k] = even[k] + coef * t
-        return even, odd
+                coef = xa * yb
+                for k, t in terms:
+                    acc[k] = acc[k] + coef * t if k in acc else coef * t
+        out = [acc.get(k, ZERO) for k in range(self.dim)]
+        return out[:self.m], out[self.m:]
 
     def basis_vector(self, idx: int):
         """Graded unit vector for the idx-th basis element (0-based)."""
-        zero = self._scalar_zero()
-        if isinstance(zero, PuiseuxSeries):
-            one = PuiseuxSeries.from_scalar(ONE)
-        else:
-            one = ONE
-        even = [zero] * self.m
-        odd = [zero] * self.n
-        if idx < self.m:
-            even = list(even)
-            even[idx] = one
-        else:
-            odd = list(odd)
-            odd[idx - self.m] = one
-        return even, odd
+        out = [ONE if k == idx else ZERO for k in range(self.dim)]
+        return out[:self.m], out[self.m:]
 
     def bracket_table(self):
         """table[a][b] = [x_a, x_b] as a sparse combined-basis vector (odd
-        indices offset by m).  Built from `bracket`, so the sign of
-        [f, e] = -rho is decided there only."""
+        indices offset by m).  Built from `bracket` on every call."""
         d = self.dim
         vecs = [self.basis_vector(k) for k in range(d)]
         return [[_sparse(self.bracket(vecs[a], vecs[b])) for b in range(d)]
                 for a in range(d)]
+
+    # -- dense views, for test oracles -------------------------------------
+
+    def _dense(self, rows, cols, outs):
+        return tuple(tuple(tuple(dict(self._terms(a, b)).get(k, ZERO)
+                                 for k in outs) for b in cols) for a in rows)
+
+    @property
+    def c(self):
+        """c[i][j] = [e_i, e_j] over e_1..e_m."""
+        return self._dense(range(self.m), range(self.m), range(self.m))
+
+    @property
+    def rho(self):
+        """rho[i][j] = [e_i, f_j] over f_1..f_n."""
+        ev, od = range(self.m), range(self.m, self.dim)
+        return self._dense(ev, od, od)
+
+    @property
+    def gamma(self):
+        """gamma[i][j] = [f_i, f_j] over e_1..e_m."""
+        ev, od = range(self.m), range(self.m, self.dim)
+        return self._dense(od, od, ev)
 
     # -- axioms --------------------------------------------------------------
 
@@ -312,127 +273,79 @@ class SuperAlgebra:
 
     def ab(self) -> "SuperAlgebra":
         """Forget c and rho: only the odd-odd pairing survives."""
-        m, n = self.m, self.n
-        zc = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        zr = [[[ZERO] * n for _ in range(n)] for _ in range(m)]
-        return SuperAlgebra(m, n, zc, zr, self.gamma, name=f"ab({self.name})")
+        return SuperAlgebra(self.m, self.n, {p: v for p, v in self.consts.items()
+                                             if p[0] >= self.m},
+                            name=f"ab({self.name})")
 
     def forget_gamma(self) -> "SuperAlgebra":
         """Forget the odd-odd pairing (the F construction)."""
-        m, n = self.m, self.n
-        zg = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
-        return SuperAlgebra(m, n, self.c, self.rho, zg, name=f"F({self.name})")
+        return SuperAlgebra(self.m, self.n, {p: v for p, v in self.consts.items()
+                                             if p[0] < self.m},
+                            name=f"F({self.name})")
 
     # -- basis change -----------------------------------------------------------
 
     def apply_basis_change(self, T, S) -> "SuperAlgebra":
         """Structure constants in the basis x_i = sum_a T[a][i] e_a,
-        y_j = sum_b S[b][j] f_b.  T, S may have FieldElem or series entries."""
+        y_j = sum_b S[b][j] f_b.  T, S may have FieldElem or series entries.
+        Each stored pair of the new basis is bracketed in the old one; even
+        outputs are then solved by T, odd outputs by S."""
         m, n = self.m, self.n
-        series_mode = any(isinstance(x, PuiseuxSeries)
-                          for row in list(T) + list(S) for x in row)
-        if series_mode:
-            lift = lambda v: [x if isinstance(x, PuiseuxSeries)
-                              else PuiseuxSeries.from_scalar(x) for x in v]
-            T = [lift(row) for row in T]
-            S = [lift(row) for row in S]
-            c = [[lift(v) for v in row] for row in
-                 [[list(vv) for vv in rr] for rr in self.c]]
-            rho = [[lift(v) for v in row] for row in
-                   [[list(vv) for vv in rr] for rr in self.rho]]
-            gamma = [[lift(v) for v in row] for row in
-                     [[list(vv) for vv in rr] for rr in self.gamma]]
+        solver = solve
+        if any(isinstance(x, PuiseuxSeries) for row in list(T) + list(S)
+               for x in row):
+            lift = lambda x: x if isinstance(x, PuiseuxSeries) \
+                else PuiseuxSeries.from_scalar(x)
+            T = [[lift(x) for x in row] for row in T]
+            S = [[lift(x) for x in row] for row in S]
             solver = series_solve
-            zero = PuiseuxSeries({})
-        else:
-            c = [[list(v) for v in row] for row in self.c]
-            rho = [[list(v) for v in row] for row in self.rho]
-            gamma = [[list(v) for v in row] for row in self.gamma]
-            solver = solve
-            zero = ZERO
-
-        def combo(tensor, P, Q, out_dim):
-            """v_{ij} = sum_{a,b} P[a][i] Q[b][j] tensor[a][b] (vector valued)."""
-            cols = []
-            for i in range(len(P[0]) if P else 0):
-                for j in range(len(Q[0]) if Q else 0):
-                    acc = [zero] * out_dim
-                    for a in range(len(P)):
-                        pa = P[a][i]
-                        if _is_zero(pa):
-                            continue
-                        for b in range(len(Q)):
-                            qb = Q[b][j]
-                            if _is_zero(qb):
-                                continue
-                            coef = pa * qb
-                            vec = tensor[a][b]
-                            for k in range(out_dim):
-                                acc[k] = acc[k] + coef * vec[k]
-                    cols.append(acc)
-            return cols
-
-        new_c = [[None] * m for _ in range(m)]
-        new_rho = [[None] * n for _ in range(m)]
-        new_gamma = [[None] * n for _ in range(n)]
-        if m:
-            cols = combo(c, T, T, m) + combo(gamma, S, S, m)
-            sol = solver(T, transpose(cols))
-            sol_cols = transpose(sol)
-            idx = 0
-            for i in range(m):
-                for j in range(m):
-                    new_c[i][j] = sol_cols[idx]
-                    idx += 1
-            for i in range(n):
-                for j in range(n):
-                    new_gamma[i][j] = sol_cols[idx]
-                    idx += 1
-        if n:
-            cols = combo(rho, T, S, n)
-            if cols:
-                sol = solver(S, transpose(cols))
-                sol_cols = transpose(sol)
-                idx = 0
-                for i in range(m):
-                    for j in range(n):
-                        new_rho[i][j] = sol_cols[idx]
-                        idx += 1
+        new = [([T[a][i] for a in range(m)], [ZERO] * n) for i in range(m)]
+        new += [([ZERO] * m, [S[b][j] for b in range(n)]) for j in range(n)]
+        even, odd = [], []      # (pair, its bracket's coordinates) by parity
+        for a, b in pairs(m, n):
+            ev, od = self.bracket(new[a], new[b])
+            if a < m <= b:
+                odd.append(((a, b), od))
             else:
-                new_rho = []
-        if m == 0:
-            new_c = []
-            new_gamma = [[[] for _ in range(n)] for _ in range(n)]
-        if n == 0:
-            new_rho = [[] for _ in range(m)]
-            new_gamma = []
-        return SuperAlgebra(m, n, new_c, new_rho, new_gamma,
-                            name=f"{self.name}'")
+                even.append(((a, b), ev))
+        consts = {}
+
+        def solved(P, cols, offset):
+            # with no columns (a (1|0) algebra) P is still solved, so a
+            # singular T is refused there too
+            rhs = transpose([v for _, v in cols]) or [[] for _ in P]
+            for (p, _), sol in zip(cols, transpose(solver(P, rhs))):
+                consts[p] = [(offset + k, x) for k, x in enumerate(sol)]
+
+        if m:
+            solved(T, even, 0)
+        if odd:
+            solved(S, odd, m)
+        return SuperAlgebra(m, n, consts, name=f"{self.name}'")
 
     # -- limits -------------------------------------------------------------
 
     def limit_at_zero(self) -> "SuperAlgebra":
-        """Take t->0 in every structure constant (series entries only)."""
+        """Take t->0 in every structure constant (series entries only), pair
+        by pair in `pairs()` order."""
         def lim(x):
             if isinstance(x, PuiseuxSeries):
                 return x.limit_at_zero()
             return x
-        c = [[[lim(x) for x in v] for v in row] for row in self.c]
-        rho = [[[lim(x) for x in v] for v in row] for row in self.rho]
-        gamma = [[[lim(x) for x in v] for v in row] for row in self.gamma]
-        return SuperAlgebra(self.m, self.n, c, rho, gamma,
+        return SuperAlgebra(self.m, self.n,
+                            {p: [(k, lim(x)) for k, x in v]
+                             for p, v in self.consts.items()},
                             name=f"lim({self.name})")
 
     def constants_equal(self, other: "SuperAlgebra") -> bool:
         if (self.m, self.n) != (other.m, other.n):
             return False
-        for t1, t2 in ((self.c, other.c), (self.rho, other.rho),
-                       (self.gamma, other.gamma)):
-            for r1, r2 in zip(t1, t2):
-                for v1, v2 in zip(r1, r2):
-                    for x1, x2 in zip(v1, v2):
-                        if not _is_zero(x1 - x2):
-                            return False
+        for p in set(self.consts) | set(other.consts):
+            u = dict(self.consts.get(p, ()))
+            v = dict(other.consts.get(p, ()))
+            if any(not _is_zero(u.get(k, ZERO) - v.get(k, ZERO))
+                   for k in set(u) | set(v)):
+                return False
         return True
 
     # -- JSON ------------------------------------------------------------------
@@ -440,72 +353,46 @@ class SuperAlgebra:
     @staticmethod
     def from_doc(doc: Dict) -> "SuperAlgebra":
         m, n = int(doc["m"]), int(doc["n"])
-        c = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        rho = [[[ZERO] * n for _ in range(n)] for _ in range(m)]
-        gamma = [[[ZERO] * m for _ in range(n)] for _ in range(n)]
+        consts: Dict[Tuple[int, int], Dict[int, FieldElem]] = {}
         seen = set()
 
-        def slot(sym: str) -> Tuple[str, int]:
+        def slot(sym: str) -> int:
             kind, num = sym[0], int(sym[1:])
             if kind not in "ef" or num < 1 or \
                     num > (m if kind == "e" else n):
                 raise AlgebraError(f"unknown basis symbol {sym!r}")
-            return kind, num - 1
+            return num - 1 if kind == "e" else m + num - 1
 
         for entry in doc.get("brackets", []):
-            lk, li = slot(entry["lhs"])
-            rk, ri = slot(entry["rhs"])
-            # both orientations write the same slots, so an unordered pair
+            a, b = slot(entry["lhs"]), slot(entry["rhs"])
+            # both orientations write the same pair, so an unordered pair
             # may be specified only once
-            key = tuple(sorted(((lk, li), (rk, ri))))
-            if key in seen:
+            if (min(a, b), max(a, b)) in seen:
                 raise AlgebraError(f"duplicate bracket [{entry['lhs']},{entry['rhs']}]")
-            seen.add(key)
+            seen.add((min(a, b), max(a, b)))
             value = [(parse_elem(v["coeff"]), slot(v["basis"]))
                      for v in entry.get("value", [])]
-            expect = "e" if lk == rk else "f"
-            if any(kind != expect for _, (kind, _) in value):
+            even = (a < m) == (b < m)
+            if any((k < m) != even for _, k in value):
                 raise AlgebraError(
                     f"bracket [{entry['lhs']},{entry['rhs']}] has odd-graded value")
-            if lk == "e" and rk == "e":
-                if li == ri and value:
-                    raise AlgebraError(f"[e{li+1},e{li+1}] must vanish")
-                for coeff, (_, k) in value:
-                    c[li][ri][k] = c[li][ri][k] + coeff
-                    c[ri][li][k] = c[ri][li][k] - coeff
-            elif lk == "e" and rk == "f":
-                for coeff, (_, l) in value:
-                    rho[li][ri][l] = rho[li][ri][l] + coeff
-            elif lk == "f" and rk == "e":
-                for coeff, (_, l) in value:
-                    rho[ri][li][l] = rho[ri][li][l] - coeff
-            else:
-                for coeff, (_, k) in value:
-                    gamma[li][ri][k] = gamma[li][ri][k] + coeff
-                    if li != ri:
-                        gamma[ri][li][k] = gamma[ri][li][k] + coeff
-        return SuperAlgebra(m, n, c, rho, gamma, name=doc.get("name", ""))
+            if a == b < m and value:
+                raise AlgebraError(f"[e{a+1},e{a+1}] must vanish")
+            terms = [(k, x) for x, k in value]
+            if a > b:
+                a, b, terms = b, a, _mirror(m, a, b, terms)
+            acc = consts.setdefault((a, b), {})
+            for k, x in terms:
+                acc[k] = acc[k] + x if k in acc else x
+        return SuperAlgebra(m, n, {p: v.items() for p, v in consts.items()},
+                            name=doc.get("name", ""))
 
     def to_doc(self) -> Dict:
-        brackets = []
-
-        def emit(lhs, rhs, pairs, names):
-            value = [{"coeff": format_elem(x), "basis": names[k]}
-                     for k, x in pairs if not _is_zero(x)]
-            if value:
-                brackets.append({"lhs": lhs, "rhs": rhs, "value": value})
-
-        e = [f"e{i+1}" for i in range(self.m)]
-        f = [f"f{j+1}" for j in range(self.n)]
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                emit(e[i], e[j], list(enumerate(self.c[i][j])), e)
-        for i in range(self.m):
-            for j in range(self.n):
-                emit(e[i], f[j], list(enumerate(self.rho[i][j])), f)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                emit(f[i], f[j], list(enumerate(self.gamma[i][j])), e)
+        names = self.basis_names()
+        brackets = [{"lhs": names[a], "rhs": names[b],
+                     "value": [{"coeff": format_elem(x), "basis": names[k]}
+                               for k, x in terms]}
+                    for (a, b), terms in self.consts.items()]
         return {"name": self.name, "m": self.m, "n": self.n,
                 "brackets": brackets}
 

@@ -22,8 +22,9 @@ from . import catalog, cohomology, gamma23, invariants, orbitrel
 from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
-from .orbitrel import ConsistencyViolation
-from .series import InsufficientPrecision, parse_precision
+from .orbitrel import ConsistencyViolation, ShapeMismatch
+from .series import (InsufficientPrecision, NoRoot, NotInvertible,
+                     parse_precision)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,21 +46,51 @@ def _precision(text: str) -> Fraction:
 
 
 class ParseError(Exception):
-    """A malformed algebra file; reported on one line with exit code 2."""
+    """A malformed input file; reported on one line with exit code 2."""
+
+
+def _read_object(path: str) -> dict:
+    """The JSON object in a file; an unreadable or malformed file (a
+    directory, bad JSON, not an object) is a ParseError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ParseError(exc) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("expected a JSON object")
+    return doc
 
 
 def _load_algebra(target: str) -> SuperAlgebra:
     """Resolve a catalog label or a JSON file path to an algebra."""
     if os.path.exists(target):
+        doc = _read_object(target)
         try:
-            with open(target) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ParseError("expected a JSON object")
             return SuperAlgebra.from_doc(doc)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ParseError(exc) from exc
     return catalog.get(target).algebra
+
+
+def _load_witness(args) -> orbitrel.DegenerationWitness:
+    """The --witness file of `degenerate`, its basis expressions evaluated
+    once against the source algebra, so a malformed file is a ParseError."""
+    doc = _read_object(args.witness)
+    doc.setdefault("from", args.frm)
+    doc.setdefault("to", args.to)
+    try:
+        w = orbitrel.DegenerationWitness.from_doc(doc)
+        g = catalog.get(w.from_name).algebra
+        for basis in filter(None, (w.basis, w.alt_basis)):
+            orbitrel._witness_matrices(w, g.m, g.n, args.precision, basis)
+    except NotFound:
+        raise
+    except (KeyError, TypeError, ValueError, NotInvertible, NoRoot) as exc:
+        raise ParseError(exc) from exc
+    return w
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -116,11 +147,7 @@ def cmd_h2(args) -> int:
 
 def cmd_degenerate(args) -> int:
     if args.witness:
-        with open(args.witness) as fh:
-            doc = json.load(fh)
-        doc.setdefault("from", args.frm)
-        doc.setdefault("to", args.to)
-        rows = [doc]
+        rows = [_load_witness(args)]
     else:
         rows = [w for w in catalog.witnesses()
                 if w["from"] == args.frm and w["to"] == args.to]
@@ -131,12 +158,13 @@ def cmd_degenerate(args) -> int:
     code = EXIT_OK
     for row in rows:
         res = orbitrel.verify_degeneration(row, precision=args.precision)
+        # a witness file's own "from"/"to" take precedence over the options
+        pair = f"{res.witness.from_name} -> {res.witness.to_name}"
         if res.ok:
             alt = " (alternate branch)" if res.used_alt else ""
-            print(f"Verified {args.frm} -> {args.to}{alt}")
+            print(f"Verified {pair}{alt}")
         else:
-            print(f"Failed {args.frm} -> {args.to}: {res.reason} "
-                  f"{res.detail}")
+            print(f"Failed {pair}: {res.reason} {res.detail}")
             code = EXIT_FAIL
     return code
 
@@ -196,6 +224,8 @@ def cmd_verify_all(args) -> int:
     failures = []
 
     entries = catalog.list_entries(dim)
+    if not entries:
+        raise NotFound(key)
     bad = []
     for e in entries:
         g = e.algebra
@@ -423,6 +453,9 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ShapeMismatch as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotFound, FileNotFoundError) as exc:
         print(f"not found: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _is_zero, _sparse
+from .algebra import SuperAlgebra, _is_zero, _sparse, pairs
 from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
 from .linalg import kernel, rank
 
@@ -68,17 +68,8 @@ class Cochain2Even:
 # -- the fixed flat basis of even 2-cochains ---------------------------------
 
 
-def _pairs(m: int, n: int) -> List[Tuple[int, int]]:
-    """The pairs (a, b) whose value phi(x_a, x_b) the slots hold, in slot
-    order: e-e pairs a < b, then e-f pairs, then f-f pairs a <= b."""
-    d = m + n
-    return ([(a, b) for a in range(m) for b in range(a + 1, m)]
-            + [(a, b) for a in range(m) for b in range(m, d)]
-            + [(a, b) for a in range(m, d) for b in range(a, d)])
-
-
 def _block_start(m: int, n: int, a: int, b: int) -> int:
-    """First slot of phi(x_a, x_b) for a pair of `_pairs(m, n)`; its
+    """First slot of phi(x_a, x_b) for a pair of `pairs(m, n)`; its
     coordinates fill the next m slots (n for an e-f pair)."""
     if b < m:
         return (a * (2 * m - a - 1) // 2 + b - a - 1) * m
@@ -92,7 +83,7 @@ def _block_start(m: int, n: int, a: int, b: int) -> int:
 def cochain_basis_index(m: int, n: int) -> List[Tuple[int, int, int]]:
     """Slots in the fixed order: (a, b, k) is the coordinate of
     phi(x_a, x_b) on x_k (odd indices offset by m)."""
-    return [(a, b, k) for a, b in _pairs(m, n)
+    return [(a, b, k) for a, b in pairs(m, n)
             for k in (range(m, m + n) if a < m <= b else range(m))]
 
 
@@ -127,7 +118,7 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
                 acc[k] = acc[k] - x * y
         return acc[m:] if a < m <= b else acc[:m]
 
-    return Cochain2Even(m, n, [x for a, b in _pairs(m, n)
+    return Cochain2Even(m, n, [x for a, b in pairs(m, n)
                                for x in entry(a, b)])
 
 

@@ -275,41 +275,27 @@ def _probe_members(pair: SymPair) -> List[Mat]:
     return members
 
 
-def _ranks_attained(pair: SymPair) -> Tuple[int, Tuple[int, ...]]:
-    """(generic rank, sorted distinct ranks over nonzero pencil members)."""
-    n = len(pair[0])
-    sd = _span_dim(pair)
+def _ranks_attained(pair: SymPair, sd: int) -> Tuple[int, int, bool]:
+    """(generic rank, distinct projective zeros of det(x*G1 + y*G2) or -1
+    when it vanishes identically, whether some nonzero member has rank 1)
+    of a pencil of span dimension sd."""
     if sd == 0:
-        return 0, ()
+        return 0, -1, False
+    entries = _pencil_entries(pair)
+    det_roots = _common_root_count([_form_det(entries)], 3)
+    det_count = -1 if det_roots is None else det_roots
     if sd == 1:
         g = pair[0] if any(not x.is_zero() for r in pair[0] for x in r) else pair[1]
         r = rank(g)
-        return r, (r,)
+        return r, det_count, r == 1
     generic = max(rank(mem) for mem in _probe_members(pair))
-    entries = _pencil_entries(pair)
-    ranks = {generic}
-    det_roots = _common_root_count([_form_det(entries)], 3)
     rank1_roots = _common_root_count(_all_minors(entries, 2), 2)
-    if det_roots is None:  # det identically zero: generic rank <= 2
-        if rank1_roots is None:
-            return generic, (1,)  # all 2x2 minors vanish: every member rank 1
-        if rank1_roots > 0:
-            ranks.add(1)
-    else:
-        # a cubic always has a root, so rank drops below 3 somewhere; every
-        # common root of the 2x2 minors is in particular a root of det
-        r1 = 0 if rank1_roots is None else rank1_roots
-        if r1 > 0:
-            ranks.add(1)
-        if det_roots > r1:
-            ranks.add(2)
-    return generic, tuple(sorted(ranks))
-
-
-def _det_root_count(pair: SymPair) -> int:
-    """Distinct projective zeros of det(x*G1 + y*G2); -1 when identically 0."""
-    c = _common_root_count([_form_det(_pencil_entries(pair))], 3)
-    return -1 if c is None else c
+    if det_roots is None and rank1_roots is None:
+        # det and all 2x2 minors vanish identically: every member has rank 1
+        return generic, det_count, True
+    # otherwise a rank-1 member is a common root of the 2x2 minors (each of
+    # them is in particular a root of det)
+    return generic, det_count, bool(rank1_roots)
 
 
 # -- simultaneous diagonalizability ---------------------------------------------
@@ -395,9 +381,7 @@ class PencilSignature:
     generic_rank: int
     det_root_count: int
     has_rank1_member: bool
-    has_invertible_member: bool
     simdiag: bool
-    rank_profile: Tuple[int, ...]
 
     def key(self):
         return (self.span_dim, self.common_kernel_dim, self.generic_rank,
@@ -407,16 +391,15 @@ class PencilSignature:
 def pencil_signature(pair: SymPair) -> PencilSignature:
     if len(pair[0]) != 3 or not _is_symmetric(pair[0]) or not _is_symmetric(pair[1]):
         raise ValueError("expected a pair of symmetric 3x3 matrices")
-    generic, profile = _ranks_attained(pair)
+    sd = _span_dim(pair)
+    generic, det_count, has_rank1 = _ranks_attained(pair, sd)
     return PencilSignature(
-        span_dim=_span_dim(pair),
+        span_dim=sd,
         common_kernel_dim=_common_kernel_dim(pair),
         generic_rank=generic,
-        det_root_count=_det_root_count(pair),
-        has_rank1_member=1 in profile,
-        has_invertible_member=generic == 3,
+        det_root_count=det_count,
+        has_rank1_member=has_rank1,
         simdiag=simdiag_test(pair),
-        rank_profile=profile,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, _is_zero
+from .algebra import SuperAlgebra
 from .field import FieldElem, I, ONE, SQRT2, ZERO
 from .groebner import Poly, system_verdict
 from .linalg import kernel, rank
@@ -44,7 +44,8 @@ def derived(g: SuperAlgebra) -> Tuple[int, int]:
 
 
 def gamma_is_zero(g: SuperAlgebra) -> bool:
-    return all(_is_zero(x) for row in g.gamma for v in row for x in v)
+    """No stored odd-odd bracket."""
+    return all(a < g.m for a, _ in g.consts)
 
 
 # -- (alpha,beta,gamma)-derivations -----------------------------------------

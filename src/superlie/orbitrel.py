@@ -26,6 +26,16 @@ class ConsistencyViolation(Exception):
     """A verified degeneration path contradicts a certificate (must not fire)."""
 
 
+class ShapeMismatch(ValueError):
+    """Two algebras of different graded dimensions were compared."""
+
+
+def _same_shape(g: SuperAlgebra, h: SuperAlgebra):
+    if (g.m, g.n) != (h.m, h.n):
+        raise ShapeMismatch(f"graded shapes differ: ({g.m}|{g.n}) and "
+                            f"({h.m}|{h.n})")
+
+
 # -- witnesses -----------------------------------------------------------------
 
 
@@ -97,8 +107,7 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict],
         g = catalog.get(w.from_name).algebra
     if h is None:
         h = catalog.get(w.to_name).algebra
-    if (g.m, g.n) != (h.m, h.n):
-        raise ValueError("graded shapes differ")
+    _same_shape(g, h)
 
     def attempt(basis) -> Union[Verified, Failed]:
         T, S = _witness_matrices(w, g.m, g.n, precision, basis)
@@ -263,8 +272,7 @@ def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra],
     """All certificates that g does not degenerate to h, or Inconclusive."""
     galg, gkey = _label_of(g)
     halg, hkey = _label_of(h)
-    if (galg.m, galg.n) != (halg.m, halg.n):
-        raise ValueError("graded shapes differ")
+    _same_shape(galg, halg)
     if gkey is not None and gkey == hkey:
         return Inconclusive(gkey, hkey)   # reflexive: g -> g always
     certs = _pair_certs(galg, halg, gkey, hkey, depth,

@@ -79,6 +79,45 @@ def test_malformed_file_usage_error(tmp_path, capsys, command, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"basis": {"y1": "t*f1"',
+    '[1, 2]',
+    '{"alt_basis": {"y1": "t*f1"}}',
+    '{"basis": {"x1": "t*e1 +"}}',
+    '{"basis": {"y1": "e1*f1"}}',
+], ids=["truncated", "not-an-object", "missing-basis", "syntax", "type"])
+def test_malformed_witness_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    _one_line_usage_error(capsys, ["degenerate", "--from", "(1|1)_1",
+                                   "--to", "(1|1)_0", "--witness", str(path)],
+                          "parse error: ")
+
+
+def _one_line_usage_error(capsys, argv, prefix):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+
+
+def test_nondegen_shapes_differ_usage_error(capsys):
+    _one_line_usage_error(capsys, ["nondegen", "--from", "(2|3)_6",
+                                   "--to", "(1|2)_1"],
+                          "usage error: graded shapes differ")
+
+
+def test_verify_all_unknown_shape_usage_error(capsys):
+    _one_line_usage_error(capsys, ["verify-all", "6", "0"],
+                          "not found: '(6|0)'")
+
+
+def test_h2_directory_usage_error(tmp_path, capsys):
+    _one_line_usage_error(capsys, ["h2", str(tmp_path)], "parse error: ")
+
+
 def test_unknown_label_usage_error(capsys):
     assert run(capsys, "show", "(9|9)_1")[0] == 2
     assert run(capsys, "check", "(9|9)_1")[0] == 2
@@ -136,6 +175,17 @@ def test_degenerate_witness_file(tmp_path, capsys):
     code, out = run(capsys, "degenerate", "--from", "(1|1)_1",
                     "--to", "(1|1)_0", "--witness", str(path))
     assert code == 0 and "Verified" in out
+
+
+def test_degenerate_witness_file_names_its_own_pair(tmp_path, capsys):
+    # the file's "from"/"to" are the pair verified, so they are the pair named
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"from": "(1|1)_1", "to": "(1|1)_0",
+                                "basis": {"y1": "t*f1"}}))
+    code, out = run(capsys, "degenerate", "--from", "(2|3)_6",
+                    "--to", "(2|3)_10", "--witness", str(path))
+    assert code == 0
+    assert out == "Verified (1|1)_1 -> (1|1)_0\n"
 
 
 def test_nondegen(capsys):

@@ -198,27 +198,31 @@ def test_sparse_abc_derivations_match_dense_oracle(rng):
 
 
 def _perturbed(g, rng):
-    """g with one to three structure constants moved (symmetries kept)."""
+    """g with one to three structure constants moved: the same draws as on
+    the c/rho/gamma tensors, applied to the stored pairs."""
     m, n = g.m, g.n
-    c = [[list(v) for v in row] for row in g.c]
-    rho = [[list(v) for v in row] for row in g.rho]
-    gam = [[list(v) for v in row] for row in g.gamma]
+    consts = {p: dict(v) for p, v in g.consts.items()}
+
+    def bump(a, b, k, x):
+        vec = consts.setdefault((a, b), {})
+        vec[k] = vec.get(k, ZERO) + x
+
     for _ in range(rng.randint(1, 3)):
         x = rng.choice([ONE, -ONE, FieldElem(2), I, SQRT2])
         kind = rng.choice("crg")
         if kind == "c" and m >= 2:
             i, j = rng.sample(range(m), 2)
             k = rng.randrange(m)
-            c[i][j][k] += x
-            c[j][i][k] -= x
+            # c[i][j][k] += x, c[j][i][k] -= x
+            bump(min(i, j), max(i, j), k, x if i < j else -x)
         elif kind == "r" and m and n:
-            rho[rng.randrange(m)][rng.randrange(n)][rng.randrange(n)] += x
+            bump(rng.randrange(m), m + rng.randrange(n),
+                 m + rng.randrange(n), x)
         elif kind == "g" and m and n:
             i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(m)
-            gam[i][j][k] += x
-            if i != j:
-                gam[j][i][k] += x
-    return SuperAlgebra(m, n, c, rho, gam, name=f"{g.name}~")
+            bump(m + min(i, j), m + max(i, j), k, x)
+    return SuperAlgebra(m, n, {p: v.items() for p, v in consts.items()},
+                        name=f"{g.name}~")
 
 
 def test_sparse_axiom_checks_match_dense_oracles(rng):
@@ -247,11 +251,12 @@ def _kernel_of_columns(cols, size):
 def dense_center(g):
     """The kernel of ad read from the c/rho/gamma tensors."""
     m, n = g.m, g.n
-    even_cols = [sum((list(g.c[v][j]) for j in range(m)), [])
-                 + sum((list(g.rho[v][j]) for j in range(n)), [])
+    c, rho, gam = g.c, g.rho, g.gamma
+    even_cols = [sum((list(c[v][j]) for j in range(m)), [])
+                 + sum((list(rho[v][j]) for j in range(n)), [])
                  for v in range(m)]
-    odd_cols = [sum((list(g.rho[j][v]) for j in range(m)), [])  # = -[f_v, e_j]
-                + sum((list(g.gamma[v][j]) for j in range(n)), [])
+    odd_cols = [sum((list(rho[j][v]) for j in range(m)), [])  # = -[f_v, e_j]
+                + sum((list(gam[v][j]) for j in range(n)), [])
                 for v in range(n)]
     even = _kernel_of_columns(even_cols, m) if m else []
     odd = _kernel_of_columns(odd_cols, n) if n else []
@@ -260,9 +265,10 @@ def dense_center(g):
 
 def dense_derived(g):
     m, n = g.m, g.n
-    even_rows = [list(g.c[i][j]) for i in range(m) for j in range(i + 1, m)]
-    even_rows += [list(g.gamma[i][j]) for i in range(n) for j in range(i, n)]
-    odd_rows = [list(g.rho[i][j]) for i in range(m) for j in range(n)]
+    c, rho, gam = g.c, g.rho, g.gamma
+    even_rows = [list(c[i][j]) for i in range(m) for j in range(i + 1, m)]
+    even_rows += [list(gam[i][j]) for i in range(n) for j in range(i, n)]
+    odd_rows = [list(rho[i][j]) for i in range(m) for j in range(n)]
     return (rank(even_rows) if even_rows else 0,
             rank(odd_rows) if odd_rows else 0)
 
@@ -271,6 +277,7 @@ def dense_bracket_polys(g, ecols, ocols, nvars):
     """The bracket of every pair of generators, coordinate by coordinate of
     the c/rho/gamma tensors."""
     m, n = g.m, g.n
+    c, rho, gam = g.c, g.rho, g.gamma
 
     def entry_poly(e):
         if isinstance(e, tuple):
@@ -292,13 +299,13 @@ def dense_bracket_polys(g, ecols, ocols, nvars):
                     if not pa or not pb:
                         continue
                     if k1 == k2 == "e":
-                        coefs = g.c[a][b]
+                        coefs = c[a][b]
                     elif k1 == k2 == "f":
-                        coefs = g.gamma[a][b]
+                        coefs = gam[a][b]
                     elif k1 == "e":
-                        coefs = g.rho[a][b]
+                        coefs = rho[a][b]
                     else:
-                        coefs = [-x for x in g.rho[b][a]]
+                        coefs = [-x for x in rho[b][a]]
                     prod = poly_mul(pa, pb)
                     for k, cf in enumerate(coefs):
                         if not cf.is_zero():

@@ -140,7 +140,8 @@ class SuperAlgebra:
 
     def bracket_table(self):
         """table[a][b] = [x_a, x_b] as a sparse combined-basis vector (odd
-        indices offset by m).  Built from `bracket` on every call."""
+        indices offset by m).  Built from `bracket` on every call, so
+        callers build it once per algebra and pass it down."""
         d = self.dim
         vecs = [self.basis_vector(k) for k in range(d)]
         return [[_sparse(self.bracket(vecs[a], vecs[b])) for b in range(d)]

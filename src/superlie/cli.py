@@ -179,7 +179,16 @@ def cmd_nondegen(args) -> int:
     return EXIT_FAIL
 
 
+def _family(m: int, n: int):
+    """The catalog entries of shape (m|n); NotFound when there are none."""
+    entries = catalog.list_entries((m, n))
+    if not entries:
+        raise NotFound(f"({m}|{n})")
+    return entries
+
+
 def cmd_hasse(args) -> int:
+    _family(args.m, args.n)
     diagram = orbitrel.build_hasse((args.m, args.n),
                                    precision=args.precision)
     if args.dot:
@@ -194,6 +203,7 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_components(args) -> int:
+    _family(args.m, args.n)
     res = orbitrel.component_analysis((args.m, args.n),
                                       precision=args.precision)
     labels = res["components"]
@@ -219,13 +229,10 @@ def cmd_gamma23(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    dim = (args.m, args.n)
     key = f"({args.m}|{args.n})"
     failures = []
 
-    entries = catalog.list_entries(dim)
-    if not entries:
-        raise NotFound(key)
+    entries = _family(args.m, args.n)
     bad = []
     for e in entries:
         g = e.algebra
@@ -274,7 +281,7 @@ def cmd_verify_all(args) -> int:
     print(f"h2 regression: {checked - mismatched}/{checked} match")
 
     want = sorted(catalog.expected()["components"][key])
-    res = orbitrel.component_analysis(dim, precision=args.precision)
+    res = orbitrel.component_analysis(key, precision=args.precision)
     got = sorted(res["components"])
     print(f"{len(got)} components: " + ", ".join(got))
     if got != want:

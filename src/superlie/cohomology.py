@@ -94,11 +94,13 @@ def cochain_dim(m: int, n: int) -> int:
 # -- differentials -------------------------------------------------------------
 
 
-def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
+def d1(g: SuperAlgebra, A, D, br=None) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
-    psi = (A on the e's, D on the f's), columns = images."""
+    psi = (A on the e's, D on the f's), columns = images.  `br` is g's
+    bracket table when the caller has built it."""
     m, n = g.m, g.n
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
     # psi[k] = psi(x_k) as a sparse combined-basis vector
     psi = [_sparse(([A[r][k] for r in range(m)], [ZERO] * n))
            for k in range(m)]
@@ -122,16 +124,18 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
                                for x in entry(a, b)])
 
 
-def d2(g: SuperAlgebra, phi: Cochain2Even):
+def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
     """Evaluate d2 phi on all ordered homogeneous basis triples.
 
     Returns a dict (a,b,c) -> graded vector; zero entries omitted.  Only
     the nonzero values of phi and the nonzero brackets are visited: each of
-    the six terms of the differential is a sum over them.
+    the six terms of the differential is a sum over them.  `br` is g's
+    bracket table when the caller has built it.
     """
     m, n = g.m, g.n
     d = m + n
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
     brackets = [(a, b, br[a][b]) for a in range(d) for b in range(d)
                 if br[a][b]]
     values = [(a, b, v) for a in range(d) for b in range(d)
@@ -181,12 +185,13 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 # -- cohomology ------------------------------------------------------------------
 
 
-def _d2_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
-    """Rows = output coordinates over all triples, columns = cochain slots."""
+def _d2_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
+    """Rows = output coordinates over all triples, columns = cochain slots
+    (br is g's bracket table)."""
     m, n = g.m, g.n
     total = cochain_dim(m, n)
     cols = [d2(g, Cochain2Even(m, n, [ONE if i == si else ZERO
-                                      for i in range(total)]))
+                                      for i in range(total)]), br)
             for si in range(total)]
     # collect the union of output coordinates that appear
     keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
@@ -203,8 +208,9 @@ def _d2_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
     return matrix
 
 
-def _d1_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
-    """Columns = images of the elementary even maps, as cochain vectors."""
+def _d1_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
+    """Columns = images of the elementary even maps, as cochain vectors
+    (br is g's bracket table)."""
     m, n = g.m, g.n
     cols = []
     for q in range(m):
@@ -212,20 +218,20 @@ def _d1_matrix(g: SuperAlgebra) -> List[List[FieldElem]]:
             A = [[ONE if (r, c) == (q, p) else ZERO for c in range(m)]
                  for r in range(m)]
             D = [[ZERO] * n for _ in range(n)]
-            cols.append(d1(g, A, D).vec)
+            cols.append(d1(g, A, D, br).vec)
     for q in range(n):
         for p in range(n):
             A = [[ZERO] * m for _ in range(m)]
             D = [[ONE if (r, c) == (q, p) else ZERO for c in range(n)]
                  for r in range(n)]
-            cols.append(d1(g, A, D).vec)
+            cols.append(d1(g, A, D, br).vec)
     return [list(row) for row in zip(*cols)] if cols else []
 
 
-def _coboundary_rows(g: SuperAlgebra) -> List[List[FieldElem]]:
+def _coboundary_rows(g: SuperAlgebra, br) -> List[List[FieldElem]]:
     """The nonzero images of the elementary even maps under d1, as cochain
-    vectors: a spanning set of B^2."""
-    return [list(col) for col in zip(*_d1_matrix(g))
+    vectors: a spanning set of B^2 (br is g's bracket table)."""
+    return [list(col) for col in zip(*_d1_matrix(g, br))
             if any(not x.is_zero() for x in col)]
 
 
@@ -233,10 +239,11 @@ def h2_even(g: SuperAlgebra) -> Dict:
     """{dim, basis}: dim ker d2 - dim im d1, with a lifted basis of H^2."""
     m, n = g.m, g.n
     total = cochain_dim(m, n)
-    d2m = _d2_matrix(g)
+    br = g.bracket_table()
+    d2m = _d2_matrix(g, br)
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
-    cob_rows = _coboundary_rows(g)
+    cob_rows = _coboundary_rows(g, br)
     b_rank = rank(cob_rows)
     dim = len(cocycles) - b_rank
     # lift a complement: add cocycle vectors that increase rank over B
@@ -259,7 +266,7 @@ def in_coboundaries(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 def independent_mod_coboundaries(g: SuperAlgebra,
                                  phis: List[Cochain2Even]) -> bool:
-    rows = _coboundary_rows(g)
+    rows = _coboundary_rows(g, g.bracket_table())
     vs = [list(p.vec) for p in phis]
     return rank(rows + vs) == rank(rows) + len(vs)
 

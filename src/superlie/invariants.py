@@ -3,7 +3,9 @@
 Everything here is a necessary condition for g degenerating to h and is
 computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
-maximal trivial graded subalgebra t(g).
+maximal trivial graded subalgebra t(g).  Each function that reads g's
+bracket table takes it as an optional `br`, for callers that have built
+it already, and builds it only when none is given.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from .groebner import Poly, system_verdict
 from .linalg import kernel, rank
 
 
-def center(g: SuperAlgebra):
+def center(g: SuperAlgebra, br=None):
     """Graded dimension of the center, with graded bases: for each parity,
     the kernel of ad over the combined basis."""
     m, d = g.m, g.dim
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
 
     def ad_kernel(vs):
         # column v, row (b, k): coordinate k of [x_v, x_b]
@@ -33,11 +36,12 @@ def center(g: SuperAlgebra):
     return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
 
 
-def derived(g: SuperAlgebra) -> Tuple[int, int]:
+def derived(g: SuperAlgebra, br=None) -> Tuple[int, int]:
     """Graded dimension of [g, g]: the ranks of the even and odd parts of
     the brackets [x_a, x_b], a <= b."""
     m, d = g.m, g.dim
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
     rows = [[dict(br[a][b]).get(k, ZERO) for k in range(d)]
             for a in range(d) for b in range(a, d)]
     return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
@@ -55,7 +59,8 @@ def _as_field(x) -> FieldElem:
     return x if isinstance(x, FieldElem) else FieldElem(x)
 
 
-def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
+def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
+                    br=None):
     """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations.
 
     The defining equation, for homogeneous x, y:
@@ -78,7 +83,8 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     if not unknowns:
         return 0, []
 
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
     from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
@@ -109,12 +115,12 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     return len(basis), basis
 
 
-def der0_dim(g: SuperAlgebra) -> int:
-    return abc_derivations(g, 1, 1, 1, 0)[0]
+def der0_dim(g: SuperAlgebra, br=None) -> int:
+    return abc_derivations(g, 1, 1, 1, 0, br)[0]
 
 
-def orbit_dim(g: SuperAlgebra) -> int:
-    return g.m ** 2 + g.n ** 2 - der0_dim(g)
+def orbit_dim(g: SuperAlgebra, br=None) -> int:
+    return g.m ** 2 + g.n ** 2 - der0_dim(g, br)
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -228,10 +234,11 @@ def trivial_shape_exists(br, m: int, n: int, a: int,
     return None if any_unknown else False
 
 
-def trivial_sub_max(g: SuperAlgebra) -> Dict:
+def trivial_sub_max(g: SuperAlgebra, br=None) -> Dict:
     """t(g): maximal total dimension of a trivial graded subalgebra."""
     m, n = g.m, g.n
-    br = g.bracket_table()
+    if br is None:
+        br = g.bracket_table()
     profile = []
     undecided = []
     for a in range(m + 1):
@@ -256,13 +263,14 @@ ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
 def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
-    zdim, _ = center(g)
-    ddim = derived(g)
+    br = g.bracket_table()
+    zdim, _ = center(g, br)
+    ddim = derived(g, br)
     abc = {}
     for tup in ABC_TUPLES:
         for deg in (0, 1):
             abc[f"({tup[0]},{tup[1]},{tup[2]})@{deg}"] = \
-                abc_derivations(g, *tup, deg)[0]
+                abc_derivations(g, *tup, deg, br)[0]
     d0 = abc["(1,1,1)@0"]  # Der_0 = the (1,1,1)-derivations of degree 0
     report = {
         "name": g.name,
@@ -275,7 +283,7 @@ def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
         "abc_entries": abc,
     }
     if with_trivial:
-        t = trivial_sub_max(g)
+        t = trivial_sub_max(g, br)
         report["trivial_max"] = {"lower": t["lower"], "exact": t["exact"]}
         report["trivial_graded_profile"] = [list(p) for p in t["graded_profile"]]
     return report

@@ -1,7 +1,9 @@
-"""Dense exact linear algebra over Q(i,sqrt2) and over Puiseux series.
+"""Exact linear algebra over Q(i,sqrt2) and over Puiseux series.
 
 Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
-solve, det, inv) assume FieldElem entries and are exact.  The series solver
+solve, det, inv) assume FieldElem entries and are exact.  Rows stay dense,
+but `rref` updates a row only at the nonzero columns of the pivot row, so
+elimination costs in proportion to the nonzeros.  The series solver
 pivots on the entry of smallest leading exponent, which keeps truncation
 error under control for witness verification.
 """
@@ -77,12 +79,21 @@ def rref(matrix: Sequence[Row]):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
+        pivot = rows[r]
+        inv = pivot[c].inv()
+        # scale the pivot row and list its nonzeros; columns left of c are
+        # already zero in it
+        nonzero = []
+        for j in range(c, ncols):
+            if not pivot[j].is_zero():
+                pivot[j] = pivot[j] * inv
+                nonzero.append((j, pivot[j]))
         for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero():
-                factor = rows[k][c]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+            row = rows[k]
+            if k != r and not row[c].is_zero():
+                factor = row[c]
+                for j, x in nonzero:
+                    row[j] = row[j] - factor * x
         pivots.append(c)
         r += 1
         if r == len(rows):

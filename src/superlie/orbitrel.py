@@ -167,6 +167,11 @@ def _cached(key: Optional[str], name: str, compute):
     return store[name]
 
 
+def _table(g: SuperAlgebra, key: Optional[str]):
+    """g's bracket table, built once per keyed path."""
+    return _cached(key, "table", g.bracket_table)
+
+
 def _label_of(g: Union[str, SuperAlgebra]) -> Tuple[SuperAlgebra, Optional[str]]:
     if isinstance(g, str):
         return catalog.get(g).algebra, g
@@ -178,8 +183,8 @@ def _check_criterion(g, h, gkey, hkey, criterion, degree=None, tup=None,
     """Evaluate one necessary condition of degeneration for the pair (g, h);
     returns violation data when the condition fails (certifying g -/-> h)."""
     if criterion == "orbit_dim":
-        dg = _cached(gkey, "orbit_dim", lambda: orbit_dim(g))
-        dh = _cached(hkey, "orbit_dim", lambda: orbit_dim(h))
+        dg = _cached(gkey, "orbit_dim", lambda: orbit_dim(g, _table(g, gkey)))
+        dh = _cached(hkey, "orbit_dim", lambda: orbit_dim(h, _table(h, hkey)))
         bad = dg <= dh if proper else dg < dh
         if bad:
             return {"from_value": dg, "to_value": dh}
@@ -191,16 +196,16 @@ def _check_criterion(g, h, gkey, hkey, criterion, degree=None, tup=None,
             return {"from_value": "gamma=0", "to_value": "gamma!=0"}
         return None
     if criterion == "center":
-        cg = _cached(gkey, "center", lambda: center(g)[0])
-        ch = _cached(hkey, "center", lambda: center(h)[0])
+        cg = _cached(gkey, "center", lambda: center(g, _table(g, gkey))[0])
+        ch = _cached(hkey, "center", lambda: center(h, _table(h, hkey))[0])
         degrees = [degree] if degree is not None else [0, 1]
         for i in degrees:
             if cg[i] > ch[i]:
                 return {"degree": i, "from_value": cg[i], "to_value": ch[i]}
         return None
     if criterion == "derived":
-        dg = _cached(gkey, "derived", lambda: derived(g))
-        dh = _cached(hkey, "derived", lambda: derived(h))
+        dg = _cached(gkey, "derived", lambda: derived(g, _table(g, gkey)))
+        dh = _cached(hkey, "derived", lambda: derived(h, _table(h, hkey)))
         degrees = [degree] if degree is not None else [0, 1]
         for i in degrees:
             if dg[i] < dh[i]:
@@ -212,10 +217,10 @@ def _check_criterion(g, h, gkey, hkey, criterion, degree=None, tup=None,
         for abc in tuples:
             for i in degrees:
                 name = f"abc{abc}{i}"
-                dg = _cached(gkey, name,
-                             lambda: abc_derivations(g, *abc, i)[0])
-                dh = _cached(hkey, name,
-                             lambda: abc_derivations(h, *abc, i)[0])
+                dg = _cached(gkey, name, lambda: abc_derivations(
+                    g, *abc, i, _table(g, gkey))[0])
+                dh = _cached(hkey, name, lambda: abc_derivations(
+                    h, *abc, i, _table(h, hkey))[0])
                 if dg > dh:
                     return {"tuple": list(abc), "degree": i,
                             "from_value": dg, "to_value": dh}
@@ -239,8 +244,10 @@ def _check_criterion(g, h, gkey, hkey, criterion, degree=None, tup=None,
             return {"inner": sub[0].criterion, "inner_data": sub[0].data}
         return None
     if criterion == "trivial_sub":
-        tg = _cached(gkey, "trivial_sub", lambda: trivial_sub_max(g))
-        th = _cached(hkey, "trivial_sub", lambda: trivial_sub_max(h))
+        tg = _cached(gkey, "trivial_sub",
+                     lambda: trivial_sub_max(g, _table(g, gkey)))
+        th = _cached(hkey, "trivial_sub",
+                     lambda: trivial_sub_max(h, _table(h, hkey)))
         if tg.get("exact") is not None and th.get("exact") is not None \
                 and tg["exact"] > th["exact"]:
             return {"from_value": tg["exact"], "to_value": th["exact"]}
@@ -315,9 +322,10 @@ def build_hasse(dim, precision=None, check: bool = True) -> HasseDiagram:
     m, n = catalog.normalize_dim(dim)
     entries = catalog.list_entries((m, n))
     nodes = [e.label for e in entries]
-    dims = {lab: _cached(lab, "orbit_dim",
-                         lambda lab=lab: orbit_dim(catalog.get(lab).algebra))
-            for lab in nodes}
+    dims = {}
+    for e in entries:
+        dims[e.label] = _cached(e.label, "orbit_dim", lambda: orbit_dim(
+            e.algebra, _table(e.algebra, e.label)))
     edges, failed = [], []
     for res in verify_builtin_witnesses((m, n), precision=precision):
         if res.ok:

@@ -114,6 +114,11 @@ def test_verify_all_unknown_shape_usage_error(capsys):
                           "not found: '(6|0)'")
 
 
+@pytest.mark.parametrize("command", ["hasse", "components"])
+def test_empty_shape_usage_error(capsys, command):
+    _one_line_usage_error(capsys, [command, "6", "0"], "not found: '(6|0)'")
+
+
 def test_h2_directory_usage_error(tmp_path, capsys):
     _one_line_usage_error(capsys, ["h2", str(tmp_path)], "parse error: ")
 
@@ -234,6 +239,12 @@ def test_components_cmd(capsys):
     code, out = run(capsys, "components", "1", "2")
     assert code == 0
     assert "2 components" in out
+
+
+def test_verify_all_cmd(capsys):
+    code, out = run(capsys, "verify-all", "1", "2")
+    assert code == 0
+    assert out.endswith("2 components: (1|2)_2, (1|2)_3\nverify-all: OK\n")
 
 
 def test_selftest_seeded_deterministic(capsys):

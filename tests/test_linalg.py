@@ -1,5 +1,11 @@
+from fractions import Fraction
+
+import pytest
+
+from superlie import linalg
 from superlie.field import FieldElem
-from superlie.linalg import det, kernel, mat_mul, rank, solve, transpose
+from superlie.linalg import (SingularMatrix, det, inv, kernel, mat_mul, rank,
+                             rref, solve, transpose)
 
 from conftest import rand_elem
 
@@ -50,3 +56,110 @@ def test_rank_kernel_dimension_theorem(rng):
         for v in ker:
             image = mat_mul(a, transpose([v]))
             assert all(entry.is_zero() for row in image for entry in row)
+
+
+# -- rref against the dense elimination it replaced ---------------------------
+
+
+def dense_rref(matrix):
+    """Reduced row echelon form that rebuilds every cell of every row it
+    reduces: the oracle for `linalg.rref`, which updates only the columns
+    where the pivot row is nonzero."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for k in range(r, len(rows)):
+            if not rows[k][c].is_zero():
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inverse = rows[r][c].inv()
+        rows[r] = [x * inverse for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][c].is_zero():
+                factor = rows[k][c]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _entry(rng, density):
+    """Zero with probability 1 - density; otherwise a rational multiple of
+    1, i, sqrt2 or i*sqrt2, or now and then a full element."""
+    if rng.random() >= density:
+        return ZERO
+    if rng.random() < 0.2:
+        return rand_elem(rng, 4)
+    coords = [0, 0, 0, 0]
+    coords[rng.randrange(4)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                        rng.randint(1, 3))
+    return FieldElem(*coords)
+
+
+def _matrices(rng):
+    """Seeded matrices: empty, 1xk, kx1, wide, tall and square, dense and
+    mostly zero, full rank and rank-deficient, some with zero rows and
+    columns."""
+    out = [[]]
+    shapes = [(1, k) for k in range(1, 6)] + [(k, 1) for k in range(1, 6)] + \
+        [(2, 9), (3, 7), (7, 3), (9, 2), (4, 6), (6, 4)] + \
+        [(k, k) for k in range(2, 7)]
+    for rows, cols in shapes:
+        for density in (1.0, 0.5, 0.15):
+            for _ in range(3):
+                a = [[_entry(rng, density) for _ in range(cols)]
+                     for _ in range(rows)]
+                out.append(a)
+                inner = rng.randint(1, max(1, min(rows, cols) - 1))
+                left = [[_entry(rng, density) for _ in range(inner)]
+                        for _ in range(rows)]
+                right = [[_entry(rng, density) for _ in range(cols)]
+                         for _ in range(inner)]
+                out.append(mat_mul(left, right))   # rank <= inner
+                holed = [list(r) for r in a]
+                zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+                holed[zero_row] = [ZERO] * cols
+                for r in holed:
+                    r[zero_col] = ZERO
+                out.append(holed)
+    return out
+
+
+def test_rref_matches_dense_oracle(rng):
+    for a in _matrices(rng):
+        before = [list(r) for r in a]
+        assert rref(a) == dense_rref(a), a
+        assert a == before   # the input is not reduced in place
+
+
+def test_rref_callers_match_dense_oracle(rng, monkeypatch):
+    for a in _matrices(rng):
+        square = bool(a) and len(a) == len(a[0])
+        rhs = [[_entry(rng, 0.7) for _ in range(2)] for _ in a]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", dense_rref)
+            want_rank, want_kernel = rank(a), kernel(a)
+            try:
+                want_solve, want_inv = solve(a, rhs), inv(a)
+            except SingularMatrix:
+                want_solve = want_inv = None
+        assert (rank(a), kernel(a)) == (want_rank, want_kernel), a
+        if not square:
+            continue
+        if want_inv is None:
+            with pytest.raises(SingularMatrix):
+                solve(a, rhs)
+            assert det(a).is_zero()
+        else:
+            assert (solve(a, rhs), inv(a)) == (want_solve, want_inv), a
+            assert det(a) * det(want_inv) == ONE

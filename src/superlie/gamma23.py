@@ -58,22 +58,6 @@ ID3 = _add(_add(I1, I2), I3)
 K = _mat([[0, 1], [1, 0]])
 L = _mat([[0, 0], [0, 2]])
 U0 = [_fe(0), _fe(1)]
-U1 = [ONE, I]
-HALF_SQRT2 = SQRT2 * FieldElem(Fraction(1, 2))
-R = [[HALF_SQRT2, -HALF_SQRT2], [HALF_SQRT2 * I, HALF_SQRT2 * I]]
-S0 = [[R[0][0], R[0][1], ZERO],
-      [R[1][0], R[1][1], ZERO],
-      [ZERO, ZERO, I]]
-
-
-def delta(lam) -> Mat:
-    lam = _fe(lam)
-    return [[lam + ONE, I], [I, lam - ONE]]
-
-
-def t_lambda(lam) -> Mat:
-    lam = _fe(lam)
-    return [[-ONE, ZERO], [-lam, ONE]]
 
 
 def _embed(block: Mat, corner: FieldElem, border: Optional[Sequence[FieldElem]] = None) -> Mat:

@@ -155,21 +155,36 @@ class Inconclusive:
     to_name: str
 
 
-_INV: Dict[str, Dict] = {}
+# Every value this module derives, keyed by what it is computed from: an
+# algebra's bracket table and invariants by (m, n, stored brackets, name,
+# arguments), a builtin witness result by ("witness", from, to, source,
+# precision).  Derivation paths that reach the same algebra (a label, its
+# ab, its F.ab, ...) share its entries.
+_MEMO: Dict[tuple, object] = {}
 
 
-def _cached(key: Optional[str], name: str, compute):
-    if key is None:
-        return compute()
-    store = _INV.setdefault(key, {})
-    if name not in store:
-        store[name] = compute()
-    return store[name]
+def _memo(key: tuple, compute):
+    if key not in _MEMO:
+        _MEMO[key] = compute()
+    return _MEMO[key]
 
 
-def _table(g: SuperAlgebra, key: Optional[str]):
-    """g's bracket table, built once per keyed path."""
-    return _cached(key, "table", g.bracket_table)
+# Each entry looks its function up by name when called, so a wrapper put in
+# place of that name (a counting test, the benchmark's tracer) sees the call.
+_INVARIANTS = {
+    "orbit_dim": lambda g, br: orbit_dim(g, br),
+    "center": lambda g, br: center(g, br)[0],
+    "derived": lambda g, br: derived(g, br),
+    "abc": lambda g, br, abc, i: abc_derivations(g, *abc, i, br)[0],
+    "trivial_sub": lambda g, br: trivial_sub_max(g, br),
+}
+
+
+def _inv(g: SuperAlgebra, name: str, *args):
+    """The invariant `name` of g, computed once per distinct algebra."""
+    key = (g.m, g.n, tuple(g.consts.items()))
+    return _memo(key + (name,) + args, lambda: _INVARIANTS[name](
+        g, _memo(key + ("table",), g.bracket_table), *args))
 
 
 def _label_of(g: Union[str, SuperAlgebra]) -> Tuple[SuperAlgebra, Optional[str]]:
@@ -178,76 +193,54 @@ def _label_of(g: Union[str, SuperAlgebra]) -> Tuple[SuperAlgebra, Optional[str]]
     return g, None
 
 
-def _check_criterion(g, h, gkey, hkey, criterion, degree=None, tup=None,
-                     depth=2, proper=True) -> Optional[Dict]:
+def _check_criterion(g, h, criterion, degree=None, tup=None, depth=2,
+                     proper=True) -> Optional[Dict]:
     """Evaluate one necessary condition of degeneration for the pair (g, h);
     returns violation data when the condition fails (certifying g -/-> h)."""
+    degrees = [degree] if degree is not None else [0, 1]
     if criterion == "orbit_dim":
-        dg = _cached(gkey, "orbit_dim", lambda: orbit_dim(g, _table(g, gkey)))
-        dh = _cached(hkey, "orbit_dim", lambda: orbit_dim(h, _table(h, hkey)))
+        dg, dh = _inv(g, "orbit_dim"), _inv(h, "orbit_dim")
         bad = dg <= dh if proper else dg < dh
         if bad:
             return {"from_value": dg, "to_value": dh}
         return None
     if criterion == "gamma_zero":
-        zg = _cached(gkey, "gamma_zero", lambda: gamma_is_zero(g))
-        zh = _cached(hkey, "gamma_zero", lambda: gamma_is_zero(h))
-        if zg and not zh:
+        if gamma_is_zero(g) and not gamma_is_zero(h):
             return {"from_value": "gamma=0", "to_value": "gamma!=0"}
         return None
     if criterion == "center":
-        cg = _cached(gkey, "center", lambda: center(g, _table(g, gkey))[0])
-        ch = _cached(hkey, "center", lambda: center(h, _table(h, hkey))[0])
-        degrees = [degree] if degree is not None else [0, 1]
+        cg, ch = _inv(g, "center"), _inv(h, "center")
         for i in degrees:
             if cg[i] > ch[i]:
                 return {"degree": i, "from_value": cg[i], "to_value": ch[i]}
         return None
     if criterion == "derived":
-        dg = _cached(gkey, "derived", lambda: derived(g, _table(g, gkey)))
-        dh = _cached(hkey, "derived", lambda: derived(h, _table(h, hkey)))
-        degrees = [degree] if degree is not None else [0, 1]
+        dg, dh = _inv(g, "derived"), _inv(h, "derived")
         for i in degrees:
             if dg[i] < dh[i]:
                 return {"degree": i, "from_value": dg[i], "to_value": dh[i]}
         return None
     if criterion == "abc_derivation":
         tuples = [tuple(tup)] if tup is not None else ABC_TUPLES
-        degrees = [degree] if degree is not None else [0, 1]
         for abc in tuples:
             for i in degrees:
-                name = f"abc{abc}{i}"
-                dg = _cached(gkey, name, lambda: abc_derivations(
-                    g, *abc, i, _table(g, gkey))[0])
-                dh = _cached(hkey, name, lambda: abc_derivations(
-                    h, *abc, i, _table(h, hkey))[0])
+                dg, dh = _inv(g, "abc", abc, i), _inv(h, "abc", abc, i)
                 if dg > dh:
                     return {"tuple": list(abc), "degree": i,
                             "from_value": dg, "to_value": dh}
         return None
-    if criterion == "ab_recursion":
+    if criterion in ("ab_recursion", "F_recursion"):
         if depth <= 0:
             return None
-        sub = _pair_certs(g.ab(), h.ab(),
-                          gkey and gkey + ".ab", hkey and hkey + ".ab",
-                          depth - 1, proper=False, with_trivial=False)
-        if sub:
-            return {"inner": sub[0].criterion, "inner_data": sub[0].data}
-        return None
-    if criterion == "F_recursion":
-        if depth <= 0:
-            return None
-        sub = _pair_certs(g.forget_gamma(), h.forget_gamma(),
-                          gkey and gkey + ".F", hkey and hkey + ".F",
-                          depth - 1, proper=False, with_trivial=False)
+        reduce = SuperAlgebra.ab if criterion == "ab_recursion" \
+            else SuperAlgebra.forget_gamma
+        sub = _pair_certs(reduce(g), reduce(h), depth - 1, proper=False,
+                          with_trivial=False)
         if sub:
             return {"inner": sub[0].criterion, "inner_data": sub[0].data}
         return None
     if criterion == "trivial_sub":
-        tg = _cached(gkey, "trivial_sub",
-                     lambda: trivial_sub_max(g, _table(g, gkey)))
-        th = _cached(hkey, "trivial_sub",
-                     lambda: trivial_sub_max(h, _table(h, hkey)))
+        tg, th = _inv(g, "trivial_sub"), _inv(h, "trivial_sub")
         if tg.get("exact") is not None and th.get("exact") is not None \
                 and tg["exact"] > th["exact"]:
             return {"from_value": tg["exact"], "to_value": th["exact"]}
@@ -259,34 +252,29 @@ _CRITERIA = ("orbit_dim", "gamma_zero", "center", "derived",
              "ab_recursion", "F_recursion", "abc_derivation", "trivial_sub")
 
 
-def _pair_certs(g, h, gkey, hkey, depth, proper=True,
+def _pair_certs(g, h, depth, proper=True,
                 with_trivial=True) -> List[NonDegCertificate]:
     certs = []
     for criterion in _CRITERIA:
         if criterion == "trivial_sub" and not with_trivial:
             continue
-        data = _check_criterion(g, h, gkey, hkey, criterion,
-                                depth=depth, proper=proper)
+        data = _check_criterion(g, h, criterion, depth=depth, proper=proper)
         if data is not None:
-            certs.append(NonDegCertificate(
-                gkey or getattr(g, "name", "?"),
-                hkey or getattr(h, "name", "?"), criterion, data))
+            certs.append(NonDegCertificate(g.name, h.name, criterion, data))
     return certs
 
 
 def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra],
                   depth: int = 2, with_trivial: bool = True):
     """All certificates that g does not degenerate to h, or Inconclusive."""
-    galg, gkey = _label_of(g)
-    halg, hkey = _label_of(h)
+    galg, glabel = _label_of(g)
+    halg, hlabel = _label_of(h)
     _same_shape(galg, halg)
-    if gkey is not None and gkey == hkey:
-        return Inconclusive(gkey, hkey)   # reflexive: g -> g always
-    certs = _pair_certs(galg, halg, gkey, hkey, depth,
-                        proper=True, with_trivial=with_trivial)
-    if certs:
-        return certs
-    return Inconclusive(gkey or galg.name, hkey or halg.name)
+    if glabel is not None and glabel == hlabel:
+        return Inconclusive(glabel, hlabel)   # reflexive: g -> g always
+    certs = _pair_certs(galg, halg, depth, proper=True,
+                        with_trivial=with_trivial)
+    return certs or Inconclusive(galg.name, halg.name)
 
 
 # -- Hasse diagrams -------------------------------------------------------------
@@ -302,30 +290,21 @@ class HasseDiagram:
     failed_witnesses: List[Failed]
 
 
-_WITNESS_RESULTS: Dict[Tuple[str, str, str, object], object] = {}
-
-
 def verify_builtin_witnesses(dim=None, precision=None) -> List:
-    """Verify the stored witness rows (cached per precision); stable table
-    order."""
+    """Verify the stored witness rows (memoized per resolved precision);
+    stable table order."""
     p = precision if precision is not None else working_precision()
-    results = []
-    for doc in catalog.witnesses(dim):
-        key = (doc["from"], doc["to"], doc.get("source", ""), p)
-        if key not in _WITNESS_RESULTS:
-            _WITNESS_RESULTS[key] = verify_degeneration(doc, precision=p)
-        results.append(_WITNESS_RESULTS[key])
-    return results
+    return [_memo(("witness", doc["from"], doc["to"],
+                   doc.get("source", ""), p),
+                  lambda: verify_degeneration(doc, precision=p))
+            for doc in catalog.witnesses(dim)]
 
 
 def build_hasse(dim, precision=None, check: bool = True) -> HasseDiagram:
     m, n = catalog.normalize_dim(dim)
     entries = catalog.list_entries((m, n))
     nodes = [e.label for e in entries]
-    dims = {}
-    for e in entries:
-        dims[e.label] = _cached(e.label, "orbit_dim", lambda: orbit_dim(
-            e.algebra, _table(e.algebra, e.label)))
+    dims = {e.label: _inv(e.algebra, "orbit_dim") for e in entries}
     edges, failed = [], []
     for res in verify_builtin_witnesses((m, n), precision=precision):
         if res.ok:
@@ -428,9 +407,8 @@ def discrepancy_report(dim=None) -> List[Dict]:
     for row in catalog.nondegen_rows(dim):
         g, h = row["from"], row["to"]
         galg, halg = catalog.get(g).algebra, catalog.get(h).algebra
-        data = _check_criterion(galg, halg, g, h, row["criterion"],
-                                degree=row.get("degree"),
-                                tup=row.get("tuple"))
+        data = _check_criterion(galg, halg, row["criterion"],
+                                degree=row.get("degree"), tup=row.get("tuple"))
         if data is None:
             alts = auto_nondegen(g, h)
             entry = {

@@ -46,11 +46,14 @@ def test_invariant_report_builds_one_table(table_builds):
         assert table_builds == [g], label
 
 
-def test_component_analysis_builds_one_table_per_path(table_builds,
-                                                      monkeypatch):
-    monkeypatch.setattr(orbitrel, "_INV", {})
+def test_component_analysis_builds_one_table_per_algebra(table_builds,
+                                                         monkeypatch):
+    """Each distinct algebra's table is built exactly once, however many
+    derivation paths (label, label.ab, label.F.ab, ...) reach it."""
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|2)")
-    assert 0 < len(table_builds) <= len(orbitrel._INV)
+    built = [(g.m, g.n, tuple(g.consts.items())) for g in table_builds]
+    assert built and len(built) == len(set(built))
 
 
 def _scalar(rng):

@@ -22,18 +22,44 @@ def test_list(capsys):
     assert out.split() == ["(1|2)_0", "(1|2)_1", "(1|2)_2", "(1|2)_3"]
 
 
-def test_python_m_superlie_runs_from_source():
+def _source_env():
     # the package directory's parent is enough: no install is needed
     env = dict(os.environ)
     src = str(Path(superlie.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "superlie", "list"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def test_python_m_superlie_runs_from_source():
+    proc = subprocess.run([sys.executable, "-m", "superlie", "list"],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     labels = proc.stdout.split()
     assert len(labels) == len(set(labels)) == 99
     assert labels[0] == "(2|0)_0"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_fails_without_traceback(unbuffered):
+    """Output to a pipe whose reader is gone (`... | head -1`) exits 1 with
+    nothing on stderr, whether print or the final flush hits the pipe."""
+    env = dict(_source_env(), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superlie", "nondegen",
+             "--from", "(2|3)_6", "--to", "(2|3)_18"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
 def test_show_is_byte_deterministic(capsys):

@@ -5,8 +5,7 @@ import pytest
 from superlie import catalog, cohomology, gamma23
 from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, d1, d2, format_cocycle,
-                                 h2_even, independent_mod_coboundaries,
-                                 is_cocycle, parse_cocycle)
+                                 h2_even, is_cocycle, parse_cocycle)
 from superlie.field import I, SQRT2, ZERO, FieldElem
 
 from conftest import rand_elem
@@ -23,34 +22,6 @@ def test_h2_dims_all_regression_labels():
     for label in catalog.expected()["h2_dims"]:
         g = catalog.get(label).algebra
         assert h2_even(g)["dim"] == expected_h2(label), label
-
-
-def test_corrected_cocycle_lists_validate():
-    exp = catalog.expected()
-    fixes = exp["known_cocycle_discrepancies"]
-    for label, texts in exp["cocycles"].items():
-        g = catalog.get(label).algebra
-        fixed = [fixes.get(label, {}).get(t, t) for t in texts]
-        phis = [parse_cocycle(t, g.m, g.n) for t in fixed]
-        assert all(is_cocycle(g, p) for p in phis), label
-        h2 = expected_h2(label)
-        if len(phis) > h2:  # a list longer than H^2 is dependent
-            assert independent_mod_coboundaries(g, phis[:h2]), label
-            assert not independent_mod_coboundaries(g, phis), label
-        else:
-            assert independent_mod_coboundaries(g, phis), label
-
-
-def test_recorded_cocycle_errata_fail_as_printed():
-    exp = catalog.expected()
-    for label, fixes in exp["known_cocycle_discrepancies"].items():
-        g = catalog.get(label).algebra
-        for verbatim, corrected in fixes.items():
-            bad = parse_cocycle(verbatim, g.m, g.n)
-            good = parse_cocycle(corrected, g.m, g.n)
-            assert is_cocycle(g, good)
-            assert (not is_cocycle(g, bad)
-                    or cohomology.in_coboundaries(g, bad))
 
 
 def test_cocycle_format_roundtrip():

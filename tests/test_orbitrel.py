@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superlie import catalog, orbitrel
+from superlie.algebra import SuperAlgebra
 from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                auto_nondegen, build_hasse, components,
                                discrepancy_report, to_dot, verify_degeneration,
@@ -76,6 +77,57 @@ def test_auto_nondegen_undecided_pairs():
     for g, h in (("(2|3)_7", "(2|3)_2"), ("(2|3)_10", "(2|3)_11"),
                  ("(2|3)_10", "(2|3)_5")):
         assert isinstance(auto_nondegen(g, h), Inconclusive)
+
+
+def _small_pairs():
+    """Ordered pairs u != v of catalog labels of one shape, m + n <= 4."""
+    entries = [e for e in catalog.list_entries() if e.m + e.n <= 4]
+    return [(u.label, v.label) for u in entries for v in entries
+            if u is not v and (u.m, u.n) == (v.m, v.n)]
+
+
+def _certified(res):
+    if isinstance(res, Inconclusive):
+        return None
+    return [(c.criterion, c.data) for c in res]
+
+
+def test_memo_shared_across_calls_matches_fresh_memo(monkeypatch):
+    pairs = _small_pairs()
+    assert len(pairs) == 108
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    shared = [auto_nondegen(u, v) for u, v in pairs]
+    for (u, v), want in zip(pairs, shared):
+        monkeypatch.setattr(orbitrel, "_MEMO", {})
+        assert auto_nondegen(u, v) == want, (u, v)
+
+
+def test_unlabelled_copy_gets_the_labels_certificates():
+    def copy(label):
+        g = catalog.get(label).algebra
+        return SuperAlgebra(g.m, g.n, g.consts, name="copy")
+
+    for u, v in _small_pairs():
+        want = _certified(auto_nondegen(u, v))
+        assert _certified(auto_nondegen(copy(u), copy(v))) == want, (u, v)
+        assert _certified(auto_nondegen(copy(u), v)) == want, (u, v)
+
+
+def test_component_analysis_derives_each_input_once(monkeypatch):
+    """abc_derivations runs once per distinct (structure constants, tuple,
+    degree), however many derivation paths reach the algebra."""
+    calls = []
+    compute = orbitrel.abc_derivations
+
+    def counting(g, alpha, beta, gamma, degree, br=None):
+        calls.append((g.m, g.n, tuple(g.consts.items()),
+                      (alpha, beta, gamma), degree))
+        return compute(g, alpha, beta, gamma, degree, br)
+
+    monkeypatch.setattr(orbitrel, "abc_derivations", counting)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    orbitrel.component_analysis("(2|3)")
+    assert len(calls) == len(set(calls)) == 192
 
 
 def test_hasse_dim3():

@@ -147,29 +147,6 @@ class SuperAlgebra:
         return [[_sparse(self.bracket(vecs[a], vecs[b])) for b in range(d)]
                 for a in range(d)]
 
-    # -- dense views, for test oracles -------------------------------------
-
-    def _dense(self, rows, cols, outs):
-        return tuple(tuple(tuple(dict(self._terms(a, b)).get(k, ZERO)
-                                 for k in outs) for b in cols) for a in rows)
-
-    @property
-    def c(self):
-        """c[i][j] = [e_i, e_j] over e_1..e_m."""
-        return self._dense(range(self.m), range(self.m), range(self.m))
-
-    @property
-    def rho(self):
-        """rho[i][j] = [e_i, f_j] over f_1..f_n."""
-        ev, od = range(self.m), range(self.m, self.dim)
-        return self._dense(ev, od, od)
-
-    @property
-    def gamma(self):
-        """gamma[i][j] = [f_i, f_j] over e_1..e_m."""
-        ev, od = range(self.m), range(self.m, self.dim)
-        return self._dense(od, od, ev)
-
     # -- axioms --------------------------------------------------------------
 
     def parity(self, idx: int) -> int:

@@ -298,7 +298,7 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .field import FieldElem, parse_elem, format_elem
+    from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
     from .series import PuiseuxSeries
 
     seed = args.seed if args.seed is not None else \
@@ -324,6 +324,20 @@ def cmd_selftest(args) -> int:
             print("FAIL: field distributivity")
             return EXIT_FAIL
     print(f"field round-trips and identities: {cases} cases OK")
+
+    shapes = [(m, n) for m in range(6) for n in range(6 - m)
+              if cohomology.cochain_dim(m, n)]
+    for _ in range(cases // 20):
+        m, n = rng.choice(shapes)
+        vec = [rand_elem() if rng.random() < 0.3 else ZERO
+               for _ in range(cohomology.cochain_dim(m, n))]
+        vec[rng.randrange(len(vec))] = rand_elem() or ONE
+        phi = cohomology.Cochain2Even(m, n, vec)
+        text = format_cocycle(phi)
+        if cohomology.parse_cocycle(text, m, n).vec != phi.vec:
+            print(f"FAIL: cocycle round-trip {text}")
+            return EXIT_FAIL
+    print(f"cocycle round-trips: {cases // 20} cases OK")
 
     for _ in range(cases // 4):
         terms = {Fraction(rng.randint(-4, 8), rng.randint(1, 3)): rand_elem()

@@ -22,16 +22,18 @@ there, so they are dependent modulo coboundaries.
 
 Cocycles print/parse in the compact notation "e1*^e2*@e1" for
 e_1^* wedge e_2^* tensor e_1; a term "f1*^f1*@e1" means
-phi(f1,f1) = e1 (coefficient 1, diagonal included).
+phi(f1,f1) = e1 (coefficient 1, diagonal included).  A cocycle is an
+exprlang linear combination of such terms, so a coefficient is any constant
+expression: "(1 + i)*e1*^e2*@e1", "-i*sqrt2*e1*^f1*@f1".
 """
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, _is_zero, _sparse, pairs
-from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
+from .exprlang import basis_index, constant, evaluate, parse
+from .field import FieldElem, ONE, ZERO, format_elem
 from .linalg import kernel, rank
 
 
@@ -274,49 +276,27 @@ def independent_mod_coboundaries(g: SuperAlgebra,
 # -- the paper-style cocycle notation ---------------------------------------------
 
 
-_COCYCLE_TERM = re.compile(
-    r"\s*([+-])?\s*(?:([0-9/]+|i|sqrt2|[0-9/]*\*?(?:i|sqrt2)?)\s*\*)?\s*"
-    r"([ef])(\d+)\*\^([ef])(\d+)\*@([ef])(\d+)")
-
-
 def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
     """Parse e.g. "-2*e1*^e2*@e1 + e2*^f1*@f1" into a cochain."""
-    pos = 0
-    vec = [ZERO] * cochain_dim(m, n)
-    found = False
-
-    def index(kind: str, num: str) -> int:
-        i = int(num) - 1
-        if not 0 <= i < (m if kind == "e" else n):
-            raise ValueError(f"unknown basis symbol {kind}{num}")
-        return i if kind == "e" else m + i
-
-    while pos < len(text):
-        mt = _COCYCLE_TERM.match(text, pos)
-        if not mt:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad cocycle syntax at {text[pos:]!r}")
-        sign, coeff_txt, k1, i1, k2, i2, k3, i3 = mt.groups()
-        coeff = parse_elem(coeff_txt) if coeff_txt else ONE
-        if sign == "-":
-            coeff = -coeff
-        a, b, c = index(k1, i1), index(k2, i2), index(k3, i3)
+    def slot(term: str) -> Tuple[int, int]:
+        # the slot of a term x_a*^x_b*@x_c, and the graded sign that takes
+        # phi(x_a, x_b) to the stored pair
+        names = term.replace("*@", "*^").split("*^")
+        if len(names) != 3:
+            raise ValueError(f"{term} is not a cochain term like e1*^e2*@e1")
+        a, b, c = (basis_index(name, m, n) for name in names)
         mixed = (a < m) != (b < m)
         if (c >= m) != mixed:
-            raise ValueError(f"{k1}{i1}*^{k2}{i2}* must map to an "
+            raise ValueError(f"{names[0]}*^{names[1]}* must map to an "
                              f"{'f' if mixed else 'e'}")
         if a == b < m:
             raise ValueError("e_i*^e_i* vanishes")
-        if a > b and b < m:
-            coeff = -coeff
-        slot = _block_start(m, n, min(a, b), max(a, b)) + \
-            (c - m if mixed else c)
-        vec[slot] = vec[slot] + coeff
-        found = True
-        pos = mt.end()
-    if not found:
-        raise ValueError("empty cocycle expression")
+        return (_block_start(m, n, min(a, b), max(a, b)) +
+                (c - m if mixed else c), -1 if a > b and b < m else 1)
+
+    vec = [ZERO] * cochain_dim(m, n)
+    for k, x in constant(text, slot).items():
+        vec[k] = x
     return Cochain2Even(m, n, vec)
 
 
@@ -352,26 +332,20 @@ def deformation_nilpotency_probe(base_doc: Dict, extra_brackets: List[Dict],
                                  param_value: str) -> Dict:
     """Replay a deformation: base algebra plus explicit deformed brackets with
     the parameter substituted, then test nilpotency (Jacobi checked first)."""
-    from .exprlang import evaluate, parse as eparse
-    from .series import PuiseuxSeries
     doc = dict(base_doc)
     brackets = [dict(b) for b in doc.get("brackets", [])]
-    tval = evaluate(eparse(param_value))
-    if any(e != 0 for e in tval.terms):
-        raise ValueError("parameter value must be a constant")
+    tval = constant(param_value)
     for extra in extra_brackets:
         value = []
         for v in extra["value"]:
-            coeff_expr = eparse(v["coeff"])
-            series = evaluate(coeff_expr)
+            series = evaluate(parse(v["coeff"]))
             # substitute t = param_value by exact polynomial composition
-            subbed = PuiseuxSeries.from_scalar(ZERO)
+            subbed = ZERO
             for expo, cf in series.terms.items():
                 if expo.denominator != 1 or expo < 0:
                     raise ValueError("probe brackets must be polynomial in t")
-                subbed = subbed + cf * tval.pow(expo)
-            value.append({"coeff": format_elem(subbed.limit_at_zero()),
-                          "basis": v["basis"]})
+                subbed = subbed + cf * tval ** int(expo)
+            value.append({"coeff": format_elem(subbed), "basis": v["basis"]})
         brackets.append({"lhs": extra["lhs"], "rhs": extra["rhs"],
                          "value": value})
     doc["brackets"] = _merge_brackets(brackets)
@@ -394,7 +368,7 @@ def _merge_brackets(brackets: List[Dict]) -> List[Dict]:
         for v in b["value"]:
             basis = v["basis"]
             merged[key][basis] = merged[key].get(basis, ZERO) + \
-                parse_elem(v["coeff"])
+                constant(v["coeff"])
     out = []
     for key in order:
         value = [{"coeff": format_elem(x), "basis": basis}

@@ -1,19 +1,24 @@
-"""A tiny expression language for degeneration witnesses.
+"""A tiny expression language: the one grammar of scalar text.
+
+Catalog structure constants, CLI matrices, cocycle coefficients,
+degeneration witnesses and deformation parameters are all read by it.
 
 Grammar (whitespace-insensitive)::
 
     expr     := term (('+' | '-') term)*
     term     := factor (('*' | '/') factor)*
-    factor   := ['-'] atom ['^' exponent]
-    atom     := rational | 'i' | 'sqrt2' | 't' | basis
+    factor   := ('-' | '+') factor | atom ['^' exponent]
+    atom     := rational | 'i' | 'sqrt2' | 't' | symbol
               | 'sqrt' '(' expr ')' | '(' expr ')'
     exponent := integer | '(' rational ')'
-    basis    := 'e' digits | 'f' digits        (vector contexts only)
+    symbol   := basis | basis '*^' basis '*@' basis   (vector contexts only)
+    basis    := ('e' | 'f') digits
 
-``evaluate`` maps an expression to a PuiseuxSeries; ``evaluate_vector``
-additionally understands basis symbols and returns a pair of coefficient
-lists (even part, odd part), which is exactly what a witness's new basis
-vector is.
+``evaluate`` maps an expression to a PuiseuxSeries.  ``evaluate_vector``
+evaluates a linear combination of symbols, each of which its caller maps to
+a coordinate: a witness's basis vector (``evaluate_basis_vector``) over the
+basis symbols, a cochain over the terms ``e1*^e2*@e1`` (``cohomology``).
+``constant`` reads text whose value must be an exact constant of the field.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
-from .field import FieldElem, I, ONE, SQRT2
-from .series import PuiseuxSeries
+from .field import FieldElem, FieldSyntaxError, I, SQRT2
+from .series import NotInvertible, PuiseuxSeries
 
 # -- AST ----------------------------------------------------------------
 
@@ -40,9 +45,8 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Basis:
-    kind: str  # 'e' | 'f'
-    index: int
+class Symbol:
+    name: str  # 'e1', 'f2', 'e1*^f2*@f1', ...
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,19 @@ class Sqrt:
     arg: "Expr"
 
 
-Expr = Union[Rat, Const, Basis, Neg, Bin, Pow, Sqrt]
+Expr = Union[Rat, Const, Symbol, Neg, Bin, Pow, Sqrt]
 
-
-class ExprSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+ExprSyntaxError = FieldSyntaxError
 
 
 class ExprTypeError(ValueError):
-    """Raised when vectors are combined in a non-linear way."""
+    """Raised when vectors are combined in a non-linear way, or on a symbol
+    its caller does not know."""
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(\d+)|(sqrt2)|(sqrt)|(i)|(t)|([ef])(\d+)|([()^*/+\-]))")
+_BASIS = r"[ef]\d+"
+_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt2)|(sqrt)|(i)|(t)|"
+                    rf"({_BASIS}(?:\*\^{_BASIS}\*@{_BASIS})?)|([()^*/+\-]))")
 
 
 def _tokenize(text: str):
@@ -106,19 +108,19 @@ def _tokenize(text: str):
         elif m.group(5):
             tokens.append(("t", None, m.start(5)))
         elif m.group(6):
-            tokens.append(("basis", (m.group(6), int(m.group(7))), m.start(6)))
+            tokens.append(("symbol", m.group(6), m.start(6)))
         else:
-            tokens.append(("op", m.group(8), m.start(8)))
+            tokens.append(("op", m.group(7), m.start(7)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, allow_basis: bool):
+    def __init__(self, text: str, symbols: bool):
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.allow_basis = allow_basis
+        self.symbols = symbols
 
     def peek(self):
         return self.tokens[self.idx]
@@ -156,8 +158,9 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
-            self.advance()
+        if self.peek()[0] == "op" and self.peek()[1] in "+-":
+            if self.advance()[1] == "+":
+                return self.factor()
             return Neg(self.factor())
         a = self.atom()
         if self.peek()[0] == "op" and self.peek()[1] == "^":
@@ -213,10 +216,10 @@ class _Parser:
             return Rat(Fraction(val))
         if kind in ("i", "sqrt2", "t"):
             return Const(kind)
-        if kind == "basis":
-            if not self.allow_basis:
-                raise ExprSyntaxError("basis symbols not allowed here", pos)
-            return Basis(val[0], val[1])
+        if kind == "symbol":
+            if not self.symbols:
+                raise ExprSyntaxError(f"symbol {val} not allowed here", pos)
+            return Symbol(val)
         if kind == "sqrt":
             self.expect_op("(")
             inner = self.expr()
@@ -229,8 +232,8 @@ class _Parser:
         raise ExprSyntaxError("expected an atom", pos)
 
 
-def parse(text: str, allow_basis: bool = False) -> Expr:
-    return _Parser(text, allow_basis).parse()
+def parse(text: str, symbols: bool = False) -> Expr:
+    return _Parser(text, symbols).parse()
 
 
 # -- scalar evaluation -----------------------------------------------------
@@ -245,8 +248,8 @@ def evaluate(e: Expr, precision: Optional[Fraction] = None) -> PuiseuxSeries:
         if e.name == "sqrt2":
             return PuiseuxSeries.from_scalar(SQRT2)
         return PuiseuxSeries.t_power(1)
-    if isinstance(e, Basis):
-        raise ExprTypeError("basis symbol in scalar context")
+    if isinstance(e, Symbol):
+        raise ExprTypeError(f"symbol {e.name} in scalar context")
     if isinstance(e, Neg):
         return -evaluate(e.arg, precision)
     if isinstance(e, Bin):
@@ -268,65 +271,47 @@ def evaluate(e: Expr, precision: Optional[Fraction] = None) -> PuiseuxSeries:
 
 # -- vector evaluation -------------------------------------------------------
 
-VecValue = Tuple[List[PuiseuxSeries], List[PuiseuxSeries]]
+_ZERO = PuiseuxSeries({})
 
 
-def _zero_vec(m: int, n: int) -> VecValue:
-    z = PuiseuxSeries({})
-    return ([z] * m, [z] * n)
-
-
-def _vec_add(u: VecValue, v: VecValue, sign: int) -> VecValue:
-    return ([a + b if sign > 0 else a - b for a, b in zip(u[0], v[0])],
-            [a + b if sign > 0 else a - b for a, b in zip(u[1], v[1])])
-
-
-def _vec_scale(s: PuiseuxSeries, v: VecValue) -> VecValue:
-    return ([s * a for a in v[0]], [s * a for a in v[1]])
-
-
-def evaluate_vector(e: Expr, m: int, n: int,
+def evaluate_vector(e: Expr, symbol: Callable[[str], Tuple[int, int]],
                     precision: Optional[Fraction] = None):
-    """Evaluate in the free module with basis e1..em, f1..fn.
+    """Evaluate a linear combination of symbols.
 
-    Returns ('scalar', PuiseuxSeries) or ('vector', (even, odd)).
+    ``symbol(name)`` gives (index, sign): the symbol stands for sign times
+    the index-th unit vector.  Returns ('scalar', PuiseuxSeries) or
+    ('vector', {index: coefficient}) over the indices some symbol reached;
+    every other coordinate is exactly zero.
     """
-    if isinstance(e, Basis):
-        even, odd = _zero_vec(m, n)
-        one = PuiseuxSeries.from_scalar(ONE)
-        if e.kind == "e":
-            if not 1 <= e.index <= m:
-                raise ExprTypeError(f"basis vector e{e.index} out of range")
-            even = list(even)
-            even[e.index - 1] = one
-        else:
-            if not 1 <= e.index <= n:
-                raise ExprTypeError(f"basis vector f{e.index} out of range")
-            odd = list(odd)
-            odd[e.index - 1] = one
-        return ("vector", (even, odd))
+    if isinstance(e, Symbol):
+        index, sign = symbol(e.name)
+        return ("vector", {index: PuiseuxSeries.from_scalar(FieldElem(sign))})
     if isinstance(e, Neg):
-        kind, v = evaluate_vector(e.arg, m, n, precision)
+        kind, v = evaluate_vector(e.arg, symbol, precision)
         if kind == "scalar":
             return (kind, -v)
-        return (kind, _vec_scale(PuiseuxSeries.from_scalar(FieldElem(-1)), v))
+        return (kind, {k: -x for k, x in v.items()})
     if isinstance(e, Bin):
-        lk, lv = evaluate_vector(e.left, m, n, precision)
-        rk, rv = evaluate_vector(e.right, m, n, precision)
+        lk, lv = evaluate_vector(e.left, symbol, precision)
+        rk, rv = evaluate_vector(e.right, symbol, precision)
         if e.op in "+-":
-            sign = 1 if e.op == "+" else -1
             if lk != rk:
                 raise ExprTypeError("cannot add a scalar and a vector")
             if lk == "scalar":
-                return ("scalar", lv + rv if sign > 0 else lv - rv)
-            return ("vector", _vec_add(lv, rv, sign))
+                return ("scalar", lv + rv if e.op == "+" else lv - rv)
+            out = dict(lv)
+            for k, x in rv.items():
+                if e.op == "-":
+                    x = -x
+                out[k] = out[k] + x if k in out else x
+            return ("vector", out)
         if e.op == "*":
             if lk == "scalar" and rk == "scalar":
                 return ("scalar", lv * rv)
             if lk == "scalar":
-                return ("vector", _vec_scale(lv, rv))
+                return ("vector", {k: lv * x for k, x in rv.items()})
             if rk == "scalar":
-                return ("vector", _vec_scale(rv, lv))
+                return ("vector", {k: rv * x for k, x in lv.items()})
             raise ExprTypeError("cannot multiply two vectors")
         # division
         if rk != "scalar":
@@ -334,18 +319,67 @@ def evaluate_vector(e: Expr, m: int, n: int,
         inv = rv.inv(precision)
         if lk == "scalar":
             return ("scalar", lv * inv)
-        return ("vector", _vec_scale(inv, lv))
+        return ("vector", {k: inv * x for k, x in lv.items()})
     if isinstance(e, (Pow, Sqrt, Rat, Const)):
         return ("scalar", evaluate(e, precision))
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def basis_index(name: str, m: int, n: int) -> int:
+    """The combined index (odd indices offset by m) of the basis symbol
+    e1..em, f1..fn called `name`."""
+    kind, num = name[0], name[1:]
+    if kind not in "ef" or not num.isdigit() or \
+            not 1 <= int(num) <= (m if kind == "e" else n):
+        raise ExprTypeError(f"unknown basis symbol {name}")
+    return int(num) - 1 if kind == "e" else m + int(num) - 1
+
+
 def evaluate_basis_vector(text: str, m: int, n: int,
-                          precision: Optional[Fraction] = None) -> VecValue:
-    kind, value = evaluate_vector(parse(text, allow_basis=True), m, n, precision)
+                          precision: Optional[Fraction] = None):
+    """A witness's basis vector over e1..em, f1..fn, as (even, odd)
+    coefficient lists."""
+    kind, value = evaluate_vector(parse(text, symbols=True),
+                                  lambda name: (basis_index(name, m, n), 1),
+                                  precision)
     if kind != "vector":
         raise ExprTypeError(f"{text!r} is a scalar, not a basis vector")
-    return value
+    coords = [value.get(k, _ZERO) for k in range(m + n)]
+    return coords[:m], coords[m:]
+
+
+# -- exact constants ----------------------------------------------------------
+
+
+def _exact(s: PuiseuxSeries, text: str) -> FieldElem:
+    if s.precision is not None or any(e != 0 for e in s.terms):
+        raise ExprSyntaxError(f"not a constant: {text!r}")
+    return s.coeff(0)
+
+
+def constant(text: str,
+             symbol: Optional[Callable[[str], Tuple[int, int]]] = None):
+    """The exact value of `text` over Q(i, sqrt2).
+
+    Without `symbol` the text is a scalar and the result a FieldElem.  With
+    it the text is a linear combination of symbols with constant
+    coefficients, evaluated by `evaluate_vector`, and the result maps each
+    index a symbol reached to its FieldElem coefficient.  Text that does
+    not parse, whose value is not an exact constant (a `t` term, a
+    truncated series), or whose evaluation fails (division by zero, a
+    square root outside the field) raises ExprSyntaxError naming the cause.
+    """
+    try:
+        if symbol is None:
+            return _exact(evaluate(parse(text)), text)
+        kind, value = evaluate_vector(parse(text, symbols=True), symbol)
+        if kind != "vector":
+            raise ExprTypeError(f"{text!r} is a scalar, not a sum of symbols")
+        return {k: _exact(x, text) for k, x in value.items()}
+    except NotInvertible:
+        raise ExprSyntaxError(f"division by zero in {text!r}") from None
+    except ArithmeticError as exc:
+        raise ExprSyntaxError(f"cannot evaluate {text!r}: {exc}") from None
 
 
 # -- formatting ---------------------------------------------------------------
@@ -370,8 +404,8 @@ def format_expr(e: Expr) -> str:
         return str(e.value)
     if isinstance(e, Const):
         return e.name
-    if isinstance(e, Basis):
-        return f"{e.kind}{e.index}"
+    if isinstance(e, Symbol):
+        return e.name
     if isinstance(e, Neg):
         # unary minus takes a factor: anything below Pow/Neg level needs parens
         return "-" + wrap(e.arg, 3)

@@ -14,7 +14,6 @@ have equal slots.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -340,100 +339,23 @@ def field_sqrt(x: FieldElem) -> Optional[FieldElem]:
 
 
 # -- parsing / formatting ---------------------------------------------
-#
-# Grammar (whitespace-insensitive):
-#   elem   := term (('+' | '-') term)*
-#   term   := ['-'] factor (('*' | '/') factor)*
-#   factor := rational | 'i' | 'sqrt2'
-#   rational := integer ['/' integer]
-# Division by i or sqrt2 is allowed and folded exactly.
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt2)|(i)|([+\-*/]))")
 
 
 class FieldSyntaxError(ValueError):
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (at position {pos})")
+    """Scalar or expression text that does not parse or evaluate; exprlang,
+    the one parser of such text, raises it as ``ExprSyntaxError``."""
+
+    def __init__(self, message, pos=None):
+        super().__init__(message if pos is None
+                         else f"{message} (at position {pos})")
         self.pos = pos
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise FieldSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}",
-                                   pos)
-        if m.group(1):
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("sqrt2", None, m.start(2)))
-        elif m.group(3):
-            tokens.append(("i", None, m.start(3)))
-        else:
-            tokens.append(("op", m.group(4), m.start(4)))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
 def parse_elem(text: str) -> FieldElem:
-    """Parse the canonical scalar notation, e.g. ``-1/2*i + 3/4*sqrt2``."""
-    tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def factor() -> FieldElem:
-        nonlocal idx
-        kind, val, pos = tokens[idx]
-        if kind == "num":
-            idx += 1
-            if tokens[idx][0] == "op" and tokens[idx][1] == "/" and \
-                    tokens[idx + 1][0] == "num":
-                den = tokens[idx + 1][1]
-                if den == 0:
-                    raise FieldSyntaxError("zero denominator", tokens[idx + 1][2])
-                idx += 2
-                return FieldElem(Fraction(val, den))
-            return FieldElem(val)
-        if kind == "i":
-            idx += 1
-            return I
-        if kind == "sqrt2":
-            idx += 1
-            return SQRT2
-        raise FieldSyntaxError("expected a number, 'i' or 'sqrt2'", pos)
-
-    def term() -> FieldElem:
-        nonlocal idx
-        sign = ONE
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if peek()[1] == "-":
-                sign = -sign
-            idx += 1
-        value = factor()
-        while peek()[0] == "op" and peek()[1] in "*/":
-            op = peek()[1]
-            idx += 1
-            rhs = factor()
-            value = value * rhs if op == "*" else value / rhs
-        return sign * value
-
-    result = term()
-    while peek()[0] == "op" and peek()[1] in "+-":
-        op = peek()[1]
-        idx += 1
-        rhs = term()
-        result = result + rhs if op == "+" else result - rhs
-    kind, _, pos = peek()
-    if kind != "end":
-        raise FieldSyntaxError("trailing input", pos)
-    return result
+    """Parse a constant of the field, e.g. ``-1/2*i + 3/4*sqrt2``; the
+    grammar is exprlang's (see `exprlang.constant`)."""
+    from .exprlang import constant
+    return constant(text)
 
 
 def _format_part(q: Fraction, symbol: str, first: bool) -> str:

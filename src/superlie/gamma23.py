@@ -253,16 +253,27 @@ def _common_kernel_dim(pair: SymPair) -> int:
 
 
 def _probe_members(pair: SymPair) -> List[Mat]:
+    """lam*G1 + G2 for lam in PROBES (lam = 0 gives G2), then G1."""
     g1, g2 = pair
     members = [_add(_scale(g1, _fe(lam)), g2) for lam in PROBES]
     members.append(g1)
     return members
 
 
-def _ranks_attained(pair: SymPair, sd: int) -> Tuple[int, int, bool]:
+def _member_ranks(pair: SymPair) -> List[int]:
+    """The ranks of `_probe_members`, [0] that of G2 and [-1] that of G1:
+    a member of nonzero det has full rank, and only the others are ranked."""
+    n = len(pair[0])
+    return [rank(mem) if det(mem).is_zero() else n
+            for mem in _probe_members(pair)]
+
+
+def _ranks_attained(pair: SymPair, sd: int,
+                    ranks: Optional[List[int]]) -> Tuple[int, int, bool]:
     """(generic rank, distinct projective zeros of det(x*G1 + y*G2) or -1
     when it vanishes identically, whether some nonzero member has rank 1)
-    of a pencil of span dimension sd."""
+    of a pencil of span dimension sd; `ranks` are its `_member_ranks`,
+    needed when sd == 2."""
     if sd == 0:
         return 0, -1, False
     entries = _pencil_entries(pair)
@@ -272,7 +283,7 @@ def _ranks_attained(pair: SymPair, sd: int) -> Tuple[int, int, bool]:
         g = pair[0] if any(not x.is_zero() for r in pair[0] for x in r) else pair[1]
         r = rank(g)
         return r, det_count, r == 1
-    generic = max(rank(mem) for mem in _probe_members(pair))
+    generic = max(ranks)
     rank1_roots = _common_root_count(_all_minors(entries, 2), 2)
     if det_roots is None and rank1_roots is None:
         # det and all 2x2 minors vanish identically: every member has rank 1
@@ -325,24 +336,23 @@ def _kernel_complement(pair: SymPair) -> Optional[Mat]:
     return [[ONE if r == c else ZERO for c in complement] for r in range(n)]
 
 
-def simdiag_test(pair: SymPair) -> bool:
-    """Is {G1, G2} simultaneously diagonalizable by a congruence?"""
+def simdiag_test(pair: SymPair, sd: Optional[int] = None,
+                 ranks: Optional[List[int]] = None) -> bool:
+    """Is {G1, G2} simultaneously diagonalizable by a congruence?  `sd` and
+    `ranks` are the pair's `_span_dim` and `_member_ranks` when the caller
+    has them."""
     g1, g2 = pair
-    if rank(g1) <= 1 and rank(g2) <= 1:
-        return True
-    if _span_dim(pair) <= 1:
+    if (_span_dim(pair) if sd is None else sd) <= 1:
         return True  # a single symmetric form is always congruent to a diagonal
-    invertible = None
-    other = None
-    for lam in PROBES:
-        member = _add(_scale(g1, _fe(lam)), g2)
-        if not det(member).is_zero():
-            invertible, other = member, g1
-            break
-    if invertible is None and not det(g1).is_zero():
-        invertible, other = g1, g2
-    if invertible is not None:
-        endo = mat_mul(mat_inv(invertible), other)
+    if ranks is None:
+        ranks = _member_ranks(pair)
+    if ranks[-1] <= 1 and ranks[0] <= 1:
+        return True
+    if len(g1) in ranks:
+        # the first invertible probe member, else G1 (then the other is G2)
+        k = ranks.index(len(g1))
+        invertible = _probe_members(pair)[k]
+        endo = mat_mul(mat_inv(invertible), g2 if k == len(PROBES) else g1)
         return _is_diagonalizable(endo)
     # no invertible member: the whole pencil is singular
     comp = _kernel_complement(pair)
@@ -376,14 +386,15 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
     if len(pair[0]) != 3 or not _is_symmetric(pair[0]) or not _is_symmetric(pair[1]):
         raise ValueError("expected a pair of symmetric 3x3 matrices")
     sd = _span_dim(pair)
-    generic, det_count, has_rank1 = _ranks_attained(pair, sd)
+    ranks = _member_ranks(pair) if sd == 2 else None
+    generic, det_count, has_rank1 = _ranks_attained(pair, sd, ranks)
     return PencilSignature(
         span_dim=sd,
         common_kernel_dim=_common_kernel_dim(pair),
         generic_rank=generic,
         det_root_count=det_count,
         has_rank1_member=has_rank1,
-        simdiag=simdiag_test(pair),
+        simdiag=simdiag_test(pair, sd, ranks),
     )
 
 

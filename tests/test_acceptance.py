@@ -21,7 +21,7 @@ from superlie.catalog import K2m, heisenberg_1n
 from superlie.field import FieldElem, format_elem, parse_elem
 from superlie.series import PuiseuxSeries
 
-from conftest import rand_elem
+from conftest import dense_views, rand_elem
 
 
 # -- criterion 1: catalog integrity -------------------------------------------------
@@ -191,8 +191,9 @@ def test_c7_gamma23_representatives_and_actions():
 def test_c7_representatives_match_catalog_fingerprints():
     for label in gamma23.REPRESENTATIVES:
         g = catalog.get(label).algebra.ab()
-        K = [[g.gamma[j][k][0] for k in range(3)] for j in range(3)]
-        L = [[g.gamma[j][k][1] for k in range(3)] for j in range(3)]
+        gamma = dense_views(g)[2]
+        K = [[gamma[j][k][0] for k in range(3)] for j in range(3)]
+        L = [[gamma[j][k][1] for k in range(3)] for j in range(3)]
         assert gamma23.classify_pair((K, L)) == label
 
 

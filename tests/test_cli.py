@@ -252,6 +252,29 @@ def test_gamma23_classify(capsys):
     assert code == 2
 
 
+def test_gamma23_matrix_scalars(capsys):
+    """Matrix entries are exprlang constants: a unary plus is fine, and a
+    division by zero is a one-line parse error, not a traceback."""
+    zero = ["0", "0", "0"]
+    g2 = json.dumps([zero, ["0", "1", "0"], zero])
+    g1 = json.dumps([["+1", "0", "0"], zero, zero])
+    code, out = run(capsys, "gamma23", "--g1", g1, "--g2", g2)
+    assert code == 0 and out.strip() == "(2|3)_4"
+    g1 = json.dumps([["i/0", "0", "0"], zero, zero])
+    _one_line_usage_error(capsys, ["gamma23", "--g1", g1, "--g2", g2],
+                          "parse error: division by zero")
+
+
+def test_check_file_division_by_zero(tmp_path, capsys):
+    from superlie import catalog
+    doc = json.loads(json.dumps(catalog.get("(2|2)_6").doc))
+    doc["brackets"][0]["value"][0]["coeff"] = "i/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    _one_line_usage_error(capsys, ["check", str(path)],
+                          "parse error: division by zero")
+
+
 def test_hasse_dot(tmp_path, capsys):
     path = tmp_path / "g.dot"
     code, out = run(capsys, "hasse", "1", "2", "--dot", str(path))

@@ -32,6 +32,43 @@ def test_cocycle_format_roundtrip():
         assert again.vec == phi.vec
 
 
+def test_cocycle_format_parse_roundtrip_random(rng):
+    """Every coefficient format_cocycle writes parses back: full Q(i, sqrt2)
+    scalars and the ones that need a sign or parentheses."""
+    special = [FieldElem(1, 1), I * SQRT2, -(I * SQRT2), FieldElem(1),
+               FieldElem(-1), FieldElem(0, -1), FieldElem(0, 0, 0, -3)]
+    for text in ("(1 + i)*e1*^e2*@e1", "i*sqrt2*e1*^e2*@e1",
+                 "-i*sqrt2*e1*^e2*@e1"):
+        phi = parse_cocycle(text, 2, 0)
+        assert format_cocycle(phi) == text
+    shapes = [(m, n) for m in range(6) for n in range(6 - m)
+              if cohomology.cochain_dim(m, n)]
+    for m, n in shapes:
+        size = cohomology.cochain_dim(m, n)
+        for _ in range(12):
+            vec = [rng.choice((rand_elem(rng), rng.choice(special)))
+                   if rng.random() < 0.4 else ZERO for _ in range(size)]
+            vec[rng.randrange(size)] = rng.choice(special)
+            phi = Cochain2Even(m, n, vec)
+            assert parse_cocycle(format_cocycle(phi), m, n).vec == phi.vec
+
+
+def test_parse_cocycle_constant_coefficients():
+    """A coefficient is any constant expression; a term may repeat."""
+    phi = parse_cocycle("(1/2 + i)*e1*^f1*@f2 - sqrt(2)/2*f1*^f1*@e1"
+                        " + 2*(e1*^f1*@f2 - i*e1*^f1*@f2)", 1, 2)
+    assert phi.value(0, 1) == ([ZERO], [ZERO, FieldElem(Fraction(5, 2), -1)])
+    assert phi.value(1, 1) == ([FieldElem(0, 0, Fraction(-1, 2))],
+                               [ZERO, ZERO])
+    for text, cause in [("t*e1*^e2*@e1", "not a constant"),
+                        ("i/0*e1*^e2*@e1", "division by zero"),
+                        ("2", "not a sum of symbols"),
+                        ("e1", "not a cochain term"),
+                        ("e1*^e2*@e1 e2*^e1*@e2", "trailing input")]:
+        with pytest.raises(ValueError, match=cause):
+            parse_cocycle(text, 2, 0)
+
+
 def test_parse_cocycle_reversed_pairs():
     """A term on a pair out of slot order takes the graded sign."""
     for text, same in [("e2*^e1*@e1", "-e1*^e2*@e1"),

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from superlie.exprlang import (Bin, Const, ExprSyntaxError, ExprTypeError,
-                               Neg, Pow, Rat, Sqrt, evaluate,
-                               evaluate_basis_vector, format_expr, parse)
-from superlie.field import FieldElem
+                               Neg, Pow, Rat, Sqrt, Symbol, evaluate,
+                               evaluate_basis_vector, evaluate_vector,
+                               format_expr, parse)
+from superlie.field import FieldElem, FieldSyntaxError
 from superlie.series import PuiseuxSeries
 
 ONE = FieldElem(1)
@@ -81,6 +82,30 @@ def test_basis_vector_type_errors():
         evaluate_basis_vector("2*t", 1, 1, PREC)  # scalar, not a vector
     with pytest.raises(ExprTypeError):
         evaluate_basis_vector("1/e1", 1, 1, PREC)  # divide by vector
+
+
+def test_unary_plus():
+    assert parse("+-+t") == Neg(Const("t"))
+    assert parse("1 - +2") == parse("1 - 2")
+
+
+def test_one_syntax_error_class():
+    assert ExprSyntaxError is FieldSyntaxError
+
+
+def test_vector_over_caller_named_symbols():
+    """A cochain term is one symbol; the caller maps each symbol to an
+    index and a sign."""
+    e = parse("2*e1 - (1 + i)*e1*^e2*@e1 + e1", symbols=True)
+    assert e.left.right.right == Symbol("e1*^e2*@e1")
+    kind, vec = evaluate_vector(e, {"e1": (0, 1), "e1*^e2*@e1": (3, -1)}.get)
+    assert kind == "vector" and sorted(vec) == [0, 3]
+    assert vec[0] == PuiseuxSeries.from_scalar(FieldElem(3))
+    assert vec[3] == PuiseuxSeries.from_scalar(FieldElem(1, 1))
+    with pytest.raises(ExprSyntaxError):
+        parse("e1*^e2*@e1")  # symbols are off in scalar contexts
+    with pytest.raises(ExprTypeError):
+        evaluate_basis_vector("e1*^e2*@e1", 2, 0, PREC)
 
 
 def test_property_format_parse_roundtrip(rng):

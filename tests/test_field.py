@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -320,3 +323,194 @@ def test_differential_against_fraction_slots():
             assert (s is None) == (rs is None)
             if s is not None:
                 check_same(s, rs)
+
+
+# -- differential test against the former parser -------------------------------
+#
+# parse_elem used to have a grammar of its own (below, as it was):
+#   elem   := term (('+' | '-') term)*
+#   term   := ('+' | '-')* factor (('*' | '/') factor)*
+#   factor := integer ['/' integer] | 'i' | 'sqrt2'
+# It is now exprlang's, which accepts all of it with the same values.
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt2)|(i)|([+\-*/]))")
+
+
+class RefSyntaxError(ValueError):
+    pass
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise RefSyntaxError(f"unexpected character at {pos}")
+        if m.group(1):
+            tokens.append(("num", int(m.group(1)), m.start(1)))
+        elif m.group(2):
+            tokens.append(("sqrt2", None, m.start(2)))
+        elif m.group(3):
+            tokens.append(("i", None, m.start(3)))
+        else:
+            tokens.append(("op", m.group(4), m.start(4)))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def ref_parse_elem(text):
+    """The former field.parse_elem."""
+    tokens = _ref_tokenize(text)
+    idx = 0
+
+    def peek():
+        return tokens[idx]
+
+    def factor():
+        nonlocal idx
+        kind, val, pos = tokens[idx]
+        if kind == "num":
+            idx += 1
+            if tokens[idx][0] == "op" and tokens[idx][1] == "/" and \
+                    tokens[idx + 1][0] == "num":
+                den = tokens[idx + 1][1]
+                if den == 0:
+                    raise RefSyntaxError("zero denominator")
+                idx += 2
+                return FieldElem(Fraction(val, den))
+            return FieldElem(val)
+        if kind == "i":
+            idx += 1
+            return FieldElem(0, 1)
+        if kind == "sqrt2":
+            idx += 1
+            return FieldElem(0, 0, 1)
+        raise RefSyntaxError("expected a number, 'i' or 'sqrt2'")
+
+    def term():
+        nonlocal idx
+        sign = FieldElem(1)
+        while peek()[0] == "op" and peek()[1] in "+-":
+            if peek()[1] == "-":
+                sign = -sign
+            idx += 1
+        value = factor()
+        while peek()[0] == "op" and peek()[1] in "*/":
+            op = peek()[1]
+            idx += 1
+            rhs = factor()
+            value = value * rhs if op == "*" else value / rhs
+        return sign * value
+
+    result = term()
+    while peek()[0] == "op" and peek()[1] in "+-":
+        op = peek()[1]
+        idx += 1
+        rhs = term()
+        result = result + rhs if op == "+" else result - rhs
+    if peek()[0] != "end":
+        raise RefSyntaxError("trailing input")
+    return result
+
+
+def assert_parsers_agree(text):
+    """Equal values, or both reject; the former parser let a division by
+    zero escape as ZeroDivisionError, which is now a syntax error (naming a
+    literal p/0 first when the text has one, as it is found while parsing)."""
+    try:
+        want = ref_parse_elem(text)
+    except ZeroDivisionError:
+        with pytest.raises(FieldSyntaxError,
+                           match="division by zero|zero denominator"):
+            parse_elem(text)
+        return
+    except RefSyntaxError:
+        with pytest.raises(FieldSyntaxError):
+            parse_elem(text)
+        return
+    assert parse_elem(text) == want, text
+
+
+def old_grammar_text(rng):
+    """A seeded string of the former grammar: runs of unary signs, p/q
+    literals, division by i and sqrt2 (and sometimes by 0), spaces."""
+    def factor():
+        r = rng.random()
+        if r < 0.45:
+            num = [str(rng.randint(0, 40))]
+            if rng.random() < 0.4:
+                num += ["/", str(rng.randint(0, 12))]
+            return num
+        return ["i"] if r < 0.75 else ["sqrt2"]
+
+    def term():
+        tokens = [rng.choice("+-") for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        tokens += factor()
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            tokens += [rng.choice("*//")] + factor()
+        return tokens
+
+    tokens = term()
+    for _ in range(rng.choice((0, 1, 2, 3))):
+        tokens += [rng.choice("+-")] + term()
+    return "".join(tok + rng.choice(("", "", " ", "  ")) for tok in tokens)
+
+
+def test_parse_elem_matches_former_parser_on_data():
+    texts = []
+
+    def walk(node, key=None):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+        elif key in ("coeff", "param"):
+            texts.append(node)
+
+    data = resources.files("superlie.data")
+    for name in ("catalog.json", "witnesses.json", "nondegen.json",
+                 "expected.json"):
+        walk(json.loads(data.joinpath(name).read_text()))
+    assert len(texts) > 170
+    for text in texts:
+        assert_parsers_agree(text)
+
+
+def test_parse_elem_matches_former_parser_on_seeded_strings():
+    rng = random.Random(SEED)
+    outcomes = {"value": 0, "rejected": 0}
+    for _ in range(12000):
+        text = old_grammar_text(rng)
+        assert_parsers_agree(text)
+        try:
+            ref_parse_elem(text)
+            outcomes["value"] += 1
+        except (RefSyntaxError, ZeroDivisionError):
+            outcomes["rejected"] += 1
+    # both outcomes are exercised
+    assert outcomes["value"] > 8000 and outcomes["rejected"] > 100
+    for text in ("", "1 +", "sqrt3", "i i", "1/*2", "i/0", "1/0", "1 2",
+                 "sqrt", "- -", "+"):
+        assert_parsers_agree(text)
+    # exprlang's grammar is wider: signs after '*' and '/', parentheses
+    assert parse_elem("2*-1") == parse_elem("(1 + 1)/-1") == -2
+
+
+def test_parse_elem_unary_plus_and_errors():
+    assert parse_elem("+1") == 1
+    assert parse_elem("1 - +2") == -1
+    assert parse_elem("+-+i") == -FieldElem(0, 1)
+    for text, cause in [("i/0", "division by zero"),
+                        ("1/(i - i)", "division by zero"),
+                        ("t", "not a constant"),
+                        ("1/(1 + t)", "not a constant"),
+                        ("sqrt(3)", "no square root"),
+                        ("e1", "not allowed")]:
+        with pytest.raises(FieldSyntaxError, match=re.escape(cause)):
+            parse_elem(text)

@@ -6,6 +6,8 @@ from superlie.field import FieldElem, format_elem
 from superlie.gamma23 import (REPRESENTATIVES, classify_pair, pair_act,
                               pencil_signature, random_gl, sym_normal_form)
 
+from conftest import dense_views
+
 
 def test_twelve_distinct_labels():
     assert len(REPRESENTATIVES) == 12
@@ -29,6 +31,56 @@ def test_seeded_group_actions_preserve_label():
             if classify_pair(pair_act(T, S, pair)) != label:
                 mismatches.append(label)
     assert mismatches == []
+
+
+def ref_simdiag(pair):
+    """simdiag_test as it was before it took the pencil's span dimension and
+    member ranks from pencil_signature: everything recomputed, invertible
+    members found by det."""
+    from superlie.linalg import det, inv, mat_mul, rank, transpose
+    g1, g2 = pair
+    if rank(g1) <= 1 and rank(g2) <= 1:
+        return True
+    if gamma23._span_dim(pair) <= 1:
+        return True
+    for member, other in [(gamma23._add(gamma23._scale(g1, FieldElem(lam)),
+                                        g2), g1)
+                          for lam in gamma23.PROBES] + [(g1, g2)]:
+        if not det(member).is_zero():
+            return gamma23._is_diagonalizable(mat_mul(inv(member), other))
+    comp = gamma23._kernel_complement(pair)
+    if comp is None:
+        return False
+    ct = transpose(comp)
+    return ref_simdiag((mat_mul(ct, mat_mul(g1, comp)),
+                        mat_mul(ct, mat_mul(g2, comp))))
+
+
+def test_simdiag_with_pencil_data_matches_reference():
+    """pencil_signature hands its span dimension and member ranks to
+    simdiag_test; the verdict is the one computed from scratch."""
+    rng = random.Random(20260823)
+
+    def rand_sym():
+        # a sum of 0-3 rank-one forms v v^t with small integer entries
+        mat = [[FieldElem(0)] * 3 for _ in range(3)]
+        for _ in range(rng.randint(0, 3)):
+            v = [FieldElem(rng.randint(-2, 2)) for _ in range(3)]
+            mat = [[mat[r][c] + v[r] * v[c] for c in range(3)]
+                   for r in range(3)]
+        return mat
+
+    pairs = list(REPRESENTATIVES.values())
+    pairs += [pair_act(random_gl(2, rng), random_gl(3, rng), p)
+              for p in REPRESENTATIVES.values() for _ in range(5)]
+    pairs += [(rand_sym(), rand_sym()) for _ in range(300)]
+    verdicts = set()
+    for pair in pairs:
+        want = ref_simdiag(pair)
+        assert pencil_signature(pair).simdiag == want
+        assert gamma23.simdiag_test(pair) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def pair_to_algebra(pair):
@@ -61,8 +113,9 @@ def test_representatives_match_catalog_fingerprints():
         assert invariants.derived(built) == invariants.derived(cat), label
         assert invariants.orbit_dim(built) == invariants.orbit_dim(cat), label
         # and the catalog gamma classifies back to the same label
-        K = [[cat.gamma[j][k][0] for k in range(3)] for j in range(3)]
-        L = [[cat.gamma[j][k][1] for k in range(3)] for j in range(3)]
+        gamma = dense_views(cat)[2]
+        K = [[gamma[j][k][0] for k in range(3)] for j in range(3)]
+        L = [[gamma[j][k][1] for k in range(3)] for j in range(3)]
         assert classify_pair((K, L)) == label
 
 

@@ -7,6 +7,8 @@ from superlie.gamma23 import random_gl
 from superlie.groebner import poly_add, poly_mul, poly_scale
 from superlie.linalg import identity, kernel, rank
 
+from conftest import dense_views
+
 
 def test_center_examples():
     (de, do), _ = invariants.center(catalog.get("(2|3)_4").algebra)
@@ -251,7 +253,7 @@ def _kernel_of_columns(cols, size):
 def dense_center(g):
     """The kernel of ad read from the c/rho/gamma tensors."""
     m, n = g.m, g.n
-    c, rho, gam = g.c, g.rho, g.gamma
+    c, rho, gam = dense_views(g)
     even_cols = [sum((list(c[v][j]) for j in range(m)), [])
                  + sum((list(rho[v][j]) for j in range(n)), [])
                  for v in range(m)]
@@ -265,7 +267,7 @@ def dense_center(g):
 
 def dense_derived(g):
     m, n = g.m, g.n
-    c, rho, gam = g.c, g.rho, g.gamma
+    c, rho, gam = dense_views(g)
     even_rows = [list(c[i][j]) for i in range(m) for j in range(i + 1, m)]
     even_rows += [list(gam[i][j]) for i in range(n) for j in range(i, n)]
     odd_rows = [list(rho[i][j]) for i in range(m) for j in range(n)]
@@ -277,7 +279,7 @@ def dense_bracket_polys(g, ecols, ocols, nvars):
     """The bracket of every pair of generators, coordinate by coordinate of
     the c/rho/gamma tensors."""
     m, n = g.m, g.n
-    c, rho, gam = g.c, g.rho, g.gamma
+    c, rho, gam = dense_views(g)
 
     def entry_poly(e):
         if isinstance(e, tuple):

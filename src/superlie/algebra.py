@@ -16,6 +16,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
+from .exprlang import ExprTypeError, basis_index
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
 from .linalg import rref, solve, series_solve, transpose
 from .series import PuiseuxSeries
@@ -37,6 +38,12 @@ def pairs(m: int, n: int) -> List[Tuple[int, int]]:
     return ([(a, b) for a in range(m) for b in range(a + 1, m)]
             + [(a, b) for a in range(m) for b in range(m, d)]
             + [(a, b) for a in range(m, d) for b in range(a, d)])
+
+
+def basis_names(m: int, n: int) -> List[str]:
+    """e1..em, then f1..fn: the names of the combined basis, as every
+    document and cochain writes them (`exprlang.basis_index` reads them)."""
+    return [f"e{i + 1}" for i in range(m)] + [f"f{j + 1}" for j in range(n)]
 
 
 def _mirror(m: int, a: int, b: int, terms):
@@ -88,7 +95,7 @@ class SuperAlgebra:
         if unknown:
             raise AlgebraError(f"pair {min(unknown)} is not a stored pair "
                                f"of a ({m}|{n}) algebra")
-        names = self.basis_names()
+        names = basis_names(m, n)
         self.consts = {}
         for a, b in order:
             terms = tuple(sorted(((k, x) for k, x in consts.get((a, b), ())
@@ -105,10 +112,6 @@ class SuperAlgebra:
     @property
     def dim(self) -> int:
         return self.m + self.n
-
-    def basis_names(self) -> List[str]:
-        return [f"e{i + 1}" for i in range(self.m)] + \
-               [f"f{j + 1}" for j in range(self.n)]
 
     # -- the bracket -------------------------------------------------------
 
@@ -219,14 +222,16 @@ class SuperAlgebra:
             odd_basis = rows[:len(pivots)]
         return even_basis, odd_basis
 
-    def lower_central_series(self, max_steps: int = 32):
-        """Graded dimensions of g = g^1 >= g^2 >= ... until stabilization."""
+    def lower_central_series(self):
+        """Graded dimensions of g = g^1 >= g^2 >= ... until stabilization,
+        which comes within dim + 1 steps: each step before it lowers the
+        total dimension."""
         m, n = self.m, self.n
         vecs = [self.basis_vector(k) for k in range(m + n)]
         current = ([[ONE if i == k else ZERO for k in range(m)] for i in range(m)],
                    [[ONE if j == l else ZERO for l in range(n)] for j in range(n)])
         dims = [(m, n)]
-        for _ in range(max_steps):
+        for _ in range(self.dim + 1):
             gens = []
             span_vecs = [ (ev, [ZERO] * n) for ev in current[0] ] + \
                         [ ([ZERO] * m, od) for od in current[1] ]
@@ -335,11 +340,10 @@ class SuperAlgebra:
         seen = set()
 
         def slot(sym: str) -> int:
-            kind, num = sym[0], int(sym[1:])
-            if kind not in "ef" or num < 1 or \
-                    num > (m if kind == "e" else n):
-                raise AlgebraError(f"unknown basis symbol {sym!r}")
-            return num - 1 if kind == "e" else m + num - 1
+            try:
+                return basis_index(sym, m, n)
+            except (ExprTypeError, TypeError):      # TypeError: not a string
+                raise AlgebraError(f"unknown basis symbol {sym!r}") from None
 
         for entry in doc.get("brackets", []):
             a, b = slot(entry["lhs"]), slot(entry["rhs"])
@@ -366,7 +370,7 @@ class SuperAlgebra:
                             name=doc.get("name", ""))
 
     def to_doc(self) -> Dict:
-        names = self.basis_names()
+        names = basis_names(self.m, self.n)
         brackets = [{"lhs": names[a], "rhs": names[b],
                      "value": [{"coeff": format_elem(x), "basis": names[k]}
                                for k, x in terms]}

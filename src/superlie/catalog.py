@@ -14,7 +14,7 @@ superalgebras with even center and the K^{2,m} family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -36,7 +36,6 @@ Dim = Union[str, Tuple[int, int], int]
 class CatalogEntry:
     label: str
     doc: Dict
-    expected: Dict = field(default_factory=dict)
     _algebra: Optional[SuperAlgebra] = None
 
     @property
@@ -66,17 +65,8 @@ def _resource(name: str):
 
 def _entries() -> Dict[str, CatalogEntry]:
     if "entries" not in _CACHE:
-        exp = expected()
-        table = {}
-        for doc in _resource("catalog.json")["algebras"]:
-            label = doc["label"]
-            entry_exp = {}
-            if label in exp.get("orbit_dims", {}):
-                entry_exp["orbit_dim"] = exp["orbit_dims"][label]
-            if label in exp.get("h2_dims", {}):
-                entry_exp["h2_dim"] = exp["h2_dims"][label]
-            table[label] = CatalogEntry(label, doc, entry_exp)
-        _CACHE["entries"] = table
+        _CACHE["entries"] = {doc["label"]: CatalogEntry(doc["label"], doc)
+                             for doc in _resource("catalog.json")["algebras"]}
     return _CACHE["entries"]
 
 
@@ -114,14 +104,6 @@ def list_entries(dim: Optional[Dim] = None) -> List[CatalogEntry]:
         return [e for e in entries if e.m + e.n == dim]
     m, n = normalize_dim(dim)
     return [e for e in entries if (e.m, e.n) == (m, n)]
-
-
-def families() -> List[Tuple[int, int]]:
-    seen = []
-    for e in _entries().values():
-        if (e.m, e.n) not in seen:
-            seen.append((e.m, e.n))
-    return seen
 
 
 def _dim_filter(rows: List[Dict], dim: Optional[Dim]) -> List[Dict]:

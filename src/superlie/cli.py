@@ -332,11 +332,12 @@ def cmd_selftest(args) -> int:
         vec = [rand_elem() if rng.random() < 0.3 else ZERO
                for _ in range(cohomology.cochain_dim(m, n))]
         vec[rng.randrange(len(vec))] = rand_elem() or ONE
-        phi = cohomology.Cochain2Even(m, n, vec)
-        text = format_cocycle(phi)
-        if cohomology.parse_cocycle(text, m, n).vec != phi.vec:
-            print(f"FAIL: cocycle round-trip {text}")
-            return EXIT_FAIL
+        for phi in (cohomology.Cochain2Even(m, n, vec),
+                    cohomology.Cochain2Even(m, n, [ZERO] * len(vec))):
+            text = format_cocycle(phi)
+            if cohomology.parse_cocycle(text, m, n).vec != phi.vec:
+                print(f"FAIL: cocycle round-trip {text}")
+                return EXIT_FAIL
     print(f"cocycle round-trips: {cases // 20} cases OK")
 
     for _ in range(cases // 4):

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _is_zero, _sparse, pairs
+from .algebra import SuperAlgebra, _is_zero, _sparse, basis_names, pairs
 from .exprlang import basis_index, constant, evaluate, parse
-from .field import FieldElem, ONE, ZERO, format_elem
+from .field import FieldElem, ONE, ZERO, format_elem, format_sum
 from .linalg import kernel, rank
 
 
@@ -277,7 +277,8 @@ def independent_mod_coboundaries(g: SuperAlgebra,
 
 
 def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
-    """Parse e.g. "-2*e1*^e2*@e1 + e2*^f1*@f1" into a cochain."""
+    """Parse e.g. "-2*e1*^e2*@e1 + e2*^f1*@f1" into a cochain; "0" is the
+    zero cochain."""
     def slot(term: str) -> Tuple[int, int]:
         # the slot of a term x_a*^x_b*@x_c, and the graded sign that takes
         # phi(x_a, x_b) to the stored pair
@@ -301,28 +302,11 @@ def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
 
 
 def format_cocycle(phi: Cochain2Even) -> str:
-    parts = []
-    names = [f"e{i + 1}" for i in range(phi.m)] + \
-            [f"f{j + 1}" for j in range(phi.n)]
-    for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n), phi.vec):
-        if _is_zero(x):
-            continue
-        term = f"{names[a]}*^{names[b]}*@{names[k]}"
-        txt = format_elem(x)
-        if txt == "1":
-            parts.append(term)
-        elif txt == "-1":
-            parts.append(f"-{term}")
-        else:
-            if "+" in txt.strip("+-") or " - " in txt:
-                txt = f"({txt})"
-            parts.append(f"{txt}*{term}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    """The text `parse_cocycle` reads back; the zero cochain is "0"."""
+    names = basis_names(phi.m, phi.n)
+    return format_sum((x, f"{names[a]}*^{names[b]}*@{names[k]}")
+                      for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n),
+                                              phi.vec))
 
 
 # -- deformation probes --------------------------------------------------------------
@@ -330,10 +314,11 @@ def format_cocycle(phi: Cochain2Even) -> str:
 
 def deformation_nilpotency_probe(base_doc: Dict, extra_brackets: List[Dict],
                                  param_value: str) -> Dict:
-    """Replay a deformation: base algebra plus explicit deformed brackets with
-    the parameter substituted, then test nilpotency (Jacobi checked first)."""
-    doc = dict(base_doc)
-    brackets = [dict(b) for b in doc.get("brackets", [])]
+    """Replay a deformation: the base algebra's structure constants plus
+    those of the deformed brackets with the parameter substituted, added
+    pair by pair; then test nilpotency (Jacobi checked first)."""
+    base = SuperAlgebra.from_doc(base_doc)
+    brackets = []
     tval = constant(param_value)
     for extra in extra_brackets:
         value = []
@@ -348,31 +333,18 @@ def deformation_nilpotency_probe(base_doc: Dict, extra_brackets: List[Dict],
             value.append({"coeff": format_elem(subbed), "basis": v["basis"]})
         brackets.append({"lhs": extra["lhs"], "rhs": extra["rhs"],
                          "value": value})
-    doc["brackets"] = _merge_brackets(brackets)
-    g = SuperAlgebra.from_doc(doc)
+    delta = SuperAlgebra.from_doc({"m": base.m, "n": base.n,
+                                   "brackets": brackets})
+    consts = {p: dict(terms) for p, terms in base.consts.items()}
+    for p, terms in delta.consts.items():
+        acc = consts.setdefault(p, {})
+        for k, x in terms:
+            acc[k] = acc[k] + x if k in acc else x
+    g = SuperAlgebra(base.m, base.n, {p: v.items() for p, v in consts.items()},
+                     name=base.name)
     violations = g.check_jacobi()
     if violations:
         raise ValueError(f"deformed product violates Jacobi at {violations[:3]}")
     series = g.lower_central_series()
     return {"nilpotent": series[-1] == (0, 0), "series": series}
 
-
-def _merge_brackets(brackets: List[Dict]) -> List[Dict]:
-    merged: Dict[Tuple[str, str], Dict[str, FieldElem]] = {}
-    order = []
-    for b in brackets:
-        key = (b["lhs"], b["rhs"])
-        if key not in merged:
-            merged[key] = {}
-            order.append(key)
-        for v in b["value"]:
-            basis = v["basis"]
-            merged[key][basis] = merged[key].get(basis, ZERO) + \
-                constant(v["coeff"])
-    out = []
-    for key in order:
-        value = [{"coeff": format_elem(x), "basis": basis}
-                 for basis, x in merged[key].items() if not x.is_zero()]
-        if value:
-            out.append({"lhs": key[0], "rhs": key[1], "value": value})
-    return out

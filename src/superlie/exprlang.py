@@ -14,11 +14,13 @@ Grammar (whitespace-insensitive)::
     symbol   := basis | basis '*^' basis '*@' basis   (vector contexts only)
     basis    := ('e' | 'f') digits
 
-``evaluate`` maps an expression to a PuiseuxSeries.  ``evaluate_vector``
-evaluates a linear combination of symbols, each of which its caller maps to
-a coordinate: a witness's basis vector (``evaluate_basis_vector``) over the
-basis symbols, a cochain over the terms ``e1*^e2*@e1`` (``cohomology``).
-``constant`` reads text whose value must be an exact constant of the field.
+``evaluate`` is the one walk of a tree: it maps a scalar expression to a
+PuiseuxSeries, and a linear combination of symbols, each of which its caller
+maps to a coordinate, to its coefficients: a witness's basis vector
+(``evaluate_basis_vector``) over the basis symbols, a cochain over the terms
+``e1*^e2*@e1`` (``cohomology``).  ``basis_index`` is the one reader of basis
+names.  ``constant`` reads text whose value must be an exact constant of the
+field.
 """
 
 from __future__ import annotations
@@ -236,10 +238,19 @@ def parse(text: str, symbols: bool = False) -> Expr:
     return _Parser(text, symbols).parse()
 
 
-# -- scalar evaluation -----------------------------------------------------
+# -- evaluation ----------------------------------------------------------------
 
 
-def evaluate(e: Expr, precision: Optional[Fraction] = None) -> PuiseuxSeries:
+def evaluate(e: Expr, precision: Optional[Fraction] = None,
+             symbol: Optional[Callable[[str], Tuple[int, int]]] = None):
+    """The value of `e`: a PuiseuxSeries when it is a scalar.
+
+    With `symbol` it may be a linear combination of symbols: ``symbol(name)``
+    gives (index, sign), the symbol standing for sign times the index-th unit
+    vector, and the value is {index: coefficient} over the indices some
+    symbol reached; every other coordinate is exactly zero.  Without it a
+    symbol raises ExprTypeError, as does a non-linear use of one.
+    """
     if isinstance(e, Rat):
         return PuiseuxSeries.from_scalar(FieldElem(e.value))
     if isinstance(e, Const):
@@ -249,19 +260,44 @@ def evaluate(e: Expr, precision: Optional[Fraction] = None) -> PuiseuxSeries:
             return PuiseuxSeries.from_scalar(SQRT2)
         return PuiseuxSeries.t_power(1)
     if isinstance(e, Symbol):
-        raise ExprTypeError(f"symbol {e.name} in scalar context")
+        if symbol is None:
+            raise ExprTypeError(f"symbol {e.name} in scalar context")
+        index, sign = symbol(e.name)
+        return {index: PuiseuxSeries.from_scalar(FieldElem(sign))}
     if isinstance(e, Neg):
-        return -evaluate(e.arg, precision)
+        v = evaluate(e.arg, precision, symbol)
+        return {k: -x for k, x in v.items()} if isinstance(v, dict) else -v
     if isinstance(e, Bin):
-        lhs = evaluate(e.left, precision)
-        rhs = evaluate(e.right, precision)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
+        lhs = evaluate(e.left, precision, symbol)
+        rhs = evaluate(e.right, precision, symbol)
+        lvec, rvec = isinstance(lhs, dict), isinstance(rhs, dict)
+        if e.op in "+-":
+            if lvec != rvec:
+                raise ExprTypeError("cannot add a scalar and a vector")
+            if not lvec:
+                return lhs + rhs if e.op == "+" else lhs - rhs
+            out = dict(lhs)
+            for k, x in rhs.items():
+                if e.op == "-":
+                    x = -x
+                out[k] = out[k] + x if k in out else x
+            return out
         if e.op == "*":
+            if lvec and rvec:
+                raise ExprTypeError("cannot multiply two vectors")
+            if rvec:
+                return {k: lhs * x for k, x in rhs.items()}
+            if lvec:
+                return {k: rhs * x for k, x in lhs.items()}
             return lhs * rhs
-        return lhs * rhs.inv(precision)
+        # division
+        if rvec:
+            raise ExprTypeError("cannot divide by a vector")
+        inv = rhs.inv(precision)
+        if lvec:
+            return {k: inv * x for k, x in lhs.items()}
+        return lhs * inv
+    # powers and roots take scalars only
     if isinstance(e, Pow):
         return evaluate(e.base, precision).pow(e.exponent, precision)
     if isinstance(e, Sqrt):
@@ -269,80 +305,27 @@ def evaluate(e: Expr, precision: Optional[Fraction] = None) -> PuiseuxSeries:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# -- vector evaluation -------------------------------------------------------
-
-_ZERO = PuiseuxSeries({})
-
-
-def evaluate_vector(e: Expr, symbol: Callable[[str], Tuple[int, int]],
-                    precision: Optional[Fraction] = None):
-    """Evaluate a linear combination of symbols.
-
-    ``symbol(name)`` gives (index, sign): the symbol stands for sign times
-    the index-th unit vector.  Returns ('scalar', PuiseuxSeries) or
-    ('vector', {index: coefficient}) over the indices some symbol reached;
-    every other coordinate is exactly zero.
-    """
-    if isinstance(e, Symbol):
-        index, sign = symbol(e.name)
-        return ("vector", {index: PuiseuxSeries.from_scalar(FieldElem(sign))})
-    if isinstance(e, Neg):
-        kind, v = evaluate_vector(e.arg, symbol, precision)
-        if kind == "scalar":
-            return (kind, -v)
-        return (kind, {k: -x for k, x in v.items()})
-    if isinstance(e, Bin):
-        lk, lv = evaluate_vector(e.left, symbol, precision)
-        rk, rv = evaluate_vector(e.right, symbol, precision)
-        if e.op in "+-":
-            if lk != rk:
-                raise ExprTypeError("cannot add a scalar and a vector")
-            if lk == "scalar":
-                return ("scalar", lv + rv if e.op == "+" else lv - rv)
-            out = dict(lv)
-            for k, x in rv.items():
-                if e.op == "-":
-                    x = -x
-                out[k] = out[k] + x if k in out else x
-            return ("vector", out)
-        if e.op == "*":
-            if lk == "scalar" and rk == "scalar":
-                return ("scalar", lv * rv)
-            if lk == "scalar":
-                return ("vector", {k: lv * x for k, x in rv.items()})
-            if rk == "scalar":
-                return ("vector", {k: rv * x for k, x in lv.items()})
-            raise ExprTypeError("cannot multiply two vectors")
-        # division
-        if rk != "scalar":
-            raise ExprTypeError("cannot divide by a vector")
-        inv = rv.inv(precision)
-        if lk == "scalar":
-            return ("scalar", lv * inv)
-        return ("vector", {k: inv * x for k, x in lv.items()})
-    if isinstance(e, (Pow, Sqrt, Rat, Const)):
-        return ("scalar", evaluate(e, precision))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def basis_index(name: str, m: int, n: int) -> int:
     """The combined index (odd indices offset by m) of the basis symbol
-    e1..em, f1..fn called `name`."""
-    kind, num = name[0], name[1:]
-    if kind not in "ef" or not num.isdigit() or \
+    e1..em, f1..fn called `name`; the one reader of basis names.  Any other
+    name, the empty one included, raises ExprTypeError."""
+    kind, num = name[:1], name[1:]
+    if kind not in ("e", "f") or not (num.isascii() and num.isdigit()) or \
             not 1 <= int(num) <= (m if kind == "e" else n):
         raise ExprTypeError(f"unknown basis symbol {name}")
     return int(num) - 1 if kind == "e" else m + int(num) - 1
+
+
+_ZERO = PuiseuxSeries({})
 
 
 def evaluate_basis_vector(text: str, m: int, n: int,
                           precision: Optional[Fraction] = None):
     """A witness's basis vector over e1..em, f1..fn, as (even, odd)
     coefficient lists."""
-    kind, value = evaluate_vector(parse(text, symbols=True),
-                                  lambda name: (basis_index(name, m, n), 1),
-                                  precision)
-    if kind != "vector":
+    value = evaluate(parse(text, symbols=True), precision,
+                     lambda name: (basis_index(name, m, n), 1))
+    if not isinstance(value, dict):
         raise ExprTypeError(f"{text!r} is a scalar, not a basis vector")
     coords = [value.get(k, _ZERO) for k in range(m + n)]
     return coords[:m], coords[m:]
@@ -363,18 +346,22 @@ def constant(text: str,
 
     Without `symbol` the text is a scalar and the result a FieldElem.  With
     it the text is a linear combination of symbols with constant
-    coefficients, evaluated by `evaluate_vector`, and the result maps each
-    index a symbol reached to its FieldElem coefficient.  Text that does
-    not parse, whose value is not an exact constant (a `t` term, a
-    truncated series), or whose evaluation fails (division by zero, a
-    square root outside the field) raises ExprSyntaxError naming the cause.
+    coefficients, evaluated by `evaluate`, and the result maps each index a
+    symbol reached to its FieldElem coefficient; a scalar that is exactly
+    zero is the empty combination.  Text that does not parse, whose value is
+    not an exact constant (a `t` term, a truncated series), or whose
+    evaluation fails (division by zero, a square root outside the field)
+    raises ExprSyntaxError naming the cause.
     """
     try:
         if symbol is None:
             return _exact(evaluate(parse(text)), text)
-        kind, value = evaluate_vector(parse(text, symbols=True), symbol)
-        if kind != "vector":
-            raise ExprTypeError(f"{text!r} is a scalar, not a sum of symbols")
+        value = evaluate(parse(text, symbols=True), None, symbol)
+        if not isinstance(value, dict):
+            if not value.is_zero():
+                raise ExprTypeError(
+                    f"{text!r} is a scalar, not a sum of symbols")
+            value = {}
         return {k: _exact(x, text) for k, x in value.items()}
     except NotInvertible:
         raise ExprSyntaxError(f"division by zero in {text!r}") from None

@@ -379,3 +379,27 @@ def format_elem(x: FieldElem) -> str:
     if not parts:
         return "0"
     return "".join(parts)
+
+
+def format_sum(terms) -> str:
+    """The text of a sum of (coefficient, monomial) terms, the body of a
+    series or a cochain.  Zero terms are left out and the empty sum is "0".
+    An empty monomial writes the coefficient alone; otherwise a coefficient
+    1 or -1 writes only the monomial or its negation, and a coefficient with
+    more than one part is put in parentheses."""
+    parts = []
+    for x, mono in terms:
+        if x.is_zero():
+            continue
+        txt = format_elem(x)
+        if mono:
+            if txt == "1":
+                txt = mono
+            elif txt == "-1":
+                txt = f"-{mono}"
+            elif "+" in txt.strip("+-") or " - " in txt:
+                txt = f"({txt})*{mono}"
+            else:
+                txt = f"{txt}*{mono}"
+        parts.append(txt)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

@@ -93,9 +93,9 @@ def normal_form(p: Poly, basis: List[Poly]) -> Poly:
     return rem
 
 
-def groebner_basis(gens: List[Poly], max_basis: int = MAX_BASIS,
-                   max_degree: int = MAX_DEGREE) -> Optional[List[Poly]]:
-    """Buchberger's algorithm under caps; None when a cap is exceeded."""
+def groebner_basis(gens: List[Poly]) -> Optional[List[Poly]]:
+    """Buchberger's algorithm under the caps MAX_BASIS and MAX_DEGREE; None
+    when a cap is exceeded."""
     basis = [dict(g) for g in gens if g]
     if not basis:
         return []
@@ -118,26 +118,25 @@ def groebner_basis(gens: List[Poly], max_basis: int = MAX_BASIS,
         if not rem:
             continue
         mono, coeff = leading_term(rem)
-        if sum(mono) > max_degree:
+        if sum(mono) > MAX_DEGREE:
             return None
         rem = poly_scale(rem, coeff.inv())
         basis.append(rem)
-        if len(basis) > max_basis:
+        if len(basis) > MAX_BASIS:
             return None
         k = len(basis) - 1
         pairs.extend((i2, k) for i2 in range(k))
     return basis
 
 
-def system_verdict(gens: List[Poly], max_basis: int = MAX_BASIS,
-                   max_degree: int = MAX_DEGREE) -> str:
+def system_verdict(gens: List[Poly]) -> str:
     """'empty', 'nonempty' or 'unknown' for the complex solution set."""
     nonzero = [g for g in gens if g]
     if any(set(g) == {tuple([0] * len(next(iter(g))))} for g in nonzero):
         return "empty"  # a nonzero constant equation
     if not nonzero:
         return "nonempty"
-    basis = groebner_basis(nonzero, max_basis, max_degree)
+    basis = groebner_basis(nonzero)
     if basis is None:
         return "unknown"
     for g in basis:

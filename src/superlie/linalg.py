@@ -23,10 +23,6 @@ class SingularMatrix(ArithmeticError):
     pass
 
 
-class InconsistentSystem(ArithmeticError):
-    pass
-
-
 # -- construction helpers ------------------------------------------------
 
 

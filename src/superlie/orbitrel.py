@@ -93,20 +93,16 @@ def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
     return T, S
 
 
-def verify_degeneration(w: Union[DegenerationWitness, Dict],
-                        precision=None,
-                        g: Optional[SuperAlgebra] = None,
-                        h: Optional[SuperAlgebra] = None):
-    """Symbolically verify g --w--> h; returns Verified or Failed.
+def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
+    """Symbolically verify g --w--> h between the catalog algebras w names;
+    returns Verified or Failed.
 
     Raises InsufficientPrecision when the series precision cannot decide.
     """
     if isinstance(w, dict):
         w = DegenerationWitness.from_doc(w)
-    if g is None:
-        g = catalog.get(w.from_name).algebra
-    if h is None:
-        h = catalog.get(w.to_name).algebra
+    g = catalog.get(w.from_name).algebra
+    h = catalog.get(w.to_name).algebra
     _same_shape(g, h)
 
     def attempt(basis) -> Union[Verified, Failed]:
@@ -264,16 +260,14 @@ def _pair_certs(g, h, depth, proper=True,
     return certs
 
 
-def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra],
-                  depth: int = 2, with_trivial: bool = True):
+def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra]):
     """All certificates that g does not degenerate to h, or Inconclusive."""
     galg, glabel = _label_of(g)
     halg, hlabel = _label_of(h)
     _same_shape(galg, halg)
     if glabel is not None and glabel == hlabel:
         return Inconclusive(glabel, hlabel)   # reflexive: g -> g always
-    certs = _pair_certs(galg, halg, depth, proper=True,
-                        with_trivial=with_trivial)
+    certs = _pair_certs(galg, halg, 2)
     return certs or Inconclusive(galg.name, halg.name)
 
 
@@ -300,7 +294,10 @@ def verify_builtin_witnesses(dim=None, precision=None) -> List:
             for doc in catalog.witnesses(dim)]
 
 
-def build_hasse(dim, precision=None, check: bool = True) -> HasseDiagram:
+def build_hasse(dim, precision=None) -> HasseDiagram:
+    """The diagram of verified builtin witnesses on one shape.  Raises
+    ConsistencyViolation when an edge does not lower the orbit dimension or
+    a certificate contradicts a verified path."""
     m, n = catalog.normalize_dim(dim)
     entries = catalog.list_entries((m, n))
     nodes = [e.label for e in entries]
@@ -324,23 +321,21 @@ def build_hasse(dim, precision=None, check: bool = True) -> HasseDiagram:
                     seen.add(nxt)
                     stack.append(nxt)
         closure[lab] = seen
-    diagram = HasseDiagram((m, n), nodes, dims, edges, closure, failed)
-    if check:
-        for a, b in edges:
-            if dims[a] <= dims[b]:
+    for a, b in edges:
+        if dims[a] <= dims[b]:
+            raise ConsistencyViolation(
+                f"edge {a} -> {b} does not decrease orbit dimension "
+                f"({dims[a]} <= {dims[b]})")
+    for u in nodes:
+        for v in closure[u]:
+            if u == v:
+                continue
+            certs = auto_nondegen(u, v)
+            if isinstance(certs, list) and certs:
                 raise ConsistencyViolation(
-                    f"edge {a} -> {b} does not decrease orbit dimension "
-                    f"({dims[a]} <= {dims[b]})")
-        for u in nodes:
-            for v in closure[u]:
-                if u == v:
-                    continue
-                certs = auto_nondegen(u, v)
-                if isinstance(certs, list) and certs:
-                    raise ConsistencyViolation(
-                        f"verified path {u} -> {v} contradicts certificate "
-                        f"{certs[0].describe()}")
-    return diagram
+                    f"verified path {u} -> {v} contradicts certificate "
+                    f"{certs[0].describe()}")
+    return HasseDiagram((m, n), nodes, dims, edges, closure, failed)
 
 
 def to_dot(diagram: HasseDiagram) -> str:

@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
-from .field import FieldElem, ONE, ZERO, field_sqrt
+from .field import FieldElem, ONE, ZERO, field_sqrt, format_sum
 
 DEFAULT_PRECISION = Fraction(8)
 
@@ -323,24 +323,8 @@ T = PuiseuxSeries.t_power(1)
 
 
 def format_series(s: PuiseuxSeries) -> str:
-    from .field import format_elem
-    parts = []
-    for e in sorted(s.terms):
-        c = s.terms[e]
-        txt = format_elem(c)
-        if e != 0:
-            mono = "t" if e == 1 else f"t^({e})"
-            if txt == "1":
-                txt = mono
-            elif txt == "-1":
-                txt = f"-{mono}"
-            else:
-                if "+" in txt.strip("+-") or " - " in txt:
-                    txt = f"({txt})*{mono}"
-                else:
-                    txt = f"{txt}*{mono}"
-        parts.append(txt)
-    body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    body = format_sum((s.terms[e], "" if e == 0 else "t" if e == 1
+                       else f"t^({e})") for e in sorted(s.terms))
     if s.precision is not None:
         body += f" + O(t^({s.precision}))"
     return body

@@ -328,3 +328,20 @@ def test_from_doc_messages(brackets, message):
     with pytest.raises(AlgebraError) as info:
         SuperAlgebra.from_doc(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lhs, rhs, basis", [
+    slots for name in ("", "e+1", "e1_0")
+    for slots in ((name, "e2", "e3"), ("e2", name, "e3"), ("e2", "e3", name))
+] + [("f 1", "f1", "e1"), ("f1", "f 1", "e1"), ("e1", "f1", "f 1")])
+def test_from_doc_refuses_malformed_basis_names(lhs, rhs, basis):
+    """Only e1..em, f1..fn name a basis vector.  Names that int() reads,
+    "e+1" as e1, "f 1" as f1 and "e1_0" as e10, are refused like "", in
+    each place a document names one; the (10|1) shape has an e10."""
+    doc = {"m": 10, "n": 1, "brackets": [
+        {"lhs": lhs, "rhs": rhs, "value": [{"coeff": "1", "basis": basis}]}]}
+    bad = next(name for name in (lhs, rhs, basis)
+               if name not in ("e1", "e2", "e3", "f1"))
+    with pytest.raises(AlgebraError) as info:
+        SuperAlgebra.from_doc(doc)
+    assert str(info.value) == f"unknown basis symbol {bad!r}"

@@ -93,7 +93,12 @@ def test_check_tampered_file(tmp_path, capsys):
     '{"m": 1, "brackets": []}',
     '[]',
     '{"m": 1, "n": 0, "brackets": [{"lhs": "e1", "rhs": "x9", "value": []}]}',
-], ids=["truncated", "missing-n", "not-an-object", "unknown-basis"])
+    '{"m": 1, "n": 0, "brackets": [{"lhs": "", "rhs": "e1", "value": []}]}',
+    '{"m": 2, "n": 0, "brackets": [{"lhs": "e+1", "rhs": "e2", "value": []}]}',
+    '{"m": 2, "n": 0, "brackets": [{"lhs": "e1", "rhs": "e1_0", "value": []}]}',
+    '{"m": 2, "n": 0, "brackets": [{"lhs": 1, "rhs": "e2", "value": []}]}',
+], ids=["truncated", "missing-n", "not-an-object", "unknown-basis",
+        "empty-basis", "signed-basis", "underscored-basis", "numeric-basis"])
 def test_malformed_file_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

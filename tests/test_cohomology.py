@@ -4,9 +4,10 @@ import pytest
 
 from superlie import catalog, cohomology, gamma23
 from superlie.catalog import heisenberg_1n
-from superlie.cohomology import (Cochain2Even, d1, d2, format_cocycle,
-                                 h2_even, is_cocycle, parse_cocycle)
-from superlie.field import I, SQRT2, ZERO, FieldElem
+from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
+                                 format_cocycle, h2_even, is_cocycle,
+                                 parse_cocycle)
+from superlie.field import I, SQRT2, ZERO, FieldElem, format_elem
 
 from conftest import rand_elem
 
@@ -45,12 +46,57 @@ def test_cocycle_format_parse_roundtrip_random(rng):
               if cohomology.cochain_dim(m, n)]
     for m, n in shapes:
         size = cohomology.cochain_dim(m, n)
+        zero = Cochain2Even(m, n, [ZERO] * size)
+        assert parse_cocycle(format_cocycle(zero), m, n).vec == zero.vec
         for _ in range(12):
             vec = [rng.choice((rand_elem(rng), rng.choice(special)))
                    if rng.random() < 0.4 else ZERO for _ in range(size)]
             vec[rng.randrange(size)] = rng.choice(special)
             phi = Cochain2Even(m, n, vec)
             assert parse_cocycle(format_cocycle(phi), m, n).vec == phi.vec
+
+
+def _format_cocycle_before(phi):
+    """format_cocycle as it was before it wrote through `field.format_sum`,
+    kept as the oracle of the new writer."""
+    parts = []
+    names = [f"e{i + 1}" for i in range(phi.m)] + \
+            [f"f{j + 1}" for j in range(phi.n)]
+    for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n), phi.vec):
+        if x.is_zero():
+            continue
+        term = f"{names[a]}*^{names[b]}*@{names[k]}"
+        txt = format_elem(x)
+        if txt == "1":
+            parts.append(term)
+        elif txt == "-1":
+            parts.append(f"-{term}")
+        else:
+            if "+" in txt.strip("+-") or " - " in txt:
+                txt = f"({txt})"
+            parts.append(f"{txt}*{term}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def test_format_cocycle_matches_former_writer(rng):
+    """Seeded cochains of every shape, zero and full Q(i, sqrt2)
+    coefficients among them, print as they did before format_sum."""
+    special = [FieldElem(1), FieldElem(-1), I, -I, FieldElem(1, 1),
+               FieldElem(-1, -1), SQRT2, -(I * SQRT2), FieldElem(0, 0, 0, -3),
+               FieldElem(Fraction(-1, 2)), FieldElem(-1, 1, -1, 1)]
+    for m, n in [(m, n) for m in range(6) for n in range(6 - m)
+                 if cohomology.cochain_dim(m, n)]:
+        size = cohomology.cochain_dim(m, n)
+        for density in (0, 0.1, 0.3, 0.3, 0.7, 1):
+            vec = [rng.choice((rand_elem(rng), rng.choice(special)))
+                   if rng.random() < density else ZERO for _ in range(size)]
+            phi = Cochain2Even(m, n, vec)
+            assert format_cocycle(phi) == _format_cocycle_before(phi)
 
 
 def test_parse_cocycle_constant_coefficients():
@@ -130,6 +176,21 @@ def test_deformation_probes():
         result = cohomology.deformation_nilpotency_probe(
             base, probe["extra"], probe["param"])
         assert result["nilpotent"] == probe["expect_nilpotent"], probe["label"]
+
+
+def test_deformation_probe_reads_either_orientation():
+    """A deformed bracket adds to the base bracket of the same pair in
+    either orientation: [e2,e1] = t*e3 is [e1,e2] = -t*e3."""
+    base = catalog.get("(3|0)_1").doc
+
+    def probe(lhs, rhs, coeff):
+        extra = [{"lhs": lhs, "rhs": rhs,
+                  "value": [{"coeff": coeff, "basis": "e3"}]}]
+        return cohomology.deformation_nilpotency_probe(base, extra, "2")
+
+    want = {"nilpotent": True, "series": [(3, 0), (1, 0), (0, 0)]}
+    assert probe("e1", "e2", "-t") == want
+    assert probe("e2", "e1", "t") == want
 
 
 # -- the dense evaluators, oracles for the sparse d2 and d1 -------------------

@@ -4,8 +4,7 @@ import pytest
 
 from superlie.exprlang import (Bin, Const, ExprSyntaxError, ExprTypeError,
                                Neg, Pow, Rat, Sqrt, Symbol, evaluate,
-                               evaluate_basis_vector, evaluate_vector,
-                               format_expr, parse)
+                               evaluate_basis_vector, format_expr, parse)
 from superlie.field import FieldElem, FieldSyntaxError
 from superlie.series import PuiseuxSeries
 
@@ -98,8 +97,8 @@ def test_vector_over_caller_named_symbols():
     index and a sign."""
     e = parse("2*e1 - (1 + i)*e1*^e2*@e1 + e1", symbols=True)
     assert e.left.right.right == Symbol("e1*^e2*@e1")
-    kind, vec = evaluate_vector(e, {"e1": (0, 1), "e1*^e2*@e1": (3, -1)}.get)
-    assert kind == "vector" and sorted(vec) == [0, 3]
+    vec = evaluate(e, None, {"e1": (0, 1), "e1*^e2*@e1": (3, -1)}.get)
+    assert sorted(vec) == [0, 3]
     assert vec[0] == PuiseuxSeries.from_scalar(FieldElem(3))
     assert vec[3] == PuiseuxSeries.from_scalar(FieldElem(1, 1))
     with pytest.raises(ExprSyntaxError):

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from superlie.field import FieldElem
+from superlie.field import FieldElem, format_elem
 from superlie.series import (Diverges, InsufficientPrecision, NoRoot,
-                             NotInvertible, PuiseuxSeries, parse_precision,
-                             working_precision)
+                             NotInvertible, PuiseuxSeries, format_series,
+                             parse_precision, working_precision)
 
 from conftest import rand_elem
 
@@ -147,3 +147,46 @@ def test_property_inv_and_sqrt(rng):
         for e, c in sq.terms.items():
             assert c == x.coeff(e)
         done += 1
+
+
+def _format_series_before(s):
+    """format_series as it was before it wrote through `field.format_sum`,
+    kept as the oracle of the new writer."""
+    parts = []
+    for e in sorted(s.terms):
+        c = s.terms[e]
+        txt = format_elem(c)
+        if e != 0:
+            mono = "t" if e == 1 else f"t^({e})"
+            if txt == "1":
+                txt = mono
+            elif txt == "-1":
+                txt = f"-{mono}"
+            else:
+                if "+" in txt.strip("+-") or " - " in txt:
+                    txt = f"({txt})*{mono}"
+                else:
+                    txt = f"{txt}*{mono}"
+        parts.append(txt)
+    body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    if s.precision is not None:
+        body += f" + O(t^({s.precision}))"
+    return body
+
+
+def test_format_series_matches_former_writer(rng):
+    """Seeded series, exact and truncated, with full Q(i, sqrt2)
+    coefficients and the ones written without a factor or in parentheses,
+    print as they did before format_sum."""
+    i = FieldElem(0, 1)
+    special = [ONE, -ONE, i, -i, FieldElem(1, 1), FieldElem(-1, -1), R2,
+               -(i * R2), FieldElem(0, 0, 0, -3), FieldElem(Fraction(-1, 2)),
+               FieldElem(-1, 1, -1, 1)]
+    for _ in range(400):
+        terms = {Fraction(rng.randint(-6, 8), rng.randint(1, 4)):
+                 rng.choice((rand_elem(rng), rng.choice(special)))
+                 for _ in range(rng.randint(0, 5))}
+        precision = rng.choice((None, Fraction(rng.randint(1, 12),
+                                               rng.randint(1, 3))))
+        s = PuiseuxSeries(terms, precision)
+        assert format_series(s) == _format_series_before(s)

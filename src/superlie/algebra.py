@@ -268,11 +268,13 @@ class SuperAlgebra:
 
     # -- basis change -----------------------------------------------------------
 
-    def apply_basis_change(self, T, S) -> "SuperAlgebra":
+    def apply_basis_change(self, T, S, precision=None) -> "SuperAlgebra":
         """Structure constants in the basis x_i = sum_a T[a][i] e_a,
         y_j = sum_b S[b][j] f_b.  T, S may have FieldElem or series entries.
         Each stored pair of the new basis is bracketed in the old one; even
-        outputs are then solved by T, odd outputs by S."""
+        outputs are then solved by T, odd outputs by S.  With series entries
+        each pivot of that solve is inverted to `precision` relative orders
+        (the working precision when None)."""
         m, n = self.m, self.n
         solver = solve
         if any(isinstance(x, PuiseuxSeries) for row in list(T) + list(S)
@@ -281,7 +283,7 @@ class SuperAlgebra:
                 else PuiseuxSeries.from_scalar(x)
             T = [[lift(x) for x in row] for row in T]
             S = [[lift(x) for x in row] for row in S]
-            solver = series_solve
+            solver = lambda P, rhs: series_solve(P, rhs, precision)
         new = [([T[a][i] for a in range(m)], [ZERO] * n) for i in range(m)]
         new += [([ZERO] * m, [S[b][j] for b in range(n)]) for j in range(n)]
         even, odd = [], []      # (pair, its bracket's coordinates) by parity

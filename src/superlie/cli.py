@@ -70,7 +70,7 @@ def _load_algebra(target: str) -> SuperAlgebra:
         doc = _read_object(target)
         try:
             return SuperAlgebra.from_doc(doc)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(exc) from exc
     return catalog.get(target).algebra
 

@@ -169,10 +169,11 @@ def series_solve(matrix, rhs,
                  precision: Optional[Fraction] = None):
     """Solve A X = B over Puiseux series (A square).
 
-    Pivots on the visible entry of smallest leading exponent.  Raises
-    SingularMatrix when a pivot column has no visible entry (either the
-    matrix is singular or the available precision cannot exhibit a pivot;
-    with exact inputs this is genuine singularity).
+    Pivots on the visible entry of smallest leading exponent; each pivot is
+    inverted to `precision` relative orders (the working precision when
+    None).  When a pivot column has no visible entry it raises
+    SingularMatrix if every candidate is exactly zero, and
+    InsufficientPrecision if some candidate is an unresolved zero.
     """
     n = len(matrix)
     width = len(rhs[0]) if rhs else 0
@@ -198,7 +199,9 @@ def series_solve(matrix, rhs,
         pivot_inv = aug[c][c].inv(precision)
         aug[c] = [x * pivot_inv for x in aug[c]]
         for k in range(n):
-            if k != c and _series_is_visible(aug[k][c]):
+            # an unresolved zero is eliminated too: its unknown terms lower
+            # the precision of row k instead of being dropped
+            if k != c and not aug[k][c].is_zero():
                 factor = aug[k][c]
                 aug[k] = [a - factor * b for a, b in zip(aug[k], aug[c])]
     return [row[n:n + width] for row in aug]

@@ -11,6 +11,7 @@ catalog nodes, pairwise separated by closure or by certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import catalog
@@ -59,6 +60,7 @@ class Verified:
     witness: DegenerationWitness
     used_alt: bool = False
     ok: bool = True
+    precision: Optional[Fraction] = None   # the series order that decided
 
 
 @dataclass
@@ -67,6 +69,7 @@ class Failed:
     reason: str            # "SingularBasis" | "Diverges" | "WrongLimit"
     detail: str = ""
     ok: bool = False
+    precision: Optional[Fraction] = None   # the series order that decided
 
 
 def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
@@ -97,7 +100,13 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     """Symbolically verify g --w--> h between the catalog algebras w names;
     returns Verified or Failed.
 
-    Raises InsufficientPrecision when the series precision cannot decide.
+    `precision` caps the series order (working_precision() when None).  The
+    whole decision, the basis and then `alt_basis` if the basis fails, runs
+    at order min(1, cap), and again at twice the order, up to the cap, while
+    the order cannot decide.  Coefficients below the truncation order are
+    exact, so every order that decides gives the same verdict; the result's
+    `precision` is that order.  Raises InsufficientPrecision when the cap
+    cannot decide.
     """
     if isinstance(w, dict):
         w = DegenerationWitness.from_doc(w)
@@ -105,10 +114,10 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     h = catalog.get(w.to_name).algebra
     _same_shape(g, h)
 
-    def attempt(basis) -> Union[Verified, Failed]:
-        T, S = _witness_matrices(w, g.m, g.n, precision, basis)
+    def attempt(basis, p) -> Union[Verified, Failed]:
+        T, S = _witness_matrices(w, g.m, g.n, p, basis)
         try:
-            moved = g.apply_basis_change(T, S)
+            moved = g.apply_basis_change(T, S, p)
         except SingularMatrix as exc:
             return Failed(w, "SingularBasis", str(exc))
         try:
@@ -120,13 +129,25 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
         return Failed(w, "WrongLimit",
                       f"limit differs from {w.to_name}")
 
-    result = attempt(w.basis)
-    if not result.ok and w.alt_basis:
-        alt = attempt(w.alt_basis)
-        if alt.ok:
-            alt.used_alt = True
-            return alt
-    return result
+    def decide(p) -> Union[Verified, Failed]:
+        result = attempt(w.basis, p)
+        if not result.ok and w.alt_basis:
+            alt = attempt(w.alt_basis, p)
+            if alt.ok:
+                alt.used_alt = True
+                result = alt
+        result.precision = p
+        return result
+
+    cap = precision if precision is not None else working_precision()
+    p = min(Fraction(1), cap)
+    while True:
+        try:
+            return decide(p)
+        except InsufficientPrecision:
+            if p >= cap:
+                raise
+            p = min(2 * p, cap)
 
 
 # -- non-degeneration certificates ----------------------------------------------

@@ -200,9 +200,13 @@ class PuiseuxSeries:
 
         For an exact non-monomial argument the result is an infinite series,
         reported to ``precision`` relative orders past its leading exponent
-        (the working precision when unspecified).
+        (the working precision when unspecified).  An exact zero raises
+        NotInvertible; a truncated one, whose leading term a higher
+        precision may show, raises InsufficientPrecision.
         """
         if self.leading() is None:
+            if self.precision is not None:
+                raise InsufficientPrecision("inverse of an unresolved zero")
             raise NotInvertible("series has no visible leading term")
         a, c, rest, rel = self._split_leading(precision)
         geom = PuiseuxSeries.from_scalar(ONE, rel)

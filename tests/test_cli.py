@@ -97,8 +97,12 @@ def test_check_tampered_file(tmp_path, capsys):
     '{"m": 2, "n": 0, "brackets": [{"lhs": "e+1", "rhs": "e2", "value": []}]}',
     '{"m": 2, "n": 0, "brackets": [{"lhs": "e1", "rhs": "e1_0", "value": []}]}',
     '{"m": 2, "n": 0, "brackets": [{"lhs": 1, "rhs": "e2", "value": []}]}',
+    '{"m": 2, "n": 0, "brackets": [{"lhs": "e1", "rhs": "e2", '
+    '"value": [{"coeff": 1, "basis": "e2"}]}]}',
+    '{"m": 2, "n": 0, "brackets": [{"lhs": "e1", "rhs": "e2", "value": 5}]}',
 ], ids=["truncated", "missing-n", "not-an-object", "unknown-basis",
-        "empty-basis", "signed-basis", "underscored-basis", "numeric-basis"])
+        "empty-basis", "signed-basis", "underscored-basis", "numeric-basis",
+        "numeric-coeff", "numeric-value"])
 def test_malformed_file_usage_error(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -185,6 +189,16 @@ def test_degenerate_precision(capsys, value):
         assert code == 2
         assert "must be a positive rational" in err
     assert "Traceback" not in err
+
+
+def test_precision_option_reaches_the_solver(capsys, monkeypatch):
+    # --precision caps every series operation, the basis change's solve
+    # included: a low SUPERLIE_PRECISION does not undercut it
+    monkeypatch.setenv("SUPERLIE_PRECISION", "1/2")
+    code, out = run(capsys, "degenerate", "--from", "(2|3)_6",
+                    "--to", "(2|3)_10", "--precision", "16")
+    assert code == 0
+    assert out == "Verified (2|3)_6 -> (2|3)_10\n"
 
 
 def test_precision_environment_variable(capsys, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from superlie import linalg
 from superlie.field import FieldElem
 from superlie.linalg import (SingularMatrix, det, inv, kernel, mat_mul, rank,
-                             rref, solve, transpose)
+                             rref, series_solve, solve, transpose)
+from superlie.series import PuiseuxSeries
 
 from conftest import rand_elem
 
@@ -43,6 +44,22 @@ def test_solve_roundtrip(rng):
         b = [[rand_elem(rng, 4)] for _ in range(size)]
         x = solve(a, b)
         assert mat_mul(a, x) == b
+
+
+def test_series_solve_eliminates_unresolved_zeros():
+    """A = [[a, t], [1, 0]] has inverse [[0, 1], [1/t, -a/t]].  With a known
+    only to O(t), the pivot of column 0 is the exact 1, and a must still be
+    eliminated: -a/t is then unknown from t^0 on, not an exact 0."""
+    t, one, zero = (PuiseuxSeries.t_power(1), PuiseuxSeries.from_scalar(1),
+                    PuiseuxSeries({}))
+    identity = [[one, zero], [zero, one]]
+    half = FieldElem(1, 2)
+    for a, corner in ((PuiseuxSeries({}, Fraction(1)),
+                       PuiseuxSeries({}, Fraction(0))),
+                      (PuiseuxSeries({1: half}, Fraction(2)),
+                       PuiseuxSeries({0: -half}, Fraction(1)))):
+        x = series_solve([[a, t], [one, zero]], identity)
+        assert x == [[zero, one], [t.inv(), corner]]
 
 
 def test_rank_kernel_dimension_theorem(rng):

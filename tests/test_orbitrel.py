@@ -8,7 +8,9 @@ from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                auto_nondegen, build_hasse, components,
                                discrepancy_report, to_dot, verify_degeneration,
                                verify_builtin_witnesses)
-from superlie.series import InsufficientPrecision
+from superlie.linalg import SingularMatrix
+from superlie.series import (Diverges, InsufficientPrecision,
+                             working_precision)
 
 
 def test_all_builtin_witnesses_verify():
@@ -60,6 +62,163 @@ def test_nested_radical_witnesses():
     assert len(rows) == 2
     for row in rows:
         assert verify_degeneration(row).ok
+
+
+def test_unresolved_zero_divisor_is_still_a_wrong_limit():
+    # at order 1, sqrt(1-t) - 1 is O(t): the inverse cannot decide there,
+    # so the order climbs until it can
+    w = DegenerationWitness("(1|2)_2", "(1|2)_2",
+                            {"y1": "t^2*(sqrt(1-t)-1)^(-1)*f1"})
+    for cap in (None, Fraction(16)):
+        res = verify_degeneration(w, precision=cap)
+        assert isinstance(res, Failed) and res.reason == "WrongLimit"
+        assert res.precision == 2
+
+
+def test_unresolved_basis_entry_cannot_verify_a_wrong_limit():
+    # x1 = e3 + (t/2 + ...)*e1 gives the limit a term that (3|1)_1 lacks;
+    # at order 1 the coefficient of e1 is O(t), and treating it as zero in
+    # the solve would verify the witness
+    w = DegenerationWitness("(3|1)_3", "(3|1)_1",
+                            {"x1": "e3+(1-sqrt(1-t))*e1", "x3": "t*e1"})
+    with pytest.raises(InsufficientPrecision):
+        verify_degeneration(w, precision=Fraction(1))
+    res = verify_degeneration(w)
+    assert isinstance(res, Failed) and res.reason == "WrongLimit"
+    assert res.precision == 2
+
+
+def test_verdict_records_the_deciding_order():
+    def builtin(frm, to):
+        doc, = [d for d in catalog.witnesses()
+                if (d["from"], d["to"]) == (frm, to)]
+        return doc
+
+    res = verify_degeneration(builtin("(2|3)_6", "(2|3)_11"),
+                              precision=Fraction(16))
+    assert res.ok and res.precision == 2
+    res = verify_degeneration(builtin("(3|1)_3", "(3|1)_1"))
+    assert res.ok and res.precision == 1
+    res = verify_degeneration(builtin("(3|1)_3", "(3|1)_1"),
+                              precision=Fraction(1, 2))
+    assert res.ok and res.precision == Fraction(1, 2)
+
+
+def _one_shot(w, basis, cap):
+    """The verdict of one basis evaluated and solved at the cap, as
+    (class name, reason); InsufficientPrecision and the like propagate."""
+    g = catalog.get(w.from_name).algebra
+    h = catalog.get(w.to_name).algebra
+    try:
+        T, S = orbitrel._witness_matrices(w, g.m, g.n, cap, basis)
+        limit = g.apply_basis_change(T, S, cap).limit_at_zero()
+    except SingularMatrix:
+        return "Failed", "SingularBasis"
+    except Diverges:
+        return "Failed", "Diverges"
+    if limit.constants_equal(h):
+        return "Verified", None
+    return "Failed", "WrongLimit"
+
+
+def _decision_at_cap(w, cap):
+    """The one-shot decision: the basis, then alt_basis if the basis fails;
+    as (class name, reason, used_alt), or the exception class raised."""
+    try:
+        first = _one_shot(w, w.basis, cap)
+        if first[0] == "Failed" and w.alt_basis:
+            alt = _one_shot(w, w.alt_basis, cap)
+            if alt[0] == "Verified":
+                return alt + (True,)
+        return first + (False,)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _ladder(w, cap):
+    """verify_degeneration's verdict in _decision_at_cap's form, and the
+    order that decided it (None when it raised)."""
+    try:
+        res = verify_degeneration(w, precision=cap)
+    except ArithmeticError as exc:
+        return type(exc), None
+    if res.ok:
+        return ("Verified", None, res.used_alt), res.precision
+    return ("Failed", res.reason, False), res.precision
+
+
+_FACTORS = ["sqrt(1-t)", "(1-t)^(-1)", "t*sqrt(1-t)", "(sqrt(1-t)-1)",
+            "t^2*(sqrt(1-t)-1)^(-1)", "t^(-1)*(1-sqrt(1-t))",
+            "(1-sqrt(1-t))^(-1)", "t^(-1)*sqrt(1-t)", "t^(-1)*(1-t)^(-1)"]
+
+
+def _random_shears(rng, count):
+    """Builtin witnesses of dimension <= 4 with one basis vector multiplied
+    by a factor built from sqrt(1-t) or (1-t)^(-1), sheared along another
+    vector of its parity by such a factor, or replaced by such a multiple
+    of another vector (singular); every third keeps the original as its
+    alt_basis."""
+    docs = [d for d in catalog.witnesses()
+            if catalog.get(d["from"]).algebra.dim <= 4]
+    out = []
+    for k in range(count):
+        doc = rng.choice(docs)
+        g = catalog.get(doc["from"]).algebra
+        basis = dict(doc["basis"])
+        kind, size = rng.choice([(kind, size) for kind, size
+                                 in (("x", g.m), ("y", g.n)) if size])
+        sym = "e" if kind == "x" else "f"
+        i = rng.randint(1, size)
+        vec = basis.get(f"{kind}{i}", f"{sym}{i}")
+        factor = rng.choice(_FACTORS)
+        j = rng.choice([j for j in range(1, size + 1) if j != i] or [i])
+        other = basis.get(f"{kind}{j}", f"{sym}{j}")
+        if k % 5 < 2:
+            basis[f"{kind}{i}"] = f"{factor}*({vec})"
+        elif k % 5 < 4:
+            basis[f"{kind}{i}"] = f"{vec}+{factor}*({other})"
+        else:
+            basis[f"{kind}{i}"] = f"{factor}*({other})"
+        out.append(DegenerationWitness(
+            doc["from"], doc["to"], basis,
+            alt_basis=doc["basis"] if k % 3 == 0 else None))
+    return out
+
+
+def test_precision_ladder_matches_one_shot_at_cap(rng):
+    """verify_degeneration climbs orders 1, 2, 4, ... up to the cap; its
+    verdict must be the one a single run at the cap gives, wherever that
+    run decides, on every builtin basis and alt_basis, the refutation bases
+    and seeded shears by sqrt(1-t) and (1-t)^(-1) factors."""
+    witnesses = []
+    for doc in catalog.witnesses():
+        w = DegenerationWitness.from_doc(doc)
+        witnesses.append(w)
+        if w.alt_basis:
+            witnesses.append(DegenerationWitness(w.from_name, w.to_name,
+                                                 w.alt_basis))
+    refutations = [DegenerationWitness(r["from"], r["to"],
+                                       r["refutation_basis"])
+                   for r in catalog.expected()["known_discrepancies"]
+                   if "refutation_basis" in r]
+    assert len(witnesses) == 118 and len(refutations) == 2
+    shears = _random_shears(rng, 40)
+    seen, orders = set(), set()
+    for cap in (None, Fraction(16), Fraction(1, 2)):
+        one_shot_cap = cap if cap is not None else working_precision()
+        for w in witnesses + refutations + shears:
+            want = _decision_at_cap(w, one_shot_cap)
+            got, order = _ladder(w, cap)
+            if isinstance(want, tuple):
+                assert got == want, (w, cap)
+                seen.add(want)
+                orders.add(order)
+            else:
+                assert got is want, (w, cap)
+    assert orders == {Fraction(1, 2), 1, 2}
+    assert {("Verified", None, False), ("Verified", None, True),
+            ("Failed", "SingularBasis", False), ("Failed", "Diverges", False),
+            ("Failed", "WrongLimit", False)} <= seen
 
 
 def test_auto_nondegen_spec_pairs():

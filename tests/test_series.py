@@ -73,6 +73,16 @@ def test_inv_examples():
         PuiseuxSeries({}).inv(Fraction(8))
 
 
+def test_inv_of_unresolved_zero_needs_precision():
+    # no visible term below a finite precision: a higher one may show a
+    # leading term, so this is not a division by zero
+    with pytest.raises(InsufficientPrecision):
+        PuiseuxSeries({}, Fraction(1)).inv()
+    with pytest.raises(InsufficientPrecision):
+        (PuiseuxSeries({Fraction(0): ONE, Fraction(1): -ONE})
+         .sqrt(Fraction(1)) - 1).inv()
+
+
 def test_sqrt_examples():
     s = t_pow(1, 2).sqrt(Fraction(8))
     assert s == PuiseuxSeries({Fraction(1, 2): R2})

@@ -262,17 +262,6 @@ def h2_even(g: SuperAlgebra) -> Dict:
     return {"dim": dim, "basis": basis}
 
 
-def in_coboundaries(g: SuperAlgebra, phi: Cochain2Even) -> bool:
-    return not independent_mod_coboundaries(g, [phi])
-
-
-def independent_mod_coboundaries(g: SuperAlgebra,
-                                 phis: List[Cochain2Even]) -> bool:
-    rows = _coboundary_rows(g, g.bracket_table())
-    vs = [list(p.vec) for p in phis]
-    return rank(rows + vs) == rank(rows) + len(vs)
-
-
 # -- the paper-style cocycle notation ---------------------------------------------
 
 

@@ -138,6 +138,18 @@ def _one_line_usage_error(capsys, argv, prefix):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("g1", [
+    "5",
+    "[5,5,5]",
+    "[[1,0,0],[0,0,0],[0,0,0]]",
+], ids=["scalar", "flat-list", "numbers"])
+def test_gamma23_malformed_matrix_usage_error(capsys, g1):
+    zero = ["0", "0", "0"]
+    g2 = json.dumps([zero, ["0", "1", "0"], zero])
+    _one_line_usage_error(capsys, ["gamma23", "--g1", g1, "--g2", g2],
+                          "parse error: expected three lists of three")
+
+
 def test_nondegen_shapes_differ_usage_error(capsys):
     _one_line_usage_error(capsys, ["nondegen", "--from", "(2|3)_6",
                                    "--to", "(1|2)_1"],

@@ -12,6 +12,7 @@ which `_mirror` alone applies.  Nothing else is assumed until `check_jacobi`
 
 from __future__ import annotations
 
+import json
 from itertools import chain, product
 from operator import itemgetter
 from typing import Dict, List, Tuple
@@ -347,15 +348,24 @@ class SuperAlgebra:
             except (ExprTypeError, TypeError):      # TypeError: not a string
                 raise AlgebraError(f"unknown basis symbol {sym!r}") from None
 
-        for entry in doc.get("brackets", []):
-            a, b = slot(entry["lhs"]), slot(entry["rhs"])
+        brackets = doc.get("brackets", [])
+        if not isinstance(brackets, list):
+            raise AlgebraError("brackets must be a list")
+        for entry in brackets:
+            try:
+                a, b = slot(entry["lhs"]), slot(entry["rhs"])
+                value = [(parse_elem(v["coeff"]), slot(v["basis"]))
+                         for v in entry.get("value", [])]
+            except (KeyError, TypeError):
+                raise AlgebraError(
+                    f"malformed bracket {json.dumps(entry, default=str)}: "
+                    "expected string lhs and rhs and a value list of "
+                    "string coeff and basis terms") from None
             # both orientations write the same pair, so an unordered pair
             # may be specified only once
             if (min(a, b), max(a, b)) in seen:
                 raise AlgebraError(f"duplicate bracket [{entry['lhs']},{entry['rhs']}]")
             seen.add((min(a, b), max(a, b)))
-            value = [(parse_elem(v["coeff"]), slot(v["basis"]))
-                     for v in entry.get("value", [])]
             even = (a < m) == (b < m)
             if any((k < m) != even for _, k in value):
                 raise AlgebraError(

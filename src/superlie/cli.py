@@ -22,9 +22,10 @@ from . import catalog, cohomology, gamma23, invariants, orbitrel
 from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
+from .exprlang import ExprSyntaxError, ExprTypeError
 from .orbitrel import ConsistencyViolation, ShapeMismatch
 from .series import (InsufficientPrecision, NoRoot, NotInvertible,
-                     parse_precision)
+                     parse_precision, working_precision)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,17 +76,28 @@ def _load_algebra(target: str) -> SuperAlgebra:
     return catalog.get(target).algebra
 
 
+# what evaluating a malformed --witness basis raises
+_MALFORMED_BASIS = (ExprSyntaxError, ExprTypeError, NotInvertible, NoRoot)
+
+
 def _load_witness(args) -> orbitrel.DegenerationWitness:
     """The --witness file of `degenerate`, its basis expressions evaluated
-    once against the source algebra, so a malformed file is a ParseError."""
+    once against the source algebra at the first order of the precision
+    ladder, min(1, cap), so a malformed file is a ParseError.  A basis that
+    order cannot evaluate is left to the ladder."""
     doc = _read_object(args.witness)
     doc.setdefault("from", args.frm)
     doc.setdefault("to", args.to)
+    cap = args.precision if args.precision is not None else working_precision()
     try:
         w = orbitrel.DegenerationWitness.from_doc(doc)
         g = catalog.get(w.from_name).algebra
         for basis in filter(None, (w.basis, w.alt_basis)):
-            orbitrel._witness_matrices(w, g.m, g.n, args.precision, basis)
+            try:
+                orbitrel._witness_matrices(w, g.m, g.n,
+                                           min(Fraction(1), cap), basis)
+            except InsufficientPrecision:
+                pass
     except NotFound:
         raise
     except (KeyError, TypeError, ValueError, NotInvertible, NoRoot) as exc:
@@ -157,7 +169,13 @@ def cmd_degenerate(args) -> int:
             return EXIT_USAGE
     code = EXIT_OK
     for row in rows:
-        res = orbitrel.verify_degeneration(row, precision=args.precision)
+        try:
+            res = orbitrel.verify_degeneration(row, precision=args.precision)
+        except _MALFORMED_BASIS as exc:
+            if not args.witness:
+                raise
+            # a file basis that only a higher order of the ladder evaluates
+            raise ParseError(exc) from exc
         # a witness file's own "from"/"to" take precedence over the options
         pair = f"{res.witness.from_name} -> {res.witness.to_name}"
         if res.ok:

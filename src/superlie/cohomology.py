@@ -2,7 +2,7 @@
 
 An even 2-cochain phi is stored as one vector over the slots of
 `cochain_basis_index`: the coordinates of phi(e_i, e_j) for i < j, of
-phi(e_i, f_j), and of phi(f_i, f_j) for i <= j.  `Cochain2Even.value`
+phi(e_i, f_j), and of phi(f_i, f_j) for i <= j.  `Cochain2Even.values`
 mirrors them to the other pairs (antisymmetric on e-e and e-f pairs,
 symmetric on f-f pairs).  The differential convention is, for homogeneous
 x,y,z:
@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _is_zero, _sparse, basis_names, pairs
+from .algebra import SuperAlgebra, _sparse, basis_names, pairs
 from .exprlang import basis_index, constant, evaluate, parse
 from .field import FieldElem, ONE, ZERO, format_elem, format_sum
-from .linalg import kernel, rank
+from .linalg import kernel, rank, rref, transpose
 
 
 class Cochain2Even:
@@ -50,21 +50,38 @@ class Cochain2Even:
             raise ValueError(f"an even 2-cochain of ({m}|{n}) has "
                              f"{cochain_dim(m, n)} slots, got {len(self.vec)}")
 
+    def values(self) -> List[Tuple[int, int, List[Tuple[int, FieldElem]]]]:
+        """The nonzero values of phi as (a, b, terms) over ordered basis
+        pairs, terms the nonzero (index, coefficient) pairs of phi(x_a, x_b)
+        (odd indices offset by m).  The one place that mirrors slots: phi
+        is antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
+        m, n = self.m, self.n
+        found, blocks, end = {}, iter(pairs(m, n)), 0
+        for s, x in enumerate(self.vec):
+            if x.is_zero():
+                continue
+            while s >= end:     # to the pair whose block holds slot s
+                a, b = next(blocks)
+                lo, width = (m, n) if a < m <= b else (0, m)
+                start, end = end, end + width
+            found.setdefault((a, b), []).append((lo + s - start, x))
+        out = []
+        for (a, b), terms in found.items():
+            out.append((a, b, terms))
+            if a != b:
+                out.append((b, a, [(k, -x) for k, x in terms]
+                            if a < m else terms))
+        return out
+
     def value(self, a: int, b: int):
         """phi on basis indices (0-based, odd indices offset by m), as a
-        graded vector.  The one place that mirrors slots: phi is
-        antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
-        m, n = self.m, self.n
-        even, odd = [ZERO] * m, [ZERO] * n
-        if a == b < m:
-            return even, odd
-        start = _block_start(m, n, min(a, b), max(a, b))
-        out = odd if (a < m) != (b < m) else even
-        negate = a > b and b < m
-        for k in range(len(out)):
-            x = self.vec[start + k]
-            out[k] = -x if negate else x
-        return even, odd
+        graded vector."""
+        out = [ZERO] * (self.m + self.n)
+        for p, q, terms in self.values():
+            if (p, q) == (a, b):
+                for k, x in terms:
+                    out[k] = x
+        return out[:self.m], out[self.m:]
 
 
 # -- the fixed flat basis of even 2-cochains ---------------------------------
@@ -138,19 +155,13 @@ def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
     d = m + n
     if br is None:
         br = g.bracket_table()
-    brackets = [(a, b, br[a][b]) for a in range(d) for b in range(d)
-                if br[a][b]]
-    values = [(a, b, v) for a in range(d) for b in range(d)
-              for v in [_sparse(phi.value(a, b))] if v]
-    into = [[] for _ in range(d)]       # into[k]: (a, [x_a, x_k])
-    for a, k, v in brackets:
-        into[k].append((a, v))
+    values = phi.values()
     phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
     phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
     for a, b, v in values:
         phi_left[a].append((b, v))
         phi_right[b].append((a, v))
-    odd = [g.parity(k) for k in range(d)]
+    odd = [k >= m for k in range(d)]
     acc = {}
 
     def add(key, x, vec, negate):
@@ -164,20 +175,23 @@ def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
     #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]
     for p, q, v in values:
         for k, x in v:
-            for t, w in into[k]:
-                add((t, p, q), x, w, False)
-                add((p, t, q), x, w, not (odd[p] and odd[t]))
-                add((p, q, t), x, w, odd[t] and odd[p] != odd[q])
+            for t in range(d):
+                w = br[t][k]                # [x_t, x_k]
+                if w:
+                    add((t, p, q), x, w, False)
+                    add((p, t, q), x, w, not (odd[p] and odd[t]))
+                    add((p, q, t), x, w, odd[t] and odd[p] != odd[q])
     # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z])
-    for p, q, v in brackets:
-        for k, x in v:
-            for t, w in phi_left[k]:
-                add((p, q, t), x, w, True)
-                add((p, t, q), x, w, odd[t] and odd[q])
-            for t, w in phi_right[k]:
-                add((t, p, q), x, w, False)
+    for p in range(d):
+        for q in range(d):
+            for k, x in br[p][q]:
+                for t, w in phi_left[k]:
+                    add((p, q, t), x, w, True)
+                    add((p, t, q), x, w, odd[t] and odd[q])
+                for t, w in phi_right[k]:
+                    add((t, p, q), x, w, False)
     return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
-            if any(not _is_zero(x) for x in out)}
+            if any(not x.is_zero() for x in out)}
 
 
 def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
@@ -189,52 +203,43 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 def _d2_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
     """Rows = output coordinates over all triples, columns = cochain slots
-    (br is g's bracket table)."""
-    m, n = g.m, g.n
-    total = cochain_dim(m, n)
-    cols = [d2(g, Cochain2Even(m, n, [ONE if i == si else ZERO
-                                      for i in range(total)]), br)
-            for si in range(total)]
-    # collect the union of output coordinates that appear
-    keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
-                   for p in (0, 1) for r, x in enumerate(vv[p])
-                   if not _is_zero(x)})
-    matrix = []
-    for key in keys:
-        t, p, r = key
-        row = []
-        for image in cols:
-            vv = image.get(t)
-            row.append(vv[p][r] if vv is not None else ZERO)
-        matrix.append(row)
+    (br is g's bracket table).  Of rows equal up to a nonzero scalar only
+    the first is kept, which leaves the row space, hence the RREF and the
+    kernel, as they are."""
+    total = cochain_dim(g.m, g.n)
+    rows = {}   # (triple, combined index) -> {slot: entry}, slots ascending
+    for si in range(total):
+        unit = [ZERO] * total
+        unit[si] = ONE
+        for t, vv in d2(g, Cochain2Even(g.m, g.n, unit), br).items():
+            for r, x in enumerate(vv[0] + vv[1]):
+                if not x.is_zero():
+                    rows.setdefault((t, r), {})[si] = x
+    matrix, seen = [], set()
+    for key in sorted(rows):
+        row = rows[key]
+        lead = next(iter(row.values())).inv()
+        shape = tuple((c, x * lead) for c, x in row.items())
+        if shape not in seen:
+            seen.add(shape)
+            matrix.append([row.get(c, ZERO) for c in range(total)])
     return matrix
-
-
-def _d1_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
-    """Columns = images of the elementary even maps, as cochain vectors
-    (br is g's bracket table)."""
-    m, n = g.m, g.n
-    cols = []
-    for q in range(m):
-        for p in range(m):
-            A = [[ONE if (r, c) == (q, p) else ZERO for c in range(m)]
-                 for r in range(m)]
-            D = [[ZERO] * n for _ in range(n)]
-            cols.append(d1(g, A, D, br).vec)
-    for q in range(n):
-        for p in range(n):
-            A = [[ZERO] * m for _ in range(m)]
-            D = [[ONE if (r, c) == (q, p) else ZERO for c in range(n)]
-                 for r in range(n)]
-            cols.append(d1(g, A, D, br).vec)
-    return [list(row) for row in zip(*cols)] if cols else []
 
 
 def _coboundary_rows(g: SuperAlgebra, br) -> List[List[FieldElem]]:
     """The nonzero images of the elementary even maps under d1, as cochain
     vectors: a spanning set of B^2 (br is g's bracket table)."""
-    return [list(col) for col in zip(*_d1_matrix(g, br))
-            if any(not x.is_zero() for x in col)]
+    def unit(size, q, p):       # E_qp; the zero matrix for q = p = -1
+        return [[ONE if (r, c) == (q, p) else ZERO for c in range(size)]
+                for r in range(size)]
+
+    m, n = g.m, g.n
+    images = [d1(g, unit(m, q, p), unit(n, -1, -1), br)
+              for q in range(m) for p in range(m)]
+    images += [d1(g, unit(m, -1, -1), unit(n, q, p), br)
+               for q in range(n) for p in range(n)]
+    return [list(phi.vec) for phi in images
+            if any(not x.is_zero() for x in phi.vec)]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
@@ -247,19 +252,12 @@ def h2_even(g: SuperAlgebra) -> Dict:
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
     cob_rows = _coboundary_rows(g, br)
     b_rank = rank(cob_rows)
-    dim = len(cocycles) - b_rank
-    # lift a complement: add cocycle vectors that increase rank over B
-    basis = []
-    stack = list(cob_rows)
-    current = b_rank
-    for z in cocycles:
-        if rank(stack + [z]) > current:
-            stack.append(z)
-            current += 1
-            basis.append(Cochain2Even(m, n, z))
-        if current == b_rank + dim:
-            break
-    return {"dim": dim, "basis": basis}
+    # the pivot columns of [B | Z] past B are the cocycles that add to the
+    # span of B and of the cocycles before them
+    _, pivots = rref(transpose(cob_rows + cocycles))
+    return {"dim": len(cocycles) - b_rank,
+            "basis": [Cochain2Even(m, n, cocycles[c - len(cob_rows)])
+                      for c in pivots if c >= len(cob_rows)]}
 
 
 # -- the paper-style cocycle notation ---------------------------------------------

@@ -260,22 +260,20 @@ def _span_dim(pair: SymPair) -> int:
     return rank([[g[i][j] for i in range(n) for j in range(i, n)] for g in pair])
 
 
-def _common_kernel_dim(pair: SymPair) -> int:
-    n = len(pair[0])
-    stacked = [list(r) for r in pair[0]] + [list(r) for r in pair[1]]
-    return n - rank(stacked)
+def _common_kernel(pair: SymPair) -> Mat:
+    """A basis of the common kernel of G1 and G2."""
+    return kernel([list(r) for r in pair[0]] + [list(r) for r in pair[1]])
 
 
-def _kernel_complement(pair: SymPair) -> Optional[Mat]:
-    """Columns of standard basis vectors complementary to the common kernel."""
-    n = len(pair[0])
-    stacked = [list(r) for r in pair[0]] + [list(r) for r in pair[1]]
-    ker = kernel(stacked)
+def _kernel_complement(ker: Mat) -> Optional[Mat]:
+    """Columns of standard basis vectors complementary to the common kernel
+    `ker`; None when it is zero."""
     if not ker:
         return None
+    n = len(ker[0])
     _, pivots = rref(ker)
-    complement = [c for c in range(n) if c not in pivots]
-    return [[ONE if r == c else ZERO for c in complement] for r in range(n)]
+    return [[ONE if r == c else ZERO for c in range(n) if c not in pivots]
+            for r in range(n)]
 
 
 def _is_nonzero(form: List[FieldElem]) -> bool:
@@ -298,7 +296,12 @@ def simdiag_test(pair: SymPair, sd: Optional[int] = None,
         if drops is None:
             drops = _root_drops(pair, form)
         return all(m == d for m, d in drops)
-    comp = _kernel_complement(pair)
+    return _singular_simdiag(pair, _common_kernel(pair))
+
+
+def _singular_simdiag(pair: SymPair, ker: Mat) -> bool:
+    """`simdiag_test` of a singular span-2 pencil with common kernel `ker`."""
+    comp = _kernel_complement(ker)
     if comp is None:
         # a singular pencil with no common kernel is L1 + L1^t
         return False
@@ -350,11 +353,12 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
             simdiag=simdiag_test(pair, sd, form, drops))
     # singular: a member has rank 1 exactly where every 2x2 minor vanishes
     rank1_roots = _common_root_count(_minor_forms(pair), 2)
+    ker = _common_kernel(pair)
     return PencilSignature(
-        span_dim=2, common_kernel_dim=_common_kernel_dim(pair),
+        span_dim=2, common_kernel_dim=len(ker),
         generic_rank=1 if rank1_roots is None else 2, det_root_count=-1,
         has_rank1_member=rank1_roots is None or rank1_roots > 0,
-        simdiag=simdiag_test(pair, sd, form))
+        simdiag=_singular_simdiag(pair, ker))
 
 
 def _build_signature_table() -> Dict[tuple, str]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,63 @@ def test_degenerate_witness_file_names_its_own_pair(tmp_path, capsys):
                     "--to", "(2|3)_10", "--witness", str(path))
     assert code == 0
     assert out == "Verified (1|1)_1 -> (1|1)_0\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    ('[{"coeff": 1, "basis": "e2"}]',
+     '{"lhs": "e1", "rhs": "e2", "value": [{"coeff": 1, "basis": "e2"}]}'),
+    ("5", '{"lhs": "e1", "rhs": "e2", "value": 5}'),
+], ids=["numeric-coeff", "numeric-value"])
+def test_malformed_bracket_is_named(tmp_path, capsys, value, text):
+    """A bracket of the wrong JSON types is reported by its own text, not
+    by a message about Python's types."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"m": 2, "n": 0, "brackets": [{"lhs": "e1", '
+                    f'"rhs": "e2", "value": {value}}}]}}')
+    _one_line_usage_error(capsys, ["check", str(path)],
+                          f"parse error: malformed bracket {text}: ")
+
+
+def test_witness_file_checked_at_first_ladder_order(tmp_path, capsys,
+                                                    monkeypatch):
+    """The load check evaluates each basis at min(1, cap), the order the
+    ladder starts from, not at the cap."""
+    from superlie import orbitrel
+    orders = []
+    real = orbitrel._witness_matrices
+
+    def spy(w, m, n, precision, basis):
+        orders.append(precision)
+        return real(w, m, n, precision, basis)
+
+    monkeypatch.setattr(orbitrel, "_witness_matrices", spy)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": {"y1": "t*f1"}}))
+    for cap, first in [("8", 1), ("1/2", Fraction(1, 2))]:
+        orders.clear()
+        code, out = run(capsys, "degenerate", "--from", "(1|1)_1", "--to",
+                        "(1|1)_0", "--witness", str(path), "--precision", cap)
+        assert code == 0 and "Verified" in out
+        assert orders[0] == first
+
+
+def test_witness_malformed_only_at_higher_order(tmp_path, capsys):
+    """sqrt(sqrt(1 + sqrt2*t) - 1) is an unresolved zero's root at order 1
+    and has a leading coefficient sqrt2/2 with no square root in the field
+    from order 2: a parse error once the ladder reaches order 2, and
+    insufficient precision when the cap is 1.  One line, no traceback."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": {
+        "x1": "sqrt(sqrt(1 + sqrt2*t) - 1)*e1", "y1": "t*f1"}}))
+    argv = ["degenerate", "--from", "(1|1)_1", "--to", "(1|1)_0",
+            "--witness", str(path)]
+    _one_line_usage_error(capsys, argv, "parse error: ")
+    _one_line_usage_error(capsys, argv + ["--precision", "4"], "parse error: ")
+    code = main(argv + ["--precision", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("insufficient precision: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_nondegen(capsys):

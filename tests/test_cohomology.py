@@ -8,6 +8,7 @@ from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  format_cocycle, h2_even, is_cocycle,
                                  parse_cocycle)
 from superlie.field import I, SQRT2, ZERO, FieldElem, format_elem
+from superlie.linalg import kernel, rank, rref
 
 from conftest import rand_elem
 
@@ -294,3 +295,96 @@ def test_sparse_d2_d1_match_dense_oracles(rng):
             A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
             D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
             assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name
+
+
+# -- the dense d2 matrix and the rank-per-cocycle lift, oracles for h2_even ----
+
+
+def dense_d2_matrix(g, br):
+    """One dense row per output coordinate that any unit cochain reaches,
+    scattered from d2 of each unit cochain."""
+    total = cohomology.cochain_dim(g.m, g.n)
+    cols = [d2(g, Cochain2Even(g.m, g.n, [FieldElem(int(i == si))
+                                          for i in range(total)]), br)
+            for si in range(total)]
+    keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
+                   for p in (0, 1) for r, x in enumerate(vv[p])
+                   if not x.is_zero()})
+    return [[image[t][p][r] if t in image else ZERO for image in cols]
+            for t, p, r in keys]
+
+
+def rank_lift_h2(g):
+    """dim ker d2 - dim im d1, and a basis lifted by adding each cocycle
+    that raises the rank over the coboundaries."""
+    total = cohomology.cochain_dim(g.m, g.n)
+    br = g.bracket_table()
+    d2m = dense_d2_matrix(g, br)
+    cocycles = kernel(d2m) if d2m else \
+        [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
+    stack = cohomology._coboundary_rows(g, br)
+    b_rank = current = rank(stack)
+    basis = []
+    dim = len(cocycles) - b_rank
+    for z in cocycles:
+        if rank(stack + [z]) > current:
+            stack.append(z)
+            current += 1
+            basis.append(tuple(z))
+        if current == b_rank + dim:
+            break
+    return dim, basis
+
+
+def _nonzero_rref_rows(matrix):
+    return [row for row in rref(matrix)[0] if any(not x.is_zero() for x in row)]
+
+
+def _proportional(u, w):
+    lead = next(c for c, x in enumerate(u) if not x.is_zero())
+    if w[lead].is_zero():
+        return False
+    scale = w[lead] / u[lead]
+    return all(y == scale * x for x, y in zip(u, w))
+
+
+def _h2_cases(rng):
+    cases = [e.algebra for e in catalog.list_entries()]
+    for e in catalog.list_entries():
+        if e.m + e.n == 4:
+            for _ in range(2):
+                cases.append(e.algebra.apply_basis_change(
+                    gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)))
+    return cases
+
+
+def test_d2_matrix_and_lift_match_dense_oracles(rng):
+    """On every catalog algebra and two rational basis changes of each
+    algebra of dimension 4: the d2 matrix has the dense matrix's RREF and
+    no two proportional rows, and h2_even lifts the same basis."""
+    for g in _h2_cases(rng):
+        br = g.bracket_table()
+        new, old = cohomology._d2_matrix(g, br), dense_d2_matrix(g, br)
+        assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
+        assert not any(_proportional(u, w) for i, u in enumerate(new)
+                       for w in new[i + 1:]), g.name
+        dim, basis = rank_lift_h2(g)
+        got = h2_even(g)
+        assert got["dim"] == dim, g.name
+        assert [phi.vec for phi in got["basis"]] == basis, g.name
+
+
+def test_values_agree_with_value(rng):
+    """The sparse reader lists exactly the nonzero values `value` gives, on
+    every ordered pair of random cochains of every shape."""
+    for m, n in [(m, n) for m in range(6) for n in range(6 - m)]:
+        for _ in range(3):
+            phi = Cochain2Even(m, n, [_rand_scalar(rng) for _ in
+                                      range(cohomology.cochain_dim(m, n))])
+            listed = {(a, b): t for a, b, t in phi.values()}
+            for a in range(m + n):
+                for b in range(m + n):
+                    dense = sum(phi.value(a, b), [])
+                    terms = [(k, x) for k, x in enumerate(dense)
+                             if not x.is_zero()]
+                    assert listed.get((a, b), []) == terms, (m, n, a, b)

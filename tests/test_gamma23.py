@@ -107,7 +107,7 @@ def ref_simdiag(pair):
     for member, other in zip(_probe_members(pair), [g1] * len(PROBES) + [g2]):
         if not det(member).is_zero():
             return _is_diagonalizable(mat_mul(inv(member), other))
-    comp = gamma23._kernel_complement(pair)
+    comp = gamma23._kernel_complement(gamma23._common_kernel(pair))
     if comp is None:
         return False
     ct = transpose(comp)

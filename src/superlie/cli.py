@@ -316,8 +316,9 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .exprlang import evaluate, parse
     from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
-    from .series import PuiseuxSeries
+    from .series import PuiseuxSeries, format_series
 
     seed = args.seed if args.seed is not None else \
         random.SystemRandom().randrange(2 ** 32)
@@ -359,12 +360,21 @@ def cmd_selftest(args) -> int:
     print(f"cocycle round-trips: {cases // 20} cases OK")
 
     for _ in range(cases // 4):
-        terms = {Fraction(rng.randint(-4, 8), rng.randint(1, 3)): rand_elem()
-                 for _ in range(rng.randint(0, 4))}
+        # power-of-two denominators: exprlang's t^(p/q) reads those back
+        terms = {Fraction(rng.randint(-4, 8), rng.choice((1, 2, 4))):
+                 rand_elem() for _ in range(rng.randint(0, 4))}
         s = PuiseuxSeries(terms)
         u = PuiseuxSeries({Fraction(rng.randint(-2, 4)): rand_elem()})
+        v = PuiseuxSeries({Fraction(rng.randint(-2, 4),
+                                    rng.choice((1, 2, 4))): rand_elem()})
         if (s + u) - u != s:
             print("FAIL: series add/sub round-trip")
+            return EXIT_FAIL
+        if evaluate(parse(format_series(s))) != s:
+            print(f"FAIL: series round-trip {format_series(s)}")
+            return EXIT_FAIL
+        if s * (u + v) != s * u + s * v:
+            print("FAIL: series distributivity")
             return EXIT_FAIL
     print(f"series identities: {cases // 4} cases OK")
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _sparse, basis_names, pairs
+from .algebra import SuperAlgebra, basis_names, pairs
 from .exprlang import basis_index, constant, evaluate, parse
 from .field import FieldElem, ONE, ZERO, format_elem, format_sum
 from .linalg import kernel, rank, rref, transpose
@@ -120,11 +120,12 @@ def d1(g: SuperAlgebra, A, D, br=None) -> Cochain2Even:
     m, n = g.m, g.n
     if br is None:
         br = g.bracket_table()
-    # psi[k] = psi(x_k) as a sparse combined-basis vector
-    psi = [_sparse(([A[r][k] for r in range(m)], [ZERO] * n))
-           for k in range(m)]
-    psi += [_sparse(([ZERO] * m, [D[r][l] for r in range(n)]))
-            for l in range(n)]
+    # psi[k] = psi(x_k) as a sparse combined-basis vector: the nonzero
+    # entries of column k of A, or of column k - m of D offset by m
+    psi = [[(r, x) for r, x in enumerate(col) if not x.is_zero()]
+           for col in zip(*A)]
+    psi += [[(m + r, x) for r, x in enumerate(col) if not x.is_zero()]
+            for col in zip(*D)]
 
     def entry(a, b):
         acc = [ZERO] * (m + n)

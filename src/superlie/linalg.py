@@ -161,6 +161,9 @@ def inv(matrix: Sequence[Row]) -> List[Row]:
 # -- series elimination -----------------------------------------------------
 
 
+_EXACT_ZERO = PuiseuxSeries({})
+
+
 def _series_is_visible(x: PuiseuxSeries) -> bool:
     return bool(x.terms)
 
@@ -197,11 +200,15 @@ def series_solve(matrix, rhs,
         aug[c], aug[best] = aug[best], aug[c]
         perm[c], perm[best] = perm[best], perm[c]
         pivot_inv = aug[c][c].inv(precision)
-        aug[c] = [x * pivot_inv for x in aug[c]]
+        # an exact zero times anything is the exact zero, and subtracting
+        # it leaves an entry as it is: those products are skipped
+        aug[c] = [_EXACT_ZERO if x.is_zero() else x * pivot_inv
+                  for x in aug[c]]
         for k in range(n):
             # an unresolved zero is eliminated too: its unknown terms lower
             # the precision of row k instead of being dropped
             if k != c and not aug[k][c].is_zero():
                 factor = aug[k][c]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[c])]
+                aug[k] = [a if b.is_zero() else a - factor * b
+                          for a, b in zip(aug[k], aug[c])]
     return [row[n:n + width] for row in aug]

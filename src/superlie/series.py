@@ -5,6 +5,8 @@ exponents, together with a precision bound: terms of exponent >= precision
 are unknown.  ``precision is None`` marks an *exact* series (a finite sum
 with no truncation), which is what polynomial arithmetic on witness data
 produces; only ``inv``, ``sqrt`` and fractional powers introduce truncation.
+Exponents and precisions are stored as ``int`` when integral and as
+``Fraction`` otherwise; a float exponent or precision raises TypeError.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from typing import Dict, Optional, Union
 from .field import FieldElem, ONE, ZERO, field_sqrt, format_sum
 
 DEFAULT_PRECISION = Fraction(8)
+
+Exponent = Union[int, Fraction]
+_alloc = object.__new__
 
 
 def parse_precision(text: str) -> Fraction:
@@ -57,7 +62,7 @@ class Diverges(SeriesError):
     pass
 
 
-def _min_prec(p1: Optional[Fraction], p2: Optional[Fraction]):
+def _min_prec(p1: Optional[Exponent], p2: Optional[Exponent]):
     if p1 is None:
         return p2
     if p2 is None:
@@ -65,16 +70,44 @@ def _min_prec(p1: Optional[Fraction], p2: Optional[Fraction]):
     return min(p1, p2)
 
 
+def _exponent(e) -> Exponent:
+    """An exponent or precision in canonical form: an ``int`` when it is
+    integral, a ``Fraction`` only when it is not.  A float is refused: its
+    binary value is not the rational it was written as."""
+    if type(e) is int:
+        return e
+    if isinstance(e, float):
+        raise TypeError(f"series exponents are exact rationals, not {e!r}")
+    e = Fraction(e)
+    return e.numerator if e.denominator == 1 else e
+
+
+def _series(terms: Dict[Exponent, FieldElem],
+            precision: Optional[Exponent]) -> "PuiseuxSeries":
+    # internal constructor for canonical exponents, nonzero FieldElem
+    # coefficients and no term at or past the precision
+    s = _alloc(PuiseuxSeries)
+    s.terms = terms
+    s.precision = precision
+    return s
+
+
 class PuiseuxSeries:
-    """Immutable truncated Puiseux series."""
+    """Immutable truncated Puiseux series.
+
+    ``terms`` maps each exponent to its nonzero coefficient; exponents and
+    the precision are ``int`` when integral and ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms", "precision")
 
-    def __init__(self, terms: Dict[Fraction, FieldElem],
-                 precision: Optional[Fraction] = None):
+    def __init__(self, terms: Dict[Exponent, FieldElem],
+                 precision: Optional[Exponent] = None):
+        if precision is not None:
+            precision = _exponent(precision)
         clean = {}
         for e, c in terms.items():
-            e = Fraction(e)
+            e = _exponent(e)
             if not isinstance(c, FieldElem):
                 c = FieldElem(c)
             if c.is_zero():
@@ -88,24 +121,20 @@ class PuiseuxSeries:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def from_scalar(c, precision: Optional[Fraction] = None) -> "PuiseuxSeries":
+    def from_scalar(c,
+                    precision: Optional[Exponent] = None) -> "PuiseuxSeries":
         if not isinstance(c, FieldElem):
             c = FieldElem(c)
-        return PuiseuxSeries({Fraction(0): c}, precision)
+        if precision is not None:
+            precision = _exponent(precision)
+        keep = not c.is_zero() and (precision is None or precision > 0)
+        return _series({0: c} if keep else {}, precision)
 
     @staticmethod
     def t_power(e) -> "PuiseuxSeries":
-        return PuiseuxSeries({Fraction(e): ONE})
+        return _series({_exponent(e): ONE}, None)
 
     # -- structure -----------------------------------------------------
-
-    def valuation_bound(self) -> Fraction:
-        """A lower bound on the valuation (infinite for exact zero)."""
-        if self.terms:
-            return min(self.terms)
-        if self.precision is not None:
-            return self.precision
-        return None  # exact zero: valuation +infinity
 
     def leading(self):
         """(exponent, coeff) of the lowest-order known term, or None."""
@@ -119,7 +148,7 @@ class PuiseuxSeries:
         return not self.terms and self.precision is None
 
     def coeff(self, e) -> FieldElem:
-        return self.terms.get(Fraction(e), ZERO)
+        return self.terms.get(_exponent(e), ZERO)
 
     # -- ring operations -------------------------------------------------
 
@@ -129,14 +158,21 @@ class PuiseuxSeries:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return PuiseuxSeries(terms, _min_prec(self.precision, other.precision))
+            if e in terms:
+                c = terms[e] + c
+                if c.is_zero():
+                    del terms[e]
+                    continue
+            terms[e] = c
+        prec = _min_prec(self.precision, other.precision)
+        if prec is not None:
+            terms = {e: c for e, c in terms.items() if e < prec}
+        return _series(terms, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries({e: -c for e, c in self.terms.items()},
-                             self.precision)
+        return _series({e: -c for e, c in self.terms.items()}, self.precision)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -154,26 +190,36 @@ class PuiseuxSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.precision is None and other.precision is None:
-            prec = None
-        else:
-            v1 = self.valuation_bound()
-            v2 = other.valuation_bound()
-            cands = []
-            if self.precision is not None:
-                # error O(t^P1) * other = O(t^(P1+v2)); v2 None means exact 0
-                if v2 is not None:
-                    cands.append(self.precision + v2)
-            if other.precision is not None:
-                if v1 is not None:
-                    cands.append(other.precision + v1)
-            prec = min(cands) if cands else None
-        terms: Dict[Fraction, FieldElem] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        t1, p1 = self.terms, self.precision
+        t2, p2 = other.terms, other.precision
+        if (not t1 and p1 is None) or (not t2 and p2 is None):
+            # an exact zero factor: exact zero, whatever the other's precision
+            return _series({}, None)
+        # error O(t^P1) * other = O(t^(P1 + v2)), v2 a bound on other's
+        # valuation, and symmetrically
+        prec = None
+        if p1 is not None:
+            prec = p1 + (min(t2) if t2 else p2)
+        if p2 is not None:
+            bound = p2 + (min(t1) if t1 else p1)
+            if prec is None or bound < prec:
+                prec = bound
+        if prec is not None:
+            prec = _exponent(prec)
+        acc: Dict[Exponent, FieldElem] = {}
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
                 e = e1 + e2
-                terms[e] = terms.get(e, ZERO) + c1 * c2
-        return PuiseuxSeries(terms, prec)
+                if prec is not None and e >= prec:
+                    continue
+                c = c1 * c2
+                acc[e] = acc[e] + c if e in acc else c
+        terms = {}
+        for e, c in acc.items():
+            if not c.is_zero():
+                terms[e if type(e) is int or e.denominator != 1
+                      else e.numerator] = c
+        return _series(terms, prec)
 
     __rmul__ = __mul__
 
@@ -189,7 +235,8 @@ class PuiseuxSeries:
                              else self.precision - a) * c.inv()
         rel = rest.precision
         if rest.terms:
-            budget = precision if precision is not None else working_precision()
+            budget = _exponent(precision if precision is not None
+                               else working_precision())
             rel = budget if rel is None else min(rel, budget)
         if rel is not None and rel <= 0:
             raise InsufficientPrecision(f"result only known to O(t^{rel})")
@@ -220,7 +267,7 @@ class PuiseuxSeries:
                     break
                 geom = geom + (power if k % 2 == 0 else -power)
                 k += 1
-        return PuiseuxSeries({-a: c.inv()}, None) * geom
+        return _series({-a: c.inv()}, None) * geom
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -238,7 +285,7 @@ class PuiseuxSeries:
         """A square root, by the binomial series on 1 + (lower-order part)."""
         if not self.terms:
             if self.precision is None:
-                return PuiseuxSeries({}, None)
+                return _series({}, None)
             raise InsufficientPrecision("square root of an unresolved zero")
         root_c = field_sqrt(self.leading()[1])
         if root_c is None:
@@ -257,7 +304,7 @@ class PuiseuxSeries:
                 coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
                 acc = acc + power * FieldElem(coeff)
                 k += 1
-        result = PuiseuxSeries({a / 2: root_c}, None) * acc
+        result = PuiseuxSeries({Fraction(a, 2): root_c}, None) * acc
         if result.precision is None and not (result * result == self):
             raise NoRoot("series has no square root in the field")
         return result
@@ -265,7 +312,7 @@ class PuiseuxSeries:
     def pow(self, exponent: Fraction,
             precision: Optional[Fraction] = None) -> "PuiseuxSeries":
         """Rational power with denominator a power of two."""
-        exponent = Fraction(exponent)
+        exponent = Fraction(_exponent(exponent))
         den = exponent.denominator
         if den & (den - 1):
             raise NoRoot(f"unsupported power denominator {den}")
@@ -292,7 +339,7 @@ class PuiseuxSeries:
         if self.precision is not None and self.precision <= 0:
             raise InsufficientPrecision(
                 "constant term not resolved at this precision")
-        return self.terms.get(Fraction(0), ZERO)
+        return self.terms.get(0, ZERO)
 
     # -- comparisons -------------------------------------------------------
 
@@ -316,7 +363,7 @@ class PuiseuxSeries:
 
 
 def _coerce(x) -> Union[PuiseuxSeries, type(NotImplemented)]:
-    if isinstance(x, PuiseuxSeries):
+    if type(x) is PuiseuxSeries or isinstance(x, PuiseuxSeries):
         return x
     if isinstance(x, (int, Fraction, FieldElem)):
         return PuiseuxSeries.from_scalar(x)

@@ -338,7 +338,11 @@ class SuperAlgebra:
 
     @staticmethod
     def from_doc(doc: Dict) -> "SuperAlgebra":
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = doc["m"], doc["n"]
+        for key, v in (("m", m), ("n", n)):
+            if type(v) is not int or v < 0:     # a bool is an int too
+                raise AlgebraError(f"{key} must be an integer >= 0, not "
+                                   f"{json.dumps(v, default=str)}")
         consts: Dict[Tuple[int, int], Dict[int, FieldElem]] = {}
         seen = set()
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import SuperAlgebra
 from .field import FieldElem, I, ONE, SQRT2, ZERO
-from .groebner import Poly, system_verdict
+from .groebner import Poly, poly_add, poly_mul, poly_scale, system_verdict
 from .linalg import kernel, rank
 
 
@@ -115,12 +115,9 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     return len(basis), basis
 
 
-def der0_dim(g: SuperAlgebra, br=None) -> int:
-    return abc_derivations(g, 1, 1, 1, 0, br)[0]
-
-
 def orbit_dim(g: SuperAlgebra, br=None) -> int:
-    return g.m ** 2 + g.n ** 2 - der0_dim(g, br)
+    """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0."""
+    return g.m ** 2 + g.n ** 2 - abc_derivations(g, 1, 1, 1, 0, br)[0]
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -128,11 +125,6 @@ def orbit_dim(g: SuperAlgebra, br=None) -> int:
 
 _WITNESS_GRID = [ZERO, ONE, -ONE, I, -I, FieldElem(2), ONE / 2, I / 2,
                  SQRT2, ONE + I]
-
-
-def _echelon_patterns(total: int, k: int):
-    """Column patterns: choose pivot rows for a k-dim subspace of C^total."""
-    return itertools.combinations(range(total), k)
 
 
 def _subspace_vars(pivots: Sequence[int], total: int, offset: int):
@@ -167,8 +159,6 @@ def _bracket_polys(br, m: int, ecols, ocols, nvars) -> List[Poly]:
         if e.is_zero():
             return {}
         return {tuple([0] * nvars): e}
-
-    from .groebner import poly_add, poly_mul, poly_scale
 
     # each generator as {combined basis index: poly}, the even ones first
     gens = [{k: p for k, p in enumerate(map(entry_poly, col)) if p}
@@ -216,9 +206,10 @@ def trivial_shape_exists(br, m: int, n: int, a: int,
     """Does a trivial graded subalgebra of shape (a|b) exist in the (m|n)
     algebra with bracket table br?  None=unknown."""
     any_unknown = False
-    for epiv in _echelon_patterns(m, a):
+    # each choice of pivot rows is one chart of the subspaces of shape (a|b)
+    for epiv in itertools.combinations(range(m), a):
         ecols, ev = _subspace_vars(epiv, m, 0)
-        for opiv in _echelon_patterns(n, b):
+        for opiv in itertools.combinations(range(n), b):
             ocols, ov = _subspace_vars(opiv, n, ev)
             nvars = ev + ov
             eqs = _bracket_polys(br, m, ecols, ocols, max(nvars, 1))
@@ -262,24 +253,26 @@ def trivial_sub_max(g: SuperAlgebra, br=None) -> Dict:
 ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
-def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
-    br = g.bracket_table()
-    zdim, _ = center(g, br)
-    ddim = derived(g, br)
-    abc = {}
-    for tup in ABC_TUPLES:
-        for deg in (0, 1):
-            abc[f"({tup[0]},{tup[1]},{tup[2]})@{deg}"] = \
-                abc_derivations(g, *tup, deg, br)[0]
-    d0 = abc["(1,1,1)@0"]  # Der_0 = the (1,1,1)-derivations of degree 0
+def invariant_report(g: SuperAlgebra, with_trivial: bool = True,
+                     br=None) -> Dict:
+    """Every invariant of g from one bracket table (built when `br` is
+    None).  Der_0, the (1,1,1)-derivations of degree 0, is solved once, by
+    `orbit_dim`."""
+    if br is None:
+        br = g.bracket_table()
+    od = orbit_dim(g, br)
+    d0 = g.m ** 2 + g.n ** 2 - od
+    abc = {f"({a},{b},{c})@{deg}": d0 if (a, b, c, deg) == (1, 1, 1, 0)
+           else abc_derivations(g, a, b, c, deg, br)[0]
+           for a, b, c in ABC_TUPLES for deg in (0, 1)}
     report = {
         "name": g.name,
         "shape": [g.m, g.n],
-        "center": list(zdim),
-        "derived": list(ddim),
+        "center": list(center(g, br)[0]),
+        "derived": list(derived(g, br)),
         "gamma_zero": gamma_is_zero(g),
         "der0_dim": d0,
-        "orbit_dim": g.m ** 2 + g.n ** 2 - d0,
+        "orbit_dim": od,
         "abc_entries": abc,
     }
     if with_trivial:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import catalog
 from .algebra import SuperAlgebra
 from .exprlang import ExprTypeError, evaluate_basis_vector
-from .invariants import (ABC_TUPLES, abc_derivations, center, derived,
-                         gamma_is_zero, orbit_dim, trivial_sub_max)
+from .invariants import ABC_TUPLES, invariant_report, trivial_sub_max
 from .linalg import SingularMatrix
 from .series import Diverges, InsufficientPrecision, working_precision
 
@@ -75,25 +75,18 @@ class Failed:
 def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
                       basis: Dict[str, str]):
     """Columns T[:,i] / S[:,j] of the parametrized basis; grading enforced."""
-    T = [[None] * m for _ in range(m)]
-    S = [[None] * n for _ in range(n)]
-    for i in range(1, m + 1):
-        text = basis.get(f"x{i}", f"e{i}")
-        even, odd = evaluate_basis_vector(text, m, n, precision)
-        if any(not x.is_zero() for x in odd):
-            raise ExprTypeError(
-                f"x{i} of {w.from_name}->{w.to_name} mixes parities: {text}")
-        for a in range(m):
-            T[a][i - 1] = even[a]
-    for j in range(1, n + 1):
-        text = basis.get(f"y{j}", f"f{j}")
-        even, odd = evaluate_basis_vector(text, m, n, precision)
-        if any(not x.is_zero() for x in even):
-            raise ExprTypeError(
-                f"y{j} of {w.from_name}->{w.to_name} mixes parities: {text}")
-        for b in range(n):
-            S[b][j - 1] = odd[b]
-    return T, S
+    def matrix(sym: str, default: str, count: int, parity: int):
+        cols = []
+        for i in range(1, count + 1):
+            text = basis.get(f"{sym}{i}", f"{default}{i}")
+            parts = evaluate_basis_vector(text, m, n, precision)
+            if any(not x.is_zero() for x in parts[1 - parity]):
+                raise ExprTypeError(f"{sym}{i} of {w.from_name}->{w.to_name}"
+                                    f" mixes parities: {text}")
+            cols.append(parts[parity])
+        return [list(row) for row in zip(*cols)]
+
+    return matrix("x", "e", m, 0), matrix("y", "f", n, 1)
 
 
 def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
@@ -173,10 +166,10 @@ class Inconclusive:
 
 
 # Every value this module derives, keyed by what it is computed from: an
-# algebra's bracket table and invariants by (m, n, stored brackets, name,
-# arguments), a builtin witness result by ("witness", from, to, source,
-# precision).  Derivation paths that reach the same algebra (a label, its
-# ab, its F.ab, ...) share its entries.
+# algebra's _Profile by (m, n, stored brackets), a builtin witness result by
+# ("witness", from, to, source, precision).  Derivation paths that reach the
+# same algebra (a label, its ab, its F then ab, an unlabelled copy) share
+# its entry.
 _MEMO: Dict[tuple, object] = {}
 
 
@@ -186,81 +179,86 @@ def _memo(key: tuple, compute):
     return _MEMO[key]
 
 
-# Each entry looks its function up by name when called, so a wrapper put in
-# place of that name (a counting test, the benchmark's tracer) sees the call.
-_INVARIANTS = {
-    "orbit_dim": lambda g, br: orbit_dim(g, br),
-    "center": lambda g, br: center(g, br)[0],
-    "derived": lambda g, br: derived(g, br),
-    "abc": lambda g, br, abc, i: abc_derivations(g, *abc, i, br)[0],
-    "trivial_sub": lambda g, br: trivial_sub_max(g, br),
-}
+class _Profile:
+    """One distinct algebra: the algebra (named by its first caller), its
+    bracket table and its `invariant_report` without t(g).  t(g) and the
+    entries of its ab and F reductions are filled in on first use."""
+
+    def __init__(self, g: SuperAlgebra):
+        self.alg = g
+        self.br = g.bracket_table()
+        self.record = invariant_report(g, with_trivial=False, br=self.br)
+
+    @cached_property
+    def trivial(self) -> Dict:
+        return trivial_sub_max(self.alg, self.br)
+
+    @cached_property
+    def ab(self) -> "_Profile":
+        return _profile(self.alg.ab())
+
+    @cached_property
+    def F(self) -> "_Profile":
+        return _profile(self.alg.forget_gamma())
 
 
-def _inv(g: SuperAlgebra, name: str, *args):
-    """The invariant `name` of g, computed once per distinct algebra."""
-    key = (g.m, g.n, tuple(g.consts.items()))
-    return _memo(key + (name,) + args, lambda: _INVARIANTS[name](
-        g, _memo(key + ("table",), g.bracket_table), *args))
+def _profile(g: SuperAlgebra) -> _Profile:
+    """The memo entry of g, made on first use."""
+    return _memo((g.m, g.n, tuple(g.consts.items())), lambda: _Profile(g))
 
 
-def _label_of(g: Union[str, SuperAlgebra]) -> Tuple[SuperAlgebra, Optional[str]]:
-    if isinstance(g, str):
-        return catalog.get(g).algebra, g
-    return g, None
-
-
-def _check_criterion(g, h, criterion, degree=None, tup=None, depth=2,
-                     proper=True) -> Optional[Dict]:
-    """Evaluate one necessary condition of degeneration for the pair (g, h);
-    returns violation data when the condition fails (certifying g -/-> h)."""
+def _check_criterion(p: _Profile, q: _Profile, criterion, degree=None,
+                     tup=None, depth=2, proper=True) -> Optional[Dict]:
+    """Evaluate one necessary condition of degeneration for the pair of
+    algebras with entries (p, q); returns violation data when the condition
+    fails (certifying p -/-> q)."""
     degrees = [degree] if degree is not None else [0, 1]
+    rg, rh = p.record, q.record
     if criterion == "orbit_dim":
-        dg, dh = _inv(g, "orbit_dim"), _inv(h, "orbit_dim")
+        dg, dh = rg["orbit_dim"], rh["orbit_dim"]
         bad = dg <= dh if proper else dg < dh
         if bad:
             return {"from_value": dg, "to_value": dh}
         return None
     if criterion == "gamma_zero":
-        if gamma_is_zero(g) and not gamma_is_zero(h):
+        if rg["gamma_zero"] and not rh["gamma_zero"]:
             return {"from_value": "gamma=0", "to_value": "gamma!=0"}
         return None
     if criterion == "center":
-        cg, ch = _inv(g, "center"), _inv(h, "center")
+        cg, ch = rg["center"], rh["center"]
         for i in degrees:
             if cg[i] > ch[i]:
                 return {"degree": i, "from_value": cg[i], "to_value": ch[i]}
         return None
     if criterion == "derived":
-        dg, dh = _inv(g, "derived"), _inv(h, "derived")
+        dg, dh = rg["derived"], rh["derived"]
         for i in degrees:
             if dg[i] < dh[i]:
                 return {"degree": i, "from_value": dg[i], "to_value": dh[i]}
         return None
     if criterion == "abc_derivation":
         tuples = [tuple(tup)] if tup is not None else ABC_TUPLES
-        for abc in tuples:
+        for a, b, c in tuples:
             for i in degrees:
-                dg, dh = _inv(g, "abc", abc, i), _inv(h, "abc", abc, i)
+                key = f"({a},{b},{c})@{i}"
+                dg, dh = rg["abc_entries"][key], rh["abc_entries"][key]
                 if dg > dh:
-                    return {"tuple": list(abc), "degree": i,
+                    return {"tuple": [a, b, c], "degree": i,
                             "from_value": dg, "to_value": dh}
         return None
     if criterion in ("ab_recursion", "F_recursion"):
         if depth <= 0:
             return None
-        reduce = SuperAlgebra.ab if criterion == "ab_recursion" \
-            else SuperAlgebra.forget_gamma
-        sub = _pair_certs(reduce(g), reduce(h), depth - 1, proper=False,
-                          with_trivial=False)
+        reduced = "ab" if criterion == "ab_recursion" else "F"
+        sub = _pair_certs(getattr(p, reduced), getattr(q, reduced),
+                          depth - 1, proper=False, with_trivial=False)
         if sub:
-            return {"inner": sub[0].criterion, "inner_data": sub[0].data}
+            return {"inner": sub[0][0], "inner_data": sub[0][1]}
         return None
     if criterion == "trivial_sub":
-        tg, th = _inv(g, "trivial_sub"), _inv(h, "trivial_sub")
-        if tg.get("exact") is not None and th.get("exact") is not None \
-                and tg["exact"] > th["exact"]:
-            return {"from_value": tg["exact"], "to_value": th["exact"]}
+        tg, th = p.trivial["exact"], q.trivial["exact"]
+        if tg is not None and th is not None and tg > th:
+            return {"from_value": tg, "to_value": th}
         return None
     raise ValueError(f"unknown criterion {criterion!r}")
 
@@ -269,26 +267,30 @@ _CRITERIA = ("orbit_dim", "gamma_zero", "center", "derived",
              "ab_recursion", "F_recursion", "abc_derivation", "trivial_sub")
 
 
-def _pair_certs(g, h, depth, proper=True,
-                with_trivial=True) -> List[NonDegCertificate]:
+def _pair_certs(p: _Profile, q: _Profile, depth, proper=True,
+                with_trivial=True) -> List[Tuple[str, Dict]]:
+    """(criterion, violation data) of every criterion that certifies
+    p -/-> q."""
     certs = []
     for criterion in _CRITERIA:
         if criterion == "trivial_sub" and not with_trivial:
             continue
-        data = _check_criterion(g, h, criterion, depth=depth, proper=proper)
+        data = _check_criterion(p, q, criterion, depth=depth, proper=proper)
         if data is not None:
-            certs.append(NonDegCertificate(g.name, h.name, criterion, data))
+            certs.append((criterion, data))
     return certs
 
 
 def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra]):
     """All certificates that g does not degenerate to h, or Inconclusive."""
-    galg, glabel = _label_of(g)
-    halg, hlabel = _label_of(h)
+    galg = catalog.get(g).algebra if isinstance(g, str) else g
+    halg = catalog.get(h).algebra if isinstance(h, str) else h
     _same_shape(galg, halg)
-    if glabel is not None and glabel == hlabel:
-        return Inconclusive(glabel, hlabel)   # reflexive: g -> g always
-    certs = _pair_certs(galg, halg, 2)
+    if isinstance(g, str) and g == h:
+        return Inconclusive(g, h)   # reflexive: g -> g always
+    certs = [NonDegCertificate(galg.name, halg.name, criterion, data)
+             for criterion, data in _pair_certs(_profile(galg),
+                                                _profile(halg), 2)]
     return certs or Inconclusive(galg.name, halg.name)
 
 
@@ -322,7 +324,8 @@ def build_hasse(dim, precision=None) -> HasseDiagram:
     m, n = catalog.normalize_dim(dim)
     entries = catalog.list_entries((m, n))
     nodes = [e.label for e in entries]
-    dims = {e.label: _inv(e.algebra, "orbit_dim") for e in entries}
+    dims = {e.label: _profile(e.algebra).record["orbit_dim"]
+            for e in entries}
     edges, failed = [], []
     for res in verify_builtin_witnesses((m, n), precision=precision):
         if res.ok:
@@ -398,12 +401,10 @@ def component_analysis(dim, precision=None) -> Dict:
     warnings = []
     for i, u in enumerate(maximal):
         for v in maximal[i + 1:]:
-            if not _separated(u, v, diagram.closure):
-                warnings.append(f"inconclusive separation: {u} -/-> {v} "
-                                "not certified")
-            if not _separated(v, u, diagram.closure):
-                warnings.append(f"inconclusive separation: {v} -/-> {u} "
-                                "not certified")
+            for a, b in ((u, v), (v, u)):
+                if not _separated(a, b, diagram.closure):
+                    warnings.append(f"inconclusive separation: {a} -/-> {b} "
+                                    "not certified")
     return {"diagram": diagram, "components": maximal, "warnings": warnings}
 
 
@@ -422,8 +423,9 @@ def discrepancy_report(dim=None) -> List[Dict]:
     report = []
     for row in catalog.nondegen_rows(dim):
         g, h = row["from"], row["to"]
-        galg, halg = catalog.get(g).algebra, catalog.get(h).algebra
-        data = _check_criterion(galg, halg, row["criterion"],
+        data = _check_criterion(_profile(catalog.get(g).algebra),
+                                _profile(catalog.get(h).algebra),
+                                row["criterion"],
                                 degree=row.get("degree"), tup=row.get("tuple"))
         if data is None:
             alts = auto_nondegen(g, h)
@@ -436,9 +438,7 @@ def discrepancy_report(dim=None) -> List[Dict]:
             meta = known.get((g, h, row["criterion"]))
             if meta is not None:
                 entry["status"] = meta.get("status", "unconfirmed")
-                if "note" in meta:
-                    entry["note"] = meta["note"]
-                if "refutation_basis" in meta:
-                    entry["refutation_basis"] = meta["refutation_basis"]
+                entry.update({k: meta[k] for k in ("note", "refutation_basis")
+                              if k in meta})
             report.append(entry)
     return report

@@ -115,6 +115,17 @@ def test_malformed_file_usage_error(tmp_path, capsys, command, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["h2", "invariants"])
+@pytest.mark.parametrize("m", ["-1", "2.5", "true", '"2"', "null"])
+def test_shape_must_be_a_nonnegative_integer(tmp_path, capsys, command, m):
+    """A shape that is not a JSON integer >= 0 is a parse error, not a
+    traceback or a silent int() of it."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"m": {m}, "n": 1, "brackets": []}}')
+    _one_line_usage_error(capsys, [command, str(path)],
+                          f"parse error: m must be an integer >= 0, not {m}")
+
+
 @pytest.mark.parametrize("text", [
     '{"basis": {"y1": "t*f1"',
     '[1, 2]',

@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from superlie import catalog, orbitrel
+from superlie import catalog, invariants, orbitrel
 from superlie.algebra import SuperAlgebra
 from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                auto_nondegen, build_hasse, components,
@@ -272,21 +273,68 @@ def test_unlabelled_copy_gets_the_labels_certificates():
         assert _certified(auto_nondegen(copy(u), v)) == want, (u, v)
 
 
+def test_certificate_names_come_from_the_caller(monkeypatch):
+    """A copy shares the label's memo entry but not its name: the
+    certificates and Inconclusive name what the caller passed."""
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    kinds = set()
+    for u, v in _small_pairs():
+        g = catalog.get(u).algebra
+        copy = SuperAlgebra(g.m, g.n, g.consts, name="copy")
+        auto_nondegen(u, v)   # the label's call makes the shared entries
+        for frm, to, res in (("copy", v, auto_nondegen(copy, v)),
+                             (v, "copy", auto_nondegen(v, copy))):
+            kinds.add(type(res))
+            named = [res] if isinstance(res, Inconclusive) else res
+            assert all((c.from_name, c.to_name) == (frm, to)
+                       for c in named), (u, v, res)
+    assert kinds == {list, Inconclusive}
+
+
+def _count_calls(monkeypatch, original, record, owner=None):
+    """Put a wrapper that calls record(*args) before `original` wherever
+    `original` is bound: in every superlie module and in `owner`."""
+    def counting(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    namespaces = [mod for name, mod in sys.modules.items()
+                  if name == "superlie" or name.startswith("superlie.")]
+    namespaces += [owner] if owner is not None else []
+    bound = [(ns, attr) for ns in namespaces
+             for attr, value in vars(ns).items() if value is original]
+    assert bound, original
+    for ns, attr in bound:
+        monkeypatch.setattr(ns, attr, counting)
+
+
+def _key(g):
+    return g.m, g.n, tuple(g.consts.items())
+
+
 def test_component_analysis_derives_each_input_once(monkeypatch):
     """abc_derivations runs once per distinct (structure constants, tuple,
-    degree), however many derivation paths reach the algebra."""
+    degree), however many derivation paths reach the algebra; Der_0 is
+    solved once for orbit_dim and the (1,1,1)@0 entry together."""
     calls = []
-    compute = orbitrel.abc_derivations
-
-    def counting(g, alpha, beta, gamma, degree, br=None):
-        calls.append((g.m, g.n, tuple(g.consts.items()),
-                      (alpha, beta, gamma), degree))
-        return compute(g, alpha, beta, gamma, degree, br)
-
-    monkeypatch.setattr(orbitrel, "abc_derivations", counting)
+    _count_calls(monkeypatch, invariants.abc_derivations,
+                 lambda g, alpha, beta, gamma, degree, br=None:
+                 calls.append((_key(g), (alpha, beta, gamma), degree)))
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|3)")
     assert len(calls) == len(set(calls)) == 192
+
+
+def test_component_analysis_reduces_each_input_once(monkeypatch):
+    """ab and forget_gamma run once per distinct algebra they reduce."""
+    calls = []
+    for method in (SuperAlgebra.ab, SuperAlgebra.forget_gamma):
+        _count_calls(monkeypatch, method,
+                     lambda g, name=method.__name__:
+                     calls.append((name, _key(g))), owner=SuperAlgebra)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    orbitrel.component_analysis("(2|3)")
+    assert len(calls) == len(set(calls)) == 64
 
 
 def test_hasse_dim3():

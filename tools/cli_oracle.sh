@@ -1,0 +1,48 @@
+#!/bin/sh
+# Dump the CLI's stdout and exit code for every label, shape, gamma23
+# representative and ordered pair of distinct labels of one shape.
+#
+#     tools/cli_oracle.sh OUT_DIR
+#
+# Run it from the root of the checkout to capture (nothing needs
+# installing); each file in OUT_DIR is named "<command> <arguments>".  The
+# output is byte-deterministic, so a change meant to keep behaviour is
+# checked by running this at the parent commit and at the change and
+# comparing the two directories with `diff -r`.
+set -u
+if [ $# -ne 1 ]; then
+  echo "usage: $0 OUT_DIR" >&2
+  exit 2
+fi
+out=$1
+mkdir -p "$out"
+# a checkout without src/superlie/__main__.py runs the CLI module itself
+main=superlie
+[ -f src/superlie/__main__.py ] || main=superlie.cli
+sl() { PYTHONPATH=src python -m "$main" "$@"; }
+
+for l in $(sl list); do
+  for c in show invariants h2; do
+    sl $c "$l" > "$out/$c $l"; echo "exit $?" >> "$out/$c $l"
+  done
+done
+for mn in $(sl list | sed 's/_.*//' | sort -u | tr -d '()' | tr '|' ,); do
+  for c in hasse components verify-all; do
+    sl $c ${mn%,*} ${mn#*,} > "$out/$c $mn"; echo "exit $?" >> "$out/$c $mn"
+  done
+done
+PYTHONPATH=src python -c 'import json; from superlie import gamma23, field
+for l, p in gamma23.REPRESENTATIVES.items():
+    print(l, *(json.dumps([[field.format_elem(x) for x in r] for r in g],
+                          separators=(",", ":")) for g in p))' |
+while read -r l g1 g2; do
+  sl gamma23 --g1 "$g1" --g2 "$g2" > "$out/gamma23 $l"
+  echo "exit $?" >> "$out/gamma23 $l"
+done
+for u in $(sl list); do
+  for v in $(sl list --dim "${u%_*}"); do
+    [ "$u" = "$v" ] && continue
+    sl nondegen --from "$u" --to "$v" > "$out/nondegen $u $v"
+    echo "exit $?" >> "$out/nondegen $u $v"
+  done
+done

@@ -14,6 +14,7 @@ have equal slots.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -229,10 +230,21 @@ class FieldElem:
                 self.q == other.q)
 
     def __hash__(self):
-        # a rational element hashes like the int or Fraction it equals
+        # a rational element hashes like the int or Fraction it equals, by
+        # Python's rule for rationals (hash(|n0|) / q modulo the prime
+        # _HASH_P, with the sign of n0) computed without a Fraction
+        n0, q = self.n0, self.q
         if self.n1 or self.n2 or self.n3:
-            return hash((self.n0, self.n1, self.n2, self.n3, self.q))
-        return hash(Fraction(self.n0, self.q))
+            return hash((n0, self.n1, self.n2, self.n3, q))
+        if q == 1:
+            return hash(n0)
+        if q % _HASH_P:
+            h = hash(hash(abs(n0)) * pow(q, -1, _HASH_P))
+        else:
+            h = sys.hash_info.inf
+        if n0 < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return not self.is_zero()
@@ -245,6 +257,7 @@ class FieldElem:
 
 
 _alloc = FieldElem.__new__
+_HASH_P = sys.hash_info.modulus
 
 
 def _coerce(x) -> Union["FieldElem", type(NotImplemented)]:

@@ -10,27 +10,36 @@ x*G1 + y*G2: span dimension, common kernel, generic rank, number of
 distinct projective roots of its determinant, existence of a rank-one
 member, and simultaneous diagonalizability by congruence.
 
-These are Segre-Kronecker data of the pencil, read off one cubic binary
-form f = det(x*G1 + y*G2), whose four coefficients come from four `det`
-calls.  A regular pencil (f not identically 0) has generic rank 3, and its
-multiple roots lie in the coefficient field; the member at a root of
-multiplicity m drops rank by at most m, so one `rank` per multiple root
-gives the rank-one members and decides simultaneous diagonalizability
-(a drop of m at every multiple root).  Only a singular pencil (f = 0)
-needs its 2x2 minors, for the generic rank and the rank-one members, and
-its common kernel: off that kernel it is a regular 2x2 pencil,
-diagonalizable iff its determinant has distinct roots, and with no common
-kernel it is the block L1 + L1^t, which is not diagonalizable.
+These are Segre-Kronecker data of the pencil, all computed with +, - and *
+on an integral copy of it: each matrix times the lcm of its entries'
+denominators, which is the group element T = diag(L1, L2), S = I, so a
+rational pair becomes a pair of int matrices.  Ranks come from one
+elimination that cross-multiplies rows.  The cubic form
+f = det(x*G1 + y*G2) has its four coefficients from the cofactors of G1
+and G2.  A regular pencil (f not identically 0) has generic rank 3; f has
+a multiple root iff its discriminant is 0, a triple one iff its Hessian is
+also 0, and then the root is read off the Hessian or off f, so it lies in
+the coefficient field.  The member at a root of multiplicity m drops rank
+by at most m, so the rank of that member gives the rank-one members and
+decides simultaneous diagonalizability (a drop of m).  A singular pencil
+(f = 0) has a rank-one member iff its 2x2 minor forms vanish together
+somewhere: always when they span at most a line, never when they span
+three dimensions, and for two iff their resultant is 0.  Off its common
+kernel, spanned by the cross product of two independent rows of [G1; G2],
+it is a regular 2x2 pencil, diagonalizable iff its determinant has
+distinct roots; with no common kernel it is the block L1 + L1^t, which is
+not diagonalizable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import FieldElem, ONE, ZERO, parse_elem
-from .linalg import SingularMatrix, det, kernel, mat_mul, rank, rref, transpose
+from .linalg import SingularMatrix, det, mat_mul, transpose
 
 Mat = List[List[FieldElem]]
 SymPair = Tuple[Mat, Mat]
@@ -57,8 +66,10 @@ def _scale(a: Mat, c: FieldElem) -> Mat:
 
 
 def _is_symmetric(a: Mat) -> bool:
-    return all((a[i][j] - a[j][i]).is_zero()
-               for i in range(len(a)) for j in range(i + 1, len(a)))
+    """Is `a` a symmetric 3x3 matrix?"""
+    return (len(a) == 3 and all(len(row) == 3 for row in a)
+            and all((a[i][j] - a[j][i]).is_zero()
+                    for i in range(3) for j in range(i + 1, 3)))
 
 
 # -- the constants of the normal-form propositions ---------------------------
@@ -119,199 +130,149 @@ def random_gl(size: int, rng) -> Mat:
             return mat
 
 
-# -- univariate polynomials over the field ------------------------------------
-# coefficient lists, lowest degree first
+# -- the integral pencil ---------------------------------------------------------
+# Everything below uses only +, -, * and truth tests, so matrices of ints,
+# of FieldElems or one of each go through the same code.
 
 
-def _poly_trim(p: List[FieldElem]) -> List[FieldElem]:
-    while p and p[-1].is_zero():
-        p = p[:-1]
-    return p
+def _integral(mat: Mat) -> list:
+    """`mat` times the lcm of its entries' denominators: plain ints for a
+    rational matrix, FieldElems over q = 1 otherwise.  Scaling G1 and G2
+    this way is the group element T = diag(L1, L2), S = I, so the signature
+    stays."""
+    q = math.lcm(*(x.q for row in mat for x in row))
+    if all(x.is_rational() for row in mat for x in row):
+        return [[x.n0 * (q // x.q) for x in row] for row in mat]
+    return [[x * q for x in row] for row in mat]
 
 
-def _poly_divmod(a: List[FieldElem], b: List[FieldElem]):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    binv = b[-1].inv()
-    while len(r) >= len(b) and _poly_trim(r):
-        r = _poly_trim(r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        c = r[-1] * binv
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] = r[shift + i] - c * bc
-        r = r[:-1]
-    return _poly_trim(q), _poly_trim(r)
-
-
-def _poly_gcd(a: List[FieldElem], b: List[FieldElem]) -> List[FieldElem]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead_inv = a[-1].inv()
-        a = [x * lead_inv for x in a]
-    return a
-
-
-def _poly_diff(p: List[FieldElem]) -> List[FieldElem]:
-    return _poly_trim([p[k] * FieldElem(k) for k in range(1, len(p))])
-
-
-def _distinct_root_count(p: List[FieldElem]) -> int:
-    """Number of distinct complex roots (degree of the squarefree part)."""
-    p = _poly_trim(list(p))
-    if len(p) <= 1:
-        return 0
-    g = _poly_gcd(p, _poly_diff(p))
-    return (len(p) - 1) - (len(g) - 1)
+def _echelon(rows) -> list:
+    """Independent rows spanning the row space of `rows`, as many as its
+    rank.  Each row is cleared at the pivot column c by the pivot row p as
+    p[c] * row - row[c] * p, so no division is needed."""
+    rows = [r for r in rows if any(r)]
+    basis = []
+    c = 0
+    while rows:
+        k = next((k for k, r in enumerate(rows) if r[c]), None)
+        if k is not None:
+            pivot = rows.pop(k)
+            basis.append(pivot)
+            p = pivot[c]
+            rows = [[p * x - r[c] * y for x, y in zip(r, pivot)] if r[c] else r
+                    for r in rows]
+            rows = [r for r in rows if any(r)]
+        c += 1
+    return basis
 
 
 # -- binary forms of the pencil x*G1 + y*G2 ------------------------------------
-# a form of degree d is a coefficient list c[0..d] for sum c_k x^k y^(d-k)
-
-HALF = FieldElem(Fraction(1, 2))
-FOUR = FieldElem(4)
 
 
-def _form_mul(f: List[FieldElem], g: List[FieldElem]) -> List[FieldElem]:
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for a, fa in enumerate(f):
-        for b, gb in enumerate(g):
-            out[a + b] = out[a + b] + fa * gb
-    return out
+def _cofactors(g) -> list:
+    """The cofactor matrix of a symmetric 3x3 matrix, itself symmetric."""
+    (a, b, c), (_, d, e), (_, _, f) = g
+    c01, c02, c12 = c * e - b * f, b * e - c * d, b * c - a * e
+    return [[d * f - e * e, c01, c02],
+            [c01, a * f - c * c, c12],
+            [c02, c12, a * d - b * b]]
 
 
-def _det_form(pair: SymPair) -> List[FieldElem]:
-    """The cubic form det(x*G1 + y*G2), from its values det(G2) = c0,
-    det(G1) = c3, det(G1 + G2) = c0 + c1 + c2 + c3 and
-    det(G2 - G1) = c0 - c1 + c2 - c3."""
-    g1, g2 = pair
-    c0, c3 = det(g2), det(g1)
-    plus = det(_add(g1, g2))
-    minus = det([[y - x for x, y in zip(r1, r2)] for r1, r2 in zip(g1, g2)])
-    even, odd = (plus + minus) * HALF, (plus - minus) * HALF
-    return [c0, odd - c3, even - c0, c3]
+def _det_form(g1, g2) -> tuple:
+    """(a, b, c, d) with det(x*G1 + y*G2) = a x^3 + b x^2 y + c x y^2 + d y^3.
+    By Jacobi's formula b pairs G2 with the cofactors of G1 entrywise, and c
+    pairs G1 with those of G2."""
+    c1, c2 = _cofactors(g1), _cofactors(g2)
+
+    def pairing(g, h):
+        return (g[0][0] * h[0][0] + g[1][1] * h[1][1] + g[2][2] * h[2][2]
+                + 2 * (g[0][1] * h[0][1] + g[0][2] * h[0][2]
+                       + g[1][2] * h[1][2]))
+
+    return (g1[0][0] * c1[0][0] + g1[0][1] * c1[0][1] + g1[0][2] * c1[0][2],
+            pairing(g2, c1), pairing(g1, c2),
+            g2[0][0] * c2[0][0] + g2[0][1] * c2[0][1] + g2[0][2] * c2[0][2])
 
 
-def _root_drops(pair: SymPair, form: List[FieldElem]) -> List[Tuple[int, int]]:
+def _root_drops(g1, g2, form) -> List[Tuple[int, int]]:
     """(multiplicity, rank drop of the member there) at each multiple root
-    of the nonzero det `form`.  These roots lie in the coefficient field:
-    (1:0) of multiplicity 3 - deg f(t, 1) when that is at least 2, and the
-    one root of gcd(f(t, 1), f'(t, 1)) otherwise."""
-    g1, g2 = pair
-    p = _poly_trim(list(form))
-    if len(p) < 3:
-        return [(4 - len(p), 3 - rank(g1))]
-    g = _poly_gcd(p, _poly_diff(p))
-    if len(g) == 1:
+    of the nonzero det `form` (a, b, c, d).  A multiple root makes the
+    discriminant vanish.  The Hessian (b^2 - 3ac) x^2 + (bc - 9ad) xy +
+    (c^2 - 3bd) y^2 is then 0 at a triple root, and otherwise a multiple of
+    the square of the linear factor at the double root, so the root lies in
+    the coefficient field."""
+    a, b, c, d = form
+    if (b * b * c * c - 4 * a * c * c * c - 4 * b * b * b * d
+            - 27 * a * a * d * d + 18 * a * b * c * d):
         return []
-    # g = (t - a)^(m - 1) for the root a of multiplicity m = len(g)
-    a = -g[-2] / FieldElem(len(g) - 1)
-    return [(len(g), 3 - rank(_add(_scale(g1, a), g2)))]
+    h0, h1, h2 = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+    m, x, y = (2, -h1, 2 * h0) if h0 or h1 or h2 else (3, -b, 3 * a)
+    member = g1 if not y else [[x * p + y * q for p, q in zip(r1, r2)]
+                               for r1, r2 in zip(g1, g2)]
+    return [(m, 3 - len(_echelon(member)))]
 
 
-def _minor_forms(pair: SymPair) -> List[List[FieldElem]]:
-    """The six distinct 2x2 minors of x*G1 + y*G2 as quadratic forms (by
-    symmetry, rows R and columns C give the minor of rows C and columns R)."""
-    g1, g2 = pair
-    entry = [[[g2[i][j], g1[i][j]] for j in range(3)] for i in range(3)]
+def _minor_forms(g1, g2) -> list:
+    """The six distinct 2x2 minors of x*G1 + y*G2 as coefficient triples of
+    x^2, xy, y^2 (by symmetry, rows R and columns C give the minor of rows C
+    and columns R)."""
     index_pairs = [(0, 1), (0, 2), (1, 2)]
     forms = []
     for k, (r1, r2) in enumerate(index_pairs):
         for c1, c2 in index_pairs[k:]:
-            plus = _form_mul(entry[r1][c1], entry[r2][c2])
-            minus = _form_mul(entry[r1][c2], entry[r2][c1])
-            forms.append([x - y for x, y in zip(plus, minus)])
+            # (p1 x + q1 y)(p2 x + q2 y) - (s1 x + t1 y)(s2 x + t2 y)
+            p1, q1, p2, q2 = g1[r1][c1], g2[r1][c1], g1[r2][c2], g2[r2][c2]
+            s1, t1, s2, t2 = g1[r1][c2], g2[r1][c2], g1[r2][c1], g2[r2][c1]
+            forms.append([p1 * p2 - s1 * s2,
+                          p1 * q2 + q1 * p2 - s1 * t2 - t1 * s2,
+                          q1 * q2 - t1 * t2])
     return forms
 
 
-def _common_root_count(forms: List[List[FieldElem]], degree: int) -> Optional[int]:
-    """Distinct common projective roots of nonzero degree-`degree` forms.
-
-    Returns None when every form vanishes identically (all points are roots).
-    """
-    forms = [f for f in forms if _poly_trim(list(f))]
-    if not forms:
-        return None
-    # finite part: dehomogenize at y=1
-    g: List[FieldElem] = []
-    infinity = True  # common root at (1, 0) iff every form's x^degree coeff is 0
-    for f in forms:
-        f = list(f) + [ZERO] * (degree + 1 - len(f))
-        if not f[degree].is_zero():
-            infinity = False
-        g = _poly_gcd(g, _poly_trim(f)) if g else _poly_trim(f)
-    count = _distinct_root_count(g) if len(g) > 1 else 0
-    return count + (1 if infinity else 0)
-
-
-# -- pencil signature ------------------------------------------------------------
-
-
-def _span_dim(pair: SymPair) -> int:
-    n = len(pair[0])
-    return rank([[g[i][j] for i in range(n) for j in range(i, n)] for g in pair])
-
-
-def _common_kernel(pair: SymPair) -> Mat:
-    """A basis of the common kernel of G1 and G2."""
-    return kernel([list(r) for r in pair[0]] + [list(r) for r in pair[1]])
-
-
-def _kernel_complement(ker: Mat) -> Optional[Mat]:
-    """Columns of standard basis vectors complementary to the common kernel
-    `ker`; None when it is zero."""
-    if not ker:
-        return None
-    n = len(ker[0])
-    _, pivots = rref(ker)
-    return [[ONE if r == c else ZERO for c in range(n) if c not in pivots]
-            for r in range(n)]
-
-
-def _is_nonzero(form: List[FieldElem]) -> bool:
-    return any(not c.is_zero() for c in form)
+def _common_root(forms) -> bool:
+    """Do independent quadratic forms vanish together at a projective point?
+    One form always has a root, two share one iff their resultant is 0, and
+    three share none."""
+    if len(forms) == 2:
+        (a0, a1, a2), (b0, b1, b2) = forms
+        r02 = a0 * b2 - a2 * b0
+        return not (r02 * r02 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
+    return len(forms) <= 1
 
 
 def simdiag_test(pair: SymPair, sd: Optional[int] = None,
-                 form: Optional[List[FieldElem]] = None,
                  drops: Optional[List[Tuple[int, int]]] = None) -> bool:
-    """Is {G1, G2} simultaneously diagonalizable by a congruence?  `sd`,
-    `form` and `drops` are the pair's `_span_dim`, `_det_form` and
-    `_root_drops` when the caller has them."""
-    if (_span_dim(pair) if sd is None else sd) <= 1:
+    """Is {G1, G2} simultaneously diagonalizable by a congruence?  `sd` (the
+    span dimension) and, when it is 2, `drops` (`_root_drops` of the
+    regular pencil) are what `pencil_signature` has found; given the pair
+    alone, this computes its signature."""
+    if sd is None:
+        return pencil_signature(pair).simdiag
+    if sd <= 1:
         return True  # a single symmetric form is always congruent to a diagonal
-    if form is None:
-        form = _det_form(pair)
-    if _is_nonzero(form):
-        # regular: every Jordan block at a root has size 1 iff the member
-        # there drops rank by the root's multiplicity
-        if drops is None:
-            drops = _root_drops(pair, form)
-        return all(m == d for m, d in drops)
-    return _singular_simdiag(pair, _common_kernel(pair))
+    # regular: every Jordan block at a root has size 1 iff the member
+    # there drops rank by the root's multiplicity
+    return all(m == d for m, d in drops)
 
 
-def _singular_simdiag(pair: SymPair, ker: Mat) -> bool:
-    """`simdiag_test` of a singular span-2 pencil with common kernel `ker`."""
-    comp = _kernel_complement(ker)
-    if comp is None:
+def _singular_simdiag(g1, g2, rows) -> bool:
+    """`simdiag_test` of a singular span-2 pencil whose stacked [G1; G2] has
+    the independent rows `rows`."""
+    if len(rows) == 3:
         # a singular pencil with no common kernel is L1 + L1^t
         return False
-    # off the common kernel the pencil is a regular 2x2 one, diagonalizable
-    # iff its determinant a*x^2 + b*x*y + c*y^2 has distinct roots
-    ct = transpose(comp)
-    g1, g2 = (mat_mul(ct, mat_mul(g, comp)) for g in pair)
-    b = (g1[0][0] * g2[1][1] + g1[1][1] * g2[0][0]
-         - g1[0][1] * g2[1][0] - g1[1][0] * g2[0][1])
-    return not (b * b - FOUR * det(g1) * det(g2)).is_zero()
+    # the cross product of the two rows spans the common kernel, and the
+    # basis vectors off its first nonzero coordinate span a complement; on
+    # it the pencil is a regular 2x2 one, diagonalizable iff its determinant
+    # det(H1) x^2 + b xy + det(H2) y^2 has distinct roots
+    (u0, u1, u2), (v0, v1, v2) = rows
+    ker = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    p = next(p for p in range(3) if ker[p])
+    i, j = [k for k in range(3) if k != p]
+    b = g1[i][i] * g2[j][j] + g1[j][j] * g2[i][i] - 2 * g1[i][j] * g2[i][j]
+    det1 = g1[i][i] * g1[j][j] - g1[i][j] * g1[i][j]
+    det2 = g2[i][i] * g2[j][j] - g2[i][j] * g2[i][j]
+    return bool(b * b - 4 * det1 * det2)
 
 
 # -- signature and classification -------------------------------------------------
@@ -332,33 +293,34 @@ class PencilSignature:
 
 
 def pencil_signature(pair: SymPair) -> PencilSignature:
-    if len(pair[0]) != 3 or not _is_symmetric(pair[0]) or not _is_symmetric(pair[1]):
+    if len(pair) != 2 or not all(_is_symmetric(g) for g in pair):
         raise ValueError("expected a pair of symmetric 3x3 matrices")
-    sd = _span_dim(pair)
+    g1, g2 = _integral(pair[0]), _integral(pair[1])
+    sd = len(_echelon([[g[i][j] for i in range(3) for j in range(i, 3)]
+                       for g in (g1, g2)]))
     if sd <= 1:
         # every member is a multiple of g
-        g = pair[0] if any(not x.is_zero() for r in pair[0] for x in r) else pair[1]
-        r = rank(g)
+        r = len(_echelon(g1 if any(map(any, g1)) else g2))
         return PencilSignature(
             span_dim=sd, common_kernel_dim=3 - r, generic_rank=r,
             det_root_count=1 if r == 3 else -1, has_rank1_member=r == 1,
             simdiag=simdiag_test(pair, sd))
-    form = _det_form(pair)
-    if _is_nonzero(form):
-        drops = _root_drops(pair, form)
+    form = _det_form(g1, g2)
+    if any(form):
+        drops = _root_drops(g1, g2, form)
         return PencilSignature(
             span_dim=2, common_kernel_dim=0, generic_rank=3,
             det_root_count=3 - sum(m - 1 for m, _ in drops),
             has_rank1_member=any(d == 2 for _, d in drops),
-            simdiag=simdiag_test(pair, sd, form, drops))
+            simdiag=simdiag_test(pair, sd, drops))
     # singular: a member has rank 1 exactly where every 2x2 minor vanishes
-    rank1_roots = _common_root_count(_minor_forms(pair), 2)
-    ker = _common_kernel(pair)
+    minors = _echelon(_minor_forms(g1, g2))
+    rows = _echelon(g1 + g2)
     return PencilSignature(
-        span_dim=2, common_kernel_dim=len(ker),
-        generic_rank=1 if rank1_roots is None else 2, det_root_count=-1,
-        has_rank1_member=rank1_roots is None or rank1_roots > 0,
-        simdiag=_singular_simdiag(pair, ker))
+        span_dim=2, common_kernel_dim=3 - len(rows),
+        generic_rank=2 if minors else 1, det_root_count=-1,
+        has_rank1_member=_common_root(minors),
+        simdiag=_singular_simdiag(g1, g2, rows))
 
 
 def _build_signature_table() -> Dict[tuple, str]:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -99,6 +100,22 @@ def test_hash_agrees_with_equality():
     y = (x * FieldElem(0, 3, 1, 0)) / FieldElem(0, 3, 1, 0)
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
     assert len({FieldElem(0), FieldElem(Fraction(0, 7)), -FieldElem(0), 0}) == 1
+
+
+_P = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("x", [
+    -1, 1, -2, 0, 10**40 + 3, -(10**40 + 3), Fraction(-1, 2), Fraction(-1, 3),
+    Fraction(10**50 + 1, 7), Fraction(-(10**50 + 1), 7), Fraction(1, _P),
+    Fraction(-1, _P), Fraction(3, 2 * _P), Fraction(-5, 2 * _P), _P, -_P,
+    Fraction(_P - 1, _P + 1), Fraction(1, _P - 1), Fraction(-1, _P - 1)])
+def test_rational_hash_is_python_numeric_hash(x):
+    """A rational element hashes by Python's numeric rule, without building
+    a Fraction: the same as the int or Fraction it equals, also for
+    denominators divisible by the hash modulus."""
+    assert hash(FieldElem(x)) == hash(Fraction(x)) == hash(x)
+    assert FieldElem(x) in {x} and x in {FieldElem(x)}
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", "1", None, 1j])

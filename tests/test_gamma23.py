@@ -1,13 +1,17 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import List, Optional
+
+import pytest
 
 from superlie import catalog, gamma23, invariants
 from superlie.algebra import SuperAlgebra
-from superlie.field import ONE, ZERO, FieldElem, format_elem
-from superlie.gamma23 import (REPRESENTATIVES, PencilSignature, classify_pair,
-                              pair_act, pencil_signature, random_gl)
-from superlie.linalg import det, inv, mat_mul, rank, transpose
+from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
+from superlie.gamma23 import (REPRESENTATIVES, Mat, PencilSignature, SymPair,
+                              classify_pair, pair_act, pencil_signature,
+                              random_gl)
+from superlie.linalg import det, inv, kernel, mat_mul, rank, rref, transpose
 
 from conftest import dense_views
 
@@ -38,10 +42,112 @@ def test_seeded_group_actions_preserve_label():
 
 # -- the probe-and-charpoly classifier, kept as the oracle ---------------------
 # It ranks probe members, expands det and every 2x2 minor of the pencil by
-# cofactors, and decides simdiag from the characteristic polynomial of
-# M^-1 * G for an invertible member M.
+# cofactors, counts common roots by polynomial gcds, and decides simdiag
+# from the characteristic polynomial of M^-1 * G for an invertible member M.
+# It shares no code with `pencil_signature`: the polynomial and kernel
+# helpers below are its own.
 
 PROBES = [Fraction(k) for k in range(7)]
+
+
+def _poly_trim(p: List[FieldElem]) -> List[FieldElem]:
+    while p and p[-1].is_zero():
+        p = p[:-1]
+    return p
+
+
+def _poly_divmod(a: List[FieldElem], b: List[FieldElem]):
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [ZERO] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    binv = b[-1].inv()
+    while len(r) >= len(b) and _poly_trim(r):
+        r = _poly_trim(r)
+        if len(r) < len(b):
+            break
+        shift = len(r) - len(b)
+        c = r[-1] * binv
+        q[shift] = c
+        for i, bc in enumerate(b):
+            r[shift + i] = r[shift + i] - c * bc
+        r = r[:-1]
+    return _poly_trim(q), _poly_trim(r)
+
+
+def _poly_gcd(a: List[FieldElem], b: List[FieldElem]) -> List[FieldElem]:
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead_inv = a[-1].inv()
+        a = [x * lead_inv for x in a]
+    return a
+
+
+def _poly_diff(p: List[FieldElem]) -> List[FieldElem]:
+    return _poly_trim([p[k] * FieldElem(k) for k in range(1, len(p))])
+
+
+def _distinct_root_count(p: List[FieldElem]) -> int:
+    """Number of distinct complex roots (degree of the squarefree part)."""
+    p = _poly_trim(list(p))
+    if len(p) <= 1:
+        return 0
+    g = _poly_gcd(p, _poly_diff(p))
+    return (len(p) - 1) - (len(g) - 1)
+
+
+def _form_mul(f: List[FieldElem], g: List[FieldElem]) -> List[FieldElem]:
+    out = [ZERO] * (len(f) + len(g) - 1)
+    for a, fa in enumerate(f):
+        for b, gb in enumerate(g):
+            out[a + b] = out[a + b] + fa * gb
+    return out
+
+
+def _common_root_count(forms: List[List[FieldElem]], degree: int) -> Optional[int]:
+    """Distinct common projective roots of nonzero degree-`degree` forms.
+
+    Returns None when every form vanishes identically (all points are roots).
+    """
+    forms = [f for f in forms if _poly_trim(list(f))]
+    if not forms:
+        return None
+    # finite part: dehomogenize at y=1
+    g: List[FieldElem] = []
+    infinity = True  # common root at (1, 0) iff every form's x^degree coeff is 0
+    for f in forms:
+        f = list(f) + [ZERO] * (degree + 1 - len(f))
+        if not f[degree].is_zero():
+            infinity = False
+        g = _poly_gcd(g, _poly_trim(f)) if g else _poly_trim(f)
+    count = _distinct_root_count(g) if len(g) > 1 else 0
+    return count + (1 if infinity else 0)
+
+
+def _span_dim(pair: SymPair) -> int:
+    n = len(pair[0])
+    return rank([[g[i][j] for i in range(n) for j in range(i, n)] for g in pair])
+
+
+def _common_kernel(pair: SymPair) -> Mat:
+    """A basis of the common kernel of G1 and G2."""
+    return kernel([list(r) for r in pair[0]] + [list(r) for r in pair[1]])
+
+
+def _kernel_complement(ker: Mat) -> Optional[Mat]:
+    """Columns of standard basis vectors complementary to the common kernel
+    `ker`; None when it is zero."""
+    if not ker:
+        return None
+    n = len(ker[0])
+    _, pivots = rref(ker)
+    return [[ONE if r == c else ZERO for c in range(n) if c not in pivots]
+            for r in range(n)]
+
 
 
 def _form_det(entries):
@@ -53,7 +159,7 @@ def _form_det(entries):
     for j in range(n):
         minor = [[entries[r][c] for c in range(n) if c != j]
                  for r in range(1, n)]
-        term = gamma23._form_mul(entries[0][j], _form_det(minor))
+        term = _form_mul(entries[0][j], _form_det(minor))
         total = total + [ZERO] * (len(term) - len(total))
         sign = ONE if j % 2 == 0 else -ONE
         for k, x in enumerate(term):
@@ -84,8 +190,8 @@ def _is_diagonalizable(mat):
     n = len(mat)
     charpoly = _form_det([[[-mat[i][j], ONE if i == j else ZERO]
                            for j in range(n)] for i in range(n)])
-    gcd = gamma23._poly_gcd(charpoly, gamma23._poly_diff(charpoly))
-    squarefree, rest = gamma23._poly_divmod(charpoly, gcd)
+    gcd = _poly_gcd(charpoly, _poly_diff(charpoly))
+    squarefree, rest = _poly_divmod(charpoly, gcd)
     assert not rest
     image = [[ZERO] * n for _ in range(n)]
     power = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -102,12 +208,12 @@ def ref_simdiag(pair):
     g1, g2 = pair
     if rank(g1) <= 1 and rank(g2) <= 1:
         return True
-    if gamma23._span_dim(pair) <= 1:
+    if _span_dim(pair) <= 1:
         return True
     for member, other in zip(_probe_members(pair), [g1] * len(PROBES) + [g2]):
         if not det(member).is_zero():
             return _is_diagonalizable(mat_mul(inv(member), other))
-    comp = gamma23._kernel_complement(gamma23._common_kernel(pair))
+    comp = _kernel_complement(_common_kernel(pair))
     if comp is None:
         return False
     ct = transpose(comp)
@@ -118,10 +224,10 @@ def ref_simdiag(pair):
 def ref_signature(pair):
     """The six fields from probe ranks and cofactor forms."""
     g1, g2 = pair
-    sd = gamma23._span_dim(pair)
+    sd = _span_dim(pair)
     ckd = 3 - rank([list(r) for r in g1] + [list(r) for r in g2])
     entries = _pencil_entries(pair)
-    det_roots = gamma23._common_root_count([_form_det(entries)], 3)
+    det_roots = _common_root_count([_form_det(entries)], 3)
     det_count = -1 if det_roots is None else det_roots
     if sd == 0:
         generic, has_rank1 = 0, False
@@ -131,7 +237,7 @@ def ref_signature(pair):
         has_rank1 = generic == 1
     else:
         generic = max(rank(m) for m in _probe_members(pair))
-        rank1_roots = gamma23._common_root_count(_all_minors(entries, 2), 2)
+        rank1_roots = _common_root_count(_all_minors(entries, 2), 2)
         has_rank1 = (det_roots is None and rank1_roots is None) or \
             bool(rank1_roots)
     return PencilSignature(sd, ckd, generic, det_count, has_rank1,
@@ -156,34 +262,87 @@ def unit_entries(rng):
     return mat
 
 
+IRRATIONAL = [ZERO, ONE, -ONE, I, SQRT2, ONE + I, I * SQRT2,
+              FieldElem(Fraction(1, 3))]
+
+
+def irrational_entries(rng):
+    """A symmetric matrix with entries in {0, +-1, i, sqrt2, 1+i, i*sqrt2,
+    1/3}."""
+    mat = [[ZERO] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            mat[i][j] = mat[j][i] = rng.choice(IRRATIONAL)
+    return mat
+
+
+def irrational_gl(size, rng):
+    """An invertible matrix with entries in IRRATIONAL."""
+    while True:
+        mat = [[rng.choice(IRRATIONAL) for _ in range(size)]
+               for _ in range(size)]
+        if not det(mat).is_zero():
+            return mat
+
+
+def branch(want, form):
+    """Which exit of `pencil_signature` the pair takes: span at most 1, a
+    regular pencil by its number of distinct roots, or a singular one by its
+    common kernel dimension."""
+    if want.span_dim <= 1:
+        return "span<=1"
+    if form:
+        return ("roots", want.det_root_count)
+    return ("singular kernel", want.common_kernel_dim)
+
+
+BRANCHES = {"span<=1", ("roots", 3), ("roots", 2), ("roots", 1),
+            ("singular kernel", 0), ("singular kernel", 1)}
+
+
 def test_signature_matches_probe_oracle():
-    """All six fields, from the determinant form, equal the probe-and-
-    charpoly oracle's, and simdiag_test called on the pair alone agrees."""
+    """All six fields, from the integral pencil, equal the probe-and-
+    charpoly oracle's, and simdiag_test called on the pair alone agrees, on
+    rational pairs and on pairs over Q(i, sqrt2)."""
     rng = random.Random(20260823)
     pairs = list(REPRESENTATIVES.values())
     pairs += [pair_act(random_gl(2, rng), random_gl(3, rng), p)
               for p in REPRESENTATIVES.values() for _ in range(5)]
     for make in (rank_one_sum, unit_entries):
         pairs += [(make(rng), make(rng)) for _ in range(3000)]
-    seen = set()
-    for pair in pairs:
+    rational = len(pairs)
+    pairs += [(irrational_entries(rng), irrational_entries(rng))
+              for _ in range(300)]
+    for _ in range(100):
+        pairs += [(rank_one_sum(rng), irrational_entries(rng)),
+                  (irrational_entries(rng), unit_entries(rng))]
+    pairs += [pair_act(irrational_gl(2, rng), irrational_gl(3, rng), p)
+              for p in REPRESENTATIVES.values() for _ in range(3)]
+    seen, seen_irrational = set(), set()
+    for k, pair in enumerate(pairs):
         want = ref_signature(pair)
         assert pencil_signature(pair) == want, pair
         assert gamma23.simdiag_test(pair) == want.simdiag, pair
         seen |= {("simdiag", want.simdiag),
                  ("rank1", want.has_rank1_member)}
+        form = _poly_trim(_form_det(_pencil_entries(pair)))
+        seen.add(branch(want, form))
+        if k >= rational:
+            seen_irrational.add(branch(want, form))
         if want.span_dim == 2:
-            form = gamma23._poly_trim(_form_det(_pencil_entries(pair)))
             seen.add("regular" if form else "singular")
             if form:
                 # distinct roots of a cubic: 3, 2, 1 for [111], [21], [3]
                 seen.add(("roots", want.det_root_count))
                 if len(form) < 4:
                     seen.add("root at (1:0)")
-    assert seen == {("simdiag", True), ("simdiag", False),
-                    ("rank1", True), ("rank1", False), "regular",
-                    "singular", ("roots", 3), ("roots", 2), ("roots", 1),
-                    "root at (1:0)"}
+                if len(form) < 3:
+                    seen.add("multiple root at (1:0)")
+    assert seen == BRANCHES | {
+        ("simdiag", True), ("simdiag", False), ("rank1", True),
+        ("rank1", False), "regular", "singular", "root at (1:0)",
+        "multiple root at (1:0)"}
+    assert seen_irrational == BRANCHES
 
 
 def pair_to_algebra(pair):
@@ -220,3 +379,49 @@ def test_representatives_match_catalog_fingerprints():
         K = [[gamma[j][k][0] for k in range(3)] for j in range(3)]
         L = [[gamma[j][k][1] for k in range(3)] for j in range(3)]
         assert classify_pair((K, L)) == label
+
+
+def test_signature_table_pinned():
+    """The twelve signature keys and their labels, written out."""
+    assert gamma23._SIGNATURE_TABLE == {
+        (0, 3, 0, -1, False, True): "(2|3)_0",
+        (1, 2, 1, -1, True, True): "(2|3)_1",
+        (1, 1, 2, -1, False, True): "(2|3)_2",
+        (1, 0, 3, 1, False, True): "(2|3)_3",
+        (2, 1, 2, -1, True, True): "(2|3)_4",
+        (2, 0, 3, 2, True, True): "(2|3)_5",
+        (2, 0, 3, 3, False, True): "(2|3)_6",
+        (2, 1, 2, -1, True, False): "(2|3)_7",
+        (2, 0, 2, -1, False, False): "(2|3)_8",
+        (2, 0, 3, 1, True, False): "(2|3)_9",
+        (2, 0, 3, 2, False, False): "(2|3)_10",
+        (2, 0, 3, 1, False, False): "(2|3)_11",
+    }
+
+
+def test_scaled_pair_keeps_label():
+    """(c1*G1, c2*G2) is in the orbit of (G1, G2): clearing denominators up
+    to 10^6, or scaling by an irrational, keeps the label."""
+    rng = random.Random(20261019)
+    for label, (g1, g2) in REPRESENTATIVES.items():
+        scalars = [FieldElem(Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6),
+                                      rng.randint(1, 10**6)))
+                   for _ in range(8)]
+        scalars.append(ONE + I * SQRT2 / 3)
+        for c1, c2 in zip(scalars, reversed(scalars)):
+            pair = (gamma23._scale(g1, c1), gamma23._scale(g2, c2))
+            assert classify_pair(pair) == label, (label, c1, c2)
+
+
+SQUARE = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+NARROW = [[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]]
+
+
+@pytest.mark.parametrize("pair", [
+    (SQUARE, [[ONE, ZERO], [ZERO, ONE]]),
+    (SQUARE, NARROW),
+    (NARROW, SQUARE),
+], ids=["second-2x2", "second-3x2", "first-3x2"])
+def test_malformed_pair_value_error(pair):
+    with pytest.raises(ValueError, match="pair of symmetric 3x3 matrices"):
+        pencil_signature(pair)

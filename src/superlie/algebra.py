@@ -343,6 +343,9 @@ class SuperAlgebra:
             if type(v) is not int or v < 0:     # a bool is an int too
                 raise AlgebraError(f"{key} must be an integer >= 0, not "
                                    f"{json.dumps(v, default=str)}")
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise AlgebraError(f"name must be a string, not {json.dumps(name)}")
         consts: Dict[Tuple[int, int], Dict[int, FieldElem]] = {}
         seen = set()
 
@@ -383,7 +386,7 @@ class SuperAlgebra:
             for k, x in terms:
                 acc[k] = acc[k] + x if k in acc else x
         return SuperAlgebra(m, n, {p: v.items() for p, v in consts.items()},
-                            name=doc.get("name", ""))
+                            name=name)
 
     def to_doc(self) -> Dict:
         names = basis_names(self.m, self.n)

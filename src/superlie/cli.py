@@ -3,10 +3,12 @@
 Subcommands: list, show, check, invariants, h2, degenerate, nondegen, hasse,
 components, gamma23, verify-all, selftest.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal inconsistency.  The environment variable SUPERLIE_PRECISION
-overrides the default series precision; like --precision, it must be a
-positive rational.  JSON output is byte-deterministic for fixed inputs.
+Exit codes, each error reported by `main` alone on one stderr line:
+0 success, 1 verification failure, algebra error or insufficient precision,
+2 usage, parse or not-found error, 3 internal inconsistency.
+SUPERLIE_PRECISION overrides the default series precision; like
+--precision, it must be a positive rational.  JSON output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from . import catalog, cohomology, gamma23, invariants, orbitrel
 from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
-from .exprlang import ExprSyntaxError, ExprTypeError
-from .orbitrel import ConsistencyViolation, ShapeMismatch
-from .series import (InsufficientPrecision, NoRoot, NotInvertible,
-                     parse_precision, working_precision)
+from .orbitrel import ConsistencyViolation, ShapeMismatch, WitnessError
+from .series import InsufficientPrecision, parse_precision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,7 +47,7 @@ def _precision(text: str) -> Fraction:
 
 
 class ParseError(Exception):
-    """A malformed input file; reported on one line with exit code 2."""
+    """A malformed input file or matrix; one line, exit code 2, in main."""
 
 
 def _read_object(path: str) -> dict:
@@ -74,35 +74,6 @@ def _load_algebra(target: str) -> SuperAlgebra:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(exc) from exc
     return catalog.get(target).algebra
-
-
-# what evaluating a malformed --witness basis raises
-_MALFORMED_BASIS = (ExprSyntaxError, ExprTypeError, NotInvertible, NoRoot)
-
-
-def _load_witness(args) -> orbitrel.DegenerationWitness:
-    """The --witness file of `degenerate`, its basis expressions evaluated
-    once against the source algebra at the first order of the precision
-    ladder, min(1, cap), so a malformed file is a ParseError.  A basis that
-    order cannot evaluate is left to the ladder."""
-    doc = _read_object(args.witness)
-    doc.setdefault("from", args.frm)
-    doc.setdefault("to", args.to)
-    cap = args.precision if args.precision is not None else working_precision()
-    try:
-        w = orbitrel.DegenerationWitness.from_doc(doc)
-        g = catalog.get(w.from_name).algebra
-        for basis in filter(None, (w.basis, w.alt_basis)):
-            try:
-                orbitrel._witness_matrices(w, g.m, g.n,
-                                           min(Fraction(1), cap), basis)
-            except InsufficientPrecision:
-                pass
-    except NotFound:
-        raise
-    except (KeyError, TypeError, ValueError, NotInvertible, NoRoot) as exc:
-        raise ParseError(exc) from exc
-    return w
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -159,23 +130,17 @@ def cmd_h2(args) -> int:
 
 def cmd_degenerate(args) -> int:
     if args.witness:
-        rows = [_load_witness(args)]
+        rows = [{"from": args.frm, "to": args.to,
+                 **_read_object(args.witness)}]
     else:
+        catalog.get(args.frm), catalog.get(args.to)   # NotFound if unknown
         rows = [w for w in catalog.witnesses()
                 if w["from"] == args.frm and w["to"] == args.to]
         if not rows:
-            print(f"no builtin witness for {args.frm} -> {args.to}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise NotFound(f"builtin witness {args.frm} -> {args.to}")
     code = EXIT_OK
     for row in rows:
-        try:
-            res = orbitrel.verify_degeneration(row, precision=args.precision)
-        except _MALFORMED_BASIS as exc:
-            if not args.witness:
-                raise
-            # a file basis that only a higher order of the ladder evaluates
-            raise ParseError(exc) from exc
+        res = orbitrel.verify_degeneration(row, precision=args.precision)
         # a witness file's own "from"/"to" take precedence over the options
         pair = f"{res.witness.from_name} -> {res.witness.to_name}"
         if res.ok:
@@ -235,9 +200,8 @@ def cmd_gamma23(args) -> int:
     try:
         a = gamma23.parse_sym_matrix(json.loads(args.g1))
         b = gamma23.parse_sym_matrix(json.loads(args.g2))
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise ParseError(exc) from exc
     label = gamma23.classify_pair((a, b))
     if label is None:
         print("unclassified: pair matches no representative signature")
@@ -508,7 +472,7 @@ def main(argv=None) -> int:
     except ConsistencyViolation as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ParseError as exc:
+    except (ParseError, WitnessError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ShapeMismatch as exc:

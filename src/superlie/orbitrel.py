@@ -17,10 +17,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import catalog
 from .algebra import SuperAlgebra
-from .exprlang import ExprTypeError, evaluate_basis_vector
+from .exprlang import ExprSyntaxError, ExprTypeError, evaluate_basis_vector
 from .invariants import ABC_TUPLES, invariant_report, trivial_sub_max
 from .linalg import SingularMatrix
-from .series import Diverges, InsufficientPrecision, working_precision
+from .series import (Diverges, InsufficientPrecision, NoRoot, NotInvertible,
+                     working_precision)
 
 
 class ConsistencyViolation(Exception):
@@ -29,6 +30,10 @@ class ConsistencyViolation(Exception):
 
 class ShapeMismatch(ValueError):
     """Two algebras of different graded dimensions were compared."""
+
+
+class WitnessError(ValueError):
+    """A witness document, or a basis text in it, that cannot be read."""
 
 
 def _same_shape(g: SuperAlgebra, h: SuperAlgebra):
@@ -50,7 +55,9 @@ class DegenerationWitness:
 
     @staticmethod
     def from_doc(doc: Dict) -> "DegenerationWitness":
-        return DegenerationWitness(doc["from"], doc["to"], dict(doc["basis"]),
+        # verify_degeneration checks the structure, a missing key included
+        return DegenerationWitness(doc.get("from"), doc.get("to"),
+                                   doc.get("basis"),
                                    alt_basis=doc.get("alt_basis"),
                                    source=doc.get("source", "user"))
 
@@ -72,17 +79,44 @@ class Failed:
     precision: Optional[Fraction] = None   # the series order that decided
 
 
+def _algebras(w: DegenerationWitness):
+    """The source and target algebras of w, after one check of its
+    structure, before the ladder; a bad structure raises WitnessError."""
+    for key, value in (("from", w.from_name), ("to", w.to_name),
+                       ("source", w.source)):
+        if not isinstance(value, str):
+            raise WitnessError(f"{key} must be a string, not {value!r}")
+    g = catalog.get(w.from_name).algebra
+    h = catalog.get(w.to_name).algebra
+    _same_shape(g, h)
+    names = {f"x{i}" for i in range(1, g.m + 1)} | \
+        {f"y{j}" for j in range(1, g.n + 1)}
+    for key, basis in (("basis", w.basis), ("alt_basis", w.alt_basis)):
+        if key == "alt_basis" and basis is None:
+            continue
+        if not (isinstance(basis, dict) and all(
+                k in names and isinstance(v, str) for k, v in basis.items())):
+            raise WitnessError(f"{key} must map x1..x{g.m}, y1..y{g.n} to "
+                               f"strings, not {basis!r}")
+    return g, h
+
+
 def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
                       basis: Dict[str, str]):
-    """Columns T[:,i] / S[:,j] of the parametrized basis; grading enforced."""
+    """Columns T[:,i] / S[:,j] of the parametrized basis at this order; a
+    text that is not a vector of its parity raises WitnessError."""
     def matrix(sym: str, default: str, count: int, parity: int):
         cols = []
         for i in range(1, count + 1):
             text = basis.get(f"{sym}{i}", f"{default}{i}")
-            parts = evaluate_basis_vector(text, m, n, precision)
-            if any(not x.is_zero() for x in parts[1 - parity]):
-                raise ExprTypeError(f"{sym}{i} of {w.from_name}->{w.to_name}"
-                                    f" mixes parities: {text}")
+            try:
+                parts = evaluate_basis_vector(text, m, n, precision)
+                if any(not x.is_zero() for x in parts[1 - parity]):
+                    raise ExprTypeError(f"mixes parities: {text}")
+            except (ExprSyntaxError, ExprTypeError, NotInvertible,
+                    NoRoot) as exc:
+                raise WitnessError(f"{sym}{i} of {w.from_name}->"
+                                   f"{w.to_name}: {exc}") from exc
             cols.append(parts[parity])
         return [list(row) for row in zip(*cols)]
 
@@ -99,13 +133,11 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     the order cannot decide.  Coefficients below the truncation order are
     exact, so every order that decides gives the same verdict; the result's
     `precision` is that order.  Raises InsufficientPrecision when the cap
-    cannot decide.
+    cannot decide, and WitnessError on a malformed witness.
     """
     if isinstance(w, dict):
         w = DegenerationWitness.from_doc(w)
-    g = catalog.get(w.from_name).algebra
-    h = catalog.get(w.to_name).algebra
-    _same_shape(g, h)
+    g, h = _algebras(w)
 
     def attempt(basis, p) -> Union[Verified, Failed]:
         T, S = _witness_matrices(w, g.m, g.n, p, basis)

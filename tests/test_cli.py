@@ -141,6 +141,60 @@ def test_malformed_witness_usage_error(tmp_path, capsys, text):
                           "parse error: ")
 
 
+# (2|3)_16 -> (2|3)_13 verifies with this basis
+_BASIS_16_13 = {"y1": "t*f1", "y3": "t*f3"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"basis": {"Y1": "t*f1", "y3": "t*f3"}},
+    {"basis": {**_BASIS_16_13, "x9": "e1"}},
+    {"basis": ["y1"]},
+    {"basis": _BASIS_16_13, "alt_basis": "oops"},
+    {"basis": _BASIS_16_13, "source": 7},
+], ids=["capital-key", "key-outside-shape", "list-basis", "string-alt-basis",
+        "numeric-source"])
+def test_witness_structure_usage_error(tmp_path, capsys, doc):
+    """A witness document of the wrong structure is a parse error, not a
+    silent identity vector, a verdict or a traceback."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    _one_line_usage_error(capsys, ["degenerate", "--from", "(2|3)_16",
+                                   "--to", "(2|3)_13", "--witness", str(path)],
+                          "parse error: ")
+
+
+def test_alt_basis_evaluated_only_when_basis_fails(tmp_path, capsys):
+    """An alt_basis text that does not parse is read only when the basis
+    fails: beside a verifying basis the file verifies, beside a failing one
+    it is a parse error."""
+    path = tmp_path / "w.json"
+    alt = {"y1": "t*f1 +"}
+    path.write_text(json.dumps({"basis": _BASIS_16_13, "alt_basis": alt}))
+    argv = ["degenerate", "--from", "(2|3)_16", "--to", "(2|3)_13",
+            "--witness", str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == "Verified (2|3)_16 -> (2|3)_13\n"
+    path.write_text(json.dumps({"basis": {"y1": "f1"}, "alt_basis": alt}))
+    _one_line_usage_error(capsys, argv, "parse error: ")
+
+
+def test_malformed_builtin_row_usage_error(capsys, monkeypatch):
+    """A builtin row whose basis does not evaluate is a parse error, as a
+    --witness file is."""
+    from superlie import catalog
+    row = {"from": "(2|3)_16", "to": "(2|3)_13", "source": "test",
+           "basis": {"y1": "1/(t-t)*f1"}}
+    monkeypatch.setattr(catalog, "witnesses", lambda dim=None: [row])
+    _one_line_usage_error(capsys, ["degenerate", "--from", "(2|3)_16",
+                                   "--to", "(2|3)_13"], "parse error: ")
+
+
+def test_degenerate_unknown_label_not_found(capsys):
+    # the label is looked up before the builtin witnesses
+    _one_line_usage_error(capsys, ["degenerate", "--from", "(1|1)_9",
+                                   "--to", "(1|1)_0"], "not found: '(1|1)_9'")
+
+
 def _one_line_usage_error(capsys, argv, prefix):
     code = main(argv)
     captured = capsys.readouterr()
@@ -262,6 +316,15 @@ def test_degenerate_witness_file_names_its_own_pair(tmp_path, capsys):
     assert out == "Verified (1|1)_1 -> (1|1)_0\n"
 
 
+@pytest.mark.parametrize("name", ["5", "[1]", "null"])
+def test_name_must_be_a_string(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"m": 1, "n": 1, "name": {name}, "brackets": []}}')
+    prefix = f"parse error: name must be a string, not {name}"
+    for command in ("check", "invariants"):
+        _one_line_usage_error(capsys, [command, str(path)], prefix)
+
+
 @pytest.mark.parametrize("value, text", [
     ('[{"coeff": 1, "basis": "e2"}]',
      '{"lhs": "e1", "rhs": "e2", "value": [{"coeff": 1, "basis": "e2"}]}'),
@@ -279,8 +342,8 @@ def test_malformed_bracket_is_named(tmp_path, capsys, value, text):
 
 def test_witness_file_checked_at_first_ladder_order(tmp_path, capsys,
                                                     monkeypatch):
-    """The load check evaluates each basis at min(1, cap), the order the
-    ladder starts from, not at the cap."""
+    """The ladder first evaluates a --witness file's basis at min(1, cap),
+    not at the cap."""
     from superlie import orbitrel
     orders = []
     real = orbitrel._witness_matrices

@@ -7,8 +7,8 @@ from superlie import catalog, invariants, orbitrel
 from superlie.algebra import SuperAlgebra
 from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                auto_nondegen, build_hasse, components,
-                               discrepancy_report, to_dot, verify_degeneration,
-                               verify_builtin_witnesses)
+                               WitnessError, discrepancy_report, to_dot,
+                               verify_degeneration, verify_builtin_witnesses)
 from superlie.linalg import SingularMatrix
 from superlie.series import (Diverges, InsufficientPrecision,
                              working_precision)
@@ -103,6 +103,54 @@ def test_verdict_records_the_deciding_order():
     res = verify_degeneration(builtin("(3|1)_3", "(3|1)_1"),
                               precision=Fraction(1, 2))
     assert res.ok and res.precision == Fraction(1, 2)
+
+
+_PAIR = {"from": "(2|3)_16", "to": "(2|3)_13"}
+_BASIS = {"y1": "t*f1", "y3": "t*f3"}     # verifies on _PAIR
+
+
+@pytest.mark.parametrize("doc", [
+    {**_PAIR, "basis": {"Y1": "t*f1", "y3": "t*f3"}},
+    {**_PAIR, "basis": {**_BASIS, "x9": "e1"}},
+    {**_PAIR, "basis": ["y1"]},
+    {**_PAIR, "basis": _BASIS, "alt_basis": "oops"},
+    {**_PAIR, "basis": _BASIS, "alt_basis": {"y1": 1}},
+    {**_PAIR, "basis": _BASIS, "source": 7},
+    {**_PAIR, "alt_basis": _BASIS},
+    {"from": ["(2|3)_16"], "to": "(2|3)_13", "basis": _BASIS},
+    {**_PAIR, "basis": {"y1": "1/(t-t)*f1"}},
+    {**_PAIR, "basis": {"y1": "sqrt(3)*f1"}},
+    {**_PAIR, "basis": {"y1": "t*f1 +"}},
+    {**_PAIR, "basis": {"y1": "e1"}},
+    {**_PAIR, "basis": {"y1": "t"}},
+    {**_PAIR, "basis": {"y1": "f9"}},
+], ids=["capital-key", "key-outside-shape", "list-basis", "string-alt-basis",
+        "numeric-alt-text", "numeric-source", "missing-basis", "list-from",
+        "exact-zero-divisor", "root-outside-field", "syntax", "mixed-parity",
+        "scalar", "unknown-symbol"])
+def test_malformed_witness_raises_witness_error(doc):
+    """A bad structure, checked before the ladder, and a basis text that
+    does not evaluate at an order, both raise WitnessError, for a document
+    and for a witness object alike."""
+    with pytest.raises(WitnessError):
+        verify_degeneration(doc)
+    with pytest.raises(WitnessError):
+        verify_degeneration(DegenerationWitness.from_doc(doc))
+
+
+def test_builtin_rows_decide_at_orders_one_and_two(monkeypatch):
+    """Every builtin row verifies with its basis, at the default precision
+    and at 16; exactly (2|3)_10 -> (2|3)_8 and (2|3)_6 -> (2|3)_11 need
+    order 2 of the ladder, the other 115 decide at order 1."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    for cap in (None, Fraction(16)):
+        results = verify_builtin_witnesses(precision=cap)
+        assert len(results) == 117
+        assert all(r.ok and not r.used_alt for r in results)
+        late = sorted((r.witness.from_name, r.witness.to_name)
+                      for r in results if r.precision != 1)
+        assert late == [("(2|3)_10", "(2|3)_8"), ("(2|3)_6", "(2|3)_11")]
+        assert all(r.precision in (1, 2) for r in results)
 
 
 def _one_shot(w, basis, cap):

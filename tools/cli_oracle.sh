@@ -1,6 +1,7 @@
 #!/bin/sh
 # Dump the CLI's stdout and exit code for every label, shape, gamma23
-# representative and ordered pair of distinct labels of one shape.
+# representative, builtin witness pair and ordered pair of distinct labels
+# of one shape.
 #
 #     tools/cli_oracle.sh OUT_DIR
 #
@@ -38,6 +39,13 @@ for l, p in gamma23.REPRESENTATIVES.items():
 while read -r l g1 g2; do
   sl gamma23 --g1 "$g1" --g2 "$g2" > "$out/gamma23 $l"
   echo "exit $?" >> "$out/gamma23 $l"
+done
+PYTHONPATH=src python -c 'from superlie import catalog
+for f, t in dict.fromkeys((w["from"], w["to"]) for w in catalog.witnesses()):
+    print(f, t)' |
+while read -r f t; do
+  sl degenerate --from "$f" --to "$t" > "$out/degenerate $f $t"
+  echo "exit $?" >> "$out/degenerate $f $t"
 done
 for u in $(sl list); do
   for v in $(sl list --dim "${u%_*}"); do

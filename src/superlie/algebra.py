@@ -122,11 +122,11 @@ class SuperAlgebra:
             return self.consts.get((a, b), ())
         return _mirror(self.m, b, a, self.consts.get((b, a), ()))
 
-    def bracket(self, x, y):
-        """Bracket of graded vectors x=(even,odd), y=(even,odd)."""
+    def _bracket(self, xs, ys):
+        """[x, y] as {k: coefficient} from the nonzero (index, coefficient)
+        pairs of x and y over the combined basis."""
         acc = {}
-        ys = _sparse(y)
-        for a, xa in _sparse(x):
+        for a, xa in xs:
             for b, yb in ys:
                 terms = self._terms(a, b)
                 if not terms:
@@ -134,6 +134,11 @@ class SuperAlgebra:
                 coef = xa * yb
                 for k, t in terms:
                     acc[k] = acc[k] + coef * t if k in acc else coef * t
+        return acc
+
+    def bracket(self, x, y):
+        """Bracket of graded vectors x=(even,odd), y=(even,odd)."""
+        acc = self._bracket(_sparse(x), _sparse(y))
         out = [acc.get(k, ZERO) for k in range(self.dim)]
         return out[:self.m], out[self.m:]
 
@@ -276,7 +281,7 @@ class SuperAlgebra:
         outputs are then solved by T, odd outputs by S.  With series entries
         each pivot of that solve is inverted to `precision` relative orders
         (the working precision when None)."""
-        m, n = self.m, self.n
+        m, n, d = self.m, self.n, self.dim
         solver = solve
         if any(isinstance(x, PuiseuxSeries) for row in list(T) + list(S)
                for x in row):
@@ -285,15 +290,17 @@ class SuperAlgebra:
             T = [[lift(x) for x in row] for row in T]
             S = [[lift(x) for x in row] for row in S]
             solver = lambda P, rhs: series_solve(P, rhs, precision)
-        new = [([T[a][i] for a in range(m)], [ZERO] * n) for i in range(m)]
-        new += [([ZERO] * m, [S[b][j] for b in range(n)]) for j in range(n)]
+        # each new basis vector's nonzero coordinates, listed once
+        new = [_sparse(([T[a][i] for a in range(m)], [])) for i in range(m)]
+        new += [_sparse(([ZERO] * m, [S[b][j] for b in range(n)]))
+                for j in range(n)]
         even, odd = [], []      # (pair, its bracket's coordinates) by parity
         for a, b in pairs(m, n):
-            ev, od = self.bracket(new[a], new[b])
+            acc = self._bracket(new[a], new[b])
             if a < m <= b:
-                odd.append(((a, b), od))
+                odd.append(((a, b), [acc.get(k, ZERO) for k in range(m, d)]))
             else:
-                even.append(((a, b), ev))
+                even.append(((a, b), [acc.get(k, ZERO) for k in range(m)]))
         consts = {}
 
         def solved(P, cols, offset):

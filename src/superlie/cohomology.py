@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, basis_names, pairs
-from .exprlang import basis_index, constant, evaluate, parse
-from .field import FieldElem, ONE, ZERO, format_elem, format_sum
+from .exprlang import basis_index, constant
+from .field import FieldElem, ONE, ZERO, format_sum
 from .linalg import kernel, rank, rref, transpose
 
 
@@ -295,44 +295,3 @@ def format_cocycle(phi: Cochain2Even) -> str:
     return format_sum((x, f"{names[a]}*^{names[b]}*@{names[k]}")
                       for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n),
                                               phi.vec))
-
-
-# -- deformation probes --------------------------------------------------------------
-
-
-def deformation_nilpotency_probe(base_doc: Dict, extra_brackets: List[Dict],
-                                 param_value: str) -> Dict:
-    """Replay a deformation: the base algebra's structure constants plus
-    those of the deformed brackets with the parameter substituted, added
-    pair by pair; then test nilpotency (Jacobi checked first)."""
-    base = SuperAlgebra.from_doc(base_doc)
-    brackets = []
-    tval = constant(param_value)
-    for extra in extra_brackets:
-        value = []
-        for v in extra["value"]:
-            series = evaluate(parse(v["coeff"]))
-            # substitute t = param_value by exact polynomial composition
-            subbed = ZERO
-            for expo, cf in series.terms.items():
-                if expo.denominator != 1 or expo < 0:
-                    raise ValueError("probe brackets must be polynomial in t")
-                subbed = subbed + cf * tval ** int(expo)
-            value.append({"coeff": format_elem(subbed), "basis": v["basis"]})
-        brackets.append({"lhs": extra["lhs"], "rhs": extra["rhs"],
-                         "value": value})
-    delta = SuperAlgebra.from_doc({"m": base.m, "n": base.n,
-                                   "brackets": brackets})
-    consts = {p: dict(terms) for p, terms in base.consts.items()}
-    for p, terms in delta.consts.items():
-        acc = consts.setdefault(p, {})
-        for k, x in terms:
-            acc[k] = acc[k] + x if k in acc else x
-    g = SuperAlgebra(base.m, base.n, {p: v.items() for p, v in consts.items()},
-                     name=base.name)
-    violations = g.check_jacobi()
-    if violations:
-        raise ValueError(f"deformed product violates Jacobi at {violations[:3]}")
-    series = g.lower_central_series()
-    return {"nilpotent": series[-1] == (0, 0), "series": series}
-

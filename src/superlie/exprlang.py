@@ -84,8 +84,8 @@ class ExprTypeError(ValueError):
     its caller does not know."""
 
 
-_BASIS = r"[ef]\d+"
-_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt2)|(sqrt)|(i)|(t)|"
+_BASIS = r"[ef][0-9]+"      # ASCII digits: \d takes any Unicode digit
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(sqrt2)|(sqrt)|(i)|(t)|"
                     rf"({_BASIS}(?:\*\^{_BASIS}\*@{_BASIS})?)|([()^*/+\-]))")
 
 

@@ -104,13 +104,17 @@ def _algebras(w: DegenerationWitness):
 def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
                       basis: Dict[str, str]):
     """Columns T[:,i] / S[:,j] of the parametrized basis at this order; a
-    text that is not a vector of its parity raises WitnessError."""
+    text that is not a vector of its parity raises WitnessError.  Each text
+    is evaluated once per (text, m, n, order), through the memo."""
+    p = precision if precision is not None else working_precision()
+
     def matrix(sym: str, default: str, count: int, parity: int):
         cols = []
         for i in range(1, count + 1):
             text = basis.get(f"{sym}{i}", f"{default}{i}")
             try:
-                parts = evaluate_basis_vector(text, m, n, precision)
+                parts = _memo(("basis", text, m, n, p), lambda: tuple(
+                    map(tuple, evaluate_basis_vector(text, m, n, p))))
                 if any(not x.is_zero() for x in parts[1 - parity]):
                     raise ExprTypeError(f"mixes parities: {text}")
             except (ExprSyntaxError, ExprTypeError, NotInvertible,
@@ -199,9 +203,10 @@ class Inconclusive:
 
 # Every value this module derives, keyed by what it is computed from: an
 # algebra's _Profile by (m, n, stored brackets), a builtin witness result by
-# ("witness", from, to, source, precision).  Derivation paths that reach the
-# same algebra (a label, its ab, its F then ab, an unlabelled copy) share
-# its entry.
+# ("witness", from, to, source, precision), and a basis text's (even, odd)
+# series coordinates by ("basis", text, m, n, order).  Derivation paths that
+# reach the same algebra (a label, its ab, its F then ab, an unlabelled
+# copy) share its entry.
 _MEMO: Dict[tuple, object] = {}
 
 

@@ -92,6 +92,19 @@ def _series(terms: Dict[Exponent, FieldElem],
     return s
 
 
+def _scaled(s: "PuiseuxSeries", a: Exponent,
+            c: FieldElem) -> "PuiseuxSeries":
+    # s times the exact term c*t^a, c nonzero: each term of s moves by a and
+    # keeps below the moved precision, and no coefficient vanishes
+    terms = {}
+    for e, x in s.terms.items():
+        e += a
+        terms[e if type(e) is int or e.denominator != 1
+              else e.numerator] = x * c
+    p = s.precision
+    return _series(terms, None if p is None else _exponent(p + a))
+
+
 class PuiseuxSeries:
     """Immutable truncated Puiseux series.
 
@@ -187,6 +200,10 @@ class PuiseuxSeries:
         return other + (-self)
 
     def __mul__(self, other):
+        if type(other) is FieldElem:
+            if other.is_zero():
+                return _series({}, None)
+            return _scaled(self, 0, other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -195,6 +212,10 @@ class PuiseuxSeries:
         if (not t1 and p1 is None) or (not t2 and p2 is None):
             # an exact zero factor: exact zero, whatever the other's precision
             return _series({}, None)
+        if p1 is None and len(t1) == 1:
+            return _scaled(other, *next(iter(t1.items())))
+        if p2 is None and len(t2) == 1:
+            return _scaled(self, *next(iter(t2.items())))
         # error O(t^P1) * other = O(t^(P1 + v2)), v2 a bound on other's
         # valuation, and symmetrically
         prec = None
@@ -255,6 +276,9 @@ class PuiseuxSeries:
             if self.precision is not None:
                 raise InsufficientPrecision("inverse of an unresolved zero")
             raise NotInvertible("series has no visible leading term")
+        if self.precision is None and len(self.terms) == 1:
+            (a, c), = self.terms.items()
+            return _series({-a: c.inv()}, None)
         a, c, rest, rel = self._split_leading(precision)
         geom = PuiseuxSeries.from_scalar(ONE, rel)
         if rest.terms:

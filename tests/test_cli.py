@@ -163,6 +163,16 @@ def test_witness_structure_usage_error(tmp_path, capsys, doc):
                           "parse error: ")
 
 
+def test_witness_with_non_ascii_digit_usage_error(tmp_path, capsys):
+    # "\u0661" is the Arabic-Indic digit one, not an ASCII digit
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": {"y1": "\u0661*t*f1",
+                                          "y3": "t*f3"}}))
+    _one_line_usage_error(capsys, ["degenerate", "--from", "(2|3)_16",
+                                   "--to", "(2|3)_13", "--witness", str(path)],
+                          "parse error: ")
+
+
 def test_alt_basis_evaluated_only_when_basis_fails(tmp_path, capsys):
     """An alt_basis text that does not parse is read only when the basis
     fails: beside a verifying basis the file verifies, beside a failing one

@@ -27,7 +27,9 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "1 +", "sqrt3", "i i", "1/*2"):
+    # digits are ASCII only; re's \d would also read "\u0661\u0662" as 12
+    for text in ("", "1 +", "sqrt3", "i i", "1/*2",
+                 "\u0661\u0662", "2*\u0663", "\uff11"):
         with pytest.raises(FieldSyntaxError):
             parse_elem(text)
 

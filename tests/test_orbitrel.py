@@ -5,10 +5,12 @@ import pytest
 
 from superlie import catalog, invariants, orbitrel
 from superlie.algebra import SuperAlgebra
+from superlie.exprlang import evaluate_basis_vector
 from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
-                               auto_nondegen, build_hasse, components,
-                               WitnessError, discrepancy_report, to_dot,
-                               verify_degeneration, verify_builtin_witnesses)
+                               Verified, auto_nondegen, build_hasse,
+                               components, WitnessError, discrepancy_report,
+                               to_dot, verify_degeneration,
+                               verify_builtin_witnesses)
 from superlie.linalg import SingularMatrix
 from superlie.series import (Diverges, InsufficientPrecision,
                              working_precision)
@@ -124,10 +126,12 @@ _BASIS = {"y1": "t*f1", "y3": "t*f3"}     # verifies on _PAIR
     {**_PAIR, "basis": {"y1": "e1"}},
     {**_PAIR, "basis": {"y1": "t"}},
     {**_PAIR, "basis": {"y1": "f9"}},
+    # "\u0661" is the Arabic-Indic digit one, not an ASCII digit
+    {**_PAIR, "basis": {"y1": "\u0661*t*f1", "y3": "t*f3"}},
 ], ids=["capital-key", "key-outside-shape", "list-basis", "string-alt-basis",
         "numeric-alt-text", "numeric-source", "missing-basis", "list-from",
         "exact-zero-divisor", "root-outside-field", "syntax", "mixed-parity",
-        "scalar", "unknown-symbol"])
+        "scalar", "unknown-symbol", "non-ascii-digit"])
 def test_malformed_witness_raises_witness_error(doc):
     """A bad structure, checked before the ladder, and a basis text that
     does not evaluate at an order, both raise WitnessError, for a document
@@ -136,6 +140,68 @@ def test_malformed_witness_raises_witness_error(doc):
         verify_degeneration(doc)
     with pytest.raises(WitnessError):
         verify_degeneration(DegenerationWitness.from_doc(doc))
+
+
+def test_basis_memo_keys_on_text_shape_and_order(monkeypatch):
+    """A text's memo entry is per (text, m, n, order): the same text under
+    (2|3) and (3|2) gives each shape's own vector, the parity check runs
+    on every use, and an evaluation error is raised again, not stored."""
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    w = DegenerationWitness("?", "?", {})
+    basis = {"x1": "t*e2 + e1", "y1": "f2 - t*f1"}
+    for m, n in ((2, 3), (3, 2), (2, 3)):
+        T, S = orbitrel._witness_matrices(w, m, n, Fraction(1), basis)
+        even, _ = evaluate_basis_vector(basis["x1"], m, n, Fraction(1))
+        _, odd = evaluate_basis_vector(basis["y1"], m, n, Fraction(1))
+        assert [row[0] for row in T] == even
+        assert [row[0] for row in S] == odd
+    for text in basis.values():
+        assert {key[2:] for key in orbitrel._MEMO if key[1] == text} == \
+            {(2, 3, 1), (3, 2, 1)}
+    for bad in ({"x1": "f2 - t*f1"}, {"y1": "1/(t-t)*f1"},
+                {"y1": "1/(t-t)*f1"}):
+        with pytest.raises(WitnessError):
+            orbitrel._witness_matrices(w, 2, 3, Fraction(1), bad)
+    assert not any(key[1] == "1/(t-t)*f1" for key in orbitrel._MEMO)
+
+
+def test_basis_memo_never_crosses_orders(monkeypatch):
+    """(2|3)_10 -> (2|3)_8 cannot decide at order 1; its order-1 vectors
+    stay in the memo, and the ladder to 16 then decides at order 2 exactly
+    as it does from a cold memo."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    doc = next(d for d in catalog.witnesses("(2|3)")
+               if (d["from"], d["to"]) == ("(2|3)_10", "(2|3)_8"))
+    fields = lambda r: (type(r), r.ok, r.used_alt, r.precision)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    with pytest.raises(InsufficientPrecision):
+        verify_degeneration(doc, precision=1)
+    assert orbitrel._MEMO
+    warm = verify_degeneration(doc, precision=16)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    cold = verify_degeneration(doc, precision=16)
+    assert fields(warm) == fields(cold) == (Verified, True, False, 2)
+
+
+def test_basis_texts_evaluated_once_per_key(monkeypatch):
+    """From a cold memo, the 117 rows at the default precision evaluate
+    each distinct (text, m, n, order) once."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    calls = []
+
+    def spy(text, m, n, precision=None):
+        calls.append((text, m, n, precision))
+        return evaluate_basis_vector(text, m, n, precision)
+
+    monkeypatch.setattr(orbitrel, "evaluate_basis_vector", spy)
+    docs = catalog.witnesses()
+    assert len(docs) == 117
+    assert all(verify_degeneration(doc).ok for doc in docs)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {key[1:] for key in orbitrel._MEMO
+                          if key[0] == "basis"}
+    assert len(calls) < sum(len(d["basis"]) for d in docs)
 
 
 def test_builtin_rows_decide_at_orders_one_and_two(monkeypatch):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from superlie.field import FieldElem, field_sqrt, format_elem
+from superlie import series
+from superlie.field import I, FieldElem, field_sqrt, format_elem
 from superlie.linalg import SingularMatrix, series_solve
 from superlie.series import (Diverges, InsufficientPrecision, NoRoot,
                              NotInvertible, PuiseuxSeries, format_series,
@@ -543,3 +544,128 @@ def test_exponents_are_int_when_integral():
         {Fraction(3, 2): ONE})
     assert list(sq.terms) == [2] and type(next(iter(sq.terms))) is int
     assert t_pow(1, 4).sqrt() == PuiseuxSeries({Fraction(1, 2): FieldElem(2)})
+
+
+# -- the general product and inverse, kept as the oracle of the one-term paths
+#
+# `_general_mul` is PuiseuxSeries.__mul__ and `_general_inv` is
+# PuiseuxSeries.inv as they were before a factor or argument that is one
+# exact term c*t^a got its own path: every operand is coerced, and every
+# product of terms is formed.  The seeded test below requires the same terms
+# and precision from both, or the same exception class.
+
+
+def _general_mul(x, y):
+    y = series._coerce(y)
+    t1, p1 = x.terms, x.precision
+    t2, p2 = y.terms, y.precision
+    if (not t1 and p1 is None) or (not t2 and p2 is None):
+        return series._series({}, None)
+    prec = None
+    if p1 is not None:
+        prec = p1 + (min(t2) if t2 else p2)
+    if p2 is not None:
+        bound = p2 + (min(t1) if t1 else p1)
+        if prec is None or bound < prec:
+            prec = bound
+    if prec is not None:
+        prec = series._exponent(prec)
+    acc = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = e1 + e2
+            if prec is not None and e >= prec:
+                continue
+            c = c1 * c2
+            acc[e] = acc[e] + c if e in acc else c
+    terms = {}
+    for e, c in acc.items():
+        if not c.is_zero():
+            terms[e if type(e) is int or e.denominator != 1
+                  else e.numerator] = c
+    return series._series(terms, prec)
+
+
+def _general_inv(x, precision=None):
+    if x.leading() is None:
+        if x.precision is not None:
+            raise InsufficientPrecision("inverse of an unresolved zero")
+        raise NotInvertible("series has no visible leading term")
+    a, c = x.leading()
+    rest = _general_mul(
+        PuiseuxSeries({e - a: cc for e, cc in x.terms.items() if e != a},
+                      None if x.precision is None else x.precision - a),
+        c.inv())
+    rel = rest.precision
+    if rest.terms:
+        budget = series._exponent(precision if precision is not None
+                                  else working_precision())
+        rel = budget if rel is None else min(rel, budget)
+    if rel is not None and rel <= 0:
+        raise InsufficientPrecision(f"result only known to O(t^{rel})")
+    rest = PuiseuxSeries(rest.terms, rel)
+    geom = PuiseuxSeries.from_scalar(ONE, rel)
+    if rest.terms:
+        delta = min(rest.terms)
+        power = PuiseuxSeries.from_scalar(ONE, rel)
+        k = 1
+        while k * delta < rel:
+            power = _general_mul(power, rest)
+            if not power.terms:
+                break
+            geom = geom + (power if k % 2 == 0 else -power)
+            k += 1
+    return _general_mul(series._series({-a: c.inv()}, None), geom)
+
+
+_EXPONENTS = [Fraction(k) for k in (-2, -1, 0, 1, 2, 3)] + \
+    [Fraction(k, 2) for k in (-3, -1, 1, 3, 5)]
+_COEFFS = (ONE, -ONE, FieldElem(2), I, R2, I * R2, ONE + I, ONE - R2)
+
+
+def _rand_operand(rng):
+    """A seeded operand: one exact term c*t^a (the one-term paths), exact
+    sums, truncated series, unresolved and exact zeros, and plain FieldElem
+    and int scalars; coefficients mix i and sqrt2."""
+    coeff = lambda: rng.choice(_COEFFS) if rng.random() < 0.5 \
+        else rand_elem(rng, 3)
+    kind = rng.choice(("term", "term", "term", "sum", "truncated",
+                       "unresolved", "zero", "field", "int"))
+    if kind == "field":
+        return coeff() if rng.random() < 0.9 else FieldElem(0)
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "zero":
+        return PuiseuxSeries({})
+    if kind == "unresolved":
+        return PuiseuxSeries({}, rng.choice(_EXPONENTS[3:]))
+    terms = {rng.choice(_EXPONENTS): coeff()
+             for _ in range(1 if kind == "term" else rng.randint(2, 3))}
+    precision = None
+    if kind == "truncated":
+        precision = max(terms) + rng.choice((Fraction(1, 2), 1, 2))
+    return PuiseuxSeries(terms, precision)
+
+
+def test_one_term_paths_match_general_product_and_inverse(monkeypatch, rng):
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    one_term = 0
+    for _ in range(3000):
+        x, y = _rand_operand(rng), _rand_operand(rng)
+        if not isinstance(x, PuiseuxSeries):
+            x, y = y, x
+        if not isinstance(x, PuiseuxSeries):
+            continue
+        budget = rng.choice(_PRECISIONS + (Fraction(3),))
+        checks = [(lambda: x * y, lambda: _general_mul(x, y)),
+                  (lambda: y * x, lambda: _general_mul(x, y)),
+                  (lambda: x.inv(budget), lambda: _general_inv(x, budget))]
+        if isinstance(y, PuiseuxSeries):
+            checks.append((lambda: y.inv(budget),
+                           lambda: _general_inv(y, budget)))
+        for new, ref in checks:
+            _assert_matches(_outcome(new), _outcome(ref))
+        one_term += any(isinstance(s, FieldElem) or (
+            isinstance(s, PuiseuxSeries) and s.precision is None
+            and len(s.terms) == 1) for s in (x, y))
+    assert one_term >= 1000

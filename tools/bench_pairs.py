@@ -1,0 +1,108 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds 15
+--trace 0`` once in each checkout, from its root; the parent goes first in
+even pairs and the change first in odd ones.  For every end-to-end metric
+of the change's ``BENCHMARK.json`` it prints each side's median and
+quartiles and how many pairs each side won (a tie counts for neither), and
+whether a gain may be claimed: the change wins at least nine in ten of all
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range.  The exit status is 1 when a run fails or
+reports ``correct: false``, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+
+def quartiles(values: Sequence[float]):
+    """(first quartile, median, third quartile), linearly interpolated."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
+              better: Dict[str, str]) -> List[Dict]:
+    """One row per metric of `better` (name -> "lower" | "higher") from the
+    paired runs parent[i], change[i], each a map of metric values."""
+    rows = []
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        pq, cq = quartiles(p), quartiles(c)
+        gap = sign * (cq[1] - pq[1])
+        rows.append({"metric": name, "better": direction,
+                     "parent": pq, "change": cq, "wins": wins,
+                     "losses": losses, "ties": len(p) - wins - losses,
+                     "gain": wins >= 0.9 * len(p) and gap > pq[2] - pq[0]})
+    return rows
+
+
+def format_rows(rows: List[Dict]) -> str:
+    fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+    lines = [f"{'metric':<18} {'parent median [q1, q3]':<32} "
+             f"{'change median [q1, q3]':<32} wins losses ties gain"]
+    for r in rows:
+        lines.append(f"{r['metric']:<18} {fmt(r['parent']):<32} "
+                     f"{fmt(r['change']):<32} {r['wins']:>4} "
+                     f"{r['losses']:>6} {r['ties']:>4} "
+                     f"{'yes' if r['gain'] else 'no'}")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
+    """The metric values of one untraced run; SystemExit on a failed run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "15", "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode or not result or result.get("correct") is not True:
+        sys.stderr.write(proc.stderr[-2000:])
+        raise SystemExit(f"run failed in {checkout} (exit {proc.returncode})")
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent, change = [], []
+    for i in range(args.pairs):
+        sides = [(args.parent, parent), (args.change, change)]
+        for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(run_once(checkout, args.workload, args.seed))
+        print(f"pair {i + 1}: time_ref_s parent "
+              f"{parent[-1]['time_ref_s']:.4g}, change "
+              f"{change[-1]['time_ref_s']:.4g}", file=sys.stderr)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
+    print(format_rows(summarize(parent, change, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

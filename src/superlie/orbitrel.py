@@ -216,15 +216,34 @@ def _memo(key: tuple, compute):
     return _MEMO[key]
 
 
+# The numeric criteria: along a degeneration g -> h each compared value
+# moves only in its direction, +1 up, -1 down (gamma = 0: False to True).
+# The orbit dimension falls strictly between the algebras of a pair, but
+# only weakly between their ab or F reductions, which may coincide.
+_DIRECTION = {"orbit_dim": -1, "gamma_zero": 1, "center": 1, "derived": -1,
+              "abc_derivation": 1}
+
+
 class _Profile:
     """One distinct algebra: the algebra (named by its first caller), its
-    bracket table and its `invariant_report` without t(g).  t(g) and the
-    entries of its ab and F reductions are filled in on first use."""
+    bracket table, its `invariant_report` without t(g), and the slots the
+    numeric criteria compare, as (labels, value) in search order.  t(g) and
+    the entries of its ab and F reductions are filled in on first use."""
 
     def __init__(self, g: SuperAlgebra):
         self.alg = g
         self.br = g.bracket_table()
-        self.record = invariant_report(g, with_trivial=False, br=self.br)
+        self.record = r = invariant_report(g, with_trivial=False, br=self.br)
+        self.slots = {
+            "orbit_dim": [({}, r["orbit_dim"])],
+            "gamma_zero": [({}, r["gamma_zero"])],
+            "center": [({"degree": i}, r["center"][i]) for i in (0, 1)],
+            "derived": [({"degree": i}, r["derived"][i]) for i in (0, 1)],
+            "abc_derivation": [
+                ({"tuple": (a, b, c), "degree": i},
+                 r["abc_entries"][f"({a},{b},{c})@{i}"])
+                for a, b, c in ABC_TUPLES for i in (0, 1)],
+        }
 
     @cached_property
     def trivial(self) -> Dict:
@@ -244,54 +263,40 @@ def _profile(g: SuperAlgebra) -> _Profile:
     return _memo((g.m, g.n, tuple(g.consts.items())), lambda: _Profile(g))
 
 
-def _check_criterion(p: _Profile, q: _Profile, criterion, degree=None,
-                     tup=None, depth=2, proper=True) -> Optional[Dict]:
+def _shown(value):
+    """A slot label or value as a certificate prints it: gamma = 0 is a
+    bool, and an (alpha, beta, gamma) tuple a list of the caller's own."""
+    if isinstance(value, bool):
+        return "gamma=0" if value else "gamma!=0"
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _check_criterion(p: _Profile, q: _Profile, criterion, reduced=False,
+                     wanted=()) -> Optional[Dict]:
     """Evaluate one necessary condition of degeneration for the pair of
     algebras with entries (p, q); returns violation data when the condition
-    fails (certifying p -/-> q)."""
-    degrees = [degree] if degree is not None else [0, 1]
-    rg, rh = p.record, q.record
-    if criterion == "orbit_dim":
-        dg, dh = rg["orbit_dim"], rh["orbit_dim"]
-        bad = dg <= dh if proper else dg < dh
-        if bad:
-            return {"from_value": dg, "to_value": dh}
+    fails (certifying p -/-> q).  A numeric criterion gives its first slot
+    out of direction whose labels hold every (key, value) of `wanted`.  A
+    `reduced` pair, the ab or F reductions of a pair, is compared by the
+    numeric criteria alone: ab and F are idempotent and each kills the
+    other, so a second reduction finds nothing new."""
+    if criterion in _DIRECTION:
+        sign = _DIRECTION[criterion]
+        strict = criterion == "orbit_dim" and not reduced
+        for (labels, vg), (_, vh) in zip(p.slots[criterion],
+                                         q.slots[criterion]):
+            step = sign * (vh - vg)
+            if (step < 0 or strict and step == 0) and all(
+                    labels.get(k) == v for k, v in wanted):
+                return {**{k: _shown(v) for k, v in labels.items()},
+                        "from_value": _shown(vg), "to_value": _shown(vh)}
         return None
-    if criterion == "gamma_zero":
-        if rg["gamma_zero"] and not rh["gamma_zero"]:
-            return {"from_value": "gamma=0", "to_value": "gamma!=0"}
-        return None
-    if criterion == "center":
-        cg, ch = rg["center"], rh["center"]
-        for i in degrees:
-            if cg[i] > ch[i]:
-                return {"degree": i, "from_value": cg[i], "to_value": ch[i]}
-        return None
-    if criterion == "derived":
-        dg, dh = rg["derived"], rh["derived"]
-        for i in degrees:
-            if dg[i] < dh[i]:
-                return {"degree": i, "from_value": dg[i], "to_value": dh[i]}
-        return None
-    if criterion == "abc_derivation":
-        tuples = [tuple(tup)] if tup is not None else ABC_TUPLES
-        for a, b, c in tuples:
-            for i in degrees:
-                key = f"({a},{b},{c})@{i}"
-                dg, dh = rg["abc_entries"][key], rh["abc_entries"][key]
-                if dg > dh:
-                    return {"tuple": [a, b, c], "degree": i,
-                            "from_value": dg, "to_value": dh}
+    if reduced:
         return None
     if criterion in ("ab_recursion", "F_recursion"):
-        if depth <= 0:
-            return None
-        reduced = "ab" if criterion == "ab_recursion" else "F"
-        sub = _pair_certs(getattr(p, reduced), getattr(q, reduced),
-                          depth - 1, proper=False, with_trivial=False)
-        if sub:
-            return {"inner": sub[0][0], "inner_data": sub[0][1]}
-        return None
+        attr = "ab" if criterion == "ab_recursion" else "F"
+        sub = _pair_certs(getattr(p, attr), getattr(q, attr), reduced=True)
+        return {"inner": sub[0][0], "inner_data": sub[0][1]} if sub else None
     if criterion == "trivial_sub":
         tg, th = p.trivial["exact"], q.trivial["exact"]
         if tg is not None and th is not None and tg > th:
@@ -304,30 +309,25 @@ _CRITERIA = ("orbit_dim", "gamma_zero", "center", "derived",
              "ab_recursion", "F_recursion", "abc_derivation", "trivial_sub")
 
 
-def _pair_certs(p: _Profile, q: _Profile, depth, proper=True,
-                with_trivial=True) -> List[Tuple[str, Dict]]:
+def _pair_certs(p: _Profile, q: _Profile,
+                reduced=False) -> List[Tuple[str, Dict]]:
     """(criterion, violation data) of every criterion that certifies
     p -/-> q."""
-    certs = []
-    for criterion in _CRITERIA:
-        if criterion == "trivial_sub" and not with_trivial:
-            continue
-        data = _check_criterion(p, q, criterion, depth=depth, proper=proper)
-        if data is not None:
-            certs.append((criterion, data))
-    return certs
+    return [(criterion, data) for criterion in _CRITERIA
+            if (data := _check_criterion(p, q, criterion, reduced))]
 
 
 def auto_nondegen(g: Union[str, SuperAlgebra], h: Union[str, SuperAlgebra]):
-    """All certificates that g does not degenerate to h, or Inconclusive."""
+    """All certificates that g does not degenerate to h, or Inconclusive.
+    Algebras with the same stored brackets share one memo entry, and such a
+    pair is reflexive: g -> g always."""
     galg = catalog.get(g).algebra if isinstance(g, str) else g
     halg = catalog.get(h).algebra if isinstance(h, str) else h
     _same_shape(galg, halg)
-    if isinstance(g, str) and g == h:
-        return Inconclusive(g, h)   # reflexive: g -> g always
-    certs = [NonDegCertificate(galg.name, halg.name, criterion, data)
-             for criterion, data in _pair_certs(_profile(galg),
-                                                _profile(halg), 2)]
+    p, q = _profile(galg), _profile(halg)
+    certs = [] if p is q else [
+        NonDegCertificate(galg.name, halg.name, criterion, data)
+        for criterion, data in _pair_certs(p, q)]
     return certs or Inconclusive(galg.name, halg.name)
 
 
@@ -421,13 +421,8 @@ def to_dot(diagram: HasseDiagram) -> str:
 
 def _separated(u: str, v: str, closure: Dict[str, set]) -> bool:
     """Certified u -/-> v, directly or through some w in the closure of v."""
-    for w in sorted(closure[v]):
-        if w == u:
-            continue
-        certs = auto_nondegen(u, w)
-        if isinstance(certs, list) and certs:
-            return True
-    return False
+    return any(w != u and isinstance(auto_nondegen(u, w), list)
+               for w in sorted(closure[v]))
 
 
 def component_analysis(dim, precision=None) -> Dict:
@@ -462,8 +457,10 @@ def discrepancy_report(dim=None) -> List[Dict]:
         g, h = row["from"], row["to"]
         data = _check_criterion(_profile(catalog.get(g).algebra),
                                 _profile(catalog.get(h).algebra),
-                                row["criterion"],
-                                degree=row.get("degree"), tup=row.get("tuple"))
+                                row["criterion"], wanted=[
+                                    (k, tuple(v) if k == "tuple" else v)
+                                    for k, v in row.items()
+                                    if k in ("degree", "tuple")])
         if data is None:
             alts = auto_nondegen(g, h)
             entry = {

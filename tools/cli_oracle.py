@@ -1,0 +1,73 @@
+"""Dump the CLI's stdout and exit code for the same commands and file names
+as ``tools/cli_oracle.sh``, in one process.
+
+    python3 tools/cli_oracle.py OUT_DIR
+
+Run it from the root of a checkout (nothing needs installing): it imports
+``superlie`` from ``src/`` and calls ``superlie.cli.main(argv)`` once per
+file, with stdout captured and ``exit N`` appended; stderr is not
+captured, as in the shell script.  All commands share one process, so they
+share ``orbitrel._MEMO`` and ``catalog._CACHE``; the shell script starts
+one interpreter per command and shares nothing.  Equal directories from
+the two modes (``diff -r``) show that no cache returns a result computed
+for other inputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "src")
+
+from superlie import catalog, cli, field, gamma23  # noqa: E402
+
+
+def run(argv):
+    """(stdout, exit code) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return out.getvalue(), code
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(f"usage: {sys.argv[0]} OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+
+    def dump(name, argv):
+        text, code = run(argv)
+        (out / name).write_text(f"{text}exit {code}\n")
+
+    labels = run(["list"])[0].split()
+    for label in labels:
+        for c in ("show", "invariants", "h2"):
+            dump(f"{c} {label}", [c, label])
+    shapes = sorted({label.split("_")[0].strip("()").replace("|", ",")
+                     for label in labels})
+    for mn in shapes:
+        for c in ("hasse", "components", "verify-all"):
+            dump(f"{c} {mn}", [c, *mn.split(",")])
+    for label, pair in gamma23.REPRESENTATIVES.items():
+        g1, g2 = (json.dumps([[field.format_elem(x) for x in row]
+                              for row in g], separators=(",", ":"))
+                  for g in pair)
+        dump(f"gamma23 {label}", ["gamma23", "--g1", g1, "--g2", g2])
+    for f, t in dict.fromkeys((w["from"], w["to"])
+                              for w in catalog.witnesses()):
+        dump(f"degenerate {f} {t}", ["degenerate", "--from", f, "--to", t])
+    for u in labels:
+        for v in run(["list", "--dim", u.split("_")[0]])[0].split():
+            if u != v:
+                dump(f"nondegen {u} {v}", ["nondegen", "--from", u, "--to", v])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,8 @@
 # installing); each file in OUT_DIR is named "<command> <arguments>".  The
 # output is byte-deterministic, so a change meant to keep behaviour is
 # checked by running this at the parent commit and at the change and
-# comparing the two directories with `diff -r`.
+# comparing the two directories with `diff -r`.  `tools/cli_oracle.py`
+# writes the same files from one process, in seconds.
 set -u
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUT_DIR" >&2

@@ -60,28 +60,6 @@ def _sparse(graded) -> List[Tuple[int, FieldElem]]:
     return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
 
 
-def _right(br, a, b, c):
-    """[x_a, [x_b, x_c]] as (index, coefficient) terms, from a bracket table."""
-    return [(k, x * y) for r, x in br[b][c] for k, y in br[a][r]]
-
-
-def _left(br, a, b, c):
-    """[[x_a, x_b], x_c] as (index, coefficient) terms, from a bracket table."""
-    return [(k, x * y) for r, x in br[a][b] for k, y in br[r][c]]
-
-
-def _vanishes(parts, lo: int, hi: int) -> bool:
-    """Does the sum of the (negate, terms) parts vanish on the combined
-    coordinates lo..hi-1?"""
-    acc = {}
-    for negate, terms in parts:
-        for k, x in terms:
-            if lo <= k < hi:
-                x = -x if negate else x
-                acc[k] = acc[k] + x if k in acc else x
-    return all(_is_zero(x) for x in acc.values())
-
-
 class SuperAlgebra:
     __slots__ = ("name", "m", "n", "consts")
 
@@ -161,98 +139,75 @@ class SuperAlgebra:
     def parity(self, idx: int) -> int:
         return 0 if idx < self.m else 1
 
+    def _jacobi_vanishes(self, br, a: int, b: int, c: int) -> bool:
+        """Does the super-Jacobi sum at (x_a, x_b, x_c), read from the
+        bracket table `br`, vanish?  It is (-1)^(|a||c|) [x_a,[x_b,x_c]]
+        + (-1)^(|b||a|) [x_b,[x_c,x_a]] + (-1)^(|c||b|) [x_c,[x_a,x_b]]."""
+        acc = {}
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            negate = p >= self.m and r >= self.m
+            for s, x in br[q][r]:
+                for k, y in br[p][s]:
+                    z = -(x * y) if negate else x * y
+                    acc[k] = acc[k] + z if k in acc else z
+        return all(_is_zero(x) for x in acc.values())
+
     def check_jacobi(self) -> List[Tuple[int, int, int]]:
         """Super-Jacobi on all homogeneous basis triples; returns violations."""
-        d = self.dim
         br = self.bracket_table()
-        odd = [self.parity(k) for k in range(d)]
-        bad = []
-        for a, b, c in product(range(d), repeat=3):
-            # (-1)^(|a||c|) [a,[b,c]] + (-1)^(|b||a|) [b,[c,a]]
-            #     + (-1)^(|c||b|) [c,[a,b]]
-            if not _vanishes([(odd[a] and odd[c], _right(br, a, b, c)),
-                              (odd[b] and odd[a], _right(br, b, c, a)),
-                              (odd[c] and odd[b], _right(br, c, a, b))],
-                             0, d):
-                bad.append((a, b, c))
-        return bad
+        return [t for t in product(range(self.dim), repeat=3)
+                if not self._jacobi_vanishes(br, *t)]
 
     def check_consistency(self) -> List[str]:
         """The (J1)/(J2) formulation: even part is a Lie algebra, rho is a
-        representation, gamma is equivariant (J1) and cyclically flat (J2)."""
-        m, n = self.m, self.n
-        d = m + n
+        representation, gamma is equivariant (J1) and cyclically flat (J2).
+        Each condition, written out below, is +- the super-Jacobi sum at
+        the same ordered triple, so this is empty iff `check_jacobi` is."""
+        even, odd = range(self.m), range(self.m, self.dim)
+        names = basis_names(self.m, self.n)
         br = self.bracket_table()
-        problems = []
-        # even Jacobi: [a,[b,c]] - [[a,b],c] - [b,[a,c]]
-        for a, b, c in product(range(m), repeat=3):
-            if not _vanishes([(False, _right(br, a, b, c)),
-                              (True, _left(br, a, b, c)),
-                              (True, _right(br, b, a, c))], 0, m):
-                problems.append(f"even Jacobi fails at (e{a+1},e{b+1},e{c+1})")
-        # rho is a representation of the even part:
-        # [[a,b],f] - [a,[b,f]] + [b,[a,f]]
-        for a, b, j in product(range(m), range(m), range(n)):
-            if not _vanishes([(False, _left(br, a, b, m + j)),
-                              (True, _right(br, a, b, m + j)),
-                              (False, _right(br, b, a, m + j))], m, d):
-                problems.append(
-                    f"rho([e{a+1},e{b+1}]) != commutator on f{j+1}")
-        # (J1): [a, gamma(u,v)] = gamma(rho(a)u, v) + gamma(u, rho(a)v)
-        for a, i, j in product(range(m), range(n), range(n)):
-            if not _vanishes([(False, _right(br, a, m + i, m + j)),
-                              (True, _left(br, a, m + i, m + j)),
-                              (True, _right(br, m + i, a, m + j))], 0, m):
-                problems.append(f"(J1) fails at (e{a+1},f{i+1},f{j+1})")
-        # (J2): rho(gamma(u,v))w + rho(gamma(v,w))u + rho(gamma(w,u))v = 0
-        for i, j, k in product(range(n), repeat=3):
-            if not _vanishes([(False, _left(br, m + i, m + j, m + k)),
-                              (False, _left(br, m + j, m + k, m + i)),
-                              (False, _left(br, m + k, m + i, m + j))], m, d):
-                problems.append(f"(J2) fails at (f{i+1},f{j+1},f{k+1})")
-        return problems
+        checks = [
+            # [a,[b,c]] - [[a,b],c] - [b,[a,c]]
+            (product(even, even, even), "even Jacobi fails at ({},{},{})"),
+            # [[a,b],f] - [a,[b,f]] + [b,[a,f]]
+            (product(even, even, odd), "rho([{},{}]) != commutator on {}"),
+            # (J1): [a, gamma(u,v)] = gamma(rho(a)u, v) + gamma(u, rho(a)v)
+            (product(even, odd, odd), "(J1) fails at ({},{},{})"),
+            # (J2): rho(gamma(u,v))w + rho(gamma(v,w))u + rho(gamma(w,u))v = 0
+            (product(odd, odd, odd), "(J2) fails at ({},{},{})"),
+        ]
+        return [text.format(*(names[k] for k in t))
+                for triples, text in checks for t in triples
+                if not self._jacobi_vanishes(br, *t)]
 
     # -- lower central series -------------------------------------------------
-
-    def _graded_span(self, gens) -> Tuple[List, List]:
-        """Reduce a list of graded vectors to graded row-echelon bases."""
-        even_rows = [list(g[0]) for g in gens if any(not _is_zero(x) for x in g[0])]
-        odd_rows = [list(g[1]) for g in gens if any(not _is_zero(x) for x in g[1])]
-        even_basis = []
-        if even_rows:
-            rows, pivots = rref(even_rows)
-            even_basis = rows[:len(pivots)]
-        odd_basis = []
-        if odd_rows:
-            rows, pivots = rref(odd_rows)
-            odd_basis = rows[:len(pivots)]
-        return even_basis, odd_basis
 
     def lower_central_series(self):
         """Graded dimensions of g = g^1 >= g^2 >= ... until stabilization,
         which comes within dim + 1 steps: each step before it lowers the
-        total dimension."""
-        m, n = self.m, self.n
-        vecs = [self.basis_vector(k) for k in range(m + n)]
-        current = ([[ONE if i == k else ZERO for k in range(m)] for i in range(m)],
-                   [[ONE if j == l else ZERO for l in range(n)] for j in range(n)])
-        dims = [(m, n)]
-        for _ in range(self.dim + 1):
-            gens = []
-            span_vecs = [ (ev, [ZERO] * n) for ev in current[0] ] + \
-                        [ ([ZERO] * m, od) for od in current[1] ]
-            for v in vecs:
-                for w in span_vecs:
-                    gens.append(self.bracket(v, w))
-            even_b, odd_b = self._graded_span(gens)
-            d = (len(even_b), len(odd_b))
-            dims.append(d)
-            if d == dims[-2]:
-                dims.pop()
+        total dimension.  g^(k+1) is spanned by the [x_a, v] for v in a
+        basis of g^k; each is homogeneous, so the two parities are
+        echelonized apart.  Once g^k = 0 the next step repeats it."""
+        m, d = self.m, self.dim
+        spans = (range(m), range(m, d))     # the even and the odd coordinates
+        basis = [[(k, ONE)] for k in range(d)]      # of g^k, even vectors first
+        dims = [(m, self.n)]
+        for _ in range(d + 1):
+            rows = ([], [])
+            for a, v in product(range(d), basis):
+                acc = self._bracket([(a, ONE)], v)
+                if any(not _is_zero(x) for x in acc.values()):
+                    odd = min(acc) >= m
+                    rows[odd].append([acc.get(k, ZERO) for k in spans[odd]])
+            basis, dim = [], ()
+            for span, part in zip(spans, rows):
+                echelon, pivots = rref(part)
+                dim += (len(pivots),)
+                basis += [[(k, x) for k, x in zip(span, row) if not _is_zero(x)]
+                          for row in echelon[:len(pivots)]]
+            if dim == dims[-1]:
                 break
-            current = (even_b, odd_b)
-            if d == (0, 0):
-                break
+            dims.append(dim)
         return dims
 
     def is_nilpotent(self) -> bool:

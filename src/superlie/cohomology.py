@@ -87,18 +87,6 @@ class Cochain2Even:
 # -- the fixed flat basis of even 2-cochains ---------------------------------
 
 
-def _block_start(m: int, n: int, a: int, b: int) -> int:
-    """First slot of phi(x_a, x_b) for a pair of `pairs(m, n)`; its
-    coordinates fill the next m slots (n for an e-f pair)."""
-    if b < m:
-        return (a * (2 * m - a - 1) // 2 + b - a - 1) * m
-    ee = m * (m * (m - 1) // 2)
-    if a < m:
-        return ee + (a * n + b - m) * n
-    i, j = a - m, b - m
-    return ee + m * n * n + (i * (2 * n - i + 1) // 2 + j - i) * m
-
-
 def cochain_basis_index(m: int, n: int) -> List[Tuple[int, int, int]]:
     """Slots in the fixed order: (a, b, k) is the coordinate of
     phi(x_a, x_b) on x_k (odd indices offset by m)."""
@@ -280,10 +268,10 @@ def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
                              f"{'f' if mixed else 'e'}")
         if a == b < m:
             raise ValueError("e_i*^e_i* vanishes")
-        return (_block_start(m, n, min(a, b), max(a, b)) +
-                (c - m if mixed else c), -1 if a > b and b < m else 1)
+        return index[min(a, b), max(a, b), c], -1 if a > b and b < m else 1
 
-    vec = [ZERO] * cochain_dim(m, n)
+    index = {t: s for s, t in enumerate(cochain_basis_index(m, n))}
+    vec = [ZERO] * len(index)
     for k, x in constant(text, slot).items():
         vec[k] = x
     return Cochain2Even(m, n, vec)

@@ -457,6 +457,11 @@ def test_hasse_dot(tmp_path, capsys):
     assert len([l for l in dot.splitlines() if "label=" in l]) == 4
 
 
+def test_hasse_dot_directory_usage_error(tmp_path, capsys):
+    _one_line_usage_error(capsys, ["hasse", "1", "2", "--dot", str(tmp_path)],
+                          "i/o error: ")
+
+
 def test_components_cmd(capsys):
     code, out = run(capsys, "components", "1", "2")
     assert code == 0
@@ -475,3 +480,18 @@ def test_selftest_seeded_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "seed: 7" in out1
+
+
+@pytest.mark.parametrize("cases", ["-3", "-1", "x", "2.5"])
+def test_selftest_cases_must_be_a_nonnegative_integer(capsys, cases):
+    code = main(["selftest", "--seed", "7", "--cases", cases])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --cases: expected an integer >= 0" in captured.err
+
+
+def test_selftest_zero_cases(capsys):
+    code, out = run(capsys, "selftest", "--seed", "7", "--cases", "0")
+    assert code == 0
+    assert "field round-trips and identities: 0 cases OK" in out

@@ -5,7 +5,7 @@ from superlie.algebra import SuperAlgebra
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem
 from superlie.gamma23 import random_gl
 from superlie.groebner import poly_add, poly_mul, poly_scale
-from superlie.linalg import identity, kernel, rank
+from superlie.linalg import identity, kernel, rank, rref
 
 from conftest import dense_views
 
@@ -178,6 +178,43 @@ def dense_check_consistency(g):
     return problems
 
 
+def _graded_span(gens):
+    """Graded row-echelon bases of the span of graded vectors."""
+    bases = []
+    for part in (0, 1):
+        rows = [list(g[part]) for g in gens
+                if any(not x.is_zero() for x in g[part])]
+        if rows:
+            rows, pivots = rref(rows)
+            rows = rows[:len(pivots)]
+        bases.append(rows)
+    return tuple(bases)
+
+
+def dense_lower_central_series(g):
+    """Graded dimensions of g = g^1 >= g^2 >= ... from dense brackets of
+    basis vectors with graded echelon bases, until stabilization."""
+    m, n = g.m, g.n
+    vecs = [g.basis_vector(k) for k in range(m + n)]
+    current = ([[ONE if i == k else ZERO for k in range(m)] for i in range(m)],
+               [[ONE if j == l else ZERO for l in range(n)] for j in range(n)])
+    dims = [(m, n)]
+    for _ in range(g.dim + 1):
+        span_vecs = [(ev, [ZERO] * n) for ev in current[0]] + \
+                    [([ZERO] * m, od) for od in current[1]]
+        even_b, odd_b = _graded_span([g.bracket(v, w) for v in vecs
+                                      for w in span_vecs])
+        d = (len(even_b), len(odd_b))
+        dims.append(d)
+        if d == dims[-2]:
+            dims.pop()
+            break
+        current = (even_b, odd_b)
+        if d == (0, 0):
+            break
+    return dims
+
+
 def test_sparse_abc_derivations_match_dense_oracle(rng):
     """Every catalog algebra of dimension <= 4, the five dimension-5 labels
     of the h2-catalog benchmark workload, their ab() and F reductions, and
@@ -229,12 +266,22 @@ def _perturbed(g, rng):
 
 
 def test_sparse_axiom_checks_match_dense_oracles(rng):
-    """Seeded perturbations of every catalog algebra, violations included."""
+    """Seeded perturbations of every catalog algebra, violations and
+    non-nilpotent cases included."""
     cases = [_perturbed(e.algebra, rng) for e in catalog.list_entries()]
     jacobi = [g.check_jacobi() for g in cases]
     consistency = [g.check_consistency() for g in cases]
+    series = [g.lower_central_series() for g in cases]
     assert jacobi == [dense_check_jacobi(g) for g in cases]
     assert consistency == [dense_check_consistency(g) for g in cases]
+    dense_series = [dense_lower_central_series(g) for g in cases]
+    assert series == dense_series
+    assert [g.is_nilpotent() for g in cases] == \
+        [s[-1] == (0, 0) for s in dense_series]
+    # each (J.) expression is +- the super-Jacobi sum at its ordered triple
+    assert [bool(bad) for bad in jacobi] == \
+        [bool(probs) for probs in consistency]
+    assert sum(1 for s in series if s[-1] != (0, 0)) >= 30
     assert sum(1 for bad in jacobi if bad) >= 30
     found = " ".join(p for probs in consistency for p in probs)
     for kind in ("even Jacobi", "commutator", "(J1)", "(J2)"):

@@ -47,7 +47,7 @@ def main() -> int:
 
     labels = run(["list"])[0].split()
     for label in labels:
-        for c in ("show", "invariants", "h2"):
+        for c in ("show", "check", "invariants", "h2"):
             dump(f"{c} {label}", [c, label])
     shapes = sorted({label.split("_")[0].strip("()").replace("|", ",")
                      for label in labels})

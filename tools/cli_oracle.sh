@@ -24,7 +24,7 @@ main=superlie
 sl() { PYTHONPATH=src python -m "$main" "$@"; }
 
 for l in $(sl list); do
-  for c in show invariants h2; do
+  for c in show check invariants h2; do
     sl $c "$l" > "$out/$c $l"; echo "exit $?" >> "$out/$c $l"
   done
 done

@@ -20,6 +20,11 @@ with the even-odd sign flipped or the off-diagonal odd-odd terms scaled by
 The four cocycles listed for (1|3)_1 are cocycles, but H^2 has dimension 3
 there, so they are dependent modulo coboundaries.
 
+d2 phi is graded-alternating (swapping neighbours x, y multiplies it by
+-(-1)^(|x||y|)), so `d2` evaluates it on the canonical triples a <= b <= c
+only, with two neighbours equal only at an odd index; the d2 matrix of
+`h2_even` has rows for those triples only and the same kernel.
+
 Cocycles print/parse in the compact notation "e1*^e2*@e1" for
 e_1^* wedge e_2^* tensor e_1; a term "f1*^f1*@e1" means
 phi(f1,f1) = e1 (coefficient 1, diagonal included).  A cocycle is an
@@ -133,12 +138,19 @@ def d1(g: SuperAlgebra, A, D, br=None) -> Cochain2Even:
 
 
 def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
-    """Evaluate d2 phi on all ordered homogeneous basis triples.
+    """Evaluate d2 phi on the canonical homogeneous basis triples.
 
-    Returns a dict (a,b,c) -> graded vector; zero entries omitted.  Only
-    the nonzero values of phi and the nonzero brackets are visited: each of
-    the six terms of the differential is a sum over them.  `br` is g's
-    bracket table when the caller has built it.
+    A triple (a, b, c) is canonical when a <= b <= c and two neighbours are
+    equal only at an odd index.  Returns a dict (a,b,c) -> graded vector
+    over the canonical triples, keys ascending, zero entries omitted.
+
+    These values give all the others, since d2 phi is graded-alternating:
+    swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
+    on any ordered triple is the product of those signs over the swaps that
+    sort it, times the value on the sorted triple; it is zero where an even
+    index repeats.  Only the nonzero values of phi and the nonzero brackets
+    are visited, and a product is formed only for a canonical triple.  `br`
+    is g's bracket table when the caller has built it.
     """
     m, n = g.m, g.n
     d = m + n
@@ -151,34 +163,54 @@ def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
         phi_left[a].append((b, v))
         phi_right[b].append((a, v))
     odd = [k >= m for k in range(d)]
+    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
+    # triple
+    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
     acc = {}
 
-    def add(key, x, vec, negate):
-        out = acc.get(key)
-        if out is None:
-            out = acc[key] = [ZERO] * d
-        for r, y in vec:
-            out[r] = out[r] - x * y if negate else out[r] + x * y
+    def add(x, vec, *targets):
+        """Add x * vec at each (key, negate, canonical) target with a
+        canonical key; the products are formed once, and only if one is."""
+        terms = None
+        for key, negate, canonical in targets:
+            if not canonical:
+                continue
+            if terms is None:
+                terms = [(r, x * y) for r, y in vec]
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = [ZERO] * d
+            for r, y in terms:
+                out[r] = out[r] - y if negate else out[r] + y
 
     # [x_a, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
-    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]
+    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]; a mirrored value phi(x_p, x_q)
+    # with p > q reaches no canonical triple
     for p, q, v in values:
+        if p > q:
+            continue
         for k, x in v:
             for t in range(d):
                 w = br[t][k]                # [x_t, x_k]
                 if w:
-                    add((t, p, q), x, w, False)
-                    add((p, t, q), x, w, not (odd[p] and odd[t]))
-                    add((p, q, t), x, w, odd[t] and odd[p] != odd[q])
-    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z])
+                    add(x, w, ((t, p, q), False, before[t][p]),
+                        ((p, t, q), not (odd[p] and odd[t]),
+                         before[p][t] and before[t][q]),
+                        ((p, q, t), odd[t] and odd[p] != odd[q],
+                         before[q][t]))
+    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]); each
+    # key puts x_p before x_q
     for p in range(d):
-        for q in range(d):
+        for q in range(p, d):
+            if not before[p][q]:
+                continue
             for k, x in br[p][q]:
                 for t, w in phi_left[k]:
-                    add((p, q, t), x, w, True)
-                    add((p, t, q), x, w, odd[t] and odd[q])
+                    add(x, w, ((p, q, t), True, before[q][t]),
+                        ((p, t, q), odd[t] and odd[q],
+                         before[p][t] and before[t][q]))
                 for t, w in phi_right[k]:
-                    add((t, p, q), x, w, False)
+                    add(x, w, ((t, p, q), False, before[t][p]))
     return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
             if any(not x.is_zero() for x in out)}
 
@@ -191,10 +223,10 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 
 def _d2_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
-    """Rows = output coordinates over all triples, columns = cochain slots
-    (br is g's bracket table).  Of rows equal up to a nonzero scalar only
-    the first is kept, which leaves the row space, hence the RREF and the
-    kernel, as they are."""
+    """Rows = output coordinates over the canonical triples of `d2`,
+    columns = cochain slots (br is g's bracket table).  Of rows equal up to
+    a nonzero scalar only the first is kept, which leaves the row space,
+    hence the RREF and the kernel, as they are."""
     total = cochain_dim(g.m, g.n)
     rows = {}   # (triple, combined index) -> {slot: entry}, slots ascending
     for si in range(total):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,5 +58,69 @@ def test_format_rows_names_every_metric():
                                  _runs("time_ref_s", [1.0, 1.0]),
                                  {"time_ref_s": "lower"})
     text = bench_pairs.format_rows(rows)
+    assert text.splitlines()[0].split()[-2:] == ["gain", "worse"]
+    # no bound given: the worse column reads "-"
     assert text.splitlines()[1].split() == [
-        "time_ref_s", "2", "[2,", "2]", "1", "[1,", "1]", "2", "0", "0", "yes"]
+        "time_ref_s", "2", "[2,", "2]", "1", "[1,", "1]", "2", "0", "0", "yes",
+        "-"]
+    rows = bench_pairs.summarize(_runs("time_ref_s", [1.0, 1.0]),
+                                 _runs("time_ref_s", [2.0, 2.0]),
+                                 {"time_ref_s": "lower"}, {"time_ref_s": 0.2})
+    assert bench_pairs.format_rows(rows).splitlines()[1].split()[-2:] == [
+        "no", "yes"]
+
+
+def test_worse_flags_a_median_past_the_bound_in_either_direction():
+    parent = [0.9, 1.0, 1.0, 1.1, 1.0]
+    # the change's median is 1.19 and 1.21 against the parent's 1.0
+    for shift, worse in ((0.19, False), (0.21, True)):
+        change = [v + shift for v in parent]
+        [row] = bench_pairs.summarize(_runs("t", parent), _runs("t", change),
+                                      {"t": "lower"}, {"t": 0.2})
+        assert row["worse"] is worse, shift
+        # where higher is better the same numbers are a gain, never worse
+        [row] = bench_pairs.summarize(_runs("t", parent), _runs("t", change),
+                                      {"t": "higher"}, {"t": 0.2})
+        assert row["worse"] is False
+    # higher is better: a median 25 % lower is worse beyond a 0.24 bound,
+    # 23 % lower is not
+    for scale, worse in ((0.75, True), (0.77, False)):
+        change = [v * scale for v in parent]
+        [row] = bench_pairs.summarize(_runs("x", parent), _runs("x", change),
+                                      {"x": "higher"}, {"x": 0.24})
+        assert row["worse"] is worse, scale
+    # a metric without a bound is never flagged
+    [row] = bench_pairs.summarize(_runs("t", parent),
+                                  _runs("t", [10 * v for v in parent]),
+                                  {"t": "lower"}, {})
+    assert row["worse"] is None
+
+
+def test_main_runs_every_repeated_workload(tmp_path, monkeypatch, capsys):
+    bench = {"end_to_end": [{"name": "time_ref_s", "better": "lower",
+                             "bound": 0.2}]}
+    calls = []
+    times = {"parent": 1.0, "change": 0.5}
+
+    def run_once(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        return {"time_ref_s": times[checkout.name]}
+
+    for side in times:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload", "a",
+                             "--workload", "b", "--seed", "3",
+                             "--pairs", "2"]) == 0
+    # alternating order within each workload, workloads in the given order
+    assert calls == [("parent", "a", 3), ("change", "a", 3),
+                     ("change", "a", 3), ("parent", "a", 3),
+                     ("parent", "b", 3), ("change", "b", 3),
+                     ("change", "b", 3), ("parent", "b", 3)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "pairs" in line] == [
+        "a, seed 3, 2 pairs", "b, seed 3, 2 pairs"]
+    assert [line.split()[-2:] for line in out
+            if line.startswith("time_ref_s")] == [["yes", "no"]] * 2

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List
 
 import pytest
 
 from superlie import catalog, cohomology, gamma23
-from superlie.algebra import SuperAlgebra
+from superlie.algebra import SuperAlgebra, pairs
 from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  format_cocycle, h2_even, is_cocycle,
@@ -317,10 +318,29 @@ def _rand_scalar(rng):
     return [q, q * I, q * SQRT2, rand_elem(rng, 5)][kind - 4]
 
 
-def test_sparse_d2_d1_match_dense_oracles(rng):
-    """Seeded comparison on every catalog algebra of dimension <= 4, the
-    five dimension-5 labels of the h2-catalog benchmark workload and two
-    rational basis changes of each (2|2) and (1|3) algebra."""
+def _canonical(t, m):
+    """Is (a, b, c) a canonical triple: a <= b <= c, with two neighbours
+    equal only at an odd index (odd indices offset by m)?"""
+    a, b, c = t
+    return (a < b or a == b >= m) and (b < c or b == c >= m)
+
+
+def _graded_sort(t, m):
+    """The sorted triple of t and the graded sign that takes the value on it
+    to the value on t: each adjacent swap of x, y multiplies by
+    -(-1)^(|x||y|)."""
+    t, sign = list(t), 1
+    for i in (0, 1, 0):
+        if t[i] > t[i + 1]:
+            t[i], t[i + 1] = t[i + 1], t[i]
+            sign *= 1 if t[i] >= m and t[i + 1] >= m else -1
+    return tuple(t), sign
+
+
+def _d2_cases(rng):
+    """Every catalog algebra of dimension <= 4, the five dimension-5 labels
+    of the h2-catalog benchmark workload and two rational basis changes of
+    each (2|2) and (1|3) algebra."""
     cases = [e.algebra for e in catalog.list_entries() if e.m + e.n <= 4]
     cases += [catalog.get(lab).algebra for lab in
               ("(0|5)_0", "(1|4)_4", "(2|3)_6", "(3|2)_5", "(4|1)_6")]
@@ -329,26 +349,74 @@ def test_sparse_d2_d1_match_dense_oracles(rng):
             for _ in range(2):
                 cases.append(e.algebra.apply_basis_change(
                     gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)))
-    for g in cases:
+    return cases
+
+
+def _random_cochain(g, rng):
+    return Cochain2Even(g.m, g.n, [_rand_scalar(rng) for _ in
+                                   range(cohomology.cochain_dim(g.m, g.n))])
+
+
+def test_sparse_d2_d1_match_dense_oracles(rng):
+    """Seeded comparison on the cases of `_d2_cases`: d2 is the dense d2 on
+    the canonical triples, and d1 is the dense d1."""
+    for g in _d2_cases(rng):
         for _ in range(2):
-            vec = [_rand_scalar(rng)
-                   for _ in range(cohomology.cochain_dim(g.m, g.n))]
-            phi = Cochain2Even(g.m, g.n, vec)
-            assert d2(g, phi) == dense_d2(g, phi), g.name
+            phi = _random_cochain(g, rng)
+            assert d2(g, phi) == {t: v for t, v in dense_d2(g, phi).items()
+                                  if _canonical(t, g.m)}, g.name
             A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
             D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
             assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name
 
 
+def _non_jacobi_algebras(rng):
+    """Two seeded super-antisymmetric brackets of each shape of dimension 3
+    or 4 with both parities, each failing super-Jacobi."""
+    out = []
+    for m, n in ((1, 2), (2, 1), (1, 3), (2, 2), (3, 1)):
+        found = 0
+        while found < 2:
+            g = SuperAlgebra(m, n, {
+                (a, b): [(k, _rand_scalar(rng)) for k in
+                         (range(m, m + n) if a < m <= b else range(m))]
+                for a, b in pairs(m, n)}, name=f"non-Jacobi ({m}|{n})")
+            if g.check_jacobi():
+                out.append(g)
+                found += 1
+    return out
+
+
+def test_d2_is_graded_alternating(rng):
+    """The dense d2 on every ordered triple is the graded sign times its
+    value on the sorted triple, and zero where an even index repeats, on
+    the cases of `_d2_cases` and on brackets that fail super-Jacobi; so d2's
+    canonical triples determine it."""
+    for g in _d2_cases(rng) + _non_jacobi_algebras(rng):
+        zero = ([ZERO] * g.m, [ZERO] * g.n)
+        for _ in range(2):
+            dense = dense_d2(g, _random_cochain(g, rng))
+            for t in product(range(g.dim), repeat=3):
+                key, sign = _graded_sort(t, g.m)
+                if not _canonical(key, g.m):    # an even index repeats
+                    assert t not in dense, (g.name, t)
+                    continue
+                want = dense.get(key, zero)
+                assert dense.get(t, zero) == ([sign * x for x in want[0]],
+                                              [sign * x for x in want[1]]), \
+                    (g.name, t)
+
+
 # -- the dense d2 matrix and the rank-per-cocycle lift, oracles for h2_even ----
 
 
-def dense_d2_matrix(g, br):
+def dense_d2_matrix(g, evaluate):
     """One dense row per output coordinate that any unit cochain reaches,
-    scattered from d2 of each unit cochain."""
+    scattered from `evaluate` of each unit cochain, a map of triples to
+    graded vectors (`d2` or `dense_d2`)."""
     total = cohomology.cochain_dim(g.m, g.n)
-    cols = [d2(g, Cochain2Even(g.m, g.n, [FieldElem(int(i == si))
-                                          for i in range(total)]), br)
+    cols = [evaluate(Cochain2Even(g.m, g.n, [FieldElem(int(i == si))
+                                             for i in range(total)]))
             for si in range(total)]
     keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
                    for p in (0, 1) for r, x in enumerate(vv[p])
@@ -357,12 +425,11 @@ def dense_d2_matrix(g, br):
             for t, p, r in keys]
 
 
-def rank_lift_h2(g):
-    """dim ker d2 - dim im d1, and a basis lifted by adding each cocycle
-    that raises the rank over the coboundaries."""
+def rank_lift_h2(g, d2m):
+    """dim ker d2 - dim im d1, with d2m a matrix of d2, and a basis lifted
+    by adding each cocycle that raises the rank over the coboundaries."""
     total = cohomology.cochain_dim(g.m, g.n)
     br = g.bracket_table()
-    d2m = dense_d2_matrix(g, br)
     cocycles = kernel(d2m) if d2m else \
         [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
     stack = cohomology._coboundary_rows(g, br)
@@ -392,26 +459,35 @@ def _proportional(u, w):
 
 
 def _h2_cases(rng):
-    cases = [e.algebra for e in catalog.list_entries()]
+    """(algebra, whether its oracle matrix comes from `dense_d2`): every
+    catalog algebra, those of dimension <= 4 from `dense_d2`, and two
+    rational basis changes of each algebra of dimension 4."""
+    cases = [(e.algebra, e.m + e.n <= 4) for e in catalog.list_entries()]
     for e in catalog.list_entries():
         if e.m + e.n == 4:
             for _ in range(2):
-                cases.append(e.algebra.apply_basis_change(
-                    gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)))
+                cases.append((e.algebra.apply_basis_change(
+                    gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)),
+                    False))
     return cases
 
 
 def test_d2_matrix_and_lift_match_dense_oracles(rng):
     """On every catalog algebra and two rational basis changes of each
-    algebra of dimension 4: the d2 matrix has the dense matrix's RREF and
-    no two proportional rows, and h2_even lifts the same basis."""
-    for g in _h2_cases(rng):
+    algebra of dimension 4: the d2 matrix has the oracle matrix's RREF and
+    no two proportional rows, and h2_even lifts the same basis.  On the
+    catalog algebras of dimension <= 4 the oracle has a row for every
+    ordered triple, from `dense_d2`, so dropping the non-canonical rows
+    must keep the RREF; elsewhere it is scattered from `d2`."""
+    for g, from_dense in _h2_cases(rng):
         br = g.bracket_table()
-        new, old = cohomology._d2_matrix(g, br), dense_d2_matrix(g, br)
+        old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
+                              else (lambda phi: d2(g, phi, br)))
+        new = cohomology._d2_matrix(g, br)
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
         assert not any(_proportional(u, w) for i, u in enumerate(new)
                        for w in new[i + 1:]), g.name
-        dim, basis = rank_lift_h2(g)
+        dim, basis = rank_lift_h2(g, old)
         got = h2_even(g)
         assert got["dim"] == dim, g.name
         assert [phi.vec for phi in got["basis"]] == basis, g.name

@@ -1,16 +1,18 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...] --seed S --pairs N
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds 15
---trace 0`` once in each checkout, from its root; the parent goes first in
-even pairs and the change first in odd ones.  For every end-to-end metric
-of the change's ``BENCHMARK.json`` it prints each side's median and
-quartiles and how many pairs each side won (a tie counts for neither), and
-whether a gain may be claimed: the change wins at least nine in ten of all
-pairs, and its median is better than the parent's by more than the
-parent's interquartile range.  The exit status is 1 when a run fails or
-reports ``correct: false``, else 0.
+For each workload in turn, each pair runs ``perfbench/run.py --workload W
+--seed S --seconds 15 --trace 0`` once in each checkout, from its root; the
+parent goes first in even pairs and the change first in odd ones.  For
+every end-to-end metric of the change's ``BENCHMARK.json`` it prints each
+side's median and quartiles, how many pairs each side won (a tie counts for
+neither), whether a gain may be claimed (the change wins at least nine in
+ten of all pairs, and its median is better than the parent's by more than
+the parent's interquartile range) and whether the change is worse beyond
+the metric's ``bound`` (its median is worse than the parent's by more than
+``bound`` times the parent's median).  The exit status is 1 when a run
+fails or reports ``correct: false``, else 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def quartiles(values: Sequence[float]):
@@ -33,9 +35,14 @@ def quartiles(values: Sequence[float]):
 
 
 def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
-              better: Dict[str, str]) -> List[Dict]:
+              better: Dict[str, str],
+              bounds: Optional[Dict[str, float]] = None) -> List[Dict]:
     """One row per metric of `better` (name -> "lower" | "higher") from the
-    paired runs parent[i], change[i], each a map of metric values."""
+    paired runs parent[i], change[i], each a map of metric values.  A
+    metric with a bound in `bounds` (name -> fraction) is "worse" when the
+    change's median is worse than the parent's by more than that fraction
+    of the parent's median; "worse" is None for a metric without one."""
+    bounds = bounds or {}
     rows = []
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -45,22 +52,26 @@ def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
         losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
         gap = sign * (cq[1] - pq[1])
+        bound = bounds.get(name)
         rows.append({"metric": name, "better": direction,
                      "parent": pq, "change": cq, "wins": wins,
                      "losses": losses, "ties": len(p) - wins - losses,
-                     "gain": wins >= 0.9 * len(p) and gap > pq[2] - pq[0]})
+                     "gain": wins >= 0.9 * len(p) and gap > pq[2] - pq[0],
+                     "worse": None if bound is None
+                     else -gap > bound * abs(pq[1])})
     return rows
 
 
 def format_rows(rows: List[Dict]) -> str:
     fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     lines = [f"{'metric':<18} {'parent median [q1, q3]':<32} "
-             f"{'change median [q1, q3]':<32} wins losses ties gain"]
+             f"{'change median [q1, q3]':<32} wins losses ties gain worse"]
+    yes_no = {True: "yes", False: "no", None: "-"}
     for r in rows:
         lines.append(f"{r['metric']:<18} {fmt(r['parent']):<32} "
                      f"{fmt(r['change']):<32} {r['wins']:>4} "
                      f"{r['losses']:>6} {r['ties']:>4} "
-                     f"{'yes' if r['gain'] else 'no'}")
+                     f"{yes_no[r['gain']]:<4} {yes_no[r['worse']]}")
     return "\n".join(lines)
 
 
@@ -85,22 +96,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a workload to run; repeat for several")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent, change = [], []
-    for i in range(args.pairs):
-        sides = [(args.parent, parent), (args.change, change)]
-        for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-            runs.append(run_once(checkout, args.workload, args.seed))
-        print(f"pair {i + 1}: time_ref_s parent "
-              f"{parent[-1]['time_ref_s']:.4g}, change "
-              f"{change[-1]['time_ref_s']:.4g}", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
-    print(format_rows(summarize(parent, change, better)))
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]
+              if "bound" in m}
+    for workload in args.workload:
+        parent, change = [], []
+        for i in range(args.pairs):
+            sides = [(args.parent, parent), (args.change, change)]
+            for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+                runs.append(run_once(checkout, workload, args.seed))
+            print(f"{workload} pair {i + 1}: time_ref_s parent "
+                  f"{parent[-1]['time_ref_s']:.4g}, change "
+                  f"{change[-1]['time_ref_s']:.4g}", file=sys.stderr)
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs")
+        print(format_rows(summarize(parent, change, better, bounds)),
+              flush=True)
     return 0
 
 

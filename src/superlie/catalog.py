@@ -107,12 +107,11 @@ def list_entries(dim: Optional[Dim] = None) -> List[CatalogEntry]:
 
 
 def _dim_filter(rows: List[Dict], dim: Optional[Dim]) -> List[Dict]:
+    """The rows whose `from` label is one of `list_entries(dim)`."""
     if dim is None:
         return rows
-    if isinstance(dim, int):
-        return [r for r in rows if get(r["from"]).m + get(r["from"]).n == dim]
-    m, n = normalize_dim(dim)
-    return [r for r in rows if (get(r["from"]).m, get(r["from"]).n) == (m, n)]
+    keep = {e.label for e in list_entries(dim)}
+    return [r for r in rows if r["from"] in keep]
 
 
 def witnesses(dim: Optional[Dim] = None) -> List[Dict]:

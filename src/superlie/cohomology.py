@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, basis_names, pairs
+from .algebra import SuperAlgebra, _mirror, basis_names, pairs
 from .exprlang import basis_index, constant
 from .field import FieldElem, ONE, ZERO, format_sum
 from .linalg import kernel, rank, rref, transpose
@@ -74,8 +74,7 @@ class Cochain2Even:
         for (a, b), terms in found.items():
             out.append((a, b, terms))
             if a != b:
-                out.append((b, a, [(k, -x) for k, x in terms]
-                            if a < m else terms))
+                out.append((b, a, _mirror(m, a, b, terms)))
         return out
 
     def value(self, a: int, b: int):

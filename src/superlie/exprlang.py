@@ -14,6 +14,10 @@ Grammar (whitespace-insensitive)::
     symbol   := basis | basis '*^' basis '*@' basis   (vector contexts only)
     basis    := ('e' | 'f') digits
 
+The token kinds are the named groups of one regular expression, and the
+parser reads operators, integers and exponents through ``accept`` and
+``number``.
+
 ``evaluate`` is the one walk of a tree: it maps a scalar expression to a
 PuiseuxSeries, and a linear combination of symbols, each of which its caller
 maps to a coordinate, to its coefficients: a witness's basis vector
@@ -85,34 +89,28 @@ class ExprTypeError(ValueError):
 
 
 _BASIS = r"[ef][0-9]+"      # ASCII digits: \d takes any Unicode digit
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|(sqrt2)|(sqrt)|(i)|(t)|"
-                    rf"({_BASIS}(?:\*\^{_BASIS}\*@{_BASIS})?)|([()^*/+\-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<sqrt2>sqrt2)|(?P<sqrt>sqrt)|"
+                    r"(?P<i>i)|(?P<t>t)|"
+                    rf"(?P<symbol>{_BASIS}(?:\*\^{_BASIS}\*@{_BASIS})?)|"
+                    r"(?P<op>[()^*/+\-]))")
 
 
 def _tokenize(text: str):
+    """(kind, value, position) tokens, kind the name of the group of
+    `_TOKEN` that matched, ending in ("end", None, len(text))."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip() == "":
                 break
             raise ExprSyntaxError(
                 f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("sqrt2", None, m.start(2)))
-        elif m.group(3):
-            tokens.append(("sqrt", None, m.start(3)))
-        elif m.group(4):
-            tokens.append(("i", None, m.start(4)))
-        elif m.group(5):
-            tokens.append(("t", None, m.start(5)))
-        elif m.group(6):
-            tokens.append(("symbol", m.group(6), m.start(6)))
-        else:
-            tokens.append(("op", m.group(7), m.start(7)))
+        kind = m.lastgroup
+        val = m.group(kind)
+        tokens.append((kind, int(val) if kind == "num" else val,
+                       m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -132,11 +130,26 @@ class _Parser:
         self.idx += 1
         return tok
 
-    def expect_op(self, op: str):
+    def accept(self, ops: str) -> Optional[str]:
+        """The next token, consumed, if it is one of the operators `ops`."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in ops:
+            self.idx += 1
+            return val
+        return None
+
+    def number(self, message: str, nonzero: bool = False) -> int:
+        """The next token, consumed, if it is an integer (a nonzero one when
+        asked); otherwise ExprSyntaxError(message) at its position."""
         kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-        self.advance()
+        if kind != "num" or (nonzero and val == 0):
+            raise ExprSyntaxError(message, pos)
+        self.idx += 1
+        return val
+
+    def expect_op(self, op: str):
+        if not self.accept(op):
+            raise ExprSyntaxError(f"expected {op!r}", self.peek()[2])
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -147,74 +160,42 @@ class _Parser:
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
+        while op := self.accept("+-"):
             e = Bin(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
+        while op := self.accept("*/"):
             e = Bin(op, e, self.factor())
         return e
 
     def factor(self) -> Expr:
-        if self.peek()[0] == "op" and self.peek()[1] in "+-":
-            if self.advance()[1] == "+":
-                return self.factor()
-            return Neg(self.factor())
+        op = self.accept("+-")
+        if op:
+            return self.factor() if op == "+" else Neg(self.factor())
         a = self.atom()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.advance()
-            return Pow(a, self.exponent())
-        return a
+        return Pow(a, self.exponent()) if self.accept("^") else a
 
     def exponent(self) -> Fraction:
-        kind, val, pos = self.peek()
-        neg = False
-        if kind == "op" and val == "(":
-            self.advance()
-            if self.peek()[0] == "op" and self.peek()[1] == "-":
-                self.advance()
-                neg = True
-            kind, val, pos = self.peek()
-            if kind != "num":
-                raise ExprSyntaxError("expected a rational exponent", pos)
-            self.advance()
-            num = val
-            den = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "/":
-                self.advance()
-                kind2, val2, pos2 = self.peek()
-                if kind2 != "num" or val2 == 0:
-                    raise ExprSyntaxError("expected a nonzero denominator", pos2)
-                self.advance()
-                den = val2
-            self.expect_op(")")
-            q = Fraction(num, den)
-            return -q if neg else q
-        if kind == "op" and val == "-":
-            self.advance()
-            neg = True
-            kind, val, pos = self.peek()
-        if kind != "num":
-            raise ExprSyntaxError("expected an integer exponent", pos)
-        self.advance()
-        return Fraction(-val if neg else val)
+        paren = self.accept("(")
+        sign = -1 if self.accept("-") else 1
+        if not paren:
+            return Fraction(sign * self.number("expected an integer exponent"))
+        num = self.number("expected a rational exponent")
+        den = self.number("expected a nonzero denominator", nonzero=True) \
+            if self.accept("/") else 1
+        self.expect_op(")")
+        return Fraction(sign * num, den)
 
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "num":
-            if self.peek()[0] == "op" and self.peek()[1] == "/" and \
-                    self.tokens[self.idx + 1][0] == "num":
+            if self.peek()[1] == "/" and self.tokens[self.idx + 1][0] == "num":
                 # "p/q" binds as one rational literal, so 1/2*t means (1/2)*t
-                den = self.tokens[self.idx + 1][1]
-                if den == 0:
-                    raise ExprSyntaxError("zero denominator",
-                                          self.tokens[self.idx + 1][2])
-                self.idx += 2
-                return Rat(Fraction(val, den))
+                self.idx += 1
+                return Rat(Fraction(val, self.number("zero denominator",
+                                                     nonzero=True)))
             return Rat(Fraction(val))
         if kind in ("i", "sqrt2", "t"):
             return Const(kind)
@@ -224,14 +205,11 @@ class _Parser:
             return Symbol(val)
         if kind == "sqrt":
             self.expect_op("(")
-            inner = self.expr()
-            self.expect_op(")")
-            return Sqrt(inner)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExprSyntaxError("expected an atom", pos)
+        elif val != "(":
+            raise ExprSyntaxError("expected an atom", pos)
+        inner = self.expr()
+        self.expect_op(")")
+        return Sqrt(inner) if kind == "sqrt" else inner
 
 
 def parse(text: str, symbols: bool = False) -> Expr:

@@ -9,6 +9,11 @@ An element is stored as four integer numerators ``n0..n3`` over one integer
 denominator ``q``.  Every operation leaves it in canonical form: ``q > 0``
 and ``gcd(n0, n1, n2, n3, q) == 1``, so zero is ``0/1`` and equal elements
 have equal slots.
+
+``field_sqrt`` finds a root A + B*sqrt2 of X + Y*sqrt2 (A, B, X, Y in Q(i))
+from its norm n = A^2 - 2*B^2, a square root of X^2 - 2*Y^2: then
+A^2 = (X + n)/2 and B^2 = (X - n)/4, and one Gaussian square root serves all
+three.
 """
 
 from __future__ import annotations
@@ -18,19 +23,6 @@ import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
-
-
-def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def _raw(n0, n1, n2, n3, q):
@@ -276,23 +268,20 @@ SQRT2 = FieldElem(0, 0, 1)
 
 # -- square roots -----------------------------------------------------
 
-def _gaussian_sqrt(u: Fraction, v: Fraction):
-    """Square root of u + v*i inside Q(i), as an (x, y) pair, or None."""
-    if v == 0:
-        r = _rat_sqrt(u)
-        if r is not None:
-            return (r, Fraction(0))
-        r = _rat_sqrt(-u)
-        if r is not None:
-            return (Fraction(0), r)
+def _gaussian_sqrt(z: FieldElem) -> Optional[FieldElem]:
+    """A square root of z inside Q(i), or None.
+
+    Over the denominator q of z, z*q^2 = u + v*i is a Gaussian integer, so
+    its roots in Q(i) are Gaussian integers x + y*i: x^2 - y^2 = u and
+    x^2 + y^2 = r = |u + v*i|, and 2*x*y = v fixes the sign of y once x >= 0.
+    """
+    q = z.q
+    u, v = z.n0 * q, z.n1 * q
+    r = math.isqrt(u * u + v * v)
+    x, y = math.isqrt((r + u) // 2), math.isqrt((r - u) // 2)
+    if r * r != u * u + v * v or 2 * x * x != r + u or 2 * y * y != r - u:
         return None
-    r = _rat_sqrt(u * u + v * v)
-    if r is None:
-        return None
-    x = _rat_sqrt((u + r) / 2)
-    if x is None or x == 0:
-        return None
-    return (x, v / (2 * x))
+    return _reduced(x, -y if v < 0 else y, 0, 0, q)
 
 
 def field_sqrt(x: FieldElem) -> Optional[FieldElem]:
@@ -303,52 +292,21 @@ def field_sqrt(x: FieldElem) -> Optional[FieldElem]:
     """
     if x.is_zero():
         return ZERO
-    # x = X + Y*sqrt2 with X, Y in Q(i); seek s = A + B*sqrt2 likewise.
-    X = (x.a, x.b)
-    Y = (x.c, x.d)
-    candidates = []
-
-    def push(A, B):
-        s = FieldElem(A[0], A[1], B[0], B[1])
-        if s * s == x:
-            candidates.append(s)
-
-    if Y == (Fraction(0), Fraction(0)):
-        A = _gaussian_sqrt(*X)
-        if A is not None:
-            push(A, (Fraction(0), Fraction(0)))
-        B = _gaussian_sqrt(X[0] / 2, X[1] / 2)
-        if B is not None:
-            push((Fraction(0), Fraction(0)), B)
-    else:
-        # A^2 satisfies 2*A^4 - 2*X*A^2 + Y^2 = 0, i.e. A^2 = (X +- sqrt(X^2-2Y^2))/2,
-        # with all arithmetic in Q(i).
-        Xu, Xv = X
-        Yu, Yv = Y
-        # X^2 and Y^2 as Gaussian rationals
-        X2 = (Xu * Xu - Xv * Xv, 2 * Xu * Xv)
-        Y2 = (Yu * Yu - Yv * Yv, 2 * Yu * Yv)
-        D = (X2[0] - 2 * Y2[0], X2[1] - 2 * Y2[1])
-        rD = _gaussian_sqrt(*D)
-        if rD is not None:
-            for sign in (1, -1):
-                Asq = ((Xu + sign * rD[0]) / 2, (Xv + sign * rD[1]) / 2)
-                A = _gaussian_sqrt(*Asq)
-                if A is None or A == (Fraction(0), Fraction(0)):
-                    continue
-                # B = Y / (2A) in Q(i)
-                au, av = A
-                nrm = au * au + av * av
-                iu, iv = au / (2 * nrm), -av / (2 * nrm)
-                B = (Yu * iu - Yv * iv, Yu * iv + Yv * iu)
-                push(A, B)
-    if not candidates:
+    # x = X + Y*sqrt2 and s = A + B*sqrt2 with X, Y, A, B in Q(i).  The norm
+    # n = A^2 - 2*B^2 of s squares to X^2 - 2*Y^2, the norm of x = s^2, and
+    # X = A^2 + 2*B^2, so A^2 = (X + n)/2 and B^2 = (X - n)/4.
+    X, Y = _reduced(x.n0, x.n1, 0, 0, x.q), _reduced(x.n2, x.n3, 0, 0, x.q)
+    n = _gaussian_sqrt(X * X - 2 * Y * Y)
+    if n is None:
         return None
-    roots = set()
-    for s in candidates:
-        roots.add(s)
-        roots.add(-s)
-    return max(roots, key=lambda s: s.coords())
+    for n in (n, -n):
+        A, B = _gaussian_sqrt((X + n) / 2), _gaussian_sqrt((X - n) / 4)
+        if A is None or B is None:
+            continue
+        for s in (A + B * SQRT2, A - B * SQRT2):
+            if s * s == x:
+                return max(s, -s, key=FieldElem.coords)
+    return None
 
 
 # -- parsing / formatting ---------------------------------------------
@@ -371,48 +329,36 @@ def parse_elem(text: str) -> FieldElem:
     return constant(text)
 
 
-def _format_part(q: Fraction, symbol: str, first: bool) -> str:
-    sign = "-" if q < 0 else ("" if first else "+")
-    if not first:
-        sign = " - " if q < 0 else " + "
-    q = abs(q)
-    if symbol and q == 1:
-        coeff = ""
-    else:
-        coeff = str(q) + ("*" if symbol else "")
-    return f"{sign}{coeff}{symbol}"
+def _term(coeff: str, mono: str) -> str:
+    """The text of a coefficient times a monomial: an empty monomial writes
+    the coefficient alone; otherwise a coefficient 1 or -1 writes only the
+    monomial or its negation, and a coefficient with more than one part is
+    put in parentheses."""
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return f"-{mono}"
+    if "+" in coeff.strip("+-") or " - " in coeff:
+        return f"({coeff})*{mono}"
+    return f"{coeff}*{mono}"
+
+
+def _join(parts) -> str:
+    # a sum of term texts, "a - b" for "a + -b", and "0" when empty
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def format_elem(x: FieldElem) -> str:
     """Canonical text form; ``parse_elem(format_elem(x)) == x``."""
-    parts = []
-    for q, symbol in ((x.a, ""), (x.b, "i"), (x.c, "sqrt2"), (x.d, "i*sqrt2")):
-        if q:
-            parts.append(_format_part(q, symbol, first=not parts))
-    if not parts:
-        return "0"
-    return "".join(parts)
+    return _join([_term(str(q), symbol) for q, symbol in
+                  zip(x.coords(), ("", "i", "sqrt2", "i*sqrt2")) if q])
 
 
 def format_sum(terms) -> str:
     """The text of a sum of (coefficient, monomial) terms, the body of a
-    series or a cochain.  Zero terms are left out and the empty sum is "0".
-    An empty monomial writes the coefficient alone; otherwise a coefficient
-    1 or -1 writes only the monomial or its negation, and a coefficient with
-    more than one part is put in parentheses."""
-    parts = []
-    for x, mono in terms:
-        if x.is_zero():
-            continue
-        txt = format_elem(x)
-        if mono:
-            if txt == "1":
-                txt = mono
-            elif txt == "-1":
-                txt = f"-{mono}"
-            elif "+" in txt.strip("+-") or " - " in txt:
-                txt = f"({txt})*{mono}"
-            else:
-                txt = f"{txt}*{mono}"
-        parts.append(txt)
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    series or a cochain, each term written by `_term`.  Zero terms are left
+    out and the empty sum is "0"."""
+    return _join([_term(format_elem(x), mono) for x, mono in terms
+                  if not x.is_zero()])

@@ -164,10 +164,6 @@ def inv(matrix: Sequence[Row]) -> List[Row]:
 _EXACT_ZERO = PuiseuxSeries({})
 
 
-def _series_is_visible(x: PuiseuxSeries) -> bool:
-    return bool(x.terms)
-
-
 def series_solve(matrix, rhs,
                  precision: Optional[Fraction] = None):
     """Solve A X = B over Puiseux series (A square).
@@ -181,13 +177,12 @@ def series_solve(matrix, rhs,
     n = len(matrix)
     width = len(rhs[0]) if rhs else 0
     aug = [list(a) + list(b) for a, b in zip(matrix, rhs)]
-    perm = list(range(n))
     for c in range(n):
         best = None
         best_val = None
         for k in range(c, n):
             entry = aug[k][c]
-            if _series_is_visible(entry):
+            if entry.terms:
                 v = entry.leading()[0]
                 if best_val is None or v < best_val:
                     best, best_val = k, v
@@ -198,7 +193,6 @@ def series_solve(matrix, rhs,
                     f"no pivot visible in column {c} at available precision")
             raise SingularMatrix(f"no pivot in column {c}")
         aug[c], aug[best] = aug[best], aug[c]
-        perm[c], perm[best] = perm[best], perm[c]
         pivot_inv = aug[c][c].inv(precision)
         # an exact zero times anything is the exact zero, and subtracting
         # it leaves an entry as it is: those products are skipped

@@ -5,6 +5,8 @@ exponents, together with a precision bound: terms of exponent >= precision
 are unknown.  ``precision is None`` marks an *exact* series (a finite sum
 with no truncation), which is what polynomial arithmetic on witness data
 produces; only ``inv``, ``sqrt`` and fractional powers introduce truncation.
+``inv`` and ``sqrt`` write a series as c*t^a*(1 + rest) and share one
+binomial series for (1 + rest)^r, r = -1 and 1/2.
 Exponents and precisions are stored as ``int`` when integral and as
 ``Fraction`` otherwise; a float exponent or precision raises TypeError.
 """
@@ -244,11 +246,12 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def _split_leading(self, precision):
-        """Write self = c*t^a*(1+rest); return (a, c, rest, rel).
+    def _binomial(self, r: FieldElem, precision):
+        """Write self = c*t^a*(1+rest); return (a, c, (1+rest)^r).
 
-        ``rel`` is the relative precision available for series in 1+rest
-        (None when everything stays exact).
+        (1+rest)^r is the binomial series sum_k binom(r, k)*rest^k, kept to
+        the relative precision available for series in 1+rest (exact when
+        rest is).
         """
         a, c = self.leading()
         rest = PuiseuxSeries({e - a: cc for e, cc in self.terms.items() if e != a},
@@ -261,10 +264,22 @@ class PuiseuxSeries:
             rel = budget if rel is None else min(rel, budget)
         if rel is not None and rel <= 0:
             raise InsufficientPrecision(f"result only known to O(t^{rel})")
-        return a, c, PuiseuxSeries(rest.terms, rel), rel
+        rest = PuiseuxSeries(rest.terms, rel)
+        acc = power = PuiseuxSeries.from_scalar(ONE, rel)
+        coeff = ONE
+        k = 1
+        while rest.terms and k * min(rest.terms) < rel:
+            power = power * rest
+            if not power.terms:
+                break
+            coeff = coeff * (r - (k - 1)) / k
+            acc = acc + power * coeff
+            k += 1
+        return a, c, acc
 
     def inv(self, precision: Optional[Fraction] = None) -> "PuiseuxSeries":
-        """Multiplicative inverse, truncated.
+        """Multiplicative inverse, truncated: c^-1*t^-a times the binomial
+        series of (1+rest)^-1.
 
         For an exact non-monomial argument the result is an infinite series,
         reported to ``precision`` relative orders past its leading exponent
@@ -279,18 +294,7 @@ class PuiseuxSeries:
         if self.precision is None and len(self.terms) == 1:
             (a, c), = self.terms.items()
             return _series({-a: c.inv()}, None)
-        a, c, rest, rel = self._split_leading(precision)
-        geom = PuiseuxSeries.from_scalar(ONE, rel)
-        if rest.terms:
-            delta = min(rest.terms)
-            power = PuiseuxSeries.from_scalar(ONE, rel)
-            k = 1
-            while k * delta < rel:
-                power = power * rest
-                if not power.terms:
-                    break
-                geom = geom + (power if k % 2 == 0 else -power)
-                k += 1
+        a, c, geom = self._binomial(FieldElem(-1), precision)
         return _series({-a: c.inv()}, None) * geom
 
     def __truediv__(self, other):
@@ -306,7 +310,8 @@ class PuiseuxSeries:
         return other * self.inv()
 
     def sqrt(self, precision: Optional[Fraction] = None) -> "PuiseuxSeries":
-        """A square root, by the binomial series on 1 + (lower-order part)."""
+        """A square root: sqrt(c)*t^(a/2) times the binomial series of
+        (1+rest)^(1/2), exact only for an exact monomial."""
         if not self.terms:
             if self.precision is None:
                 return _series({}, None)
@@ -314,24 +319,8 @@ class PuiseuxSeries:
         root_c = field_sqrt(self.leading()[1])
         if root_c is None:
             raise NoRoot("leading coefficient has no square root in the field")
-        a, _, rest, rel = self._split_leading(precision)
-        acc = PuiseuxSeries.from_scalar(ONE, rel)
-        if rest.terms:
-            delta = min(rest.terms)
-            power = PuiseuxSeries.from_scalar(ONE, rel)
-            coeff = Fraction(1)
-            k = 1
-            while k * delta < rel:
-                power = power * rest
-                if not power.terms:
-                    break
-                coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
-                acc = acc + power * FieldElem(coeff)
-                k += 1
-        result = PuiseuxSeries({Fraction(a, 2): root_c}, None) * acc
-        if result.precision is None and not (result * result == self):
-            raise NoRoot("series has no square root in the field")
-        return result
+        a, _, acc = self._binomial(FieldElem(Fraction(1, 2)), precision)
+        return PuiseuxSeries({Fraction(a, 2): root_c}, None) * acc
 
     def pow(self, exponent: Fraction,
             precision: Optional[Fraction] = None) -> "PuiseuxSeries":

@@ -34,10 +34,41 @@ def test_rational_literal_binds_tightly():
     assert isinstance(e, Pow) and e.exponent == Fraction(1, 2)
 
 
-def test_syntax_errors_have_position():
-    for text in ("", "t^", "2*", "sqrt(", "t^x"):
-        with pytest.raises(ExprSyntaxError):
-            parse(text)
+SYNTAX_ERRORS = [
+    ("", "expected an atom", 0),
+    ("t^", "expected an integer exponent", 2),
+    ("2*", "expected an atom", 2),
+    ("sqrt(", "expected an atom", 5),
+    ("t^x", "unexpected character 'x'", 2),
+    ("t^(t)", "expected a rational exponent", 3),
+    ("t^(1/0)", "expected a nonzero denominator", 5),
+    ("1/0", "zero denominator", 2),
+    ("1/ 0", "zero denominator", 3),
+    ("(1", "expected ')'", 2),
+    ("1)", "trailing input", 1),
+    ("sqrt2 sqrt", "trailing input", 6),
+    ("\u0662", "unexpected character '\u0662'", 0),
+    ("  @", "unexpected character '@'", 0),
+    ("t^-(1)", "expected an integer exponent", 3),
+    ("t^--1", "expected an integer exponent", 3),
+    ("t^(-x)", "unexpected character 'x'", 4),
+    ("t^(1/2", "expected ')'", 6),
+    ("t ^ (1/)", "expected a nonzero denominator", 7),
+    ("sqrt t", "expected '('", 5),
+    ("+", "expected an atom", 1),
+    ("3 +\t", "expected an atom", 4),
+    ("1//2", "expected an atom", 2),
+    ("e1", "symbol e1 not allowed here", 0),
+    ("e1*^e2", "symbol e1 not allowed here", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", SYNTAX_ERRORS)
+def test_syntax_error_message_and_position(text, message, pos):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at position {pos})"
+    assert info.value.pos == pos
 
 
 def test_eval_examples():

@@ -8,8 +8,8 @@ from importlib import resources
 
 import pytest
 
-from superlie.field import (FieldElem, FieldSyntaxError, _gaussian_sqrt,
-                            field_sqrt, format_elem, parse_elem)
+from superlie.field import (FieldElem, FieldSyntaxError, field_sqrt,
+                            format_elem, parse_elem)
 
 from conftest import SEED, rand_elem
 
@@ -214,6 +214,39 @@ def _ref(x):
     return x if isinstance(x, RefElem) else RefElem(x)
 
 
+def _rat_sqrt(q):
+    """Exact square root of a nonnegative rational, or None."""
+    if q < 0:
+        return None
+    if q == 0:
+        return Fraction(0)
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def _gaussian_sqrt(u, v):
+    """Square root of u + v*i inside Q(i), as an (x, y) pair, or None; the
+    former helper of ``field_sqrt``, kept here for ``ref_sqrt``."""
+    if v == 0:
+        r = _rat_sqrt(u)
+        if r is not None:
+            return (r, Fraction(0))
+        r = _rat_sqrt(-u)
+        if r is not None:
+            return (Fraction(0), r)
+        return None
+    r = _rat_sqrt(u * u + v * v)
+    if r is None:
+        return None
+    x = _rat_sqrt((u + r) / 2)
+    if x is None or x == 0:
+        return None
+    return (x, v / (2 * x))
+
+
 def ref_sqrt(x):
     """``field_sqrt`` as it was written over the Fraction slots."""
     if x.is_zero():
@@ -342,6 +375,43 @@ def test_differential_against_fraction_slots():
             assert (s is None) == (rs is None)
             if s is not None:
                 check_same(s, rs)
+
+
+# -- the former text writer ---------------------------------------------------
+
+
+def _ref_format_part(q, symbol, first):
+    sign = "-" if q < 0 else ("" if first else "+")
+    if not first:
+        sign = " - " if q < 0 else " + "
+    q = abs(q)
+    if symbol and q == 1:
+        coeff = ""
+    else:
+        coeff = str(q) + ("*" if symbol else "")
+    return f"{sign}{coeff}{symbol}"
+
+
+def ref_format_elem(x):
+    """``format_elem`` as it was written, part by part with its own signs."""
+    parts = []
+    for q, symbol in ((x.a, ""), (x.b, "i"), (x.c, "sqrt2"), (x.d, "i*sqrt2")):
+        if q:
+            parts.append(_ref_format_part(q, symbol, first=not parts))
+    if not parts:
+        return "0"
+    return "".join(parts)
+
+
+def test_format_elem_matches_former_writer():
+    rng = random.Random(SEED)
+    for _ in range(5000):
+        x = FieldElem(*random_coords(rng))
+        assert format_elem(x) == ref_format_elem(x)
+    for signs in range(81):   # every pattern of -1, 0, 1 coordinates
+        c = [(signs // 3 ** k) % 3 - 1 for k in range(4)]
+        for x in (FieldElem(*c), FieldElem(*(Fraction(v, 3) for v in c))):
+            assert format_elem(x) == ref_format_elem(x)
 
 
 # -- differential test against the former parser -------------------------------

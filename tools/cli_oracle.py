@@ -66,6 +66,7 @@ def main() -> int:
         for v in run(["list", "--dim", u.split("_")[0]])[0].split():
             if u != v:
                 dump(f"nondegen {u} {v}", ["nondegen", "--from", u, "--to", v])
+    dump("selftest 7 400", ["selftest", "--seed", "7", "--cases", "400"])
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Dump the CLI's stdout and exit code for every label, shape, gamma23
 # representative, builtin witness pair and ordered pair of distinct labels
-# of one shape.
+# of one shape, and for one seeded selftest.
 #
 #     tools/cli_oracle.sh OUT_DIR
 #
@@ -55,3 +55,5 @@ for u in $(sl list); do
     echo "exit $?" >> "$out/nondegen $u $v"
   done
 done
+sl selftest --seed 7 --cases 400 > "$out/selftest 7 400"
+echo "exit $?" >> "$out/selftest 7 400"

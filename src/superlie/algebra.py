@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from .exprlang import ExprTypeError, basis_index
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
-from .linalg import rref, solve, series_solve, transpose
+from .linalg import integral, rref, solve, series_solve, transpose
 from .series import PuiseuxSeries
 
 
@@ -60,6 +60,14 @@ def _sparse(graded) -> List[Tuple[int, FieldElem]]:
     return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
 
 
+def integral_table(br):
+    """The bracket table `br` times the lcm of its coefficients'
+    denominators (`linalg.integral`): ints for a rational algebra.  A system
+    linear in the structure constants has the same kernel and rank for it."""
+    flat = iter(integral([x for row in br for terms in row for _, x in terms]))
+    return [[[(k, next(flat)) for k, _ in terms] for terms in row] for row in br]
+
+
 class SuperAlgebra:
     __slots__ = ("name", "m", "n", "consts")
 
@@ -74,13 +82,13 @@ class SuperAlgebra:
         if unknown:
             raise AlgebraError(f"pair {min(unknown)} is not a stored pair "
                                f"of a ({m}|{n}) algebra")
-        names = basis_names(m, n)
         self.consts = {}
         for a, b in order:
             terms = tuple(sorted(((k, x) for k, x in consts.get((a, b), ())
                                   if not _is_zero(x)), key=itemgetter(0)))
             lo, hi = (m, m + n) if a < m <= b else (0, m)
             if any(not lo <= k < hi for k, _ in terms):
+                names = basis_names(m, n)
                 raise AlgebraError(f"[{names[a]},{names[b]}] has an output "
                                    "of the wrong parity")
             if terms:

@@ -23,7 +23,9 @@ there, so they are dependent modulo coboundaries.
 d2 phi is graded-alternating (swapping neighbours x, y multiplies it by
 -(-1)^(|x||y|)), so `d2` evaluates it on the canonical triples a <= b <= c
 only, with two neighbours equal only at an odd index; the d2 matrix of
-`h2_even` has rows for those triples only and the same kernel.
+`h2_even` has rows for those triples only and the same kernel.  It and the
+coboundary rows are read off `algebra.integral_table`: ints for a rational
+algebra, with the same kernels and ranks.
 
 Cocycles print/parse in the compact notation "e1*^e2*@e1" for
 e_1^* wedge e_2^* tensor e_1; a term "f1*^f1*@e1" means
@@ -34,12 +36,13 @@ expression: "(1 + i)*e1*^e2*@e1", "-i*sqrt2*e1*^f1*@f1".
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _mirror, basis_names, pairs
+from .algebra import SuperAlgebra, _mirror, basis_names, integral_table, pairs
 from .exprlang import basis_index, constant
 from .field import FieldElem, ONE, ZERO, format_sum
-from .linalg import kernel, rank, rref, transpose
+from .linalg import _echelon, integral, kernel, transpose
 
 
 class Cochain2Even:
@@ -103,37 +106,105 @@ def cochain_dim(m: int, n: int) -> int:
 
 
 # -- differentials -------------------------------------------------------------
+# `_d1_images` and `_d2_entries` write each formula once, for a support of
+# maps or slots with a coefficient each: `d1` and `d2` sum the images of one
+# map or cochain, and `_coboundary_rows` and `_d2_matrix` read unit ones.
+
+
+def _d1_images(g: SuperAlgebra, br, support):
+    """{u: {slot: coefficient}} for each (u, p, q, c) of `support`, the
+    image under d1 of the even map x_p -> c x_q (p, q of one parity), with
+    br g's bracket table or a multiple of it; canceled slots hold zero."""
+    m = g.m
+    slot = {t: s for s, t in enumerate(cochain_basis_index(m, g.n))}
+    images = {}
+    for u, p, q, c in support:
+        acc = images.setdefault(u, {})
+        for a, b in pairs(m, g.n):
+            # [psi x_a, x_b] + [x_a, psi x_b] - psi([x_a, x_b])
+            terms = [(k, c * y) for k, y in br[q][b]] if a == p else []
+            if b == p:
+                terms += [(k, c * y) for k, y in br[a][q]]
+            terms += [(q, -(c * x)) for k, x in br[a][b] if k == p]
+            for k, z in terms:
+                s = slot[a, b, k]
+                acc[s] = acc[s] + z if s in acc else z
+    return images
 
 
 def d1(g: SuperAlgebra, A, D, br=None) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
     psi = (A on the e's, D on the f's), columns = images.  `br` is g's
     bracket table when the caller has built it."""
-    m, n = g.m, g.n
-    if br is None:
-        br = g.bracket_table()
-    # psi[k] = psi(x_k) as a sparse combined-basis vector: the nonzero
-    # entries of column k of A, or of column k - m of D offset by m
-    psi = [[(r, x) for r, x in enumerate(col) if not x.is_zero()]
-           for col in zip(*A)]
-    psi += [[(m + r, x) for r, x in enumerate(col) if not x.is_zero()]
-            for col in zip(*D)]
+    m = g.m
+    support = [(0, p, q, x) for q, row in enumerate(A)
+               for p, x in enumerate(row) if x]
+    support += [(0, m + p, m + q, x) for q, row in enumerate(D)
+                for p, x in enumerate(row) if x]
+    acc = _d1_images(g, g.bracket_table() if br is None else br,
+                     support).get(0, {})
+    return Cochain2Even(m, g.n, [acc.get(s, ZERO)
+                                 for s in range(cochain_dim(m, g.n))])
 
-    def entry(a, b):
-        acc = [ZERO] * (m + n)
-        for r, x in psi[a]:
-            for k, y in br[r][b]:
-                acc[k] = acc[k] + x * y
-        for r, x in psi[b]:
-            for k, y in br[a][r]:
-                acc[k] = acc[k] + x * y
-        for r, x in br[a][b]:
-            for k, y in psi[r]:
-                acc[k] = acc[k] - x * y
-        return acc[m:] if a < m <= b else acc[:m]
 
-    return Cochain2Even(m, n, [x for a, b in pairs(m, n)
-                               for x in entry(a, b)])
+def _d2_entries(g: SuperAlgebra, br, support):
+    """{(triple, r): {slot: coefficient}}: coordinate r of d2 phi on each
+    canonical triple, split by the (slot, value) pairs of `support`, with
+    br g's bracket table or a multiple of it; canceled terms sum to zero.
+
+    Only the values of phi on the support (mirrored) and the nonzero
+    brackets are visited, and a product is formed only for a canonical
+    triple."""
+    m, d = g.m, g.dim
+    odd = [k >= m for k in range(d)]
+    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
+    # triple
+    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
+    left = [[(t, br[t][k]) for t in range(d) if br[t][k]] for k in range(d)]
+    into = [[] for _ in range(d)]   # into[k]: (p, q, x), [x_p, x_q] has x x_k
+    for p in range(d):
+        for q in range(p, d):
+            if before[p][q]:
+                for k, x in br[p][q]:
+                    into[k].append((p, q, x))
+    index = cochain_basis_index(m, g.n)
+    entries = {}
+
+    def add(s, x, terms, *targets):
+        """Add x * terms at each (key, negate, canonical) target with a
+        canonical key, in the column of slot s."""
+        for key, negate, canonical in targets:
+            if canonical:
+                for r, y in terms:
+                    z = x * y
+                    row = entries.setdefault((key, r), {})
+                    z = -z if negate else z
+                    row[s] = row[s] + z if s in row else z
+
+    for s, c in support:
+        a, b, k = index[s]
+        # [x_t, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
+        #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)] at phi(x_a, x_b) = c x_k;
+        # the mirrored value phi(x_b, x_a) reaches no canonical triple
+        for t, w in left[k]:
+            add(s, c, w, ((t, a, b), False, before[t][a]),
+                ((a, t, b), not (odd[a] and odd[t]),
+                 before[a][t] and before[t][b]),
+                ((a, b, t), odd[t] and odd[a] != odd[b], before[b][t]))
+        values = [(a, b, [(k, c)])]
+        if a != b:
+            values.append((b, a, _mirror(m, a, b, [(k, c)])))
+        # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]) at
+        # each value phi(x_p, x_q) = v; each key puts x_i before x_j for
+        # the bracket [x_i, x_j]
+        for p, q, v in values:
+            for i, j, x in into[p]:
+                add(s, x, v, ((i, j, q), True, before[j][q]),
+                    ((i, q, j), odd[q] and odd[j],
+                     before[i][q] and before[q][j]))
+            for i, j, x in into[q]:
+                add(s, x, v, ((p, i, j), False, before[p][i]))
+    return entries
 
 
 def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
@@ -147,71 +218,16 @@ def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
     swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
     on any ordered triple is the product of those signs over the swaps that
     sort it, times the value on the sorted triple; it is zero where an even
-    index repeats.  Only the nonzero values of phi and the nonzero brackets
-    are visited, and a product is formed only for a canonical triple.  `br`
-    is g's bracket table when the caller has built it.
+    index repeats.  `br` is g's bracket table when the caller has built it.
     """
-    m, n = g.m, g.n
-    d = m + n
-    if br is None:
-        br = g.bracket_table()
-    values = phi.values()
-    phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
-    phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
-    for a, b, v in values:
-        phi_left[a].append((b, v))
-        phi_right[b].append((a, v))
-    odd = [k >= m for k in range(d)]
-    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
-    # triple
-    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
+    m = g.m
+    entries = _d2_entries(g, g.bracket_table() if br is None else br,
+                          [(s, x) for s, x in enumerate(phi.vec) if x])
     acc = {}
-
-    def add(x, vec, *targets):
-        """Add x * vec at each (key, negate, canonical) target with a
-        canonical key; the products are formed once, and only if one is."""
-        terms = None
-        for key, negate, canonical in targets:
-            if not canonical:
-                continue
-            if terms is None:
-                terms = [(r, x * y) for r, y in vec]
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = [ZERO] * d
-            for r, y in terms:
-                out[r] = out[r] - y if negate else out[r] + y
-
-    # [x_a, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
-    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]; a mirrored value phi(x_p, x_q)
-    # with p > q reaches no canonical triple
-    for p, q, v in values:
-        if p > q:
-            continue
-        for k, x in v:
-            for t in range(d):
-                w = br[t][k]                # [x_t, x_k]
-                if w:
-                    add(x, w, ((t, p, q), False, before[t][p]),
-                        ((p, t, q), not (odd[p] and odd[t]),
-                         before[p][t] and before[t][q]),
-                        ((p, q, t), odd[t] and odd[p] != odd[q],
-                         before[q][t]))
-    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]); each
-    # key puts x_p before x_q
-    for p in range(d):
-        for q in range(p, d):
-            if not before[p][q]:
-                continue
-            for k, x in br[p][q]:
-                for t, w in phi_left[k]:
-                    add(x, w, ((p, q, t), True, before[q][t]),
-                        ((p, t, q), odd[t] and odd[q],
-                         before[p][t] and before[t][q]))
-                for t, w in phi_right[k]:
-                    add(x, w, ((t, p, q), False, before[t][p]))
-    return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
-            if any(not x.is_zero() for x in out)}
+    for (t, r), row in entries.items():
+        acc.setdefault(t, [ZERO] * g.dim)[r] = sum(row.values(), ZERO)
+    return {t: (out[:m], out[m:]) for t, out in sorted(acc.items())
+            if any(out)}
 
 
 def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
@@ -221,45 +237,43 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 # -- cohomology ------------------------------------------------------------------
 
 
-def _d2_matrix(g: SuperAlgebra, br) -> List[List[FieldElem]]:
+def _d2_matrix(g: SuperAlgebra, br) -> list:
     """Rows = output coordinates over the canonical triples of `d2`,
-    columns = cochain slots (br is g's bracket table).  Of rows equal up to
-    a nonzero scalar only the first is kept, which leaves the row space,
-    hence the RREF and the kernel, as they are."""
+    columns = cochain slots, from the integral copy of the bracket table br.
+    Of rows equal up to a nonzero scalar only the first is kept, which
+    leaves the row space, hence the RREF and the kernel, as they are."""
     total = cochain_dim(g.m, g.n)
-    rows = {}   # (triple, combined index) -> {slot: entry}, slots ascending
-    for si in range(total):
-        unit = [ZERO] * total
-        unit[si] = ONE
-        for t, vv in d2(g, Cochain2Even(g.m, g.n, unit), br).items():
-            for r, x in enumerate(vv[0] + vv[1]):
-                if not x.is_zero():
-                    rows.setdefault((t, r), {})[si] = x
+    entries = _d2_entries(g, integral_table(br), [(s, 1) for s in range(total)])
     matrix, seen = [], set()
-    for key in sorted(rows):
-        row = rows[key]
-        lead = next(iter(row.values())).inv()
-        shape = tuple((c, x * lead) for c, x in row.items())
+    for key in sorted(entries):
+        row = {c: x for c, x in entries[key].items() if x}
+        if not row:
+            continue
+        xs = list(row.values())
+        if all(type(x) is int for x in xs):
+            lead = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
+            shape = tuple((c, x // lead) for c, x in row.items())
+        else:
+            lead = xs[0].inv()
+            shape = tuple((c, x * lead) for c, x in row.items())
         if shape not in seen:
             seen.add(shape)
-            matrix.append([row.get(c, ZERO) for c in range(total)])
+            matrix.append([row.get(c, 0) for c in range(total)])
     return matrix
 
 
-def _coboundary_rows(g: SuperAlgebra, br) -> List[List[FieldElem]]:
-    """The nonzero images of the elementary even maps under d1, as cochain
-    vectors: a spanning set of B^2 (br is g's bracket table)."""
-    def unit(size, q, p):       # E_qp; the zero matrix for q = p = -1
-        return [[ONE if (r, c) == (q, p) else ZERO for c in range(size)]
-                for r in range(size)]
-
-    m, n = g.m, g.n
-    images = [d1(g, unit(m, q, p), unit(n, -1, -1), br)
-              for q in range(m) for p in range(m)]
-    images += [d1(g, unit(m, -1, -1), unit(n, q, p), br)
-               for q in range(n) for p in range(n)]
-    return [list(phi.vec) for phi in images
-            if any(not x.is_zero() for x in phi.vec)]
+def _coboundary_rows(g: SuperAlgebra, br) -> list:
+    """The nonzero images of the elementary even maps x_p -> x_q under d1,
+    as cochain vectors from the integral copy of the bracket table br: a
+    spanning set of B^2."""
+    m, d = g.m, g.dim
+    units = [(p, q) for q in range(m) for p in range(m)]
+    units += [(p, q) for q in range(m, d) for p in range(m, d)]
+    images = _d1_images(g, integral_table(br),
+                        [(u, p, q, 1) for u, (p, q) in enumerate(units)])
+    total = cochain_dim(m, g.n)
+    rows = [[acc.get(s, 0) for s in range(total)] for acc in images.values()]
+    return [row for row in rows if any(row)]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
@@ -271,10 +285,12 @@ def h2_even(g: SuperAlgebra) -> Dict:
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
     cob_rows = _coboundary_rows(g, br)
-    b_rank = rank(cob_rows)
-    # the pivot columns of [B | Z] past B are the cocycles that add to the
-    # span of B and of the cocycles before them
-    _, pivots = rref(transpose(cob_rows + cocycles))
+    # one elimination of [B | Z]: its pivots left of len(cob_rows) give
+    # dim B^2, and those past it are the cocycles that add to the span of B
+    # and of the cocycles before them
+    _, pivots = _echelon(transpose(cob_rows + [integral(z) for z in cocycles]),
+                         False)
+    b_rank = sum(c < len(cob_rows) for c in pivots)
     return {"dim": len(cocycles) - b_rank,
             "basis": [Cochain2Even(m, n, cocycles[c - len(cob_rows)])
                       for c in pivots if c >= len(cob_rows)]}

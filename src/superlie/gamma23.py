@@ -12,9 +12,10 @@ member, and simultaneous diagonalizability by congruence.
 
 These are Segre-Kronecker data of the pencil, all computed with +, - and *
 on an integral copy of it: each matrix times the lcm of its entries'
-denominators, which is the group element T = diag(L1, L2), S = I, so a
-rational pair becomes a pair of int matrices.  Ranks come from one
-elimination that cross-multiplies rows.  The cubic form
+denominators (`linalg.integral`), which is the group element
+T = diag(L1, L2), S = I, so a rational pair becomes a pair of int matrices.
+Ranks and independent rows come from `linalg`'s one elimination, which
+uses no division on int matrices.  The cubic form
 f = det(x*G1 + y*G2) has its four coefficients from the cofactors of G1
 and G2.  A regular pencil (f not identically 0) has generic rank 3; f has
 a multiple root iff its discriminant is 0, a triple one iff its Hessian is
@@ -33,13 +34,13 @@ not diagonalizable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import FieldElem, ONE, ZERO, parse_elem
-from .linalg import SingularMatrix, det, mat_mul, transpose
+from .linalg import (SingularMatrix, _echelon, det, integral, mat_mul, rank,
+                     transpose)
 
 Mat = List[List[FieldElem]]
 SymPair = Tuple[Mat, Mat]
@@ -68,8 +69,8 @@ def _scale(a: Mat, c: FieldElem) -> Mat:
 def _is_symmetric(a: Mat) -> bool:
     """Is `a` a symmetric 3x3 matrix?"""
     return (len(a) == 3 and all(len(row) == 3 for row in a)
-            and all((a[i][j] - a[j][i]).is_zero()
-                    for i in range(3) for j in range(i + 1, 3)))
+            and a[0][1] == a[1][0] and a[0][2] == a[2][0]
+            and a[1][2] == a[2][1])
 
 
 # -- the constants of the normal-form propositions ---------------------------
@@ -130,43 +131,9 @@ def random_gl(size: int, rng) -> Mat:
             return mat
 
 
-# -- the integral pencil ---------------------------------------------------------
+# -- binary forms of the pencil x*G1 + y*G2 ------------------------------------
 # Everything below uses only +, -, * and truth tests, so matrices of ints,
 # of FieldElems or one of each go through the same code.
-
-
-def _integral(mat: Mat) -> list:
-    """`mat` times the lcm of its entries' denominators: plain ints for a
-    rational matrix, FieldElems over q = 1 otherwise.  Scaling G1 and G2
-    this way is the group element T = diag(L1, L2), S = I, so the signature
-    stays."""
-    q = math.lcm(*(x.q for row in mat for x in row))
-    if all(x.is_rational() for row in mat for x in row):
-        return [[x.n0 * (q // x.q) for x in row] for row in mat]
-    return [[x * q for x in row] for row in mat]
-
-
-def _echelon(rows) -> list:
-    """Independent rows spanning the row space of `rows`, as many as its
-    rank.  Each row is cleared at the pivot column c by the pivot row p as
-    p[c] * row - row[c] * p, so no division is needed."""
-    rows = [r for r in rows if any(r)]
-    basis = []
-    c = 0
-    while rows:
-        k = next((k for k, r in enumerate(rows) if r[c]), None)
-        if k is not None:
-            pivot = rows.pop(k)
-            basis.append(pivot)
-            p = pivot[c]
-            rows = [[p * x - r[c] * y for x, y in zip(r, pivot)] if r[c] else r
-                    for r in rows]
-            rows = [r for r in rows if any(r)]
-        c += 1
-    return basis
-
-
-# -- binary forms of the pencil x*G1 + y*G2 ------------------------------------
 
 
 def _cofactors(g) -> list:
@@ -209,7 +176,7 @@ def _root_drops(g1, g2, form) -> List[Tuple[int, int]]:
     m, x, y = (2, -h1, 2 * h0) if h0 or h1 or h2 else (3, -b, 3 * a)
     member = g1 if not y else [[x * p + y * q for p, q in zip(r1, r2)]
                                for r1, r2 in zip(g1, g2)]
-    return [(m, 3 - len(_echelon(member)))]
+    return [(m, 3 - rank(member))]
 
 
 def _minor_forms(g1, g2) -> list:
@@ -295,12 +262,13 @@ class PencilSignature:
 def pencil_signature(pair: SymPair) -> PencilSignature:
     if len(pair) != 2 or not all(_is_symmetric(g) for g in pair):
         raise ValueError("expected a pair of symmetric 3x3 matrices")
-    g1, g2 = _integral(pair[0]), _integral(pair[1])
-    sd = len(_echelon([[g[i][j] for i in range(3) for j in range(i, 3)]
-                       for g in (g1, g2)]))
+    g1, g2 = (integral(g[0] + g[1] + g[2]) for g in pair)
+    g1, g2 = [g1[:3], g1[3:6], g1[6:]], [g2[:3], g2[3:6], g2[6:]]
+    sd = rank([[g[i][j] for i in range(3) for j in range(i, 3)]
+               for g in (g1, g2)])
     if sd <= 1:
         # every member is a multiple of g
-        r = len(_echelon(g1 if any(map(any, g1)) else g2))
+        r = rank(g1 if any(map(any, g1)) else g2)
         return PencilSignature(
             span_dim=sd, common_kernel_dim=3 - r, generic_rank=r,
             det_root_count=1 if r == 3 else -1, has_rank1_member=r == 1,
@@ -314,8 +282,8 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
             has_rank1_member=any(d == 2 for _, d in drops),
             simdiag=simdiag_test(pair, sd, drops))
     # singular: a member has rank 1 exactly where every 2x2 minor vanishes
-    minors = _echelon(_minor_forms(g1, g2))
-    rows = _echelon(g1 + g2)
+    minors = _echelon(_minor_forms(g1, g2), False)[0]
+    rows = _echelon(g1 + g2, False)[0]
     return PencilSignature(
         span_dim=2, common_kernel_dim=3 - len(rows),
         generic_rank=2 if minors else 1, det_root_count=-1,

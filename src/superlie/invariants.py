@@ -5,7 +5,9 @@ computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
 maximal trivial graded subalgebra t(g).  Each function that reads g's
 bracket table takes it as an optional `br`, for callers that have built
-it already, and builds it only when none is given.
+it already, and builds it only when none is given.  The linear systems
+(center, derived, derivations) are built from `algebra.integral_table`,
+so a rational algebra's rows are ints.
 """
 
 from __future__ import annotations
@@ -13,23 +15,22 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra
+from .algebra import SuperAlgebra, integral_table
 from .field import FieldElem, I, ONE, SQRT2, ZERO
 from .groebner import Poly, poly_add, poly_mul, poly_scale, system_verdict
-from .linalg import kernel, rank
+from .linalg import integral, kernel, rank
 
 
 def center(g: SuperAlgebra, br=None):
     """Graded dimension of the center, with graded bases: for each parity,
     the kernel of ad over the combined basis."""
     m, d = g.m, g.dim
-    if br is None:
-        br = g.bracket_table()
+    br = integral_table(g.bracket_table() if br is None else br)
 
     def ad_kernel(vs):
         # column v, row (b, k): coordinate k of [x_v, x_b]
         cols = [[dict(br[v][b]) for b in range(d)] for v in vs]
-        return kernel([[col[b].get(k, ZERO) for col in cols]
+        return kernel([[col[b].get(k, 0) for col in cols]
                        for b in range(d) for k in range(d)]) if vs else []
 
     even_basis, odd_basis = ad_kernel(range(m)), ad_kernel(range(m, d))
@@ -40,9 +41,8 @@ def derived(g: SuperAlgebra, br=None) -> Tuple[int, int]:
     """Graded dimension of [g, g]: the ranks of the even and odd parts of
     the brackets [x_a, x_b], a <= b."""
     m, d = g.m, g.dim
-    if br is None:
-        br = g.bracket_table()
-    rows = [[dict(br[a][b]).get(k, ZERO) for k in range(d)]
+    br = integral_table(g.bracket_table() if br is None else br)
+    rows = [[dict(br[a][b]).get(k, 0) for k in range(d)]
             for a in range(d) for b in range(a, d)]
     return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
 
@@ -69,7 +69,9 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     informative).  The unknowns are the elementary maps x_src -> x_dst of the
     given degree; each equation is a sum over the nonzero brackets only.
     """
-    alpha, beta, gamma = _as_field(alpha), _as_field(beta), _as_field(gamma)
+    # the equation is homogeneous in (alpha, beta, gamma) and linear in the
+    # structure constants, so both are scaled to integral form
+    alpha, beta, gamma = integral([_as_field(x) for x in (alpha, beta, gamma)])
     m, n = g.m, g.n
     d = m + n
     if degree == 0:
@@ -83,8 +85,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     if not unknowns:
         return 0, []
 
-    if br is None:
-        br = g.bracket_table()
+    br = integral_table(g.bracket_table() if br is None else br)
     from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
@@ -105,10 +106,9 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
             for k, ui, x in terms:
                 row = block.get(k)
                 if row is None:
-                    row = block[k] = [ZERO] * len(unknowns)
+                    row = block[k] = [0] * len(unknowns)
                 row[ui] = row[ui] + x
-            rows.extend(block[k] for k in sorted(block)
-                        if any(not x.is_zero() for x in block[k]))
+            rows.extend(block[k] for k in sorted(block) if any(block[k]))
     basis = kernel(rows) if rows else \
         [[ONE if i == j else ZERO for j in range(len(unknowns))]
          for i in range(len(unknowns))]

@@ -1,16 +1,23 @@
 """Exact linear algebra over Q(i,sqrt2) and over Puiseux series.
 
 Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
-solve, det, inv) assume FieldElem entries and are exact.  Rows stay dense,
-but `rref` updates a row only at the nonzero columns of the pivot row, so
-elimination costs in proportion to the nonzeros.  The series solver
-pivots on the entry of smallest leading exponent, which keeps truncation
-error under control for witness verification.
+solve, inv) take ints and FieldElems, mixed, and are exact.  They share one
+elimination, `_echelon`, which first scales each row by `integral`; that
+leaves the row's span, hence the RREF, as it is.  A rational matrix so
+becomes an int matrix and is eliminated without division, and `rref`
+divides each pivot row once at the end.  Rows stay dense, but an int
+pivot of +-1, or any pivot of a matrix with irrational entries, updates a
+row only at its own nonzero columns, so sparse elimination costs in
+proportion to the nonzeros.  `det` keeps its own elimination over
+the field.  The series solver pivots on the entry of smallest leading
+exponent, which keeps truncation error under control for witness
+verification.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO
@@ -55,50 +62,81 @@ def mat_mul(a, b):
     return out
 
 
-# -- exact field elimination ----------------------------------------------
+# -- exact elimination -------------------------------------------------------
+
+
+def integral(xs) -> list:
+    """The scalars `xs` (ints and FieldElems) times the lcm of their
+    denominators: ints when all are rational, else FieldElems over q = 1
+    mixed with ints."""
+    q = lcm(*[x.q for x in xs if type(x) is not int])
+    if all(type(x) is int or x.is_rational() for x in xs):
+        return [x * q if type(x) is int else x.n0 * (q // x.q) for x in xs]
+    return [x * q for x in xs] if q > 1 else list(xs)
+
+
+def _echelon(matrix: Sequence[Row], reduced: bool):
+    """Row echelon form, reduced when `reduced`: (rows, pivot_columns),
+    each row a multiple of the matching nonzero row of the RREF in the
+    reduced form.
+
+    Every input row is scaled by `integral`.  A pivot p clears a row at its
+    column c as a * row - row[c] * w * pivot.  When every entry is then an
+    int, a = |p| and w = sign(p), so no division happens: for a = 1 the row
+    is updated at the pivot row's nonzero columns, and otherwise it loses
+    its content (the gcd of its entries) after the update, so its entries
+    stay as small as the RREF's numerators and denominators allow.  Other
+    matrices (irrational entries) are eliminated over the field, with a = 1
+    and w = 1/p."""
+    ints = all(type(x) is int for row in matrix for x in row)
+    rows = [list(row) if ints else integral(row) for row in matrix if any(row)]
+    ints = ints or all(type(x) is int for row in rows for x in row)
+    pivots = []
+    for c in range(len(matrix[0]) if rows else 0):
+        r = len(pivots)
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        a, w = ((p, 1) if p > 0 else (-p, -1)) if ints else (1, ONE / p)
+        pivot = rows[r] if w == 1 else [w * x for x in rows[r]]
+        if a == 1:
+            nonzero = [(j, x) for j, x in enumerate(pivot) if x]
+        for row in rows[:r] + rows[r + 1:] if reduced else rows[r + 1:]:
+            f = row[c]
+            if not f:
+                continue
+            if a == 1:
+                for j, x in nonzero:
+                    row[j] -= f * x
+                continue
+            row[:] = [a * x - f * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            if g > 1:
+                row[:] = [x // g for x in row]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots
 
 
 def rref(matrix: Sequence[Row]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if not rows[k][c].is_zero():
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        inv = pivot[c].inv()
-        # scale the pivot row and list its nonzeros; columns left of c are
-        # already zero in it
-        nonzero = []
-        for j in range(c, ncols):
-            if not pivot[j].is_zero():
-                pivot[j] = pivot[j] * inv
-                nonzero.append((j, pivot[j]))
-        for k in range(len(rows)):
-            row = rows[k]
-            if k != r and not row[c].is_zero():
-                factor = row[c]
-                for j, x in nonzero:
-                    row[j] = row[j] - factor * x
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """Reduced row echelon form; returns (rows, pivot_columns).  Each pivot
+    row of the reduced `_echelon` is divided by its pivot once."""
+    rows, pivots = _echelon(matrix, True)
+    out = []
+    for row, c in zip(rows, pivots):
+        inv = ONE / row[c]
+        out.append([x * inv if x else ZERO for x in row])
+    width = len(matrix[0]) if matrix else 0
+    return out + [[ZERO] * width for _ in range(len(matrix) - len(out))], pivots
 
 
 def rank(matrix: Sequence[Row]) -> int:
-    return len(rref(matrix)[1])
+    return len(_echelon(matrix, False)[1])
 
 
 def kernel(matrix: Sequence[Row]) -> List[List[FieldElem]]:

@@ -246,12 +246,13 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def _binomial(self, r: FieldElem, precision):
+    def _binomial(self, r: Fraction, precision):
         """Write self = c*t^a*(1+rest); return (a, c, (1+rest)^r).
 
         (1+rest)^r is the binomial series sum_k binom(r, k)*rest^k, kept to
         the relative precision available for series in 1+rest (exact when
-        rest is).
+        rest is).  The coefficients binom(r, k) are formed as rationals, and
+        a term with coefficient -1 is negated.
         """
         a, c = self.leading()
         rest = PuiseuxSeries({e - a: cc for e, cc in self.terms.items() if e != a},
@@ -266,14 +267,15 @@ class PuiseuxSeries:
             raise InsufficientPrecision(f"result only known to O(t^{rel})")
         rest = PuiseuxSeries(rest.terms, rel)
         acc = power = PuiseuxSeries.from_scalar(ONE, rel)
-        coeff = ONE
+        coeff = Fraction(1)
         k = 1
         while rest.terms and k * min(rest.terms) < rel:
             power = power * rest
             if not power.terms:
                 break
             coeff = coeff * (r - (k - 1)) / k
-            acc = acc + power * coeff
+            acc = acc + (power if coeff == 1 else -power if coeff == -1
+                         else power * FieldElem(coeff))
             k += 1
         return a, c, acc
 
@@ -294,7 +296,7 @@ class PuiseuxSeries:
         if self.precision is None and len(self.terms) == 1:
             (a, c), = self.terms.items()
             return _series({-a: c.inv()}, None)
-        a, c, geom = self._binomial(FieldElem(-1), precision)
+        a, c, geom = self._binomial(Fraction(-1), precision)
         return _series({-a: c.inv()}, None) * geom
 
     def __truediv__(self, other):
@@ -319,7 +321,7 @@ class PuiseuxSeries:
         root_c = field_sqrt(self.leading()[1])
         if root_c is None:
             raise NoRoot("leading coefficient has no square root in the field")
-        a, _, acc = self._binomial(FieldElem(Fraction(1, 2)), precision)
+        a, _, acc = self._binomial(Fraction(1, 2), precision)
         return PuiseuxSeries({Fraction(a, 2): root_c}, None) * acc
 
     def pow(self, exponent: Fraction,

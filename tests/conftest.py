@@ -34,3 +34,32 @@ def dense_views(g):
 
     ev, od = range(m), range(m, d)
     return dense(ev, ev, 0), dense(ev, od, 1), dense(od, od, 0)
+
+
+def rand_gl(size: int, rng, irrational: bool = False):
+    """A random invertible matrix: small rationals, or with `irrational`
+    small elements of Q(i, sqrt2) with all four coordinates drawn."""
+    from superlie.linalg import det
+    while True:
+        mat = [[rand_elem(rng, 2) if irrational
+                else FieldElem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(size)] for _ in range(size)]
+        if not det(mat).is_zero():
+            return mat
+
+
+def table_cases(rng, irrational_dim: int = 4):
+    """Every catalog algebra, its ab() and F reductions, a seeded rational
+    basis change of each, and a seeded Q(i, sqrt2) basis change of each of
+    dimension <= `irrational_dim`: inputs on which a system linear in the
+    structure constants must not depend on how they are scaled."""
+    from superlie import catalog
+    cases = []
+    for e in catalog.list_entries():
+        g = e.algebra
+        cases += [g, g.ab(), g.forget_gamma(),
+                  g.apply_basis_change(rand_gl(g.m, rng), rand_gl(g.n, rng))]
+        if g.dim <= irrational_dim:
+            cases.append(g.apply_basis_change(rand_gl(g.m, rng, True),
+                                              rand_gl(g.n, rng, True)))
+    return cases

@@ -81,3 +81,30 @@ def test_passed_table_gives_the_same_results(rng):
         A = [[_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
         D = [[_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
         assert d1(g, A, D, br).vec == d1(g, A, D).vec, g.name
+
+
+def test_integral_table_is_the_least_integral_multiple(rng):
+    """`integral_table` scales a table by the lcm of its denominators: ints
+    for a rational algebra with no common factor left over, FieldElems over
+    q = 1 for an irrational one, and the same terms in the same places."""
+    from math import gcd, lcm
+    from superlie.algebra import integral_table
+    from conftest import rand_gl
+    for e in catalog.list_entries():
+        g = e.algebra
+        for irrational in (False, True):
+            h = g.apply_basis_change(rand_gl(g.m, rng, irrational),
+                                     rand_gl(g.n, rng, irrational))
+            br = h.bracket_table()
+            coeffs = [x for row in br for terms in row for _, x in terms]
+            scale = lcm(*(x.q for x in coeffs))
+            got = integral_table(br)
+            assert ([[[k for k, _ in t] for t in row] for row in got]
+                    == [[[k for k, _ in t] for t in row] for row in br])
+            flat = [y for row in got for terms in row for _, y in terms]
+            assert flat == [x * scale for x in coeffs], h.name
+            if all(x.is_rational() for x in coeffs):
+                assert all(type(y) is int for y in flat), h.name
+                assert not flat or gcd(*flat, scale) == 1, h.name
+            else:
+                assert all(y.q == 1 for y in flat), h.name

@@ -5,16 +5,16 @@ from typing import Dict, List
 import pytest
 
 from superlie import catalog, cohomology, gamma23
-from superlie.algebra import SuperAlgebra, pairs
+from superlie.algebra import SuperAlgebra, _mirror, pairs
 from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  format_cocycle, h2_even, is_cocycle,
                                  parse_cocycle)
 from superlie.exprlang import constant, evaluate, parse
-from superlie.field import I, SQRT2, ZERO, FieldElem, format_elem
-from superlie.linalg import kernel, rank, rref
+from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
+from superlie.linalg import kernel, rank, rref, transpose
 
-from conftest import rand_elem
+from conftest import rand_elem, table_cases
 
 
 def expected_h2(label):
@@ -447,15 +447,15 @@ def rank_lift_h2(g, d2m):
 
 
 def _nonzero_rref_rows(matrix):
-    return [row for row in rref(matrix)[0] if any(not x.is_zero() for x in row)]
+    return [row for row in rref(matrix)[0] if any(row)]
 
 
 def _proportional(u, w):
-    lead = next(c for c, x in enumerate(u) if not x.is_zero())
-    if w[lead].is_zero():
+    lead = next(c for c, x in enumerate(u) if x)
+    if not w[lead]:
         return False
-    scale = w[lead] / u[lead]
-    return all(y == scale * x for x, y in zip(u, w))
+    # w = (w[lead] / u[lead]) u, cross-multiplied: exact for int rows too
+    return all(y * u[lead] == x * w[lead] for x, y in zip(u, w))
 
 
 def _h2_cases(rng):
@@ -507,3 +507,192 @@ def test_values_agree_with_value(rng):
                     terms = [(k, x) for k, x in enumerate(dense)
                              if not x.is_zero()]
                     assert listed.get((a, b), []) == terms, (m, n, a, b)
+
+
+# -- the d1/d2 assembly over FieldElem tables, oracles for the integral one ----
+# These are the former d1, d2, d2 matrix, coboundary rows and h2_even, which
+# called d2 once per cochain slot and d1 once per elementary map.
+
+
+def d1_before(g, A, D, br=None):
+    """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
+    psi = (A on the e's, D on the f's), columns = images.  `br` is g's
+    bracket table when the caller has built it."""
+    m, n = g.m, g.n
+    if br is None:
+        br = g.bracket_table()
+    # psi[k] = psi(x_k) as a sparse combined-basis vector: the nonzero
+    # entries of column k of A, or of column k - m of D offset by m
+    psi = [[(r, x) for r, x in enumerate(col) if not x.is_zero()]
+           for col in zip(*A)]
+    psi += [[(m + r, x) for r, x in enumerate(col) if not x.is_zero()]
+            for col in zip(*D)]
+
+    def entry(a, b):
+        acc = [ZERO] * (m + n)
+        for r, x in psi[a]:
+            for k, y in br[r][b]:
+                acc[k] = acc[k] + x * y
+        for r, x in psi[b]:
+            for k, y in br[a][r]:
+                acc[k] = acc[k] + x * y
+        for r, x in br[a][b]:
+            for k, y in psi[r]:
+                acc[k] = acc[k] - x * y
+        return acc[m:] if a < m <= b else acc[:m]
+
+    return Cochain2Even(m, n, [x for a, b in pairs(m, n)
+                               for x in entry(a, b)])
+
+
+def d2_before(g, phi, br=None):
+    """Evaluate d2 phi on the canonical homogeneous basis triples.
+
+    A triple (a, b, c) is canonical when a <= b <= c and two neighbours are
+    equal only at an odd index.  Returns a dict (a,b,c) -> graded vector
+    over the canonical triples, keys ascending, zero entries omitted.
+
+    These values give all the others, since d2 phi is graded-alternating:
+    swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
+    on any ordered triple is the product of those signs over the swaps that
+    sort it, times the value on the sorted triple; it is zero where an even
+    index repeats.  Only the nonzero values of phi and the nonzero brackets
+    are visited, and a product is formed only for a canonical triple.  `br`
+    is g's bracket table when the caller has built it.
+    """
+    m, n = g.m, g.n
+    d = m + n
+    if br is None:
+        br = g.bracket_table()
+    values = phi.values()
+    phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
+    phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
+    for a, b, v in values:
+        phi_left[a].append((b, v))
+        phi_right[b].append((a, v))
+    odd = [k >= m for k in range(d)]
+    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
+    # triple
+    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
+    acc = {}
+
+    def add(x, vec, *targets):
+        """Add x * vec at each (key, negate, canonical) target with a
+        canonical key; the products are formed once, and only if one is."""
+        terms = None
+        for key, negate, canonical in targets:
+            if not canonical:
+                continue
+            if terms is None:
+                terms = [(r, x * y) for r, y in vec]
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = [ZERO] * d
+            for r, y in terms:
+                out[r] = out[r] - y if negate else out[r] + y
+
+    # [x_a, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
+    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]; a mirrored value phi(x_p, x_q)
+    # with p > q reaches no canonical triple
+    for p, q, v in values:
+        if p > q:
+            continue
+        for k, x in v:
+            for t in range(d):
+                w = br[t][k]                # [x_t, x_k]
+                if w:
+                    add(x, w, ((t, p, q), False, before[t][p]),
+                        ((p, t, q), not (odd[p] and odd[t]),
+                         before[p][t] and before[t][q]),
+                        ((p, q, t), odd[t] and odd[p] != odd[q],
+                         before[q][t]))
+    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]); each
+    # key puts x_p before x_q
+    for p in range(d):
+        for q in range(p, d):
+            if not before[p][q]:
+                continue
+            for k, x in br[p][q]:
+                for t, w in phi_left[k]:
+                    add(x, w, ((p, q, t), True, before[q][t]),
+                        ((p, t, q), odd[t] and odd[q],
+                         before[p][t] and before[t][q]))
+                for t, w in phi_right[k]:
+                    add(x, w, ((t, p, q), False, before[t][p]))
+    return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
+            if any(not x.is_zero() for x in out)}
+
+
+def d2_matrix_before(g, br):
+    """Rows = output coordinates over the canonical triples of `d2`,
+    columns = cochain slots (br is g's bracket table).  Of rows equal up to
+    a nonzero scalar only the first is kept, which leaves the row space,
+    hence the RREF and the kernel, as they are."""
+    total = cohomology.cochain_dim(g.m, g.n)
+    rows = {}   # (triple, combined index) -> {slot: entry}, slots ascending
+    for si in range(total):
+        unit = [ZERO] * total
+        unit[si] = ONE
+        for t, vv in d2_before(g, Cochain2Even(g.m, g.n, unit), br).items():
+            for r, x in enumerate(vv[0] + vv[1]):
+                if not x.is_zero():
+                    rows.setdefault((t, r), {})[si] = x
+    matrix, seen = [], set()
+    for key in sorted(rows):
+        row = rows[key]
+        lead = next(iter(row.values())).inv()
+        shape = tuple((c, x * lead) for c, x in row.items())
+        if shape not in seen:
+            seen.add(shape)
+            matrix.append([row.get(c, ZERO) for c in range(total)])
+    return matrix
+
+
+def coboundary_rows_before(g, br):
+    """The nonzero images of the elementary even maps under d1, as cochain
+    vectors: a spanning set of B^2 (br is g's bracket table)."""
+    def unit(size, q, p):       # E_qp; the zero matrix for q = p = -1
+        return [[ONE if (r, c) == (q, p) else ZERO for c in range(size)]
+                for r in range(size)]
+
+    m, n = g.m, g.n
+    images = [d1_before(g, unit(m, q, p), unit(n, -1, -1), br)
+              for q in range(m) for p in range(m)]
+    images += [d1_before(g, unit(m, -1, -1), unit(n, q, p), br)
+               for q in range(n) for p in range(n)]
+    return [list(phi.vec) for phi in images
+            if any(not x.is_zero() for x in phi.vec)]
+
+
+def h2_even_before(g):
+    """{dim, basis}: dim ker d2 - dim im d1, with a lifted basis of H^2."""
+    m, n = g.m, g.n
+    total = cohomology.cochain_dim(m, n)
+    br = g.bracket_table()
+    d2m = d2_matrix_before(g, br)
+    cocycles = kernel(d2m) if d2m else \
+        [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
+    cob_rows = coboundary_rows_before(g, br)
+    b_rank = rank(cob_rows)
+    # the pivot columns of [B | Z] past B are the cocycles that add to the
+    # span of B and of the cocycles before them
+    _, pivots = rref(transpose(cob_rows + cocycles))
+    return {"dim": len(cocycles) - b_rank,
+            "basis": [Cochain2Even(m, n, cocycles[c - len(cob_rows)])
+                      for c in pivots if c >= len(cob_rows)]}
+
+
+def test_d2_and_coboundary_rows_match_former_assembly(rng):
+    """On `table_cases`, the d2 matrix and the coboundary rows, now read off
+    the integral bracket table, have the RREF of the former ones, and
+    h2_even gives the former dimension and lifted basis."""
+    for g in table_cases(rng):
+        br = g.bracket_table()
+        assert (_nonzero_rref_rows(cohomology._d2_matrix(g, br))
+                == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
+        assert (_nonzero_rref_rows(cohomology._coboundary_rows(g, br))
+                == _nonzero_rref_rows(coboundary_rows_before(g, br))), g.name
+        got, want = h2_even(g), h2_even_before(g)
+        assert got["dim"] == want["dim"], g.name
+        assert ([phi.vec for phi in got["basis"]]
+                == [phi.vec for phi in want["basis"]]), g.name

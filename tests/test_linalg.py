@@ -149,14 +149,62 @@ def _matrices(rng):
                 for r in holed:
                     r[zero_col] = ZERO
                 out.append(holed)
+    return out + _integral_matrices(rng, shapes)
+
+
+def _int_entry(rng, density):
+    return rng.choice([-2, -1, 1, 1, 2, 3]) if rng.random() < density else 0
+
+
+def _integral_matrices(rng, shapes):
+    """Inputs for the integral path: int matrices (sparse ones with +-1
+    pivots among them), int and FieldElem entries mixed in one row, dense
+    rational matrices with denominators up to 10^6 and rank-deficient
+    products of each kind."""
+    out = []
+    for rows, cols in shapes + [(8, 8), (10, 7), (7, 12)]:
+        for density in (1.0, 0.5, 0.15):
+            ints = [[_int_entry(rng, density) for _ in range(cols)]
+                    for _ in range(rows)]
+            mixed = [[_entry(rng, density) if rng.random() < 0.5
+                      else _int_entry(rng, density) for _ in range(cols)]
+                     for _ in range(rows)]
+            big = [[FieldElem(Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                       rng.randint(1, 10 ** 6)))
+                    if rng.random() < density else ZERO
+                    for _ in range(cols)] for _ in range(rows)]
+            out += [ints, mixed, big]
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            for entry in (_int_entry, lambda rng, density: FieldElem(
+                    Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                             rng.randint(1, 10 ** 6)))):
+                left = [[entry(rng, density) for _ in range(inner)]
+                        for _ in range(rows)]
+                right = [[entry(rng, density) for _ in range(cols)]
+                         for _ in range(inner)]
+                out.append(mat_mul(left, right))   # rank <= inner
     return out
+
+
+def _fields(matrix):
+    """`matrix` with every int entry as a FieldElem, for the oracles."""
+    return [[x if isinstance(x, FieldElem) else FieldElem(x) for x in row]
+            for row in matrix]
 
 
 def test_rref_matches_dense_oracle(rng):
     for a in _matrices(rng):
         before = [list(r) for r in a]
-        assert rref(a) == dense_rref(a), a
+        want = dense_rref(_fields(a))
+        assert rref(a) == want, a
         assert a == before   # the input is not reduced in place
+        # the row echelon form has the pivots of the RREF, and an int
+        # matrix or a rational one is eliminated over the ints
+        rows, pivots = linalg._echelon(a, False)
+        assert pivots == want[1], a
+        if all(not isinstance(x, FieldElem) or x.is_rational()
+               for row in a for x in row):
+            assert all(type(x) is int for row in rows for x in row), a
 
 
 def test_rref_callers_match_dense_oracle(rng, monkeypatch):
@@ -164,8 +212,8 @@ def test_rref_callers_match_dense_oracle(rng, monkeypatch):
         square = bool(a) and len(a) == len(a[0])
         rhs = [[_entry(rng, 0.7) for _ in range(2)] for _ in a]
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rref", dense_rref)
-            want_rank, want_kernel = rank(a), kernel(a)
+            patch.setattr(linalg, "rref", lambda m: dense_rref(_fields(m)))
+            want_rank, want_kernel = len(linalg.rref(a)[1]), kernel(a)
             try:
                 want_solve, want_inv = solve(a, rhs), inv(a)
             except SingularMatrix:
@@ -176,7 +224,7 @@ def test_rref_callers_match_dense_oracle(rng, monkeypatch):
         if want_inv is None:
             with pytest.raises(SingularMatrix):
                 solve(a, rhs)
-            assert det(a).is_zero()
+            assert det(_fields(a)).is_zero()
         else:
             assert (solve(a, rhs), inv(a)) == (want_solve, want_inv), a
-            assert det(a) * det(want_inv) == ONE
+            assert det(_fields(a)) * det(want_inv) == ONE

@@ -134,13 +134,10 @@ class SuperAlgebra:
         return out[:self.m], out[self.m:]
 
     def bracket_table(self):
-        """table[a][b] = [x_a, x_b] as a sparse combined-basis vector (odd
-        indices offset by m).  Built from `bracket` on every call, so
-        callers build it once per algebra and pass it down."""
+        """table[a][b] = [x_a, x_b] as its nonzero (k, coefficient) terms, k
+        increasing (odd indices offset by m), read off the stored pairs."""
         d = self.dim
-        vecs = [self.basis_vector(k) for k in range(d)]
-        return [[_sparse(self.bracket(vecs[a], vecs[b])) for b in range(d)]
-                for a in range(d)]
+        return [[list(self._terms(a, b)) for b in range(d)] for a in range(d)]
 
     # -- axioms --------------------------------------------------------------
 

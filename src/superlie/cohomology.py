@@ -132,17 +132,16 @@ def _d1_images(g: SuperAlgebra, br, support):
     return images
 
 
-def d1(g: SuperAlgebra, A, D, br=None) -> Cochain2Even:
+def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
-    psi = (A on the e's, D on the f's), columns = images.  `br` is g's
-    bracket table when the caller has built it."""
+    psi = (A on the e's, D on the f's), columns = images, read off g's
+    bracket table."""
     m = g.m
     support = [(0, p, q, x) for q, row in enumerate(A)
                for p, x in enumerate(row) if x]
     support += [(0, m + p, m + q, x) for q, row in enumerate(D)
                 for p, x in enumerate(row) if x]
-    acc = _d1_images(g, g.bracket_table() if br is None else br,
-                     support).get(0, {})
+    acc = _d1_images(g, g.bracket_table(), support).get(0, {})
     return Cochain2Even(m, g.n, [acc.get(s, ZERO)
                                  for s in range(cochain_dim(m, g.n))])
 
@@ -207,7 +206,7 @@ def _d2_entries(g: SuperAlgebra, br, support):
     return entries
 
 
-def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
+def d2(g: SuperAlgebra, phi: Cochain2Even):
     """Evaluate d2 phi on the canonical homogeneous basis triples.
 
     A triple (a, b, c) is canonical when a <= b <= c and two neighbours are
@@ -218,10 +217,10 @@ def d2(g: SuperAlgebra, phi: Cochain2Even, br=None):
     swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
     on any ordered triple is the product of those signs over the swaps that
     sort it, times the value on the sorted triple; it is zero where an even
-    index repeats.  `br` is g's bracket table when the caller has built it.
+    index repeats.  The values are read off g's bracket table.
     """
     m = g.m
-    entries = _d2_entries(g, g.bracket_table() if br is None else br,
+    entries = _d2_entries(g, g.bracket_table(),
                           [(s, x) for s, x in enumerate(phi.vec) if x])
     acc = {}
     for (t, r), row in entries.items():
@@ -237,13 +236,14 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 # -- cohomology ------------------------------------------------------------------
 
 
-def _d2_matrix(g: SuperAlgebra, br) -> list:
+def _d2_matrix(g: SuperAlgebra, ibr) -> list:
     """Rows = output coordinates over the canonical triples of `d2`,
-    columns = cochain slots, from the integral copy of the bracket table br.
-    Of rows equal up to a nonzero scalar only the first is kept, which
-    leaves the row space, hence the RREF and the kernel, as they are."""
+    columns = cochain slots, from `ibr`, the integral table of g
+    (`algebra.integral_table`).  Of rows equal up to a nonzero scalar only
+    the first is kept, which leaves the row space, hence the RREF and the
+    kernel, as they are."""
     total = cochain_dim(g.m, g.n)
-    entries = _d2_entries(g, integral_table(br), [(s, 1) for s in range(total)])
+    entries = _d2_entries(g, ibr, [(s, 1) for s in range(total)])
     matrix, seen = [], set()
     for key in sorted(entries):
         row = {c: x for c, x in entries[key].items() if x}
@@ -262,14 +262,14 @@ def _d2_matrix(g: SuperAlgebra, br) -> list:
     return matrix
 
 
-def _coboundary_rows(g: SuperAlgebra, br) -> list:
+def _coboundary_rows(g: SuperAlgebra, ibr) -> list:
     """The nonzero images of the elementary even maps x_p -> x_q under d1,
-    as cochain vectors from the integral copy of the bracket table br: a
-    spanning set of B^2."""
+    as cochain vectors from `ibr`, the integral table of g
+    (`algebra.integral_table`): a spanning set of B^2."""
     m, d = g.m, g.dim
     units = [(p, q) for q in range(m) for p in range(m)]
     units += [(p, q) for q in range(m, d) for p in range(m, d)]
-    images = _d1_images(g, integral_table(br),
+    images = _d1_images(g, ibr,
                         [(u, p, q, 1) for u, (p, q) in enumerate(units)])
     total = cochain_dim(m, g.n)
     rows = [[acc.get(s, 0) for s in range(total)] for acc in images.values()]
@@ -280,11 +280,11 @@ def h2_even(g: SuperAlgebra) -> Dict:
     """{dim, basis}: dim ker d2 - dim im d1, with a lifted basis of H^2."""
     m, n = g.m, g.n
     total = cochain_dim(m, n)
-    br = g.bracket_table()
-    d2m = _d2_matrix(g, br)
+    ibr = integral_table(g.bracket_table())
+    d2m = _d2_matrix(g, ibr)
     cocycles = kernel(d2m) if d2m else \
         [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
-    cob_rows = _coboundary_rows(g, br)
+    cob_rows = _coboundary_rows(g, ibr)
     # one elimination of [B | Z]: its pivots left of len(cob_rows) give
     # dim B^2, and those past it are the cocycles that add to the span of B
     # and of the cocycles before them

@@ -3,11 +3,9 @@
 Everything here is a necessary condition for g degenerating to h and is
 computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
-maximal trivial graded subalgebra t(g).  Each function that reads g's
-bracket table takes it as an optional `br`, for callers that have built
-it already, and builds it only when none is given.  The linear systems
-(center, derived, derivations) are built from `algebra.integral_table`,
-so a rational algebra's rows are ints.
+maximal trivial graded subalgebra t(g).  Each is read off g's bracket
+table; the linear systems (center, derived, derivations) off its
+`algebra.integral_table`, so a rational algebra's rows are ints.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from .groebner import Poly, poly_add, poly_mul, poly_scale, system_verdict
 from .linalg import integral, kernel, rank
 
 
-def center(g: SuperAlgebra, br=None):
+def center(g: SuperAlgebra):
     """Graded dimension of the center, with graded bases: for each parity,
     the kernel of ad over the combined basis."""
     m, d = g.m, g.dim
-    br = integral_table(g.bracket_table() if br is None else br)
+    br = integral_table(g.bracket_table())
 
     def ad_kernel(vs):
         # column v, row (b, k): coordinate k of [x_v, x_b]
@@ -37,11 +35,11 @@ def center(g: SuperAlgebra, br=None):
     return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
 
 
-def derived(g: SuperAlgebra, br=None) -> Tuple[int, int]:
+def derived(g: SuperAlgebra) -> Tuple[int, int]:
     """Graded dimension of [g, g]: the ranks of the even and odd parts of
     the brackets [x_a, x_b], a <= b."""
     m, d = g.m, g.dim
-    br = integral_table(g.bracket_table() if br is None else br)
+    br = integral_table(g.bracket_table())
     rows = [[dict(br[a][b]).get(k, 0) for k in range(d)]
             for a in range(d) for b in range(a, d)]
     return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
@@ -55,12 +53,7 @@ def gamma_is_zero(g: SuperAlgebra) -> bool:
 # -- (alpha,beta,gamma)-derivations -----------------------------------------
 
 
-def _as_field(x) -> FieldElem:
-    return x if isinstance(x, FieldElem) else FieldElem(x)
-
-
-def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
-                    br=None):
+def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations.
 
     The defining equation, for homogeneous x, y:
@@ -71,7 +64,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     """
     # the equation is homogeneous in (alpha, beta, gamma) and linear in the
     # structure constants, so both are scaled to integral form
-    alpha, beta, gamma = integral([_as_field(x) for x in (alpha, beta, gamma)])
+    alpha, beta, gamma = integral([alpha, beta, gamma])
     m, n = g.m, g.n
     d = m + n
     if degree == 0:
@@ -85,7 +78,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     if not unknowns:
         return 0, []
 
-    br = integral_table(g.bracket_table() if br is None else br)
+    br = integral_table(g.bracket_table())
     from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
@@ -115,9 +108,9 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int,
     return len(basis), basis
 
 
-def orbit_dim(g: SuperAlgebra, br=None) -> int:
+def orbit_dim(g: SuperAlgebra) -> int:
     """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0."""
-    return g.m ** 2 + g.n ** 2 - abc_derivations(g, 1, 1, 1, 0, br)[0]
+    return g.m ** 2 + g.n ** 2 - abc_derivations(g, 1, 1, 1, 0)[0]
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -225,11 +218,10 @@ def trivial_shape_exists(br, m: int, n: int, a: int,
     return None if any_unknown else False
 
 
-def trivial_sub_max(g: SuperAlgebra, br=None) -> Dict:
+def trivial_sub_max(g: SuperAlgebra) -> Dict:
     """t(g): maximal total dimension of a trivial graded subalgebra."""
     m, n = g.m, g.n
-    if br is None:
-        br = g.bracket_table()
+    br = g.bracket_table()
     profile = []
     undecided = []
     for a in range(m + 1):
@@ -253,30 +245,26 @@ def trivial_sub_max(g: SuperAlgebra, br=None) -> Dict:
 ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
-def invariant_report(g: SuperAlgebra, with_trivial: bool = True,
-                     br=None) -> Dict:
-    """Every invariant of g from one bracket table (built when `br` is
-    None).  Der_0, the (1,1,1)-derivations of degree 0, is solved once, by
-    `orbit_dim`."""
-    if br is None:
-        br = g.bracket_table()
-    od = orbit_dim(g, br)
+def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
+    """Every invariant of g.  Der_0, the (1,1,1)-derivations of degree 0, is
+    solved once, by `orbit_dim`."""
+    od = orbit_dim(g)
     d0 = g.m ** 2 + g.n ** 2 - od
     abc = {f"({a},{b},{c})@{deg}": d0 if (a, b, c, deg) == (1, 1, 1, 0)
-           else abc_derivations(g, a, b, c, deg, br)[0]
+           else abc_derivations(g, a, b, c, deg)[0]
            for a, b, c in ABC_TUPLES for deg in (0, 1)}
     report = {
         "name": g.name,
         "shape": [g.m, g.n],
-        "center": list(center(g, br)[0]),
-        "derived": list(derived(g, br)),
+        "center": list(center(g)[0]),
+        "derived": list(derived(g)),
         "gamma_zero": gamma_is_zero(g),
         "der0_dim": d0,
         "orbit_dim": od,
         "abc_entries": abc,
     }
     if with_trivial:
-        t = trivial_sub_max(g, br)
+        t = trivial_sub_max(g)
         report["trivial_max"] = {"lower": t["lower"], "exact": t["exact"]}
         report["trivial_graded_profile"] = [list(p) for p in t["graded_profile"]]
     return report

@@ -226,14 +226,13 @@ _DIRECTION = {"orbit_dim": -1, "gamma_zero": 1, "center": 1, "derived": -1,
 
 class _Profile:
     """One distinct algebra: the algebra (named by its first caller), its
-    bracket table, its `invariant_report` without t(g), and the slots the
-    numeric criteria compare, as (labels, value) in search order.  t(g) and
-    the entries of its ab and F reductions are filled in on first use."""
+    `invariant_report` without t(g), and the slots the numeric criteria
+    compare, as (labels, value) in search order.  t(g) and the entries of
+    its ab and F reductions are filled in on first use."""
 
     def __init__(self, g: SuperAlgebra):
         self.alg = g
-        self.br = g.bracket_table()
-        self.record = r = invariant_report(g, with_trivial=False, br=self.br)
+        self.record = r = invariant_report(g, with_trivial=False)
         self.slots = {
             "orbit_dim": [({}, r["orbit_dim"])],
             "gamma_zero": [({}, r["gamma_zero"])],
@@ -247,7 +246,7 @@ class _Profile:
 
     @cached_property
     def trivial(self) -> Dict:
-        return trivial_sub_max(self.alg, self.br)
+        return trivial_sub_max(self.alg)
 
     @cached_property
     def ab(self) -> "_Profile":

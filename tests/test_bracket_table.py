@@ -1,86 +1,20 @@
-"""Each computation builds an algebra's bracket table once and passes it
-down; a passed table gives the same results as one built on the spot."""
+"""`bracket_table` reads the bracket table off the stored pairs, and
+`integral_table` scales it to integral form."""
 
-from fractions import Fraction
-
-import pytest
-
-from superlie import catalog, orbitrel
-from superlie.algebra import SuperAlgebra
-from superlie.cohomology import Cochain2Even, cochain_dim, d1, d2, h2_even
-from superlie.field import FieldElem, ZERO
-from superlie.invariants import (ABC_TUPLES, abc_derivations, center, derived,
-                                 invariant_report, trivial_sub_max)
+from superlie import catalog
+from conftest import table_cases
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """The algebras whose `bracket_table()` was built, one per build."""
-    builds = []
-    build = SuperAlgebra.bracket_table
-
-    def counting(self):
-        builds.append(self)
-        return build(self)
-
-    monkeypatch.setattr(SuperAlgebra, "bracket_table", counting)
-    return builds
-
-
-def _small():
-    return [e.algebra for e in catalog.list_entries() if e.m + e.n <= 4]
-
-
-def test_h2_even_builds_one_table(table_builds):
-    for g in _small():
-        table_builds.clear()
-        h2_even(g)
-        assert table_builds == [g], g.name
-
-
-def test_invariant_report_builds_one_table(table_builds):
-    for label in ("(2|2)_3", "(1|3)_2", "(2|3)_6"):
-        g = catalog.get(label).algebra
-        table_builds.clear()
-        invariant_report(g)
-        assert table_builds == [g], label
-
-
-def test_component_analysis_builds_one_table_per_algebra(table_builds,
-                                                         monkeypatch):
-    """Each distinct algebra's table is built exactly once, however many
-    derivation paths (label, label.ab, label.F.ab, ...) reach it."""
-    monkeypatch.setattr(orbitrel, "_MEMO", {})
-    orbitrel.component_analysis("(2|2)")
-    built = [(g.m, g.n, tuple(g.consts.items())) for g in table_builds]
-    assert built and len(built) == len(set(built))
-
-
-def _scalar(rng):
-    if rng.random() < 0.5:
-        return ZERO
-    return FieldElem(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-
-
-def test_passed_table_gives_the_same_results(rng):
-    cases = []
-    for g in _small():
-        cases += [g, g.ab(), g.forget_gamma()]
-    for g in cases:
-        br = g.bracket_table()
-        assert center(g, br) == center(g), g.name
-        assert derived(g, br) == derived(g), g.name
-        for tup in ABC_TUPLES:
-            for deg in (0, 1):
-                assert (abc_derivations(g, *tup, deg, br)
-                        == abc_derivations(g, *tup, deg)), g.name
-        assert trivial_sub_max(g, br) == trivial_sub_max(g), g.name
-        phi = Cochain2Even(g.m, g.n, [_scalar(rng)
-                                      for _ in range(cochain_dim(g.m, g.n))])
-        assert d2(g, phi, br) == d2(g, phi), g.name
-        A = [[_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
-        D = [[_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
-        assert d1(g, A, D, br).vec == d1(g, A, D).vec, g.name
+def test_bracket_table_matches_bracket_on_unit_vectors(rng):
+    """table[a][b] holds the nonzero coordinates of bracket(x_a, x_b), in
+    index order, on every `table_cases` input."""
+    for g in table_cases(rng):
+        d = g.dim
+        vecs = [g.basis_vector(k) for k in range(d)]
+        want = [[[(k, x) for k, x in enumerate(sum(g.bracket(vecs[a], vecs[b]),
+                                                   [])) if not x.is_zero()]
+                 for b in range(d)] for a in range(d)]
+        assert g.bracket_table() == want, g.name
 
 
 def test_integral_table_is_the_least_integral_multiple(rng):

@@ -5,7 +5,7 @@ from typing import Dict, List
 import pytest
 
 from superlie import catalog, cohomology, gamma23
-from superlie.algebra import SuperAlgebra, _mirror, pairs
+from superlie.algebra import SuperAlgebra, _mirror, integral_table, pairs
 from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  format_cocycle, h2_even, is_cocycle,
@@ -429,10 +429,9 @@ def rank_lift_h2(g, d2m):
     """dim ker d2 - dim im d1, with d2m a matrix of d2, and a basis lifted
     by adding each cocycle that raises the rank over the coboundaries."""
     total = cohomology.cochain_dim(g.m, g.n)
-    br = g.bracket_table()
     cocycles = kernel(d2m) if d2m else \
         [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
-    stack = cohomology._coboundary_rows(g, br)
+    stack = cohomology._coboundary_rows(g, integral_table(g.bracket_table()))
     b_rank = current = rank(stack)
     basis = []
     dim = len(cocycles) - b_rank
@@ -480,10 +479,9 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
     ordered triple, from `dense_d2`, so dropping the non-canonical rows
     must keep the RREF; elsewhere it is scattered from `d2`."""
     for g, from_dense in _h2_cases(rng):
-        br = g.bracket_table()
         old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
-                              else (lambda phi: d2(g, phi, br)))
-        new = cohomology._d2_matrix(g, br)
+                              else (lambda phi: d2(g, phi)))
+        new = cohomology._d2_matrix(g, integral_table(g.bracket_table()))
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
         assert not any(_proportional(u, w) for i, u in enumerate(new)
                        for w in new[i + 1:]), g.name
@@ -688,9 +686,10 @@ def test_d2_and_coboundary_rows_match_former_assembly(rng):
     h2_even gives the former dimension and lifted basis."""
     for g in table_cases(rng):
         br = g.bracket_table()
-        assert (_nonzero_rref_rows(cohomology._d2_matrix(g, br))
+        ibr = integral_table(br)
+        assert (_nonzero_rref_rows(cohomology._d2_matrix(g, ibr))
                 == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
-        assert (_nonzero_rref_rows(cohomology._coboundary_rows(g, br))
+        assert (_nonzero_rref_rows(cohomology._coboundary_rows(g, ibr))
                 == _nonzero_rref_rows(coboundary_rows_before(g, br))), g.name
         got, want = h2_even(g), h2_even_before(g)
         assert got["dim"] == want["dim"], g.name

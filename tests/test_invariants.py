@@ -487,10 +487,10 @@ def test_invariants_match_former_field_code(rng):
     tuples = invariants.ABC_TUPLES + [(I, 1, SQRT2)]
     for g in table_cases(rng, irrational_dim=3):
         br = g.bracket_table()
-        assert invariants.center(g, br) == center_before(g, br), g.name
-        assert invariants.derived(g, br) == derived_before(g, br), g.name
+        assert invariants.center(g) == center_before(g, br), g.name
+        assert invariants.derived(g) == derived_before(g, br), g.name
         for tup in tuples:
             for deg in (0, 1):
-                assert (invariants.abc_derivations(g, *tup, deg, br)
+                assert (invariants.abc_derivations(g, *tup, deg)
                         == abc_derivations_before(g, *tup, deg, br)), \
                     (g.name, tup, deg)

@@ -470,7 +470,7 @@ def test_component_analysis_derives_each_input_once(monkeypatch):
     solved once for orbit_dim and the (1,1,1)@0 entry together."""
     calls = []
     _count_calls(monkeypatch, invariants.abc_derivations,
-                 lambda g, alpha, beta, gamma, degree, br=None:
+                 lambda g, alpha, beta, gamma, degree:
                  calls.append((_key(g), (alpha, beta, gamma), degree)))
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|3)")

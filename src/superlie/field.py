@@ -12,8 +12,8 @@ have equal slots.
 
 ``field_sqrt`` finds a root A + B*sqrt2 of X + Y*sqrt2 (A, B, X, Y in Q(i))
 from its norm n = A^2 - 2*B^2, a square root of X^2 - 2*Y^2: then
-A^2 = (X + n)/2 and B^2 = (X - n)/4, and one Gaussian square root serves all
-three.
+A^2 = (X + n)/2 and B^2 = (X - n)/4.  All three are Gaussian-integer roots
+taken from the integer slots of x.
 """
 
 from __future__ import annotations
@@ -268,20 +268,16 @@ SQRT2 = FieldElem(0, 0, 1)
 
 # -- square roots -----------------------------------------------------
 
-def _gaussian_sqrt(z: FieldElem) -> Optional[FieldElem]:
-    """A square root of z inside Q(i), or None.
-
-    Over the denominator q of z, z*q^2 = u + v*i is a Gaussian integer, so
-    its roots in Q(i) are Gaussian integers x + y*i: x^2 - y^2 = u and
+def _gaussian_sqrt(u: int, v: int):
+    """A root x + y*i of the Gaussian integer u + v*i as (x, y), or None if
+    it has none in Q(i) (such a root is a Gaussian integer): x^2 - y^2 = u,
     x^2 + y^2 = r = |u + v*i|, and 2*x*y = v fixes the sign of y once x >= 0.
     """
-    q = z.q
-    u, v = z.n0 * q, z.n1 * q
     r = math.isqrt(u * u + v * v)
     x, y = math.isqrt((r + u) // 2), math.isqrt((r - u) // 2)
     if r * r != u * u + v * v or 2 * x * x != r + u or 2 * y * y != r - u:
         return None
-    return _reduced(x, -y if v < 0 else y, 0, 0, q)
+    return x, -y if v < 0 else y
 
 
 def field_sqrt(x: FieldElem) -> Optional[FieldElem]:
@@ -294,16 +290,18 @@ def field_sqrt(x: FieldElem) -> Optional[FieldElem]:
         return ZERO
     # x = X + Y*sqrt2 and s = A + B*sqrt2 with X, Y, A, B in Q(i).  The norm
     # n = A^2 - 2*B^2 of s squares to X^2 - 2*Y^2, the norm of x = s^2, and
-    # X = A^2 + 2*B^2, so A^2 = (X + n)/2 and B^2 = (X - n)/4.
-    X, Y = _reduced(x.n0, x.n1, 0, 0, x.q), _reduced(x.n2, x.n3, 0, 0, x.q)
-    n = _gaussian_sqrt(X * X - 2 * Y * Y)
-    if n is None:
-        return None
-    for n in (n, -n):
-        A, B = _gaussian_sqrt((X + n) / 2), _gaussian_sqrt((X - n) / 4)
-        if A is None or B is None:
-            continue
-        for s in (A + B * SQRT2, A - B * SQRT2):
+    # X = A^2 + 2*B^2, so A^2 = (X + n)/2 and B^2 = (X - n)/4.  Over x's
+    # denominator q, X, Y and n have the numerators n0 + n1*i, n2 + n3*i and
+    # u + v*i, and a root of z/(k*q) is a root of z*k*q over k*q.
+    n0, n1, n2, n3, q = x.n0, x.n1, x.n2, x.n3, x.q
+    norm = _gaussian_sqrt(n0 * n0 - n1 * n1 - 2 * (n2 * n2 - n3 * n3),
+                          2 * (n0 * n1 - 2 * n2 * n3))
+    for u, v in (norm, (-norm[0], -norm[1])) if norm else ():
+        A = _gaussian_sqrt(2 * q * (n0 + u), 2 * q * (n1 + v))
+        B = _gaussian_sqrt(4 * q * (n0 - u), 4 * q * (n1 - v))
+        for sign in (1, -1) if A and B else ():
+            # A + B*sqrt2, then A - B*sqrt2, over 4*q
+            s = _reduced(2 * A[0], 2 * A[1], sign * B[0], sign * B[1], 4 * q)
             if s * s == x:
                 return max(s, -s, key=FieldElem.coords)
     return None

@@ -43,19 +43,6 @@ def poly_mul_term(p: Poly, mono: Monomial, c: FieldElem) -> Poly:
             for m, coeff in p.items()}
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            acc = out.get(mono, ZERO) + c1 * c2
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-    return out
-
-
 def _deglex_key(mono: Monomial):
     return (sum(mono), mono)
 

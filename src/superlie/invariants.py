@@ -6,6 +6,9 @@ computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 maximal trivial graded subalgebra t(g).  Each is read off g's bracket
 table; the linear systems (center, derived, derivations) off its
 `algebra.integral_table`, so a rational algebra's rows are ints.
+`invariant_report` builds that table once for its six derivation systems
+and reads each dimension as unknowns less rank.  t(g) decides the shapes
+(a|b) from the largest a + b down: a shape below a found one is found.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import SuperAlgebra, integral_table
 from .field import FieldElem, I, ONE, SQRT2, ZERO
-from .groebner import Poly, poly_add, poly_mul, poly_scale, system_verdict
+from .groebner import Poly, system_verdict
 from .linalg import integral, kernel, rank
 
 
@@ -53,8 +56,9 @@ def gamma_is_zero(g: SuperAlgebra) -> bool:
 # -- (alpha,beta,gamma)-derivations -----------------------------------------
 
 
-def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
-    """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations.
+def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
+    """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
+    (rows, number of unknowns), read from br = integral_table of g.
 
     The defining equation, for homogeneous x, y:
         alpha * D[x,y] = beta * [Dx, y] + (-1)^(degree*|x|) * gamma * [x, Dy]
@@ -66,7 +70,6 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     # structure constants, so both are scaled to integral form
     alpha, beta, gamma = integral([alpha, beta, gamma])
     m, n = g.m, g.n
-    d = m + n
     if degree == 0:
         # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
         unknowns = [(p, q) for q in range(m) for p in range(m)] + \
@@ -75,18 +78,14 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
         # even -> odd (n x m) and odd -> even (m x n)
         unknowns = [(p, m + q) for q in range(n) for p in range(m)] + \
                    [(m + p, q) for q in range(m) for p in range(n)]
-    if not unknowns:
-        return 0, []
-
-    br = integral_table(g.bracket_table())
-    from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
+    from_src = [[] for _ in range(g.dim)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
     rows = []
-    for a in range(d):
+    for a in range(g.dim):
         # (-1)^(degree*|a|) * gamma
         sgamma = -gamma if degree * g.parity(a) % 2 else gamma
-        for b in range(d):
+        for b in range(g.dim):
             # residual = alpha*D[a,b] - beta*[Da,b] - sign*gamma*[a,Db] as
             # (output coordinate, unknown, coefficient) terms
             terms = [(dst, ui, alpha * x) for src, x in br[a][b]
@@ -102,9 +101,16 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
                     row = block[k] = [0] * len(unknowns)
                 row[ui] = row[ui] + x
             rows.extend(block[k] for k in sorted(block) if any(block[k]))
+    return rows, len(unknowns)
+
+
+def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
+    """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations:
+    the kernel of the `_abc_rows` system."""
+    rows, size = _abc_rows(g, integral_table(g.bracket_table()),
+                           alpha, beta, gamma, degree)
     basis = kernel(rows) if rows else \
-        [[ONE if i == j else ZERO for j in range(len(unknowns))]
-         for i in range(len(unknowns))]
+        [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     return len(basis), basis
 
 
@@ -142,33 +148,34 @@ def _subspace_vars(pivots: Sequence[int], total: int, offset: int):
 
 def _bracket_polys(br, m: int, ecols, ocols, nvars) -> List[Poly]:
     """Quadratic equations: all brackets among subspace generators vanish
-    (br is the algebra's bracket table, m its even dimension)."""
-
-    def entry_poly(e) -> Poly:
-        if isinstance(e, tuple):
-            mono = [0] * nvars
-            mono[e[1]] = 1
-            return {tuple(mono): ONE}
-        if e.is_zero():
-            return {}
-        return {tuple([0] * nvars): e}
-
-    # each generator as {combined basis index: poly}, the even ones first
-    gens = [{k: p for k, p in enumerate(map(entry_poly, col)) if p}
-            for col in ecols]
-    gens += [{m + k: p for k, p in enumerate(map(entry_poly, col)) if p}
-             for col in ocols]
+    (br is the algebra's bracket table, m its even dimension).  Every
+    generator coordinate is 1, 0 or one variable, so the product of two is a
+    monomial with coefficient 1, and an equation is a sum of structure
+    constants over monomials."""
+    # each generator as {combined basis index: its coordinate's variables},
+    # () for the coordinate 1, the even generators first
+    gens = [{at + k: (e[1],) if isinstance(e, tuple) else ()
+             for k, e in enumerate(col) if isinstance(e, tuple) or e}
+            for at, cols in ((0, ecols), (m, ocols)) for col in cols]
     eqs: List[Poly] = []
     for i1, v1 in enumerate(gens):
         for i2 in range(i1, len(gens)):
             if i1 == i2 < len(ecols):  # [x, x] = 0 for even x
                 continue
             acc: Dict[int, Poly] = {}
-            for a, pa in v1.items():
-                for b, pb in gens[i2].items():
-                    prod = poly_mul(pa, pb)
+            for a, xs in v1.items():
+                for b, ys in gens[i2].items():
+                    mono = [0] * nvars
+                    for v in xs + ys:
+                        mono[v] += 1
+                    mono = tuple(mono)
                     for k, cf in br[a][b]:
-                        acc[k] = poly_add(acc.get(k, {}), poly_scale(prod, cf))
+                        poly = acc.setdefault(k, {})
+                        total = poly.get(mono, ZERO) + cf
+                        if total:
+                            poly[mono] = total
+                        else:
+                            del poly[mono]
             eqs.extend(acc[k] for k in sorted(acc) if acc[k])
     return eqs
 
@@ -219,20 +226,24 @@ def trivial_shape_exists(br, m: int, n: int, a: int,
 
 
 def trivial_sub_max(g: SuperAlgebra) -> Dict:
-    """t(g): maximal total dimension of a trivial graded subalgebra."""
+    """t(g): maximal total dimension of a trivial graded subalgebra.
+
+    Shapes (a|b) are decided from the largest a + b down; a graded subspace
+    of a trivial subalgebra is trivial, so a shape below one already found
+    (a <= a', b <= b') is found without a search."""
     m, n = g.m, g.n
     br = g.bracket_table()
     profile = []
     undecided = []
-    for a in range(m + 1):
-        for b in range(n + 1):
-            if a + b == 0:
-                continue
-            res = trivial_shape_exists(br, m, n, a, b)
-            if res is True:
-                profile.append((a, b))
-            elif res is None:
-                undecided.append(a + b)
+    shapes = sorted(((a, b) for a in range(m + 1) for b in range(n + 1)
+                     if a + b), key=lambda s: -sum(s))
+    for a, b in shapes:
+        res = any(a <= a2 and b <= b2 for a2, b2 in profile) or \
+            trivial_shape_exists(br, m, n, a, b)
+        if res is True:
+            profile.append((a, b))
+        elif res is None:
+            undecided.append(a + b)
     best = max((a + b for a, b in profile), default=0)
     # only honest if no undecided shape could beat the max
     exact: Optional[int] = None if max(undecided, default=0) > best else best
@@ -246,13 +257,16 @@ ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
 def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
-    """Every invariant of g.  Der_0, the (1,1,1)-derivations of degree 0, is
-    solved once, by `orbit_dim`."""
-    od = orbit_dim(g)
-    d0 = g.m ** 2 + g.n ** 2 - od
-    abc = {f"({a},{b},{c})@{deg}": d0 if (a, b, c, deg) == (1, 1, 1, 0)
-           else abc_derivations(g, a, b, c, deg)[0]
-           for a, b, c in ABC_TUPLES for deg in (0, 1)}
+    """Every invariant of g.  The six (alpha,beta,gamma) systems are read
+    off one integral table, each entry as its unknowns less the rank of its
+    rows; Der_0 is the (1,1,1)@0 entry."""
+    br = integral_table(g.bracket_table())
+    abc = {}
+    for a, b, c in ABC_TUPLES:
+        for deg in (0, 1):
+            rows, size = _abc_rows(g, br, a, b, c, deg)
+            abc[f"({a},{b},{c})@{deg}"] = size - rank(rows)
+    d0 = abc["(1,1,1)@0"]
     report = {
         "name": g.name,
         "shape": [g.m, g.n],
@@ -260,7 +274,7 @@ def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
         "derived": list(derived(g)),
         "gamma_zero": gamma_is_zero(g),
         "der0_dim": d0,
-        "orbit_dim": od,
+        "orbit_dim": g.m ** 2 + g.n ** 2 - d0,
         "abc_entries": abc,
     }
     if with_trivial:

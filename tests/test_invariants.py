@@ -4,7 +4,7 @@ from superlie import catalog, invariants
 from superlie.algebra import SuperAlgebra
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem
 from superlie.gamma23 import random_gl
-from superlie.groebner import poly_add, poly_mul, poly_scale
+from superlie.groebner import poly_add, poly_scale
 from superlie.linalg import identity, kernel, rank, rref
 
 from conftest import dense_views, table_cases
@@ -323,6 +323,20 @@ def dense_derived(g):
             rank(odd_rows) if odd_rows else 0)
 
 
+def poly_mul(p, q):
+    """The product of two polynomials (exponent tuple -> coefficient)."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            acc = out.get(mono, ZERO) + c1 * c2
+            if acc.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = acc
+    return out
+
+
 def dense_bracket_polys(g, ecols, ocols, nvars):
     """The bracket of every pair of generators, coordinate by coordinate of
     the c/rho/gamma tensors."""
@@ -494,3 +508,50 @@ def test_invariants_match_former_field_code(rng):
                 assert (invariants.abc_derivations(g, *tup, deg)
                         == abc_derivations_before(g, *tup, deg, br)), \
                     (g.name, tup, deg)
+
+
+def test_report_ranks_match_derivation_kernels(rng):
+    """invariant_report reads each (alpha,beta,gamma) entry as unknowns less
+    the rank of the rows; each equals the kernel dimension that
+    abc_derivations returns, and orbit_dim equals the report's, on
+    `table_cases` (Q(i, sqrt2) basis changes included)."""
+    for g in table_cases(rng):
+        report = invariants.invariant_report(g, with_trivial=False)
+        for a, b, c in invariants.ABC_TUPLES:
+            for deg in (0, 1):
+                assert (report["abc_entries"][f"({a},{b},{c})@{deg}"]
+                        == invariants.abc_derivations(g, a, b, c, deg)[0]), \
+                    (g.name, (a, b, c), deg)
+        assert report["orbit_dim"] == invariants.orbit_dim(g), g.name
+        assert report["der0_dim"] == \
+            g.m ** 2 + g.n ** 2 - report["orbit_dim"], g.name
+
+
+def trivial_sub_max_exhaustive(g):
+    """t(g) with every shape (a|b) searched, in increasing a then b."""
+    m, n = g.m, g.n
+    br = g.bracket_table()
+    profile, undecided = [], []
+    for a in range(m + 1):
+        for b in range(n + 1):
+            if a + b == 0:
+                continue
+            res = invariants.trivial_shape_exists(br, m, n, a, b)
+            if res is True:
+                profile.append((a, b))
+            elif res is None:
+                undecided.append(a + b)
+    best = max((a + b for a, b in profile), default=0)
+    exact = None if max(undecided, default=0) > best else best
+    return {"lower": best, "exact": exact, "graded_profile": sorted(profile)}
+
+
+def test_trivial_sub_max_matches_exhaustive_search():
+    """Deciding shapes from the largest down, and taking a shape below a
+    found one without a search, gives the exhaustive result on every
+    catalog algebra and its ab() and F reductions."""
+    for e in catalog.list_entries():
+        g = e.algebra
+        for h in (g, g.ab(), g.forget_gamma()):
+            assert (invariants.trivial_sub_max(h)
+                    == trivial_sub_max_exhaustive(h)), h.name

@@ -465,12 +465,13 @@ def _key(g):
 
 
 def test_component_analysis_derives_each_input_once(monkeypatch):
-    """abc_derivations runs once per distinct (structure constants, tuple,
-    degree), however many derivation paths reach the algebra; Der_0 is
-    solved once for orbit_dim and the (1,1,1)@0 entry together."""
+    """The (alpha,beta,gamma)-derivation system of one distinct (structure
+    constants, tuple, degree) is built once, however many derivation paths
+    reach the algebra; Der_0 is one of those systems, read for orbit_dim
+    and the (1,1,1)@0 entry together."""
     calls = []
-    _count_calls(monkeypatch, invariants.abc_derivations,
-                 lambda g, alpha, beta, gamma, degree:
+    _count_calls(monkeypatch, invariants._abc_rows,
+                 lambda g, br, alpha, beta, gamma, degree:
                  calls.append((_key(g), (alpha, beta, gamma), degree)))
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|3)")

@@ -134,10 +134,12 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     `precision` caps the series order (working_precision() when None).  The
     whole decision, the basis and then `alt_basis` if the basis fails, runs
     at order min(1, cap), and again at twice the order, up to the cap, while
-    the order cannot decide.  Coefficients below the truncation order are
-    exact, so every order that decides gives the same verdict; the result's
-    `precision` is that order.  Raises InsufficientPrecision when the cap
-    cannot decide, and WitnessError on a malformed witness.
+    the order cannot decide; each order's decision is memoized, so the cap
+    only bounds how far the ladder climbs.  Coefficients below the
+    truncation order are exact, so every order that decides gives the same
+    verdict; the result's `precision` is that order.  Raises
+    InsufficientPrecision when the cap cannot decide, WitnessError on a
+    malformed witness, and TypeError or ValueError on a float or cap <= 0.
     """
     if isinstance(w, dict):
         w = DegenerationWitness.from_doc(w)
@@ -168,11 +170,14 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
         result.precision = p
         return result
 
-    cap = precision if precision is not None else working_precision()
+    cap = working_precision(precision)
+    key = ("decide", w.from_name, w.to_name, w.source,
+           tuple(sorted(w.basis.items())),
+           tuple(sorted((w.alt_basis or {}).items())))
     p = min(Fraction(1), cap)
     while True:
         try:
-            return decide(p)
+            return _memo(key + (p,), lambda: decide(p))
         except InsufficientPrecision:
             if p >= cap:
                 raise
@@ -202,8 +207,9 @@ class Inconclusive:
 
 
 # Every value this module derives, keyed by what it is computed from: an
-# algebra's _Profile by (m, n, stored brackets), a builtin witness result by
-# ("witness", from, to, source, precision), and a basis text's (even, odd)
+# algebra's _Profile by (m, n, stored brackets), a witness's decision at one
+# ladder order by ("decide", from, to, source, sorted basis items, sorted
+# alt_basis items, order), not by the cap, and a basis text's (even, odd)
 # series coordinates by ("basis", text, m, n, order).  Derivation paths that
 # reach the same algebra (a label, its ab, its F then ab, an unlabelled
 # copy) share its entry.
@@ -344,12 +350,9 @@ class HasseDiagram:
 
 
 def verify_builtin_witnesses(dim=None, precision=None) -> List:
-    """Verify the stored witness rows (memoized per resolved precision);
-    stable table order."""
-    p = precision if precision is not None else working_precision()
-    return [_memo(("witness", doc["from"], doc["to"],
-                   doc.get("source", ""), p),
-                  lambda: verify_degeneration(doc, precision=p))
+    """Verify the stored witness rows up to the cap `precision`; stable
+    table order.  Caps that decide at the same order share each result."""
+    return [verify_degeneration(doc, precision)
             for doc in catalog.witnesses(dim)]
 
 

@@ -36,8 +36,12 @@ def parse_precision(text: str) -> Fraction:
     return value
 
 
-def working_precision() -> Fraction:
-    """Default truncation order; the SUPERLIE_PRECISION env var overrides it."""
+def working_precision(cap=None) -> Fraction:
+    """Default truncation order; the SUPERLIE_PRECISION env var overrides it,
+    and a caller's `cap` both, by parse_precision's rule (a float raises
+    TypeError, as an exponent does)."""
+    if cap is not None:
+        return parse_precision(_exponent(cap))
     raw = os.environ.get("SUPERLIE_PRECISION")
     if raw is None:
         return DEFAULT_PRECISION

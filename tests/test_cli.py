@@ -353,8 +353,10 @@ def test_malformed_bracket_is_named(tmp_path, capsys, value, text):
 def test_witness_file_checked_at_first_ladder_order(tmp_path, capsys,
                                                     monkeypatch):
     """The ladder first evaluates a --witness file's basis at min(1, cap),
-    not at the cap."""
+    not at the cap.  The memo starts empty, so no decision stored by an
+    earlier test hides the first evaluation."""
     from superlie import orbitrel
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
     orders = []
     real = orbitrel._witness_matrices
 

@@ -219,6 +219,100 @@ def test_builtin_rows_decide_at_orders_one_and_two(monkeypatch):
         assert all(r.precision in (1, 2) for r in results)
 
 
+def _fields(r):
+    return (type(r), r.ok, getattr(r, "used_alt", False), r.precision,
+            getattr(r, "reason", None))
+
+
+def _decide_keys():
+    return {key for key in orbitrel._MEMO if key[0] == "decide"}
+
+
+def test_cap_16_served_from_the_default_decisions(monkeypatch):
+    """From a cold memo, the 117 rows at cap 16 after the default cap are
+    the very same objects, and equal field by field a cold run at 16."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    default = verify_builtin_witnesses()
+    warm = verify_builtin_witnesses(precision=16)
+    assert len(warm) == 117
+    assert all(a is b for a, b in zip(default, warm, strict=True))
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    cold = verify_builtin_witnesses(precision=16)
+    assert [_fields(r) for r in warm] == [_fields(r) for r in cold]
+
+
+def test_decision_keyed_by_the_whole_witness(monkeypatch):
+    """A row with the same from/to but another basis, alt_basis or source
+    gets its own decision; an absent and an empty alt_basis share one."""
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    doc = next(d for d in catalog.witnesses("(1|2)")
+               if (d["from"], d["to"]) == ("(1|2)_2", "(1|2)_1"))
+    wrong = {"y1": "t*f1"}
+    row = verify_degeneration(doc)
+    assert isinstance(row, Verified) and len(_decide_keys()) == 1
+    variants = [
+        ({**doc, "basis": wrong}, (Failed, False)),
+        ({**doc, "basis": wrong, "alt_basis": doc["basis"]}, (Verified, True)),
+        ({**doc, "source": "elsewhere"}, (Verified, False)),
+    ]
+    for k, (variant, (kind, used_alt)) in enumerate(variants, start=2):
+        res = verify_degeneration(variant)
+        assert res is not row
+        assert res.witness == DegenerationWitness.from_doc(variant)
+        assert _fields(res)[:3] == (kind, kind is Verified, used_alt)
+        assert len(_decide_keys()) == k
+    assert verify_degeneration({**doc, "alt_basis": {}}) is row
+    assert len(_decide_keys()) == 4
+
+
+def test_undecided_order_is_not_stored(monkeypatch):
+    """(2|3)_10 -> (2|3)_8 cannot decide at order 1: at cap 1 it raises on
+    every call, and no order-1 decision is stored."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    doc = next(d for d in catalog.witnesses("(2|3)")
+               if (d["from"], d["to"]) == ("(2|3)_10", "(2|3)_8"))
+    for _ in range(2):
+        with pytest.raises(InsufficientPrecision):
+            verify_degeneration(doc, precision=1)
+    assert _decide_keys() == set()
+    assert verify_degeneration(doc, precision=2).precision == 2
+    assert {key[-1] for key in _decide_keys()} == {2}
+
+
+def test_decision_ignores_the_environment_under_an_explicit_cap(
+        monkeypatch):
+    """With an explicit cap of 16, every builtin row decides alike from a
+    cold memo whether SUPERLIE_PRECISION is unset, 4 or 1/2: nothing under
+    one order's decision reads working_precision(), so the key is complete.
+    (At 1/2 a basis evaluated or solved at the working precision would
+    raise InsufficientPrecision.)"""
+    runs = []
+    for env in (None, "4", "1/2"):
+        if env is None:
+            monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("SUPERLIE_PRECISION", env)
+        monkeypatch.setattr(orbitrel, "_MEMO", {})
+        runs.append([_fields(r)
+                     for r in verify_builtin_witnesses(precision=16)])
+    assert len(runs[0]) == 117 and runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cap, error", [
+    (0, ValueError), (Fraction(-1), ValueError), (Fraction(0), ValueError),
+    (0.5, TypeError), (1.0, TypeError)])
+def test_precision_cap_is_checked(cap, error):
+    """A cap <= 0 or a float is refused before the ladder, for one witness
+    and for the builtin rows."""
+    doc = catalog.witnesses("(1|2)")[0]
+    with pytest.raises(error):
+        verify_degeneration(doc, precision=cap)
+    with pytest.raises(error):
+        verify_builtin_witnesses("(1|2)", precision=cap)
+
+
 def _one_shot(w, basis, cap):
     """The verdict of one basis evaluated and solved at the cap, as
     (class name, reason); InsufficientPrecision and the like propagate."""

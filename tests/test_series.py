@@ -38,6 +38,21 @@ def test_precision_must_be_positive_rational(monkeypatch, text):
         working_precision()
 
 
+def test_caller_cap_checked_by_the_same_rule(monkeypatch):
+    """A caller's cap overrides the default and the environment variable;
+    a float is refused as an exponent is, and a cap <= 0 as the text is."""
+    monkeypatch.setenv("SUPERLIE_PRECISION", "12")
+    assert working_precision(None) == 12
+    assert working_precision(16) == working_precision(Fraction(16)) == 16
+    assert working_precision(Fraction(1, 2)) == Fraction(1, 2)
+    for bad in (0.5, 8.0):
+        with pytest.raises(TypeError, match="exact rational"):
+            working_precision(bad)
+    for bad in (0, -2, Fraction(-1), Fraction(0)):
+        with pytest.raises(ValueError, match="positive rational"):
+            working_precision(bad)
+
+
 def test_parse_precision_accepts_rationals():
     assert parse_precision("1/2") == Fraction(1, 2)
     assert parse_precision(" 16 ") == 16

@@ -6,11 +6,14 @@ as ``tools/cli_oracle.sh``, in one process.
 Run it from the root of a checkout (nothing needs installing): it imports
 ``superlie`` from ``src/`` and calls ``superlie.cli.main(argv)`` once per
 file, with stdout captured and ``exit N`` appended; stderr is not
-captured, as in the shell script.  All commands share one process, so they
-share ``orbitrel._MEMO`` and ``catalog._CACHE``; the shell script starts
-one interpreter per command and shares nothing.  Equal directories from
-the two modes (``diff -r``) show that no cache returns a result computed
-for other inputs.
+captured, as in the shell script.  Each builtin witness pair is dumped at
+the default precision, then at ``--precision 16`` and ``--precision 1/2``
+(a ``/`` is written ``:`` in a file name).  All commands share one
+process, so they share ``orbitrel._MEMO`` and ``catalog._CACHE`` (cap 16
+is served from the default's decisions); the shell script starts one
+interpreter per command and shares nothing.  Equal directories from the
+two modes (``diff -r``) show that no cache returns a result computed for
+other inputs.
 """
 
 from __future__ import annotations
@@ -59,9 +62,13 @@ def main() -> int:
                               for row in g], separators=(",", ":"))
                   for g in pair)
         dump(f"gamma23 {label}", ["gamma23", "--g1", g1, "--g2", g2])
-    for f, t in dict.fromkeys((w["from"], w["to"])
-                              for w in catalog.witnesses()):
-        dump(f"degenerate {f} {t}", ["degenerate", "--from", f, "--to", t])
+    pairs = list(dict.fromkeys((w["from"], w["to"])
+                               for w in catalog.witnesses()))
+    for cap in (None, "16", "1/2"):
+        flag = [] if cap is None else ["--precision", cap]
+        for f, t in pairs:
+            dump(" ".join(["degenerate", f, t, *flag]).replace("/", ":"),
+                 ["degenerate", "--from", f, "--to", t, *flag])
     for u in labels:
         for v in run(["list", "--dim", u.split("_")[0]])[0].split():
             if u != v:

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Dump the CLI's stdout and exit code for every label, shape, gamma23
-# representative, builtin witness pair and ordered pair of distinct labels
-# of one shape, and for one seeded selftest.
+# representative, builtin witness pair (at the default precision, then at
+# --precision 16 and 1/2; a / is written : in a file name) and ordered pair
+# of distinct labels of one shape, and for one seeded selftest.
 #
 #     tools/cli_oracle.sh OUT_DIR
 #
@@ -41,12 +42,16 @@ while read -r l g1 g2; do
   sl gamma23 --g1 "$g1" --g2 "$g2" > "$out/gamma23 $l"
   echo "exit $?" >> "$out/gamma23 $l"
 done
-PYTHONPATH=src python -c 'from superlie import catalog
+pairs=$(PYTHONPATH=src python -c 'from superlie import catalog
 for f, t in dict.fromkeys((w["from"], w["to"]) for w in catalog.witnesses()):
-    print(f, t)' |
-while read -r f t; do
-  sl degenerate --from "$f" --to "$t" > "$out/degenerate $f $t"
-  echo "exit $?" >> "$out/degenerate $f $t"
+    print(f, t)')
+for p in "" 16 1/2; do
+  printf '%s\n' "$pairs" |
+  while read -r f t; do
+    name="degenerate $f $t${p:+ --precision $(echo "$p" | tr / :)}"
+    sl degenerate --from "$f" --to "$t" ${p:+--precision "$p"} > "$out/$name"
+    echo "exit $?" >> "$out/$name"
+  done
 done
 for u in $(sl list); do
   for v in $(sl list --dim "${u%_*}"); do

@@ -54,6 +54,11 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _dim(text: str):
+    """--dim: a total dimension in ASCII digits, or a graded one."""
+    return int(text) if text.isascii() and text.isdigit() else text
+
+
 class ParseError(Exception):
     """A malformed input file or matrix; one line, exit code 2, in main."""
 
@@ -88,8 +93,7 @@ def _load_algebra(target: str) -> SuperAlgebra:
 
 
 def cmd_list(args) -> int:
-    entries = catalog.list_entries(args.dim) if args.dim else \
-        catalog.list_entries()
+    entries = catalog.list_entries(args.dim)
     if args.json:
         print(_dump([e.label for e in entries]))
     else:
@@ -289,7 +293,7 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .exprlang import evaluate, parse
+    from .exprlang import evaluate
     from .field import FieldElem, ONE, ZERO, format_elem, parse_elem
     from .series import PuiseuxSeries, format_series
 
@@ -343,7 +347,7 @@ def cmd_selftest(args) -> int:
         if (s + u) - u != s:
             print("FAIL: series add/sub round-trip")
             return EXIT_FAIL
-        if evaluate(parse(format_series(s))) != s:
+        if evaluate(format_series(s)) != s:
             print(f"FAIL: series round-trip {format_series(s)}")
             return EXIT_FAIL
         if s * (u + v) != s * u + s * v:
@@ -397,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: $SUPERLIE_PRECISION)")
 
     sp = sub.add_parser("list", help="list catalog labels")
-    sp.add_argument("--dim", help='graded dimension, e.g. "(2|3)"')
+    sp.add_argument("--dim", type=_dim,
+                    help='graded dimension, e.g. "(2|3)", or total '
+                         'dimension, e.g. 4')
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_list)
 

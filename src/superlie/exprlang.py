@@ -14,71 +14,28 @@ Grammar (whitespace-insensitive)::
     symbol   := basis | basis '*^' basis '*@' basis   (vector contexts only)
     basis    := ('e' | 'f') digits
 
-The token kinds are the named groups of one regular expression, and the
-parser reads operators, integers and exponents through ``accept`` and
-``number``.
+The token kinds are the named groups of one regular expression.  The parser
+is a recursive descent whose methods compute the value of what they read, so
+text is read to its value in one pass, with no tree in between.
 
-``evaluate`` is the one walk of a tree: it maps a scalar expression to a
+``evaluate`` is the one function from text to value: a scalar gives a
 PuiseuxSeries, and a linear combination of symbols, each of which its caller
-maps to a coordinate, to its coefficients: a witness's basis vector
+maps to a coordinate, gives its coefficients: a witness's basis vector
 (``evaluate_basis_vector``) over the basis symbols, a cochain over the terms
-``e1*^e2*@e1`` (``cohomology``).  ``basis_index`` is the one reader of basis
-names.  ``constant`` reads text whose value must be an exact constant of the
-field.
+``e1*^e2*@e1`` (``cohomology``).  Powers and square roots take scalars only.
+A syntax error anywhere in the text wins over an error of evaluation.
+``basis_index`` is the one reader of basis names.  ``constant`` reads text
+whose value must be an exact constant of the field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 from .field import FieldElem, FieldSyntaxError, I, SQRT2
 from .series import NotInvertible, PuiseuxSeries
-
-# -- AST ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rat:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str  # 'i' | 'sqrt2' | 't'
-
-
-@dataclass(frozen=True)
-class Symbol:
-    name: str  # 'e1', 'f2', 'e1*^f2*@f1', ...
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # '+', '-', '*', '/'
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    arg: "Expr"
-
-
-Expr = Union[Rat, Const, Symbol, Neg, Bin, Pow, Sqrt]
 
 ExprSyntaxError = FieldSyntaxError
 
@@ -116,11 +73,71 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, symbols: bool):
+def _scalar_only(name: str):
+    raise ExprTypeError(f"symbol {name} in scalar context")
+
+
+def _neg(v):
+    return {k: -x for k, x in v.items()} if isinstance(v, dict) else -v
+
+
+def _combine(op: str, lhs, rhs, precision):
+    """lhs op rhs, each a scalar PuiseuxSeries or a vector {index: series};
+    a vector is combined linearly only."""
+    lvec, rvec = isinstance(lhs, dict), isinstance(rhs, dict)
+    if op in "+-":
+        if lvec != rvec:
+            raise ExprTypeError("cannot add a scalar and a vector")
+        if not lvec:
+            return lhs + rhs if op == "+" else lhs - rhs
+        out = dict(lhs)
+        for k, x in rhs.items():
+            if op == "-":
+                x = -x
+            out[k] = out[k] + x if k in out else x
+        return out
+    if op == "*":
+        if lvec and rvec:
+            raise ExprTypeError("cannot multiply two vectors")
+        if rvec:
+            return {k: lhs * x for k, x in rhs.items()}
+        if lvec:
+            return {k: rhs * x for k, x in lhs.items()}
+        return lhs * rhs
+    if rvec:
+        raise ExprTypeError("cannot divide by a vector")
+    inv = rhs.inv(precision)
+    if lvec:
+        return {k: inv * x for k, x in lhs.items()}
+    return lhs * inv
+
+
+class _Reader:
+    """Reads one text by recursive descent, each method returning the value
+    of what it read.  With `values` off it checks the syntax only, and every
+    value is None."""
+
+    def __init__(self, text: str, precision, symbol, values: bool):
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.symbols = symbols
+        self.precision = precision
+        self.symbols = symbol is not None    # otherwise a syntax error
+        self.symbol = symbol
+        self.values = values
+
+    def apply(self, fn, *args):
+        return fn(*args) if self.values else None
+
+    def scalar(self, read):
+        """What `read` reads, where a symbol raises ExprTypeError."""
+        outer, self.symbol = self.symbol, _scalar_only
+        value = read()
+        self.symbol = outer
+        return value
+
+    def unit(self, name: str):
+        index, sign = self.symbol(name)
+        return {index: PuiseuxSeries.from_scalar(FieldElem(sign))}
 
     def peek(self):
         return self.tokens[self.idx]
@@ -151,31 +168,52 @@ class _Parser:
         if not self.accept(op):
             raise ExprSyntaxError(f"expected {op!r}", self.peek()[2])
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def power_follows(self) -> bool:
+        """Whether the atom at the cursor, a symbol or a parenthesized
+        expression, is a power's base: '^' follows its closing parenthesis."""
+        kind, val, _ = self.peek()
+        if kind != "symbol" and val != "(":
+            return False
+        depth = 0
+        for i in range(self.idx, len(self.tokens) - 1):
+            val = self.tokens[i][1]
+            depth += (val == "(") - (val == ")")
+            if depth == 0:
+                return self.tokens[i + 1][1] == "^"
+        return False
+
+    def read(self):
+        value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError("trailing input", pos)
-        return e
+        return value
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self):
+        value = self.term()
         while op := self.accept("+-"):
-            e = Bin(op, e, self.term())
-        return e
+            value = self.apply(_combine, op, value, self.term(),
+                               self.precision)
+        return value
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self):
+        value = self.factor()
         while op := self.accept("*/"):
-            e = Bin(op, e, self.factor())
-        return e
+            value = self.apply(_combine, op, value, self.factor(),
+                               self.precision)
+        return value
 
-    def factor(self) -> Expr:
+    def factor(self):
         op = self.accept("+-")
         if op:
-            return self.factor() if op == "+" else Neg(self.factor())
-        a = self.atom()
-        return Pow(a, self.exponent()) if self.accept("^") else a
+            value = self.factor()
+            return value if op == "+" else self.apply(_neg, value)
+        base = self.scalar(self.atom) if self.symbols and \
+            self.power_follows() else self.atom()
+        if not self.accept("^"):
+            return base
+        return self.apply(PuiseuxSeries.pow, base, self.exponent(),
+                          self.precision)
 
     def exponent(self) -> Fraction:
         paren = self.accept("(")
@@ -188,99 +226,54 @@ class _Parser:
         self.expect_op(")")
         return Fraction(sign * num, den)
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
             if self.peek()[1] == "/" and self.tokens[self.idx + 1][0] == "num":
-                # "p/q" binds as one rational literal, so 1/2*t means (1/2)*t
+                # "p/q" reads as one rational literal, so 1/2*t is (1/2)*t
                 self.idx += 1
-                return Rat(Fraction(val, self.number("zero denominator",
-                                                     nonzero=True)))
-            return Rat(Fraction(val))
-        if kind in ("i", "sqrt2", "t"):
-            return Const(kind)
+                val = Fraction(val, self.number("zero denominator",
+                                                nonzero=True))
+            return self.apply(PuiseuxSeries.from_scalar, FieldElem(val))
+        if kind in ("i", "sqrt2"):
+            return self.apply(PuiseuxSeries.from_scalar,
+                              I if kind == "i" else SQRT2)
+        if kind == "t":
+            return self.apply(PuiseuxSeries.t_power, 1)
         if kind == "symbol":
             if not self.symbols:
                 raise ExprSyntaxError(f"symbol {val} not allowed here", pos)
-            return Symbol(val)
+            return self.apply(self.unit, val)
         if kind == "sqrt":
             self.expect_op("(")
-        elif val != "(":
+            inner = self.scalar(self.expr)
+        elif val == "(":
+            inner = self.expr()
+        else:
             raise ExprSyntaxError("expected an atom", pos)
-        inner = self.expr()
         self.expect_op(")")
-        return Sqrt(inner) if kind == "sqrt" else inner
+        if kind == "sqrt":
+            return self.apply(PuiseuxSeries.sqrt, inner, self.precision)
+        return inner
 
 
-def parse(text: str, symbols: bool = False) -> Expr:
-    return _Parser(text, symbols).parse()
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def evaluate(e: Expr, precision: Optional[Fraction] = None,
+def evaluate(text: str, precision: Optional[Fraction] = None,
              symbol: Optional[Callable[[str], Tuple[int, int]]] = None):
-    """The value of `e`: a PuiseuxSeries when it is a scalar.
+    """The value of `text`: a PuiseuxSeries when it is a scalar.
 
     With `symbol` it may be a linear combination of symbols: ``symbol(name)``
     gives (index, sign), the symbol standing for sign times the index-th unit
     vector, and the value is {index: coefficient} over the indices some
     symbol reached; every other coordinate is exactly zero.  Without it a
-    symbol raises ExprTypeError, as does a non-linear use of one.
+    symbol is a syntax error.  A non-linear use of a symbol, or one in a
+    power's base or a square root, raises ExprTypeError.
     """
-    if isinstance(e, Rat):
-        return PuiseuxSeries.from_scalar(FieldElem(e.value))
-    if isinstance(e, Const):
-        if e.name == "i":
-            return PuiseuxSeries.from_scalar(I)
-        if e.name == "sqrt2":
-            return PuiseuxSeries.from_scalar(SQRT2)
-        return PuiseuxSeries.t_power(1)
-    if isinstance(e, Symbol):
-        if symbol is None:
-            raise ExprTypeError(f"symbol {e.name} in scalar context")
-        index, sign = symbol(e.name)
-        return {index: PuiseuxSeries.from_scalar(FieldElem(sign))}
-    if isinstance(e, Neg):
-        v = evaluate(e.arg, precision, symbol)
-        return {k: -x for k, x in v.items()} if isinstance(v, dict) else -v
-    if isinstance(e, Bin):
-        lhs = evaluate(e.left, precision, symbol)
-        rhs = evaluate(e.right, precision, symbol)
-        lvec, rvec = isinstance(lhs, dict), isinstance(rhs, dict)
-        if e.op in "+-":
-            if lvec != rvec:
-                raise ExprTypeError("cannot add a scalar and a vector")
-            if not lvec:
-                return lhs + rhs if e.op == "+" else lhs - rhs
-            out = dict(lhs)
-            for k, x in rhs.items():
-                if e.op == "-":
-                    x = -x
-                out[k] = out[k] + x if k in out else x
-            return out
-        if e.op == "*":
-            if lvec and rvec:
-                raise ExprTypeError("cannot multiply two vectors")
-            if rvec:
-                return {k: lhs * x for k, x in rhs.items()}
-            if lvec:
-                return {k: rhs * x for k, x in lhs.items()}
-            return lhs * rhs
-        # division
-        if rvec:
-            raise ExprTypeError("cannot divide by a vector")
-        inv = rhs.inv(precision)
-        if lvec:
-            return {k: inv * x for k, x in lhs.items()}
-        return lhs * inv
-    # powers and roots take scalars only
-    if isinstance(e, Pow):
-        return evaluate(e.base, precision).pow(e.exponent, precision)
-    if isinstance(e, Sqrt):
-        return evaluate(e.arg, precision).sqrt(precision)
-    raise TypeError(f"not an expression node: {e!r}")
+    try:
+        return _Reader(text, precision, symbol, True).read()
+    except Exception:
+        # a syntax error anywhere wins: read again with values off
+        _Reader(text, precision, symbol, False).read()
+        raise
 
 
 def basis_index(name: str, m: int, n: int) -> int:
@@ -301,7 +294,7 @@ def evaluate_basis_vector(text: str, m: int, n: int,
                           precision: Optional[Fraction] = None):
     """A witness's basis vector over e1..em, f1..fn, as (even, odd)
     coefficient lists."""
-    value = evaluate(parse(text, symbols=True), precision,
+    value = evaluate(text, precision,
                      lambda name: (basis_index(name, m, n), 1))
     if not isinstance(value, dict):
         raise ExprTypeError(f"{text!r} is a scalar, not a basis vector")
@@ -332,9 +325,9 @@ def constant(text: str,
     raises ExprSyntaxError naming the cause.
     """
     try:
+        value = evaluate(text, None, symbol)
         if symbol is None:
-            return _exact(evaluate(parse(text)), text)
-        value = evaluate(parse(text, symbols=True), None, symbol)
+            return _exact(value, text)
         if not isinstance(value, dict):
             if not value.is_zero():
                 raise ExprTypeError(
@@ -345,45 +338,3 @@ def constant(text: str,
         raise ExprSyntaxError(f"division by zero in {text!r}") from None
     except ArithmeticError as exc:
         raise ExprSyntaxError(f"cannot evaluate {text!r}: {exc}") from None
-
-
-# -- formatting ---------------------------------------------------------------
-
-
-def format_expr(e: Expr) -> str:
-    """Parenthesized-when-needed text form; parse(format_expr(e)) == e."""
-    def prec_of(node) -> int:
-        if isinstance(node, Bin):
-            return 1 if node.op in "+-" else 2
-        if isinstance(node, Neg):
-            return 3
-        if isinstance(node, Pow):
-            return 3
-        return 4
-
-    def wrap(node, minimum):
-        txt = format_expr(node)
-        return f"({txt})" if prec_of(node) < minimum else txt
-
-    if isinstance(e, Rat):
-        return str(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Neg):
-        # unary minus takes a factor: anything below Pow/Neg level needs parens
-        return "-" + wrap(e.arg, 3)
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            return f"{wrap(e.left, 1)} {e.op} {wrap(e.right, 2)}"
-        return f"{wrap(e.left, 2)}{e.op}{wrap(e.right, 3)}"
-    if isinstance(e, Pow):
-        ex = e.exponent
-        base = wrap(e.base, 4)
-        if ex.denominator == 1 and ex >= 0:
-            return f"{base}^{ex}"
-        return f"{base}^({ex})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({format_expr(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")

@@ -23,6 +23,22 @@ def test_list(capsys):
     assert out.split() == ["(1|2)_0", "(1|2)_1", "(1|2)_2", "(1|2)_3"]
 
 
+def test_list_total_dimension(capsys):
+    """--dim takes a total dimension in ASCII digits as well."""
+    from superlie import catalog
+    code, out = run(capsys, "list", "--dim", "4")
+    assert code == 0
+    assert out.split() == [e.label for e in catalog.list_entries()
+                           if e.m + e.n == 4]
+    assert len(out.split()) == 21
+    assert run(capsys, "list", "--dim", "0") == (0, "")
+    code = main(["list", "--dim", "\u0664"])     # Arabic-Indic digit four
+    assert code == 2
+    assert capsys.readouterr().err.startswith("not found: ")
+    assert main(["list", "--help"]) == 0
+    assert "total dimension" in capsys.readouterr().out
+
+
 def _source_env():
     # the package directory's parent is enough: no install is needed
     env = dict(os.environ)
@@ -448,6 +464,86 @@ def test_check_file_division_by_zero(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     _one_line_usage_error(capsys, ["check", str(path)],
                           "parse error: division by zero")
+
+
+# text -> (stderr of a scalar context: a structure constant or a gamma23
+# matrix entry, stderr of a witness's basis vector), each after "parse
+# error: "; every one exits 2
+MALFORMED_SCALARS = [
+    ("e1^2", "symbol e1 not allowed here (at position 0)",
+     "symbol e1 in scalar context"),
+    ("(e1+1)^2", "symbol e1 not allowed here (at position 1)",
+     "symbol e1 in scalar context"),
+    ("sqrt(f1)", "symbol f1 not allowed here (at position 5)",
+     "symbol f1 in scalar context"),
+    ("sqrt(i) + f3", "symbol f3 not allowed here (at position 10)",
+     "cannot add a scalar and a vector"),
+    ("1/(t-t))", "trailing input (at position 7)",
+     "trailing input (at position 7)"),
+    ("1/(t-t)", "division by zero in '1/(t-t)'",
+     "series has no visible leading term"),
+    ("e1*f1", "symbol e1 not allowed here (at position 0)",
+     "cannot multiply two vectors"),
+    ("1/e1", "symbol e1 not allowed here (at position 2)",
+     "cannot divide by a vector"),
+    ("e1 + 1", "symbol e1 not allowed here (at position 0)",
+     "cannot add a scalar and a vector"),
+    ("sqrt(3)", "cannot evaluate 'sqrt(3)': leading coefficient has no "
+     "square root in the field",
+     "leading coefficient has no square root in the field"),
+    ("t", "not a constant: 't'", "'t' is a scalar, not a basis vector"),
+    ("e9", "symbol e9 not allowed here (at position 0)",
+     "unknown basis symbol e9"),
+    ("e1*f1)", "symbol e1 not allowed here (at position 0)",
+     "trailing input (at position 5)"),
+    ("sqrt(f1) +", "symbol f1 not allowed here (at position 5)",
+     "expected an atom (at position 10)"),
+    ("(e1*f1)^2", "symbol e1 not allowed here (at position 1)",
+     "symbol e1 in scalar context"),
+    ("-f1^2", "symbol f1 not allowed here (at position 1)",
+     "symbol f1 in scalar context"),
+    ("t^(1/2)", "not a constant: 't^(1/2)'",
+     "'t^(1/2)' is a scalar, not a basis vector"),
+    ("2*", "expected an atom (at position 2)",
+     "expected an atom (at position 2)"),
+    ("e1*^e2*@e1", "symbol e1*^e2*@e1 not allowed here (at position 0)",
+     "unknown basis symbol e1*^e2*@e1"),
+    ("(1/(t-t) + e1)^2", "symbol e1 not allowed here (at position 11)",
+     "series has no visible leading term"),
+    ("(e1 + e1)^(1/0)", "symbol e1 not allowed here (at position 1)",
+     "expected a nonzero denominator (at position 13)"),
+    ("f1/(f1-f1)", "symbol f1 not allowed here (at position 0)",
+     "cannot divide by a vector"),
+]
+
+
+@pytest.mark.parametrize("text, scalar_error, vector_error",
+                         MALFORMED_SCALARS)
+def test_malformed_scalar_text_error_lines(tmp_path, capsys, text,
+                                           scalar_error, vector_error):
+    """Malformed text in a structure constant (`check FILE`), a gamma23
+    matrix entry and a witness's basis vector: exit 2 and one stderr line,
+    a syntax error anywhere winning over an evaluation error."""
+    from superlie import catalog
+    doc = json.loads(json.dumps(catalog.get("(2|2)_6").doc))
+    doc["brackets"][0]["value"][0]["coeff"] = text
+    algebra = tmp_path / "a.json"
+    algebra.write_text(json.dumps(doc))
+    zero = ["0", "0", "0"]
+    g1 = json.dumps([[text, "0", "0"], zero, zero])
+    g2 = json.dumps([zero, ["0", "1", "0"], zero])
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"basis": {"y1": text, "y3": "t*f3"}}))
+    for argv, error in (
+            (["check", str(algebra)], scalar_error),
+            (["gamma23", "--g1", g1, "--g2", g2], scalar_error),
+            (["degenerate", "--from", "(2|3)_16", "--to", "(2|3)_13",
+              "--witness", str(witness)],
+             f"y1 of (2|3)_16->(2|3)_13: {vector_error}")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"parse error: {error}\n"), argv
 
 
 def test_hasse_dot(tmp_path, capsys):

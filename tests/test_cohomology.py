@@ -10,7 +10,7 @@ from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  format_cocycle, h2_even, is_cocycle,
                                  parse_cocycle)
-from superlie.exprlang import constant, evaluate, parse
+from superlie.exprlang import constant, evaluate
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.linalg import kernel, rank, rref, transpose
 
@@ -189,7 +189,7 @@ def deformation_nilpotency_probe(base_doc: Dict, extra_brackets: List[Dict],
     for extra in extra_brackets:
         value = []
         for v in extra["value"]:
-            series = evaluate(parse(v["coeff"]))
+            series = evaluate(v["coeff"])
             # substitute t = param_value by exact polynomial composition
             subbed = ZERO
             for expo, cf in series.terms.items():

@@ -84,6 +84,38 @@ def test_abelian_has_full_trivial_sub():
     assert t["exact"] == 5
 
 
+def _odd_squares(c):
+    """The (1|2) algebra with [f1,f1] = e1 and [f2,f2] = c*e1."""
+    brackets = [{"lhs": f, "rhs": f, "value": [{"coeff": k, "basis": "e1"}]}
+                for f, k in (("f1", "1"), ("f2", c))]
+    return SuperAlgebra.from_doc({"name": f"sq{c}", "m": 1, "n": 2,
+                                  "brackets": brackets})
+
+
+def test_grid_search_when_groebner_is_undecided(monkeypatch):
+    """An "unknown" Groebner verdict falls back to a small grid search:
+    a chart with a grid point is a subalgebra, one without leaves the shape
+    undecided, and t(g) is then not exact."""
+    monkeypatch.setattr(invariants, "system_verdict", lambda eqs: "unknown")
+    # y = f1 + v*f2 has [y, y] = (1 + v^2)*e1, zero at the grid point v = i
+    br = _odd_squares("1").bracket_table()
+    assert invariants.trivial_shape_exists(br, 1, 2, 0, 1) is True
+    assert invariants._search_witness(
+        invariants._bracket_polys(br, 1, [], [[ONE, ("var", 0)]], 1), 1) \
+        == [I]
+    # 1 + 3*v^2 has roots +-i/sqrt(3), off the grid, and [f2, f2] != 0
+    g = _odd_squares("3")
+    assert invariants.trivial_shape_exists(g.bracket_table(), 1, 2, 0, 1) \
+        is None
+    # only (1|0) is found; (1|2), (1|1), (0|2) and (0|1) stay undecided
+    assert invariants.trivial_sub_max(g) == \
+        {"lower": 1, "exact": None, "graded_profile": [(1, 0)]}
+    # decided, f1 + i/sqrt(3)*f2 spans a trivial (0|1), and with e1 a (1|1)
+    monkeypatch.undo()
+    assert invariants.trivial_sub_max(g) == \
+        {"lower": 2, "exact": 2, "graded_profile": [(0, 1), (1, 0), (1, 1)]}
+
+
 # -- dense oracles for the sparse derivation systems and axiom checks --------
 
 

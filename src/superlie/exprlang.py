@@ -293,9 +293,13 @@ _ZERO = PuiseuxSeries({})
 def evaluate_basis_vector(text: str, m: int, n: int,
                           precision: Optional[Fraction] = None):
     """A witness's basis vector over e1..em, f1..fn, as (even, odd)
-    coefficient lists."""
-    value = evaluate(text, precision,
-                     lambda name: (basis_index(name, m, n), 1))
+    coefficient lists.  A division by an exact zero raises ExprSyntaxError,
+    as in `constant`."""
+    try:
+        value = evaluate(text, precision,
+                         lambda name: (basis_index(name, m, n), 1))
+    except NotInvertible:
+        raise ExprSyntaxError(f"division by zero in {text!r}") from None
     if not isinstance(value, dict):
         raise ExprTypeError(f"{text!r} is a scalar, not a basis vector")
     coords = [value.get(k, _ZERO) for k in range(m + n)]

@@ -11,11 +11,13 @@ distinct projective roots of its determinant, existence of a rank-one
 member, and simultaneous diagonalizability by congruence.
 
 These are Segre-Kronecker data of the pencil, all computed with +, - and *
-on an integral copy of it: each matrix times the lcm of its entries'
-denominators (`linalg.integral`), which is the group element
-T = diag(L1, L2), S = I, so a rational pair becomes a pair of int matrices.
-Ranks and independent rows come from `linalg`'s one elimination, which
-uses no division on int matrices.  The cubic form
+on an integral copy of it: the pair times the lcm L of the denominators of
+its twelve stored entries (`linalg.integral`), which is the group element
+T = L*I, S = I, so a rational pair becomes a pair of int matrices.  No
+elimination runs: the span dimension is read off the 2x2 minors of the two
+upper triangles, the rank of a member off its determinant and cofactors,
+and independent rows are picked greedily by cross products and 3x3
+determinants.  The cubic form
 f = det(x*G1 + y*G2) has its four coefficients from the cofactors of G1
 and G2.  A regular pencil (f not identically 0) has generic rank 3; f has
 a multiple root iff its discriminant is 0, a triple one iff its Hessian is
@@ -39,8 +41,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import FieldElem, ONE, ZERO, parse_elem
-from .linalg import (SingularMatrix, _echelon, det, integral, mat_mul, rank,
-                     transpose)
+from .linalg import SingularMatrix, det, integral, mat_mul, transpose
 
 Mat = List[List[FieldElem]]
 SymPair = Tuple[Mat, Mat]
@@ -145,6 +146,40 @@ def _cofactors(g) -> list:
             [c02, c12, a * d - b * b]]
 
 
+def _rank(g) -> int:
+    """The rank of a symmetric 3x3 matrix: 3 if its determinant is nonzero,
+    2 if a cofactor (a 2x2 minor) is, 1 if an entry is, else 0."""
+    c = _cofactors(g)
+    if g[0][0] * c[0][0] + g[0][1] * c[0][1] + g[0][2] * c[0][2]:
+        return 3
+    return 2 if any(map(any, c)) else 1 if any(map(any, g)) else 0
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _independent_rows(rows) -> list:
+    """A basis of the span of the 3-vectors `rows`, picked greedily: the
+    first nonzero row, the first row whose cross product with it is nonzero,
+    then the first row off the plane of the two."""
+    basis, normal = [], None
+    for row in rows:
+        if not basis:
+            if any(row):
+                basis.append(row)
+        elif normal is None:
+            cross = _cross(basis[0], row)
+            if any(cross):
+                basis.append(row)
+                normal = cross
+        elif normal[0] * row[0] + normal[1] * row[1] + normal[2] * row[2]:
+            basis.append(row)
+            break
+    return basis
+
+
 def _det_form(g1, g2) -> tuple:
     """(a, b, c, d) with det(x*G1 + y*G2) = a x^3 + b x^2 y + c x y^2 + d y^3.
     By Jacobi's formula b pairs G2 with the cofactors of G1 entrywise, and c
@@ -176,7 +211,7 @@ def _root_drops(g1, g2, form) -> List[Tuple[int, int]]:
     m, x, y = (2, -h1, 2 * h0) if h0 or h1 or h2 else (3, -b, 3 * a)
     member = g1 if not y else [[x * p + y * q for p, q in zip(r1, r2)]
                                for r1, r2 in zip(g1, g2)]
-    return [(m, 3 - rank(member))]
+    return [(m, 3 - _rank(member))]
 
 
 def _minor_forms(g1, g2) -> list:
@@ -232,8 +267,7 @@ def _singular_simdiag(g1, g2, rows) -> bool:
     # basis vectors off its first nonzero coordinate span a complement; on
     # it the pencil is a regular 2x2 one, diagonalizable iff its determinant
     # det(H1) x^2 + b xy + det(H2) y^2 has distinct roots
-    (u0, u1, u2), (v0, v1, v2) = rows
-    ker = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    ker = _cross(*rows)
     p = next(p for p in range(3) if ker[p])
     i, j = [k for k in range(3) if k != p]
     b = g1[i][i] * g2[j][j] + g1[j][j] * g2[i][i] - 2 * g1[i][j] * g2[i][j]
@@ -262,13 +296,18 @@ class PencilSignature:
 def pencil_signature(pair: SymPair) -> PencilSignature:
     if len(pair) != 2 or not all(_is_symmetric(g) for g in pair):
         raise ValueError("expected a pair of symmetric 3x3 matrices")
-    g1, g2 = (integral(g[0] + g[1] + g[2]) for g in pair)
-    g1, g2 = [g1[:3], g1[3:6], g1[6:]], [g2[:3], g2[3:6], g2[6:]]
-    sd = rank([[g[i][j] for i in range(3) for j in range(i, 3)]
-               for g in (g1, g2)])
+    # the upper triangles of both matrices, times one lcm
+    upper = integral([g[i][j] for g in pair for i in range(3)
+                      for j in range(i, 3)])
+    u1, u2 = upper[:6], upper[6:]
+    g1, g2 = ([[a, b, c], [b, d, e], [c, e, f]]
+              for a, b, c, d, e, f in (u1, u2))
+    sd = 2 if any(u1[i] * u2[j] - u1[j] * u2[i]
+                  for i in range(6) for j in range(i + 1, 6)) else \
+        1 if any(upper) else 0
     if sd <= 1:
         # every member is a multiple of g
-        r = rank(g1 if any(map(any, g1)) else g2)
+        r = _rank(g1 if any(u1) else g2)
         return PencilSignature(
             span_dim=sd, common_kernel_dim=3 - r, generic_rank=r,
             det_root_count=1 if r == 3 else -1, has_rank1_member=r == 1,
@@ -282,8 +321,8 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
             has_rank1_member=any(d == 2 for _, d in drops),
             simdiag=simdiag_test(pair, sd, drops))
     # singular: a member has rank 1 exactly where every 2x2 minor vanishes
-    minors = _echelon(_minor_forms(g1, g2), False)[0]
-    rows = _echelon(g1 + g2, False)[0]
+    minors = _independent_rows(_minor_forms(g1, g2))
+    rows = _independent_rows(g1 + g2)
     return PencilSignature(
         span_dim=2, common_kernel_dim=3 - len(rows),
         generic_rank=2 if minors else 1, det_root_count=-1,

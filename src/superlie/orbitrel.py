@@ -20,7 +20,7 @@ from .algebra import SuperAlgebra
 from .exprlang import ExprSyntaxError, ExprTypeError, evaluate_basis_vector
 from .invariants import ABC_TUPLES, invariant_report, trivial_sub_max
 from .linalg import SingularMatrix
-from .series import (Diverges, InsufficientPrecision, NoRoot, NotInvertible,
+from .series import (Diverges, InsufficientPrecision, NoRoot,
                      working_precision)
 
 
@@ -117,8 +117,7 @@ def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
                     map(tuple, evaluate_basis_vector(text, m, n, p))))
                 if any(not x.is_zero() for x in parts[1 - parity]):
                     raise ExprTypeError(f"mixes parities: {text}")
-            except (ExprSyntaxError, ExprTypeError, NotInvertible,
-                    NoRoot) as exc:
+            except (ExprSyntaxError, ExprTypeError, NoRoot) as exc:
                 raise WitnessError(f"{sym}{i} of {w.from_name}->"
                                    f"{w.to_name}: {exc}") from exc
             cols.append(parts[parity])

@@ -124,3 +124,42 @@ def test_main_runs_every_repeated_workload(tmp_path, monkeypatch, capsys):
         "a, seed 3, 2 pairs", "b, seed 3, 2 pairs"]
     assert [line.split()[-2:] for line in out
             if line.startswith("time_ref_s")] == [["yes", "no"]] * 2
+
+
+def test_parse_seeds_reads_a_range():
+    assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert bench_pairs.parse_seeds("7-7") == [7]
+    for text in ("10-1", "3", "1-", "-4", "a-b", "1-2-3", " 1-2"):
+        with pytest.raises(Exception, match="seed range"):
+            bench_pairs.parse_seeds(text)
+
+
+def test_main_runs_pair_k_at_seed_k(tmp_path, monkeypatch, capsys):
+    bench = {"end_to_end": [{"name": "time_ref_s", "better": "lower",
+                             "bound": 0.2}]}
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((checkout.name, seed))
+        return {"time_ref_s": 1.0 if checkout.name == "parent" else 0.5}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert bench_pairs.main(sides + ["--workload", "a",
+                                     "--seeds", "4-6"]) == 0
+    # one pair per seed, in order, the order of the sides alternating
+    assert calls == [("parent", 4), ("change", 4), ("change", 5),
+                     ("parent", 5), ("parent", 6), ("change", 6)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "pairs" in line] == [
+        "a, seeds 4-6, 3 pairs"]
+    # --pairs belongs to --seed alone, and one of the two is needed
+    for extra in (["--seeds", "1-2", "--pairs", "2"], ["--seed", "1"],
+                  ["--pairs", "2"], ["--seed", "1", "--seeds", "1-2",
+                                     "--pairs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(sides + ["--workload", "a"] + extra)
+        assert exc.value.code == 2, extra

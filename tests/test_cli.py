@@ -481,7 +481,7 @@ MALFORMED_SCALARS = [
     ("1/(t-t))", "trailing input (at position 7)",
      "trailing input (at position 7)"),
     ("1/(t-t)", "division by zero in '1/(t-t)'",
-     "series has no visible leading term"),
+     "division by zero in '1/(t-t)'"),
     ("e1*f1", "symbol e1 not allowed here (at position 0)",
      "cannot multiply two vectors"),
     ("1/e1", "symbol e1 not allowed here (at position 2)",
@@ -509,7 +509,7 @@ MALFORMED_SCALARS = [
     ("e1*^e2*@e1", "symbol e1*^e2*@e1 not allowed here (at position 0)",
      "unknown basis symbol e1*^e2*@e1"),
     ("(1/(t-t) + e1)^2", "symbol e1 not allowed here (at position 11)",
-     "series has no visible leading term"),
+     "division by zero in '(1/(t-t) + e1)^2'"),
     ("(e1 + e1)^(1/0)", "symbol e1 not allowed here (at position 1)",
      "expected a nonzero denominator (at position 13)"),
     ("f1/(f1-f1)", "symbol f1 not allowed here (at position 0)",

@@ -5,13 +5,14 @@ from typing import List, Optional
 
 import pytest
 
-from superlie import catalog, gamma23, invariants
+from superlie import catalog, gamma23, invariants, linalg
 from superlie.algebra import SuperAlgebra
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.gamma23 import (REPRESENTATIVES, Mat, PencilSignature, SymPair,
                               classify_pair, pair_act, pencil_signature,
                               random_gl)
-from superlie.linalg import det, inv, kernel, mat_mul, rank, rref, transpose
+from superlie.linalg import (_echelon, det, inv, integral, kernel, mat_mul,
+                             rank, rref, transpose)
 
 from conftest import dense_views
 
@@ -425,3 +426,105 @@ NARROW = [[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]]
 def test_malformed_pair_value_error(pair):
     with pytest.raises(ValueError, match="pair of symmetric 3x3 matrices"):
         pencil_signature(pair)
+
+
+# -- the closed forms behind the signature ------------------------------------
+
+RATIONAL = [FieldElem(Fraction(k, d)) for k in range(-3, 4) for d in (1, 2)]
+
+
+def rank_k_sum(rng, k, rows, cols, scalars, symmetric=False):
+    """A rows x cols matrix: the sum of k products u v^t of vectors with
+    entries from `scalars` (v = u when `symmetric`), so of rank at most k."""
+    mat = [[ZERO] * cols for _ in range(rows)]
+    for _ in range(k):
+        u = [rng.choice(scalars) for _ in range(rows)]
+        v = u if symmetric else [rng.choice(scalars) for _ in range(cols)]
+        mat = [[mat[r][c] + u[r] * v[c] for c in range(cols)]
+               for r in range(rows)]
+    return mat
+
+
+def test_rank_closed_form_matches_elimination():
+    """`_rank` of seeded symmetric sums of 0-3 rank-one forms, rational (as
+    FieldElems and as the int copy from `integral`) and over Q(i, sqrt2),
+    equals `linalg.rank`."""
+    rng = random.Random(20261020)
+    seen = set()
+    for scalars in (RATIONAL, IRRATIONAL):
+        for k in range(4):
+            for _ in range(40):
+                g = rank_k_sum(rng, k, 3, 3, scalars, symmetric=True)
+                want = rank(g)
+                flat = integral(g[0] + g[1] + g[2])
+                for m in (g, [flat[:3], flat[3:6], flat[6:]]):
+                    assert gamma23._rank(m) == want, m
+                seen.add((scalars is IRRATIONAL, want))
+    assert seen == {(irr, r) for irr in (False, True) for r in range(4)}
+
+
+def test_independent_rows_span_the_rows():
+    """`_independent_rows` of seeded 6x3 stacks of rank 0-3 picks as many
+    rows as `_echelon` finds pivots, each an input row, and they span the
+    echelon rows."""
+    rng = random.Random(20261021)
+    seen = set()
+    for scalars in (RATIONAL, IRRATIONAL):
+        for k in range(4):
+            for _ in range(40):
+                rows = rank_k_sum(rng, k, 6, 3, scalars)
+                echelon = _echelon(rows, False)[0]
+                picked = gamma23._independent_rows(rows)
+                assert len(picked) == len(echelon), rows
+                assert all(any(p is r for r in rows) for p in picked)
+                if picked:
+                    assert rank(picked + echelon) == len(picked), rows
+                seen.add((scalars is IRRATIONAL, len(picked)))
+    assert seen == {(irr, r) for irr in (False, True) for r in range(4)}
+
+
+def test_span_dim_closed_form_matches_elimination():
+    """The span dimension of (G1, G2), read off the 2x2 minors of the two
+    upper triangles, is the rank of their 2x6 stack, also when the second
+    is a multiple of the first or one of them is 0."""
+    rng = random.Random(20261022)
+    seen = set()
+    for scalars in (RATIONAL, IRRATIONAL):
+        for _ in range(30):
+            g = rank_k_sum(rng, rng.randint(0, 3), 3, 3, scalars,
+                           symmetric=True)
+            h = rank_k_sum(rng, rng.randint(0, 3), 3, 3, scalars,
+                           symmetric=True)
+            c = rng.choice(scalars)
+            zero = gamma23._zeros(3, 3)
+            for pair in ((g, h), (g, gamma23._scale(g, c)), (g, zero),
+                         (zero, h)):
+                want = rank([[m[i][j] for i in range(3) for j in range(i, 3)]
+                             for m in pair])
+                assert pencil_signature(pair).span_dim == want, pair
+                seen.add(want)
+    assert seen == {0, 1, 2}
+
+
+def test_classify_pair_runs_no_elimination(monkeypatch):
+    """With every elimination of `linalg` (and `det`) raising, the twelve
+    representatives and seeded actions of them, rational and over
+    Q(i, sqrt2), still get their labels."""
+    rng = random.Random(20261023)
+    cases = []
+    for label, pair in REPRESENTATIVES.items():
+        cases.append((label, pair))
+        cases += [(label, pair_act(random_gl(2, rng), random_gl(3, rng), pair))
+                  for _ in range(16)]
+        cases += [(label, pair_act(irrational_gl(2, rng),
+                                   irrational_gl(3, rng), pair))
+                  for _ in range(2)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("elimination reached")
+
+    for name in ("_echelon", "rank", "rref", "kernel", "det"):
+        monkeypatch.setattr(linalg, name, boom)
+    monkeypatch.setattr(gamma23, "det", boom)
+    assert [classify_pair(pair) for _, pair in cases] == \
+        [label for label, _ in cases]

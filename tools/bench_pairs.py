@@ -1,10 +1,13 @@
 """Compare two checkouts on benchmark workloads, in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...] --seed S --pairs N
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...] --seeds A-B
 
 For each workload in turn, each pair runs ``perfbench/run.py --workload W
 --seed S --seconds 15 --trace 0`` once in each checkout, from its root; the
-parent goes first in even pairs and the change first in odd ones.  For
+parent goes first in even pairs and the change first in odd ones.  With
+``--seed S`` all N pairs run seed S; with ``--seeds A-B`` there is one pair
+per seed, and pair k runs seed A + k - 1.  For
 every end-to-end metric of the change's ``BENCHMARK.json`` it prints each
 side's median and quartiles, how many pairs each side won (a tie counts for
 neither), whether a gain may be claimed (the change wins at least nine in
@@ -75,6 +78,16 @@ def format_rows(rows: List[Dict]) -> str:
     return "\n".join(lines)
 
 
+def parse_seeds(text: str) -> List[int]:
+    """The seeds A..B of a range "A-B" (A <= B, both >= 0)."""
+    first, sep, last = text.partition("-")
+    if not (sep and first.isdigit() and last.isdigit()
+            and int(first) <= int(last)):
+        raise argparse.ArgumentTypeError(
+            f"expected a seed range A-B with A <= B, got {text!r}")
+    return list(range(int(first), int(last) + 1))
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
     """The metric values of one untraced run; SystemExit on a failed run."""
     proc = subprocess.run(
@@ -98,23 +111,35 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True, action="append",
                     help="a workload to run; repeat for several")
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    seeds = ap.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seed", type=int, help="one seed for every pair")
+    seeds.add_argument("--seeds", type=parse_seeds,
+                       help="a range A-B: one pair per seed")
+    ap.add_argument("--pairs", type=int,
+                    help="the number of pairs, with --seed")
     args = ap.parse_args(argv)
+    if (args.seed is None) != (args.pairs is None):
+        ap.error("--pairs goes with --seed, and only with it")
+    if args.seeds:
+        pair_seeds = args.seeds
+        label = f"seeds {args.seeds[0]}-{args.seeds[-1]}"
+    else:
+        pair_seeds = [args.seed] * args.pairs
+        label = f"seed {args.seed}"
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]
               if "bound" in m}
     for workload in args.workload:
         parent, change = [], []
-        for i in range(args.pairs):
+        for i, seed in enumerate(pair_seeds):
             sides = [(args.parent, parent), (args.change, change)]
             for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                runs.append(run_once(checkout, workload, args.seed))
-            print(f"{workload} pair {i + 1}: time_ref_s parent "
+                runs.append(run_once(checkout, workload, seed))
+            print(f"{workload} pair {i + 1} (seed {seed}): time_ref_s parent "
                   f"{parent[-1]['time_ref_s']:.4g}, change "
                   f"{change[-1]['time_ref_s']:.4g}", file=sys.stderr)
-        print(f"{workload}, seed {args.seed}, {args.pairs} pairs")
+        print(f"{workload}, {label}, {len(pair_seeds)} pairs")
         print(format_rows(summarize(parent, change, better, bounds)),
               flush=True)
     return 0

@@ -2,10 +2,9 @@
 
 An even 2-cochain phi is stored as one vector over the slots of
 `cochain_basis_index`: the coordinates of phi(e_i, e_j) for i < j, of
-phi(e_i, f_j), and of phi(f_i, f_j) for i <= j.  `Cochain2Even.values`
-mirrors them to the other pairs (antisymmetric on e-e and e-f pairs,
-symmetric on f-f pairs).  The differential convention is, for homogeneous
-x,y,z:
+phi(e_i, f_j), and of phi(f_i, f_j) for i <= j.  phi is antisymmetric on
+e-e and e-f pairs and symmetric on f-f pairs.  The differential convention
+is, for homogeneous x,y,z:
 
     d2 phi(x,y,z) = [x, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
                   + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]
@@ -27,6 +26,11 @@ only, with two neighbours equal only at an odd index; the d2 matrix of
 coboundary rows are read off `algebra.integral_table`: ints for a rational
 algebra, with the same kernels and ranks.
 
+d1 is minus the residual of the (1,1,1)-derivation system of degree 0,
+`invariants._abc_rows`: D[x,y] - [Dx,y] - [x,Dy] = -(d1 D)(x,y).  `d1`
+applies its rows to one map and `_coboundary_rows` transposes them, so
+the rank of d1, dim B^2(g,g)_0, is the orbit dimension.
+
 Cocycles print/parse in the compact notation "e1*^e2*@e1" for
 e_1^* wedge e_2^* tensor e_1; a term "f1*^f1*@e1" means
 phi(f1,f1) = e1 (coefficient 1, diagonal included).  A cocycle is an
@@ -42,6 +46,7 @@ from typing import Dict, List, Tuple
 from .algebra import SuperAlgebra, _mirror, basis_names, integral_table, pairs
 from .exprlang import basis_index, constant
 from .field import FieldElem, ONE, ZERO, format_sum
+from .invariants import _abc_rows
 from .linalg import _echelon, integral, kernel, transpose
 
 
@@ -61,8 +66,8 @@ class Cochain2Even:
     def values(self) -> List[Tuple[int, int, List[Tuple[int, FieldElem]]]]:
         """The nonzero values of phi as (a, b, terms) over ordered basis
         pairs, terms the nonzero (index, coefficient) pairs of phi(x_a, x_b)
-        (odd indices offset by m).  The one place that mirrors slots: phi
-        is antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
+        (odd indices offset by m), mirrored to the other pairs: phi is
+        antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
         m, n = self.m, self.n
         found, blocks, end = {}, iter(pairs(m, n)), 0
         for s, x in enumerate(self.vec):
@@ -106,44 +111,22 @@ def cochain_dim(m: int, n: int) -> int:
 
 
 # -- differentials -------------------------------------------------------------
-# `_d1_images` and `_d2_entries` write each formula once, for a support of
-# maps or slots with a coefficient each: `d1` and `d2` sum the images of one
-# map or cochain, and `_coboundary_rows` and `_d2_matrix` read unit ones.
-
-
-def _d1_images(g: SuperAlgebra, br, support):
-    """{u: {slot: coefficient}} for each (u, p, q, c) of `support`, the
-    image under d1 of the even map x_p -> c x_q (p, q of one parity), with
-    br g's bracket table or a multiple of it; canceled slots hold zero."""
-    m = g.m
-    slot = {t: s for s, t in enumerate(cochain_basis_index(m, g.n))}
-    images = {}
-    for u, p, q, c in support:
-        acc = images.setdefault(u, {})
-        for a, b in pairs(m, g.n):
-            # [psi x_a, x_b] + [x_a, psi x_b] - psi([x_a, x_b])
-            terms = [(k, c * y) for k, y in br[q][b]] if a == p else []
-            if b == p:
-                terms += [(k, c * y) for k, y in br[a][q]]
-            terms += [(q, -(c * x)) for k, x in br[a][b] if k == p]
-            for k, z in terms:
-                s = slot[a, b, k]
-                acc[s] = acc[s] + z if s in acc else z
-    return images
+# `_d2_entries` writes d2 once: `d2` sums the images of one cochain's slots
+# and `_d2_matrix` reads unit ones.  d1 is read off `invariants._abc_rows`.
 
 
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
     psi = (A on the e's, D on the f's), columns = images, read off g's
     bracket table."""
-    m = g.m
-    support = [(0, p, q, x) for q, row in enumerate(A)
-               for p, x in enumerate(row) if x]
-    support += [(0, m + p, m + q, x) for q, row in enumerate(D)
-                for p, x in enumerate(row) if x]
-    acc = _d1_images(g, g.bracket_table(), support).get(0, {})
-    return Cochain2Even(m, g.n, [acc.get(s, ZERO)
-                                 for s in range(cochain_dim(m, g.n))])
+    rows, _ = _abc_rows(g, g.bracket_table(), 1, 1, 1, 0)
+    # psi in the order of the unknowns: x_p -> x_q is entry (q, p)
+    psi = [x for row in A for x in row] + [x for row in D for x in row]
+    vec = [ZERO] * cochain_dim(g.m, g.n)
+    for s, t in enumerate(cochain_basis_index(g.m, g.n)):
+        if t in rows:
+            vec[s] = -sum((x * y for x, y in zip(rows[t], psi) if x), ZERO)
+    return Cochain2Even(g.m, g.n, vec)
 
 
 def _d2_entries(g: SuperAlgebra, br, support):
@@ -265,15 +248,12 @@ def _d2_matrix(g: SuperAlgebra, ibr) -> list:
 def _coboundary_rows(g: SuperAlgebra, ibr) -> list:
     """The nonzero images of the elementary even maps x_p -> x_q under d1,
     as cochain vectors from `ibr`, the integral table of g
-    (`algebra.integral_table`): a spanning set of B^2."""
-    m, d = g.m, g.dim
-    units = [(p, q) for q in range(m) for p in range(m)]
-    units += [(p, q) for q in range(m, d) for p in range(m, d)]
-    images = _d1_images(g, ibr,
-                        [(u, p, q, 1) for u, (p, q) in enumerate(units)])
-    total = cochain_dim(m, g.n)
-    rows = [[acc.get(s, 0) for s in range(total)] for acc in images.values()]
-    return [row for row in rows if any(row)]
+    (`algebra.integral_table`): a spanning set of B^2.  Each is minus a
+    column of the (1,1,1)@0 derivation rows on the stored slots."""
+    rows, size = _abc_rows(g, ibr, 1, 1, 1, 0)
+    slots = [rows.get(t) for t in cochain_basis_index(g.m, g.n)]
+    images = [[-row[u] if row else 0 for row in slots] for u in range(size)]
+    return [image for image in images if any(image)]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:

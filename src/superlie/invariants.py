@@ -7,13 +7,16 @@ maximal trivial graded subalgebra t(g).  Each is read off g's bracket
 table; the linear systems (center, derived, derivations) off its
 `algebra.integral_table`, so a rational algebra's rows are ints.
 `invariant_report` builds that table once for its six derivation systems
-and reads each dimension as unknowns less rank.  t(g) decides the shapes
+and reads each dimension as unknowns less rank.  The (1,1,1) system of
+degree 0 is d1 up to sign (`cohomology` reads d1 off it), so the orbit
+dimension is rank d1.  t(g) decides the shapes
 (a|b) from the largest a + b down: a shape below a found one is found.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import SuperAlgebra, integral_table
@@ -58,17 +61,23 @@ def gamma_is_zero(g: SuperAlgebra) -> bool:
 
 def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
     """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
-    (rows, number of unknowns), read from br = integral_table of g.
+    ({(a, b, k): row}, number of unknowns), read from br, g's bracket table
+    or a multiple of it (`algebra.integral_table`).
 
-    The defining equation, for homogeneous x, y:
-        alpha * D[x,y] = beta * [Dx, y] + (-1)^(degree*|x|) * gamma * [x, Dy]
-    evaluated on ALL ordered basis pairs (beta != gamma makes both orders
-    informative).  The unknowns are the elementary maps x_src -> x_dst of the
-    given degree; each equation is a sum over the nonzero brackets only.
+    Row (a, b, k) is coordinate k of the residual on the basis pair
+    (x_a, x_b), for homogeneous x, y
+        alpha * D[x,y] - beta * [Dx, y] - (-1)^(degree*|x|) * gamma * [x, Dy],
+    on ALL ordered basis pairs (beta != gamma makes both orders
+    informative); zero rows are left out and the keys ascend.  The unknowns
+    are the elementary maps x_src -> x_dst of the given degree; each
+    equation is a sum over the nonzero brackets only.  At (1,1,1) and
+    degree 0 the residual is -(d1 D)(x_a, x_b), which is how
+    `cohomology.d1` reads it.
     """
     # the equation is homogeneous in (alpha, beta, gamma) and linear in the
     # structure constants, so both are scaled to integral form
-    alpha, beta, gamma = integral([alpha, beta, gamma])
+    alpha, beta, gamma = integral([FieldElem(x) if isinstance(x, Fraction)
+                                   else x for x in (alpha, beta, gamma)])
     m, n = g.m, g.n
     if degree == 0:
         # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
@@ -81,13 +90,12 @@ def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
     from_src = [[] for _ in range(g.dim)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
-    rows = []
+    rows = {}
     for a in range(g.dim):
         # (-1)^(degree*|a|) * gamma
         sgamma = -gamma if degree * g.parity(a) % 2 else gamma
         for b in range(g.dim):
-            # residual = alpha*D[a,b] - beta*[Da,b] - sign*gamma*[a,Db] as
-            # (output coordinate, unknown, coefficient) terms
+            # the residual as (output coordinate, unknown, coefficient) terms
             terms = [(dst, ui, alpha * x) for src, x in br[a][b]
                      for ui, dst in from_src[src]]
             terms += [(k, ui, -(beta * y)) for ui, dst in from_src[a]
@@ -100,23 +108,28 @@ def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
                 if row is None:
                     row = block[k] = [0] * len(unknowns)
                 row[ui] = row[ui] + x
-            rows.extend(block[k] for k in sorted(block) if any(block[k]))
+            for k in sorted(block):
+                if any(block[k]):
+                    rows[a, b, k] = block[k]
     return rows, len(unknowns)
 
 
 def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations:
-    the kernel of the `_abc_rows` system."""
+    the kernel of the `_abc_rows` system.  alpha, beta and gamma may be
+    ints, Fractions or FieldElems."""
     rows, size = _abc_rows(g, integral_table(g.bracket_table()),
                            alpha, beta, gamma, degree)
-    basis = kernel(rows) if rows else \
+    basis = kernel(list(rows.values())) if rows else \
         [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     return len(basis), basis
 
 
 def orbit_dim(g: SuperAlgebra) -> int:
-    """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0."""
-    return g.m ** 2 + g.n ** 2 - abc_derivations(g, 1, 1, 1, 0)[0]
+    """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0: the
+    rank of their system, which is d1 up to sign, so dim B^2(g,g)_0."""
+    rows, _ = _abc_rows(g, integral_table(g.bracket_table()), 1, 1, 1, 0)
+    return rank(list(rows.values()))
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -265,7 +278,7 @@ def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
     for a, b, c in ABC_TUPLES:
         for deg in (0, 1):
             rows, size = _abc_rows(g, br, a, b, c, deg)
-            abc[f"({a},{b},{c})@{deg}"] = size - rank(rows)
+            abc[f"({a},{b},{c})@{deg}"] = size - rank(list(rows.values()))
     d0 = abc["(1,1,1)@0"]
     report = {
         "name": g.name,

@@ -4,7 +4,7 @@ from typing import Dict, List
 
 import pytest
 
-from superlie import catalog, cohomology, gamma23
+from superlie import catalog, cohomology, gamma23, invariants
 from superlie.algebra import SuperAlgebra, _mirror, integral_table, pairs
 from superlie.catalog import heisenberg_1n
 from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
@@ -368,6 +368,23 @@ def test_sparse_d2_d1_match_dense_oracles(rng):
             A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
             D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
             assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name
+
+
+def test_orbit_dim_is_coboundary_rank(rng):
+    """dim O(g) = dim B^2(g,g)_0: orbit_dim, the report's orbit dimension
+    and the rank of the coboundary rows agree on `table_cases` and on
+    K(2|m), m = 3, 5, 7; there d1 is also the dense d1."""
+    cases = [(g, None) for g in table_cases(rng)]
+    cases += [(catalog.K2m(m), want) for m, want in ((3, 9), (5, 24), (7, 47))]
+    for g, want in cases:
+        got = invariants.orbit_dim(g)
+        assert got == invariants.invariant_report(g, False)["orbit_dim"] \
+            == rank(cohomology._coboundary_rows(
+                g, integral_table(g.bracket_table()))), g.name
+        assert want is None or got == want, g.name
+        A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
+        D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
+        assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name
 
 
 def _non_jacobi_algebras(rng):

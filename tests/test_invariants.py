@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, product
 
 from superlie import catalog, invariants
@@ -267,6 +268,23 @@ def test_sparse_abc_derivations_match_dense_oracle(rng):
                 assert (invariants.abc_derivations(g, *tup, deg)
                         == dense_abc_derivations(g, *tup, deg)), \
                     (g.name, tup, deg)
+
+
+def test_abc_scalars_may_be_fractions():
+    """(alpha, beta, gamma) may be ints, Fractions or FieldElems: on every
+    label a Fraction tuple gives the dimension of the equal FieldElem tuple
+    and of an integer multiple of it."""
+    tuples = [((Fraction(1, 2), 1, 1), (1, 2, 2)),
+              ((0, Fraction(2, 3), Fraction(-1, 3)), (0, 2, -1))]
+    for e in catalog.list_entries():
+        for tup, multiple in tuples:
+            as_field = [FieldElem(x) for x in tup]
+            for deg in (0, 1):
+                dim = invariants.abc_derivations(e.algebra, *tup, deg)[0]
+                assert dim == invariants.abc_derivations(
+                    e.algebra, *as_field, deg)[0] == \
+                    invariants.abc_derivations(e.algebra, *multiple, deg)[0], \
+                    (e.label, tup, deg)
 
 
 def _perturbed(g, rng):

@@ -27,8 +27,14 @@ MANIFEST = Path(__file__).resolve().parent / "cli_oracle_manifest.json"
 
 
 def dump(out_dir: Path) -> None:
-    subprocess.run([sys.executable, "tools/cli_oracle.py", str(out_dir)],
-                   cwd=ROOT, check=True, stderr=subprocess.DEVNULL)
+    """Run the tool; if it fails, raise with the last lines of its stderr."""
+    proc = subprocess.run([sys.executable, "tools/cli_oracle.py",
+                           str(out_dir)], cwd=ROOT, stderr=subprocess.PIPE,
+                          text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise AssertionError(f"tools/cli_oracle.py exited "
+                             f"{proc.returncode}:\n{tail}")
 
 
 def manifest(out_dir: Path) -> dict:

@@ -31,6 +31,12 @@ d1 is minus the residual of the (1,1,1)-derivation system of degree 0,
 applies its rows to one map and `_coboundary_rows` transposes them, so
 the rank of d1, dim B^2(g,g)_0, is the orbit dimension.
 
+`h2_even` eliminates the d2 matrix once, reduced.  Z^2 has one basis
+cocycle per free column, so a cocycle is determined by its free
+coordinates, and B^2 lies in Z^2: dim H^2 is dim Z^2 less the rank of the
+coboundary rows on the free columns, and the lifted H^2 basis is read off
+the echelon pivots of those rows with the free columns reversed.
+
 Cocycles print/parse in the compact notation "e1*^e2*@e1" for
 e_1^* wedge e_2^* tensor e_1; a term "f1*^f1*@e1" means
 phi(f1,f1) = e1 (coefficient 1, diagonal included).  A cocycle is an
@@ -45,9 +51,9 @@ from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, _mirror, basis_names, integral_table, pairs
 from .exprlang import basis_index, constant
-from .field import FieldElem, ONE, ZERO, format_sum
+from .field import ZERO, format_sum
 from .invariants import _abc_rows
-from .linalg import _echelon, integral, kernel, transpose
+from .linalg import _echelon, kernel_vectors
 
 
 class Cochain2Even:
@@ -62,38 +68,6 @@ class Cochain2Even:
         if len(self.vec) != cochain_dim(m, n):
             raise ValueError(f"an even 2-cochain of ({m}|{n}) has "
                              f"{cochain_dim(m, n)} slots, got {len(self.vec)}")
-
-    def values(self) -> List[Tuple[int, int, List[Tuple[int, FieldElem]]]]:
-        """The nonzero values of phi as (a, b, terms) over ordered basis
-        pairs, terms the nonzero (index, coefficient) pairs of phi(x_a, x_b)
-        (odd indices offset by m), mirrored to the other pairs: phi is
-        antisymmetric on e-e and e-f pairs and symmetric on f-f pairs."""
-        m, n = self.m, self.n
-        found, blocks, end = {}, iter(pairs(m, n)), 0
-        for s, x in enumerate(self.vec):
-            if x.is_zero():
-                continue
-            while s >= end:     # to the pair whose block holds slot s
-                a, b = next(blocks)
-                lo, width = (m, n) if a < m <= b else (0, m)
-                start, end = end, end + width
-            found.setdefault((a, b), []).append((lo + s - start, x))
-        out = []
-        for (a, b), terms in found.items():
-            out.append((a, b, terms))
-            if a != b:
-                out.append((b, a, _mirror(m, a, b, terms)))
-        return out
-
-    def value(self, a: int, b: int):
-        """phi on basis indices (0-based, odd indices offset by m), as a
-        graded vector."""
-        out = [ZERO] * (self.m + self.n)
-        for p, q, terms in self.values():
-            if (p, q) == (a, b):
-                for k, x in terms:
-                    out[k] = x
-        return out[:self.m], out[self.m:]
 
 
 # -- the fixed flat basis of even 2-cochains ---------------------------------
@@ -257,23 +231,29 @@ def _coboundary_rows(g: SuperAlgebra, ibr) -> list:
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
-    """{dim, basis}: dim ker d2 - dim im d1, with a lifted basis of H^2."""
+    """{dim, basis}: dim H^2(g,g)_0 = dim Z^2 - dim B^2, with the basis of
+    H^2 that a greedy pass keeps: of the cocycles z_f of Z^2's reduced
+    basis, one per free column f of the d2 matrix, each that is not in the
+    span of B^2 and of the cocycles before it.
+
+    The d2 matrix is eliminated once, reduced.  A vector of Z^2 is its free
+    coordinates, and z_f is dropped exactly when some coboundary has its
+    last nonzero free coordinate at f: an echelon pivot of the coboundary
+    rows read on the free columns in reverse.  Only the kept cocycles are
+    built, by `linalg.kernel_vectors`."""
     m, n = g.m, g.n
     total = cochain_dim(m, n)
     ibr = integral_table(g.bracket_table())
-    d2m = _d2_matrix(g, ibr)
-    cocycles = kernel(d2m) if d2m else \
-        [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
-    cob_rows = _coboundary_rows(g, ibr)
-    # one elimination of [B | Z]: its pivots left of len(cob_rows) give
-    # dim B^2, and those past it are the cocycles that add to the span of B
-    # and of the cocycles before them
-    _, pivots = _echelon(transpose(cob_rows + [integral(z) for z in cocycles]),
-                         False)
-    b_rank = sum(c < len(cob_rows) for c in pivots)
-    return {"dim": len(cocycles) - b_rank,
-            "basis": [Cochain2Even(m, n, cocycles[c - len(cob_rows)])
-                      for c in pivots if c >= len(cob_rows)]}
+    rows, pivots = _echelon(_d2_matrix(g, ibr), True)
+    pivoted = set(pivots)
+    free = [c for c in range(total) if c not in pivoted]
+    _, lasts = _echelon([[row[f] for f in reversed(free)]
+                         for row in _coboundary_rows(g, ibr)], False)
+    dropped = {free[-1 - i] for i in lasts}
+    kept = [f for f in free if f not in dropped]
+    return {"dim": len(kept),
+            "basis": [Cochain2Even(m, n, vec) for vec in
+                      kernel_vectors(rows, pivots, total, kept)]}
 
 
 # -- the paper-style cocycle notation ---------------------------------------------

@@ -4,14 +4,15 @@ Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
 solve, inv) take ints and FieldElems, mixed, and are exact.  They share one
 elimination, `_echelon`, which first scales each row by `integral`; that
 leaves the row's span, hence the RREF, as it is.  A rational matrix so
-becomes an int matrix and is eliminated without division, and `rref`
-divides each pivot row once at the end.  Rows stay dense, but an int
-pivot of +-1, or any pivot of a matrix with irrational entries, updates a
-row only at its own nonzero columns, so sparse elimination costs in
-proportion to the nonzeros.  `det` keeps its own elimination over
-the field.  The series solver pivots on the entry of smallest leading
-exponent, which keeps truncation error under control for witness
-verification.
+becomes an int matrix and is eliminated without division.  `rref`
+divides each pivot row once at the end; `kernel_vectors`, and so
+`kernel`, divides only the entries in the free columns it reads.  Rows
+stay dense, but an int pivot of +-1, or any pivot of a matrix with
+irrational entries, updates a row only at its own nonzero columns, so
+sparse elimination costs in proportion to the nonzeros.  `det` keeps its
+own elimination over the field.  The series solver pivots on the entry of
+smallest leading exponent, which keeps truncation error under control for
+witness verification.
 """
 
 from __future__ import annotations
@@ -139,21 +140,37 @@ def rank(matrix: Sequence[Row]) -> int:
     return len(_echelon(matrix, False)[1])
 
 
-def kernel(matrix: Sequence[Row]) -> List[List[FieldElem]]:
-    """Basis of the right null space of `matrix`."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+def kernel_vectors(rows, pivots, width: int, free) -> List[List[FieldElem]]:
+    """The kernel vectors at the non-pivot columns `free` of a matrix with
+    `width` columns, from its reduced `_echelon` form (rows, pivots): 1 at
+    the free column and minus the RREF entry at each pivot.  The RREF entry
+    of a row is its entry over its pivot, so only the entries in `free`
+    columns are divided, and each row's pivot is inverted once."""
+    inverses = [None] * len(rows)
     basis = []
     for fc in free:
-        vec = [ZERO] * ncols
+        vec = [ZERO] * width
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+        for r, (row, pc) in enumerate(zip(rows, pivots)):
+            x = row[fc]
+            if x:
+                if inverses[r] is None:
+                    inverses[r] = ONE / row[pc]
+                vec[pc] = -(x * inverses[r])
         basis.append(vec)
     return basis
+
+
+def kernel(matrix: Sequence[Row]) -> List[List[FieldElem]]:
+    """Basis of the right null space of `matrix`, one vector per free
+    column, read off the reduced `_echelon` form by `kernel_vectors`."""
+    if not matrix:
+        return []
+    width = len(matrix[0])
+    rows, pivots = _echelon(matrix, True)
+    pivoted = set(pivots)
+    return kernel_vectors(rows, pivots, width,
+                          [c for c in range(width) if c not in pivoted])
 
 
 def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> List[Row]:

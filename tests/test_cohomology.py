@@ -108,8 +108,9 @@ def test_parse_cocycle_constant_coefficients():
     """A coefficient is any constant expression; a term may repeat."""
     phi = parse_cocycle("(1/2 + i)*e1*^f1*@f2 - sqrt(2)/2*f1*^f1*@e1"
                         " + 2*(e1*^f1*@f2 - i*e1*^f1*@f2)", 1, 2)
-    assert phi.value(0, 1) == ([ZERO], [ZERO, FieldElem(Fraction(5, 2), -1)])
-    assert phi.value(1, 1) == ([FieldElem(0, 0, Fraction(-1, 2))],
+    assert cochain_value(phi, 0, 1) == ([ZERO],
+                                        [ZERO, FieldElem(Fraction(5, 2), -1)])
+    assert cochain_value(phi, 1, 1) == ([FieldElem(0, 0, Fraction(-1, 2))],
                                [ZERO, ZERO])
     for text, cause in [("t*e1*^e2*@e1", "not a constant"),
                         ("i/0*e1*^e2*@e1", "division by zero"),
@@ -136,9 +137,43 @@ def test_parse_cocycle_rejects_bad_terms():
             parse_cocycle(text, 2, 3)
 
 
+def cochain_values(phi):
+    """The nonzero values of phi as (a, b, terms) over ordered basis pairs,
+    terms the nonzero (index, coefficient) pairs of phi(x_a, x_b) (odd
+    indices offset by m), mirrored to the other pairs: phi is antisymmetric
+    on e-e and e-f pairs and symmetric on f-f pairs."""
+    m, n = phi.m, phi.n
+    found, blocks, end = {}, iter(pairs(m, n)), 0
+    for s, x in enumerate(phi.vec):
+        if x.is_zero():
+            continue
+        while s >= end:     # to the pair whose block holds slot s
+            a, b = next(blocks)
+            lo, width = (m, n) if a < m <= b else (0, m)
+            start, end = end, end + width
+        found.setdefault((a, b), []).append((lo + s - start, x))
+    out = []
+    for (a, b), terms in found.items():
+        out.append((a, b, terms))
+        if a != b:
+            out.append((b, a, _mirror(m, a, b, terms)))
+    return out
+
+
+def cochain_value(phi, a, b):
+    """phi on basis indices (0-based, odd indices offset by m), as a graded
+    vector, read through `cochain_values`."""
+    out = [ZERO] * (phi.m + phi.n)
+    for p, q, terms in cochain_values(phi):
+        if (p, q) == (a, b):
+            for k, x in terms:
+                out[k] = x
+    return out[:phi.m], out[phi.m:]
+
+
 def test_cochain_value_graded_symmetry(rng):
-    """value mirrors each slot with the graded sign, and slot (a, b, k) of
-    cochain_basis_index is the coordinate of phi(x_a, x_b) on x_k."""
+    """cochain_value mirrors each slot with the graded sign, and slot
+    (a, b, k) of cochain_basis_index is the coordinate of phi(x_a, x_b) on x_k."""
     for m, n in [(m, n) for m in range(6) for n in range(6) if m + n <= 5]:
         d = m + n
         slots = cohomology.cochain_basis_index(m, n)
@@ -146,12 +181,12 @@ def test_cochain_value_graded_symmetry(rng):
         for s, (a, b, k) in enumerate(slots):
             unit = Cochain2Even(m, n, [FieldElem(int(i == s))
                                        for i in range(len(slots))])
-            assert sum(unit.value(a, b), [])[k] == FieldElem(1)
+            assert sum(cochain_value(unit, a, b), [])[k] == FieldElem(1)
         phi = Cochain2Even(m, n, [_rand_scalar(rng) for _ in slots])
         for a in range(d):
             for b in range(d):
-                even, odd = phi.value(a, b)
-                mirror = sum(phi.value(b, a), [])
+                even, odd = cochain_value(phi, a, b)
+                mirror = sum(cochain_value(phi, b, a), [])
                 sign = 1 if a >= m and b >= m else -1
                 assert even + odd == [sign * x for x in mirror]
                 other = odd if (a < m) == (b < m) else even
@@ -252,7 +287,7 @@ def _phi_of(g, phi, u, w):
     for k, x in enumerate(u[0] + u[1]):
         for l, y in enumerate(w[0] + w[1]):
             if not (x * y).is_zero():
-                pe, po = phi.value(k, l)
+                pe, po = cochain_value(phi, k, l)
                 out = _add(out, ([x * y * t for t in pe],
                                  [x * y * t for t in po]))
     return out
@@ -268,10 +303,10 @@ def dense_d2(g, phi):
             for c in range(d):
                 pa, pb, pc = g.parity(a), g.parity(b), g.parity(c)
                 x, y, z = vecs[a], vecs[b], vecs[c]
-                acc = g.bracket(x, phi.value(b, c))
-                acc = _add(acc, g.bracket(y, phi.value(a, c)),
+                acc = g.bracket(x, cochain_value(phi, b, c))
+                acc = _add(acc, g.bracket(y, cochain_value(phi, a, c)),
                            -(-1) ** (pa * pb))
-                acc = _add(acc, g.bracket(z, phi.value(a, b)),
+                acc = _add(acc, g.bracket(z, cochain_value(phi, a, b)),
                            (-1) ** (pc * (pa + pb)))
                 acc = _add(acc, _phi_of(g, phi, g.bracket(x, y), z), -1)
                 acc = _add(acc, _phi_of(g, phi, g.bracket(x, z), y),
@@ -475,50 +510,60 @@ def _proportional(u, w):
 
 
 def _h2_cases(rng):
-    """(algebra, whether its oracle matrix comes from `dense_d2`): every
-    catalog algebra, those of dimension <= 4 from `dense_d2`, and two
-    rational basis changes of each algebra of dimension 4."""
-    cases = [(e.algebra, e.m + e.n <= 4) for e in catalog.list_entries()]
-    for e in catalog.list_entries():
-        if e.m + e.n == 4:
-            for _ in range(2):
-                cases.append((e.algebra.apply_basis_change(
-                    gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)),
-                    False))
+    """(algebra, whether its oracle matrix comes from `dense_d2`, dim H^2
+    or None): every catalog algebra, those of dimension <= 4 from
+    `dense_d2`; two rational basis changes of each algebra of dimension 4
+    and one of each of eight seeded labels of dimension 5; and K(2|m),
+    m = 3, 5, 7, whose H^2 has dimension (m + 1)/2."""
+    entries = catalog.list_entries()
+    cases = [(e.algebra, e.m + e.n <= 4, None) for e in entries]
+    changed = [e for e in entries if e.m + e.n == 4 for _ in range(2)]
+    changed += rng.sample([e for e in entries if e.m + e.n == 5], 8)
+    for e in changed:
+        cases.append((e.algebra.apply_basis_change(
+            gamma23.random_gl(e.m, rng), gamma23.random_gl(e.n, rng)),
+            False, None))
+    cases += [(catalog.K2m(m), False, (m + 1) // 2) for m in (3, 5, 7)]
     return cases
 
 
 def test_d2_matrix_and_lift_match_dense_oracles(rng):
-    """On every catalog algebra and two rational basis changes of each
-    algebra of dimension 4: the d2 matrix has the oracle matrix's RREF and
-    no two proportional rows, and h2_even lifts the same basis.  On the
-    catalog algebras of dimension <= 4 the oracle has a row for every
-    ordered triple, from `dense_d2`, so dropping the non-canonical rows
-    must keep the RREF; elsewhere it is scattered from `d2`."""
-    for g, from_dense in _h2_cases(rng):
+    """On the cases of `_h2_cases`: the d2 matrix has the oracle matrix's
+    RREF and no two proportional rows, h2_even lifts the same basis, each
+    basis cocycle is a cocycle, and the basis adds its size to the rank of
+    the coboundaries.  On the catalog algebras of dimension <= 4 the oracle
+    has a row for every ordered triple, from `dense_d2`, so dropping the
+    non-canonical rows must keep the RREF; elsewhere it is scattered from
+    `d2`."""
+    for g, from_dense, want in _h2_cases(rng):
         old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
                               else (lambda phi: d2(g, phi)))
-        new = cohomology._d2_matrix(g, integral_table(g.bracket_table()))
+        ibr = integral_table(g.bracket_table())
+        new = cohomology._d2_matrix(g, ibr)
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
         assert not any(_proportional(u, w) for i, u in enumerate(new)
                        for w in new[i + 1:]), g.name
         dim, basis = rank_lift_h2(g, old)
         got = h2_even(g)
         assert got["dim"] == dim, g.name
+        assert want is None or dim == want, g.name
         assert [phi.vec for phi in got["basis"]] == basis, g.name
+        assert all(is_cocycle(g, phi) for phi in got["basis"]), g.name
+        cob = cohomology._coboundary_rows(g, ibr)
+        assert rank(cob + basis) == rank(cob) + dim, g.name
 
 
 def test_values_agree_with_value(rng):
-    """The sparse reader lists exactly the nonzero values `value` gives, on
-    every ordered pair of random cochains of every shape."""
+    """`cochain_values` lists exactly the nonzero values `cochain_value`
+    gives, on every ordered pair of random cochains of every shape."""
     for m, n in [(m, n) for m in range(6) for n in range(6 - m)]:
         for _ in range(3):
             phi = Cochain2Even(m, n, [_rand_scalar(rng) for _ in
                                       range(cohomology.cochain_dim(m, n))])
-            listed = {(a, b): t for a, b, t in phi.values()}
+            listed = {(a, b): t for a, b, t in cochain_values(phi)}
             for a in range(m + n):
                 for b in range(m + n):
-                    dense = sum(phi.value(a, b), [])
+                    dense = sum(cochain_value(phi, a, b), [])
                     terms = [(k, x) for k, x in enumerate(dense)
                              if not x.is_zero()]
                     assert listed.get((a, b), []) == terms, (m, n, a, b)
@@ -579,7 +624,7 @@ def d2_before(g, phi, br=None):
     d = m + n
     if br is None:
         br = g.bracket_table()
-    values = phi.values()
+    values = cochain_values(phi)
     phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
     phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
     for a, b, v in values:

@@ -207,13 +207,52 @@ def test_rref_matches_dense_oracle(rng):
             assert all(type(x) is int for row in rows for x in row), a
 
 
+def dense_kernel(matrix):
+    """The kernel read off `dense_rref`: one vector per free column, 1 at
+    it and minus the RREF entry at each pivot; the oracle for `kernel`,
+    which reads the reduced `_echelon` form instead."""
+    if not matrix:
+        return []
+    rows, pivots = dense_rref(_fields(matrix))
+    basis = []
+    for fc in (c for c in range(len(matrix[0])) if c not in pivots):
+        vec = [ZERO] * len(matrix[0])
+        vec[fc] = ONE
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def _kernel_extremes(rng):
+    """All-zero matrices (int and FieldElem zeros) and matrices of full
+    column rank (random rows over a unit block, and square ones of nonzero
+    determinant), whose kernels are everything and nothing."""
+    out = []
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 3), (2, 6), (6, 2)):
+        out += [[[0] * cols for _ in range(rows)],
+                [[ZERO] * cols for _ in range(rows)]]
+    for cols in range(1, 6):
+        for extra in range(3):
+            unit = [[int(r == c) for c in range(cols)] for r in range(cols)]
+            below = [[_entry(rng, 0.6) for _ in range(cols)]
+                     for _ in range(extra)]
+            out.append(below + unit)
+        square = [[_entry(rng, 1.0) for _ in range(cols)]
+                  for _ in range(cols)]
+        if not det(square).is_zero():
+            out.append(square)
+    return out
+
+
 def test_rref_callers_match_dense_oracle(rng, monkeypatch):
-    for a in _matrices(rng):
+    for a in _matrices(rng) + _kernel_extremes(rng):
         square = bool(a) and len(a) == len(a[0])
         rhs = [[_entry(rng, 0.7) for _ in range(2)] for _ in a]
+        want_kernel = dense_kernel(a)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "rref", lambda m: dense_rref(_fields(m)))
-            want_rank, want_kernel = len(linalg.rref(a)[1]), kernel(a)
+            want_rank = len(linalg.rref(a)[1])
             try:
                 want_solve, want_inv = solve(a, rhs), inv(a)
             except SingularMatrix:

@@ -46,7 +46,6 @@ expression: "(1 + i)*e1*^e2*@e1", "-i*sqrt2*e1*^f1*@f1".
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, _mirror, basis_names, integral_table, pairs
@@ -194,29 +193,14 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 
 def _d2_matrix(g: SuperAlgebra, ibr) -> list:
-    """Rows = output coordinates over the canonical triples of `d2`,
-    columns = cochain slots, from `ibr`, the integral table of g
-    (`algebra.integral_table`).  Of rows equal up to a nonzero scalar only
-    the first is kept, which leaves the row space, hence the RREF and the
-    kernel, as they are."""
+    """The nonzero rows of `_d2_entries` in key order, dense over the
+    cochain slots, from `ibr`, the integral table of g
+    (`algebra.integral_table`): one row per coordinate of `d2` on a
+    canonical triple.  Repeated rows are left to the elimination."""
     total = cochain_dim(g.m, g.n)
     entries = _d2_entries(g, ibr, [(s, 1) for s in range(total)])
-    matrix, seen = [], set()
-    for key in sorted(entries):
-        row = {c: x for c, x in entries[key].items() if x}
-        if not row:
-            continue
-        xs = list(row.values())
-        if all(type(x) is int for x in xs):
-            lead = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
-            shape = tuple((c, x // lead) for c, x in row.items())
-        else:
-            lead = xs[0].inv()
-            shape = tuple((c, x * lead) for c, x in row.items())
-        if shape not in seen:
-            seen.add(shape)
-            matrix.append([row.get(c, 0) for c in range(total)])
-    return matrix
+    return [[row.get(c, 0) for c in range(total)]
+            for _, row in sorted(entries.items()) if any(row.values())]
 
 
 def _coboundary_rows(g: SuperAlgebra, ibr) -> list:

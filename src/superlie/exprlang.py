@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .field import FieldElem, FieldSyntaxError, I, SQRT2
-from .series import NotInvertible, PuiseuxSeries
+from .series import DEFAULT_PRECISION, NotInvertible, PuiseuxSeries
 
 ExprSyntaxError = FieldSyntaxError
 
@@ -329,7 +329,9 @@ def constant(text: str,
     raises ExprSyntaxError naming the cause.
     """
     try:
-        value = evaluate(text, None, symbol)
+        # whether a text is an exact constant does not depend on the
+        # truncation order, so SUPERLIE_PRECISION is not read
+        value = evaluate(text, DEFAULT_PRECISION, symbol)
         if symbol is None:
             return _exact(value, text)
         if not isinstance(value, dict):

@@ -139,41 +139,33 @@ _WITNESS_GRID = [ZERO, ONE, -ONE, I, -I, FieldElem(2), ONE / 2, I / 2,
                  SQRT2, ONE + I]
 
 
-def _subspace_vars(pivots: Sequence[int], total: int, offset: int):
-    """Basis columns in column-echelon form: pivot rows carry 1, rows below
-    a pivot (not pivots themselves) carry variables.  Returns (columns,
-    var_count): each column entry is either a FieldElem or ('var', idx)."""
-    cols = []
-    var_idx = offset
-    for ci, p in enumerate(pivots):
-        col = []
-        for r in range(total):
-            if r == p:
-                col.append(ONE)
-            elif r in pivots or r < p:
-                col.append(ZERO)
-            else:
-                col.append(("var", var_idx))
-                var_idx += 1
-        cols.append(col)
-    return cols, var_idx - offset
+def _chart(pivots: Sequence[int], total: int, at: int, offset: int):
+    """The chart of the subspaces of x_at, ..., x_(at+total-1) with these
+    pivot rows: generator c is 1 at row pivots[c] and a fresh variable at
+    each later row that is no pivot, variables numbered from offset.
+    Returns (generators as {combined basis index: variables}, the next
+    free variable)."""
+    gens = []
+    for p in pivots:
+        gen = {at + p: ()}
+        for r in range(p + 1, total):
+            if r not in pivots:
+                gen[at + r] = (offset,)
+                offset += 1
+        gens.append(gen)
+    return gens, offset
 
 
-def _bracket_polys(br, m: int, ecols, ocols, nvars) -> List[Poly]:
-    """Quadratic equations: all brackets among subspace generators vanish
-    (br is the algebra's bracket table, m its even dimension).  Every
-    generator coordinate is 1, 0 or one variable, so the product of two is a
-    monomial with coefficient 1, and an equation is a sum of structure
-    constants over monomials."""
-    # each generator as {combined basis index: its coordinate's variables},
-    # () for the coordinate 1, the even generators first
-    gens = [{at + k: (e[1],) if isinstance(e, tuple) else ()
-             for k, e in enumerate(col) if isinstance(e, tuple) or e}
-            for at, cols in ((0, ecols), (m, ocols)) for col in cols]
+def _bracket_polys(br, gens, even: int, nvars: int) -> List[Poly]:
+    """Quadratic equations: all brackets among the generators of a chart
+    vanish (br is the algebra's bracket table, the first `even` generators
+    even).  Every generator coordinate is 1 or one variable, so the product
+    of two is a monomial with coefficient 1, and an equation is a sum of
+    structure constants over monomials."""
     eqs: List[Poly] = []
     for i1, v1 in enumerate(gens):
         for i2 in range(i1, len(gens)):
-            if i1 == i2 < len(ecols):  # [x, x] = 0 for even x
+            if i1 == i2 < even:  # [x, x] = 0 for even x
                 continue
             acc: Dict[int, Poly] = {}
             for a, xs in v1.items():
@@ -221,11 +213,10 @@ def trivial_shape_exists(br, m: int, n: int, a: int,
     any_unknown = False
     # each choice of pivot rows is one chart of the subspaces of shape (a|b)
     for epiv in itertools.combinations(range(m), a):
-        ecols, ev = _subspace_vars(epiv, m, 0)
+        egens, ev = _chart(epiv, m, 0, 0)
         for opiv in itertools.combinations(range(n), b):
-            ocols, ov = _subspace_vars(opiv, n, ev)
-            nvars = ev + ov
-            eqs = _bracket_polys(br, m, ecols, ocols, max(nvars, 1))
+            ogens, nvars = _chart(opiv, n, m, ev)
+            eqs = _bracket_polys(br, egens + ogens, a, max(nvars, 1))
             if not eqs:
                 return True
             verdict = system_verdict(eqs)

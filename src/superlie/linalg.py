@@ -1,13 +1,13 @@
 """Exact linear algebra over Q(i,sqrt2) and over Puiseux series.
 
 Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
-solve, inv) take ints and FieldElems, mixed, and are exact.  They share one
-elimination, `_echelon`, which first scales each row by `integral`; that
-leaves the row's span, hence the RREF, as it is.  A rational matrix so
-becomes an int matrix and is eliminated without division.  `rref`
-divides each pivot row once at the end; `kernel_vectors`, and so
-`kernel`, divides only the entries in the free columns it reads.  Rows
-stay dense, but an int pivot of +-1, or any pivot of a matrix with
+solve, inv, det) take ints and FieldElems, mixed, and are exact.  All but
+det share one elimination, `_echelon`, which first scales each row by
+`integral`; that leaves the row's span, hence the RREF, as it is.  A
+rational matrix so becomes an int matrix and is eliminated without
+division.  `rref` divides each pivot row once at the end; `kernel_vectors`,
+and so `kernel`, divides only the entries in the free columns it reads.
+Rows stay dense, but an int pivot of +-1, or any pivot of a matrix with
 irrational entries, updates a row only at its own nonzero columns, so
 sparse elimination costs in proportion to the nonzeros.  `det` keeps its
 own elimination over the field.  The series solver pivots on the entry of
@@ -187,7 +187,8 @@ def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> List[Row]:
 
 def det(matrix: Sequence[Row]) -> FieldElem:
     n = len(matrix)
-    rows = [list(r) for r in matrix]
+    rows = [[x if type(x) is FieldElem else FieldElem(x) for x in r]
+            for r in matrix]
     out = ONE
     for c in range(n):
         pivot_row = None

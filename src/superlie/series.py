@@ -343,9 +343,14 @@ class PuiseuxSeries:
         if k < 0:
             base = base.inv(precision)
             k = -k
+        # repeated squaring, without the last square, which is not used
         out = PuiseuxSeries.from_scalar(ONE)
-        for _ in range(k):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- limits ----------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +330,45 @@ def test_degenerate_witness_file(tmp_path, capsys):
     code, out = run(capsys, "degenerate", "--from", "(1|1)_1",
                     "--to", "(1|1)_0", "--witness", str(path))
     assert code == 0 and "Verified" in out
+
+
+@pytest.mark.parametrize("basis, code, out", [
+    ({"y1": "t^(100000000)*f1"}, 1,
+     "Failed (2|3)_16 -> (2|3)_13: Diverges term of order t^-100000000 "
+     "survives at t->0\n"),
+    ({"y1": "t*f1", "y3": "t^(1)*t^(1000000000)*t^(-1000000000)*f3"}, 0,
+     "Verified (2|3)_16 -> (2|3)_13\n"),
+], ids=["diverges", "verified"])
+def test_large_integer_power_in_witness(tmp_path, capsys, basis, code, out):
+    """A power t^k costs about log2(k) series products, not k."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": basis}))
+    start = time.perf_counter()
+    got = run(capsys, "degenerate", "--from", "(2|3)_16", "--to", "(2|3)_13",
+              "--witness", str(path))
+    assert time.perf_counter() - start < 5
+    assert got == (code, out)
+
+
+def test_constant_does_not_read_precision_variable(tmp_path, capsys,
+                                                   monkeypatch):
+    """Whether a structure constant is exact does not depend on the
+    truncation order: 1/(1+t) is refused alike, and at once, under a large
+    SUPERLIE_PRECISION."""
+    from superlie import catalog
+    doc = json.loads(json.dumps(catalog.get("(2|2)_6").doc))
+    doc["brackets"][0]["value"][0]["coeff"] = "1/(1+t)"
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    want = (main(["check", str(path)]), capsys.readouterr())
+    monkeypatch.setenv("SUPERLIE_PRECISION", "100000")
+    start = time.perf_counter()
+    got = (main(["check", str(path)]), capsys.readouterr())
+    assert time.perf_counter() - start < 1
+    assert got == want
+    assert want[0] == 2
+    assert want[1].err == "parse error: not a constant: '1/(1+t)'\n"
 
 
 def test_degenerate_witness_file_names_its_own_pair(tmp_path, capsys):

@@ -41,6 +41,15 @@ def test_seeded_group_actions_preserve_label():
     assert mismatches == []
 
 
+def test_pair_act_takes_int_matrices():
+    """Int identity matrices act as the identity: each representative is
+    classified as itself."""
+    t = [[int(i == j) for j in range(2)] for i in range(2)]
+    s = [[int(i == j) for j in range(3)] for i in range(3)]
+    for label, pair in REPRESENTATIVES.items():
+        assert classify_pair(pair_act(t, s, pair)) == label
+
+
 # -- the probe-and-charpoly classifier, kept as the oracle ---------------------
 # It ranks probe members, expands det and every 2x2 minor of the pencil by
 # cofactors, counts common roots by polynomial gcds, and decides simdiag

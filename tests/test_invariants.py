@@ -102,7 +102,7 @@ def test_grid_search_when_groebner_is_undecided(monkeypatch):
     br = _odd_squares("1").bracket_table()
     assert invariants.trivial_shape_exists(br, 1, 2, 0, 1) is True
     assert invariants._search_witness(
-        invariants._bracket_polys(br, 1, [], [[ONE, ("var", 0)]], 1), 1) \
+        invariants._bracket_polys(br, [{1: (), 2: (0,)}], 0, 1), 1) \
         == [I]
     # 1 + 3*v^2 has roots +-i/sqrt(3), off the grid, and [f2, f2] != 0
     g = _odd_squares("3")
@@ -387,6 +387,42 @@ def poly_mul(p, q):
     return out
 
 
+def subspace_vars(pivots, total, offset):
+    """Basis columns in column-echelon form: pivot rows carry 1, rows below
+    a pivot (not pivots themselves) carry variables.  Returns (columns,
+    var_count): each column entry is either a FieldElem or ('var', idx)."""
+    cols = []
+    var_idx = offset
+    for p in pivots:
+        col = []
+        for r in range(total):
+            if r == p:
+                col.append(ONE)
+            elif r in pivots or r < p:
+                col.append(ZERO)
+            else:
+                col.append(("var", var_idx))
+                var_idx += 1
+        cols.append(col)
+    return cols, var_idx - offset
+
+
+def column_gens(cols, at):
+    """The nonzero entries of chart columns as generators: 1 -> (),
+    ("var", i) -> (i,), at combined basis index at + row."""
+    out = []
+    for col in cols:
+        gen = {}
+        for r, e in enumerate(col):
+            if isinstance(e, tuple):
+                gen[at + r] = (e[1],)
+            elif e:
+                assert e == ONE
+                gen[at + r] = ()
+        out.append(gen)
+    return out
+
+
 def dense_bracket_polys(g, ecols, ocols, nvars):
     """The bracket of every pair of generators, coordinate by coordinate of
     the c/rho/gamma tensors."""
@@ -443,11 +479,19 @@ def test_table_invariants_match_dense_oracles(rng):
         br = g.bracket_table()
         for a, b in product(range(g.m + 1), range(g.n + 1)):
             for epiv in combinations(range(g.m), a):
-                ecols, ev = invariants._subspace_vars(epiv, g.m, 0)
+                ecols, ev = subspace_vars(epiv, g.m, 0)
+                egens, next_var = invariants._chart(epiv, g.m, 0, 0)
+                assert next_var == ev
+                assert [list(x.items()) for x in egens] == \
+                    [list(x.items()) for x in column_gens(ecols, 0)]
                 for opiv in combinations(range(g.n), b):
-                    ocols, ov = invariants._subspace_vars(opiv, g.n, ev)
+                    ocols, ov = subspace_vars(opiv, g.n, ev)
+                    ogens, next_var = invariants._chart(opiv, g.n, g.m, ev)
+                    assert next_var == ev + ov
+                    assert [list(x.items()) for x in ogens] == \
+                        [list(x.items()) for x in column_gens(ocols, g.m)]
                     nvars = max(ev + ov, 1)
-                    got = invariants._bracket_polys(br, g.m, ecols, ocols,
+                    got = invariants._bracket_polys(br, egens + ogens, a,
                                                     nvars)
                     want = dense_bracket_polys(g, ecols, ocols, nvars)
                     assert ([list(p.items()) for p in got]

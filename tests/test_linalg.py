@@ -33,6 +33,21 @@ def test_det_values():
     assert det([[ONE, ONE], [ONE, ONE]]).is_zero()
 
 
+def test_det_takes_ints(rng):
+    """det of an int matrix, or of one mixing ints and FieldElems, equals
+    det of its FieldElem copy."""
+    assert det([[1, 2], [3, 4]]) == FieldElem(-2)
+    for _ in range(200):
+        size = rng.randint(0, 4)
+        a = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        want = det([[FieldElem(x) for x in row] for row in a])
+        mixed = [[FieldElem(x) if rng.random() < 0.5 else x for x in row]
+                 for row in a]
+        for m in (a, mixed):
+            got = det(m)
+            assert type(got) is FieldElem and got == want
+
+
 def test_solve_roundtrip(rng):
     for _ in range(50):
         size = rng.randint(1, 4)

@@ -684,3 +684,41 @@ def test_one_term_paths_match_general_product_and_inverse(monkeypatch, rng):
             isinstance(s, PuiseuxSeries) and s.precision is None
             and len(s.terms) == 1) for s in (x, y))
     assert one_term >= 1000
+
+
+def _pow_by_products(x, exponent, precision=None):
+    """The former `PuiseuxSeries.pow`: the roots and the inverse as there,
+    then one product per unit of the numerator."""
+    exponent = Fraction(exponent)
+    den = exponent.denominator
+    base = x
+    while den > 1:
+        base = base.sqrt(precision)
+        den //= 2
+    k = exponent.numerator
+    if k < 0:
+        base = base.inv(precision)
+        k = -k
+    out = PuiseuxSeries.from_scalar(ONE)
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def test_pow_by_squaring_matches_repeated_products(monkeypatch, rng):
+    """`pow` squares; the former loop multiplied k times.  Both give the
+    same terms and precision, or the same exception, on seeded exact,
+    truncated and zero series with numerators -3..9 over 1, 2 and 4."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    for _ in range(3000):
+        x = _rand_operand(rng)
+        if not isinstance(x, PuiseuxSeries):
+            x = PuiseuxSeries.from_scalar(x)
+        exponent = Fraction(rng.randint(-3, 9), rng.choice((1, 1, 1, 2, 4)))
+        budget = rng.choice(_PRECISIONS + (Fraction(3),))
+        _assert_matches(_outcome(lambda: x.pow(exponent, budget)),
+                        _outcome(lambda: _pow_by_products(x, exponent,
+                                                          budget)))
+    # 10^8 products before; about 27 squares and 12 products now
+    assert t_pow(1).pow(10**8) == t_pow(10**8)
+    assert t_pow(-1, -1).pow(-10**8 - 1) == t_pow(10**8 + 1, -1)

@@ -2,8 +2,11 @@
 Hasse diagrams of orbit closures, and irreducible components.
 
 A degeneration witness is a parametrized basis x_1..x_m, y_1..y_n over the
-expression language; verification is fully symbolic (Puiseux series), never
-numeric sampling.  Non-degeneration certificates come from the necessary
+expression language; verification is exact, never numeric sampling.  A
+graded scaling basis, each x_i one exact monomial c_i*t^(w_i) times one
+basis vector, is decided off its weights, with no series solve; any other
+basis is solved over Puiseux series, and the two paths give the same
+verdicts.  Non-degeneration certificates come from the necessary
 conditions listed in ``invariants``; components are the closure-maximal
 catalog nodes, pairwise separated by closure or by certificates.
 """
@@ -16,11 +19,11 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import catalog
-from .algebra import SuperAlgebra
+from .algebra import SuperAlgebra, pairs
 from .exprlang import ExprSyntaxError, ExprTypeError, evaluate_basis_vector
 from .invariants import ABC_TUPLES, invariant_report, trivial_sub_max
 from .linalg import SingularMatrix
-from .series import (Diverges, InsufficientPrecision, NoRoot,
+from .series import (Diverges, InsufficientPrecision, NoRoot, diverges,
                      working_precision)
 
 
@@ -126,6 +129,53 @@ def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
     return matrix("x", "e", m, 0), matrix("y", "f", n, 1)
 
 
+def _graded_scaling(T, S):
+    """(sigma, coefficients, weights) when the basis is a graded scaling,
+    x_i = c_i * t^(w_i) * x_sigma(i) over the combined basis: every column
+    of T and of S has one nonzero entry, an exact one-term series, and the
+    rows they sit in form a permutation.  None for any other basis."""
+    sigma, coeffs, weights = [], [], []
+    for offset, M in ((0, T), (len(T), S)):
+        for col in zip(*M):
+            entries = [(a, x) for a, x in enumerate(col) if not x.is_zero()]
+            if len(entries) != 1:
+                return None
+            (a, x), = entries
+            if x.precision is not None or len(x.terms) != 1:
+                return None
+            (w, c), = x.terms.items()
+            sigma.append(offset + a)
+            coeffs.append(c)
+            weights.append(w)
+    if len(set(sigma)) != len(sigma):
+        return None
+    return sigma, coeffs, weights
+
+
+def _scaled_limit(g: SuperAlgebra, sigma, coeffs, weights) -> Dict:
+    """The stored brackets (`SuperAlgebra.consts`) of the t -> 0 limit of g
+    in a graded scaling basis, read off the weights: [x_a, x_b] has
+    c_a c_b / c_j * C^(sigma j)_(sigma a, sigma b) * t^(w_a + w_b - w_j) on
+    x_j.  A term of exponent 0 is kept and one of negative exponent raises
+    Diverges, scanned in pairs() order and j increasing, as
+    SuperAlgebra.limit_at_zero scans the series path's."""
+    new = {k: j for j, k in enumerate(sigma)}
+    consts = {}
+    for a, b in pairs(g.m, g.n):
+        wab = weights[a] + weights[b]
+        kept = []
+        for j, c in sorted((new[k], c) for k, c in g._terms(sigma[a],
+                                                             sigma[b])):
+            e = wab - weights[j]
+            if e < 0:
+                raise diverges(e)
+            if e == 0:
+                kept.append((j, coeffs[a] * coeffs[b] * c / coeffs[j]))
+        if kept:
+            consts[(a, b)] = tuple(kept)
+    return consts
+
+
 def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     """Symbolically verify g --w--> h between the catalog algebras w names;
     returns Verified or Failed.
@@ -146,15 +196,18 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
 
     def attempt(basis, p) -> Union[Verified, Failed]:
         T, S = _witness_matrices(w, g.m, g.n, p, basis)
+        scaling = _graded_scaling(T, S)
         try:
-            moved = g.apply_basis_change(T, S, p)
+            if scaling is None:
+                limit = g.apply_basis_change(T, S, p).limit_at_zero()
+                same = limit.constants_equal(h)
+            else:
+                same = _scaled_limit(g, *scaling) == h.consts
         except SingularMatrix as exc:
             return Failed(w, "SingularBasis", str(exc))
-        try:
-            limit = moved.limit_at_zero()
         except Diverges as exc:
             return Failed(w, "Diverges", str(exc))
-        if limit.constants_equal(h):
+        if same:
             return Verified(w)
         return Failed(w, "WrongLimit",
                       f"limit differs from {w.to_name}")

@@ -68,6 +68,12 @@ class Diverges(SeriesError):
     pass
 
 
+def diverges(e) -> Diverges:
+    """The Diverges error of a term of order t^e, e < 0, that survives at
+    t -> 0; the one place its text is written."""
+    return Diverges(f"term of order t^{_exponent(e)} survives at t->0")
+
+
 def _min_prec(p1: Optional[Exponent], p2: Optional[Exponent]):
     if p1 is None:
         return p2
@@ -359,7 +365,7 @@ class PuiseuxSeries:
         """Value at t -> 0; Diverges on negative exponents."""
         neg = [e for e in self.terms if e < 0]
         if neg:
-            raise Diverges(f"term of order t^{min(neg)} survives at t->0")
+            raise diverges(min(neg))
         if self.precision is not None and self.precision <= 0:
             raise InsufficientPrecision(
                 "constant term not resolved at this precision")

@@ -350,6 +350,27 @@ def test_large_integer_power_in_witness(tmp_path, capsys, basis, code, out):
     assert got == (code, out)
 
 
+@pytest.mark.parametrize("basis, out", [
+    ({"x1": "t^(-1/2)*e1"},
+     "Failed (2|3)_16 -> (2|3)_13: Diverges term of order t^-1/2 survives "
+     "at t->0\n"),
+    ({"y2": "t^(-1/2)*f2"},
+     "Failed (2|3)_16 -> (2|3)_13: Diverges term of order t^-1 survives "
+     "at t->0\n"),
+    ({"y1": "t*f1", "y2": "t*f1"},
+     "Failed (2|3)_16 -> (2|3)_13: SingularBasis no pivot in column 1\n"),
+], ids=["half-integral", "integral", "repeated-column"])
+def test_graded_scaling_failures(tmp_path, capsys, basis, out):
+    """A graded scaling's divergence is named with its exponent in
+    canonical form; a repeated column is not a scaling and is refused by
+    the series solve."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": basis}))
+    got = run(capsys, "degenerate", "--from", "(2|3)_16", "--to", "(2|3)_13",
+              "--witness", str(path))
+    assert got == (1, out)
+
+
 def test_constant_does_not_read_precision_variable(tmp_path, capsys,
                                                    monkeypatch):
     """Whether a structure constant is exact does not depend on the

@@ -314,25 +314,27 @@ def test_precision_cap_is_checked(cap, error):
 
 
 def _one_shot(w, basis, cap):
-    """The verdict of one basis evaluated and solved at the cap, as
-    (class name, reason); InsufficientPrecision and the like propagate."""
+    """The verdict of one basis evaluated and solved over series at the
+    cap, as (class name, reason, detail); InsufficientPrecision and the
+    like propagate."""
     g = catalog.get(w.from_name).algebra
     h = catalog.get(w.to_name).algebra
     try:
         T, S = orbitrel._witness_matrices(w, g.m, g.n, cap, basis)
         limit = g.apply_basis_change(T, S, cap).limit_at_zero()
-    except SingularMatrix:
-        return "Failed", "SingularBasis"
-    except Diverges:
-        return "Failed", "Diverges"
+    except SingularMatrix as exc:
+        return "Failed", "SingularBasis", str(exc)
+    except Diverges as exc:
+        return "Failed", "Diverges", str(exc)
     if limit.constants_equal(h):
-        return "Verified", None
-    return "Failed", "WrongLimit"
+        return "Verified", None, None
+    return "Failed", "WrongLimit", f"limit differs from {w.to_name}"
 
 
 def _decision_at_cap(w, cap):
     """The one-shot decision: the basis, then alt_basis if the basis fails;
-    as (class name, reason, used_alt), or the exception class raised."""
+    as (class name, reason, detail, used_alt), or the exception class
+    raised."""
     try:
         first = _one_shot(w, w.basis, cap)
         if first[0] == "Failed" and w.alt_basis:
@@ -352,8 +354,8 @@ def _ladder(w, cap):
     except ArithmeticError as exc:
         return type(exc), None
     if res.ok:
-        return ("Verified", None, res.used_alt), res.precision
-    return ("Failed", res.reason, False), res.precision
+        return ("Verified", None, None, res.used_alt), res.precision
+    return ("Failed", res.reason, res.detail, False), res.precision
 
 
 _FACTORS = ["sqrt(1-t)", "(1-t)^(-1)", "t*sqrt(1-t)", "(sqrt(1-t)-1)",
@@ -420,7 +422,7 @@ def test_precision_ladder_matches_one_shot_at_cap(rng):
             got, order = _ladder(w, cap)
             if isinstance(want, tuple):
                 assert got == want, (w, cap)
-                seen.add(want)
+                seen.add((want[0], want[1], want[3]))
                 orders.add(order)
             else:
                 assert got is want, (w, cap)
@@ -428,6 +430,99 @@ def test_precision_ladder_matches_one_shot_at_cap(rng):
     assert {("Verified", None, False), ("Verified", None, True),
             ("Failed", "SingularBasis", False), ("Failed", "Diverges", False),
             ("Failed", "WrongLimit", False)} <= seen
+
+
+_SCALARS = ["1", "-1", "2", "-1/3", "i", "-2*i", "sqrt2", "(1+i)",
+            "(3-i*sqrt2)/5", "(sqrt2-1)/2", "-(2*i+sqrt2)"]
+_WEIGHTS = ["-1", "-1/2", "0", "1/4", "1/2", "1", "2"]
+
+
+def _random_scalings(rng, per_label):
+    """Seeded graded scalings x_i = c * t^w * x_sigma(i) on every catalog
+    label, towards a random label of the same shape: sigma permutes each
+    parity, c is in Q(i, sqrt2) and w in _WEIGHTS."""
+    out = []
+    for entry in catalog.list_entries():
+        g = entry.algebra
+        targets = [e.label for e in catalog.list_entries((g.m, g.n))]
+        for _ in range(per_label):
+            basis = {}
+            for sym, name, size in (("x", "e", g.m), ("y", "f", g.n)):
+                sigma = rng.sample(range(1, size + 1), size)
+                for i, k in enumerate(sigma, start=1):
+                    basis[f"{sym}{i}"] = (f"{rng.choice(_SCALARS)}*"
+                                          f"t^({rng.choice(_WEIGHTS)})*"
+                                          f"{name}{k}")
+            out.append(DegenerationWitness(entry.label, rng.choice(targets),
+                                           basis))
+    return out
+
+
+def test_graded_scaling_path_matches_series_path(rng, monkeypatch):
+    """A graded scaling basis is decided off its weights at the ladder's
+    first order, never solved over series; its verdict (class, reason,
+    detail) is the one-shot series solve's, on seeded random scalings of
+    every label.  The builtin and refutation bases, most of them scalings
+    too, are compared in test_precision_ladder_matches_one_shot_at_cap."""
+    scalings = _random_scalings(rng, 2)
+    assert len(scalings) == 198
+    # [f3, f3] = e1 + e2 diverges on x1 = t*e2 as t^-1 and on x2 = t^2*e1
+    # as t^-2: the series path names x1's term first, not e1's
+    scalings.append(DegenerationWitness(
+        "(2|3)_6", "(2|3)_6",
+        {"x1": "t*e2", "x2": "t^2*e1", "y1": "t*f1", "y2": "t*f2"}))
+    calls = []
+    real = SuperAlgebra.apply_basis_change
+
+    def spy(self, T, S, precision=None):
+        calls.append(self.name)
+        return real(self, T, S, precision)
+
+    seen = set()
+    for cap in (None, Fraction(1, 2)):
+        first = min(Fraction(1), working_precision(cap))
+        for w in scalings:
+            want = _decision_at_cap(w, working_precision(cap))
+            monkeypatch.setattr(orbitrel, "_MEMO", {})
+            monkeypatch.setattr(SuperAlgebra, "apply_basis_change", spy)
+            got, order = _ladder(w, cap)
+            monkeypatch.setattr(SuperAlgebra, "apply_basis_change", real)
+            assert (got, order, calls) == (want, first, []), (w, cap)
+            seen.add(want[1])
+    assert seen == {None, "WrongLimit", "Diverges"}
+
+
+def test_only_non_scaling_bases_reach_the_series_path(monkeypatch):
+    """From a cold memo, the builtin rows solve over series only the 26
+    bases that are not graded scalings, once per ladder order they climb;
+    a silent fallback of a scaling basis shows as an extra call."""
+    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+    monkeypatch.setattr(orbitrel, "_MEMO", {})
+    calls = []
+    real = SuperAlgebra.apply_basis_change
+
+    def spy(self, T, S, precision=None):
+        calls.append((self.name, precision))
+        return real(self, T, S, precision)
+
+    monkeypatch.setattr(SuperAlgebra, "apply_basis_change", spy)
+    results = verify_builtin_witnesses()
+    assert len(results) == 117
+    assert all(r.ok and not r.used_alt for r in results)
+    want = []
+    for r in results:
+        w = r.witness
+        g = catalog.get(w.from_name).algebra
+        T, S = orbitrel._witness_matrices(w, g.m, g.n, 1, w.basis)
+        if orbitrel._graded_scaling(T, S) is None:
+            want += [(g.name, p) for p in (1, 2) if p <= r.precision]
+    assert sum(p == 1 for _, p in want) == 26
+    assert sorted(calls) == sorted(want) and len(calls) == 28
+    # a one-term entry known only to O(t^2) is not an exact monomial
+    calls.clear()
+    res = verify_degeneration({**_PAIR, "basis": {"y1": "(1-t)^(-1)*t*f1",
+                                                  "y3": "t*f3"}})
+    assert res.ok and calls == [("(2|3)_16", 1)]
 
 
 def test_auto_nondegen_spec_pairs():

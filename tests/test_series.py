@@ -129,6 +129,18 @@ def test_limit_examples():
         PuiseuxSeries({}, precision=Fraction(0)).limit_at_zero()
 
 
+@pytest.mark.parametrize("e, text", [
+    (-1, "t^-1"), (Fraction(-2, 2), "t^-1"), (Fraction(-1, 2), "t^-1/2")])
+def test_divergence_text(e, text):
+    """`limit_at_zero` raises the error `diverges` builds, its lowest
+    negative exponent written in canonical form."""
+    want = f"term of order {text} survives at t->0"
+    assert str(series.diverges(e)) == want
+    with pytest.raises(Diverges) as raised:
+        PuiseuxSeries({e: ONE, 1: ONE}).limit_at_zero()
+    assert str(raised.value) == want
+
+
 def test_exact_series_limit():
     assert t_pow(2).limit_at_zero() == FieldElem(0)
     assert PuiseuxSeries({}).limit_at_zero() == FieldElem(0)

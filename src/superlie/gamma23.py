@@ -4,11 +4,13 @@
                          T21 S^t G1 S + T22 S^t G2 S),
 
 the action whose orbits are the (2|3) algebras with trivial even bracket
-and trivial even action.  `classify_pair` names the twelve orbits
-(2|3)_0 ... (2|3)_11 by an exact invariant signature of the matrix pencil
-x*G1 + y*G2: span dimension, common kernel, generic rank, number of
-distinct projective roots of its determinant, existence of a rank-one
-member, and simultaneous diagonalizability by congruence.
+and trivial even action.  The normal forms are the gamma-pencils of the
+catalog's (2|3)_0 ... (2|3)_11, [f_i, f_j] = G1[i][j] e1 + G2[i][j] e2,
+read off their bracket tables.  `classify_pair` names the twelve orbits
+by an exact invariant signature of the matrix pencil x*G1 + y*G2: span
+dimension, common kernel, generic rank, number of distinct projective
+roots of its determinant, existence of a rank-one member, and
+simultaneous diagonalizability by congruence.
 
 These are Segre-Kronecker data of the pencil, all computed with +, - and *
 on an integral copy of it: the pair times the lcm L of the denominators of
@@ -38,25 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .field import FieldElem, ONE, ZERO, parse_elem
-from .linalg import SingularMatrix, det, integral, mat_mul, transpose
+from . import catalog
+from .field import FieldElem, parse_elem
+from .linalg import SingularMatrix, det, integral, mat_mul, transpose, zeros
 
 Mat = List[List[FieldElem]]
 SymPair = Tuple[Mat, Mat]
-
-
-def _fe(x) -> FieldElem:
-    return x if isinstance(x, FieldElem) else FieldElem(x)
-
-
-def _mat(rows) -> Mat:
-    return [[_fe(x) for x in row] for row in rows]
-
-
-def _zeros(r: int, c: int) -> Mat:
-    return [[ZERO for _ in range(c)] for _ in range(r)]
 
 
 def _add(a: Mat, b: Mat) -> Mat:
@@ -74,39 +65,24 @@ def _is_symmetric(a: Mat) -> bool:
             and a[1][2] == a[2][1])
 
 
-# -- the constants of the normal-form propositions ---------------------------
-
-I1 = _mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-I2 = _mat([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
-I3 = _mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-ID3 = _add(_add(I1, I2), I3)
-K = _mat([[0, 1], [1, 0]])
-L = _mat([[0, 0], [0, 2]])
-U0 = [_fe(0), _fe(1)]
+# -- the normal forms ----------------------------------------------------------
 
 
-def _embed(block: Mat, corner: FieldElem, border: Optional[Sequence[FieldElem]] = None) -> Mat:
-    """3x3 matrix [[block, border], [border^t, corner]] (border defaults to 0)."""
-    b = border if border is not None else [ZERO, ZERO]
-    return [[block[0][0], block[0][1], b[0]],
-            [block[1][0], block[1][1], b[1]],
-            [b[0], b[1], corner]]
+def _pencil(g) -> SymPair:
+    """(G1, G2) with [f_i, f_j] = G1[i][j] e1 + G2[i][j] e2 in the (2|3)
+    algebra `g`, read off its bracket table."""
+    br = g.bracket_table()
+    pair = (zeros(3, 3), zeros(3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k, x in br[2 + i][2 + j]:
+                pair[k][i][j] = x
+    return pair
 
 
 REPRESENTATIVES: Dict[str, SymPair] = {
-    "(2|3)_0": (_zeros(3, 3), _zeros(3, 3)),
-    "(2|3)_1": (I1, _zeros(3, 3)),
-    "(2|3)_2": (_add(I1, I2), _zeros(3, 3)),
-    "(2|3)_3": (ID3, _zeros(3, 3)),
-    "(2|3)_4": (I1, I2),
-    "(2|3)_5": (_add(I1, I3), I2),
-    "(2|3)_6": (_add(I1, I3), _add(I2, I3)),
-    "(2|3)_7": (_embed(K, ZERO), _embed(L, ZERO)),
-    "(2|3)_8": (_embed(K, ZERO), _embed(L, ZERO, U0)),
-    "(2|3)_9": (_embed(K, ONE), _embed(L, ZERO)),
-    "(2|3)_10": (_embed(K, ONE), _embed(L, ONE)),
-    "(2|3)_11": (_embed(K, ONE), _embed(L, ZERO, U0)),
-}
+    label: _pencil(catalog.get(label).algebra)
+    for label in (f"(2|3)_{k}" for k in range(12))}
 
 
 # -- the action ----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q(i,sqrt2) and over Puiseux series.
 
 Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
-solve, inv, det) take ints and FieldElems, mixed, and are exact.  All but
-det share one elimination, `_echelon`, which first scales each row by
+solve, det) take ints and FieldElems, mixed, and are exact.  All but det
+share one elimination, `_echelon`, which first scales each row by
 `integral`; that leaves the row's span, hence the RREF, as it is.  A
 rational matrix so becomes an int matrix and is eliminated without
 division.  `rref` divides each pivot row once at the end; `kernel_vectors`,
@@ -36,13 +36,6 @@ class SingularMatrix(ArithmeticError):
 
 def zeros(r: int, c: int) -> List[Row]:
     return [[ZERO for _ in range(c)] for _ in range(r)]
-
-
-def identity(n: int) -> List[Row]:
-    out = zeros(n, n)
-    for k in range(n):
-        out[k][k] = ONE
-    return out
 
 
 def transpose(a: Sequence[Sequence]) -> List[list]:
@@ -208,10 +201,6 @@ def det(matrix: Sequence[Row]) -> FieldElem:
                 factor = rows[k][c] * inv
                 rows[k] = [a - factor * b for a, b in zip(rows[k], rows[c])]
     return out
-
-
-def inv(matrix: Sequence[Row]) -> List[Row]:
-    return solve(matrix, identity(len(matrix)))
 
 
 # -- series elimination -----------------------------------------------------

@@ -400,9 +400,6 @@ def _coerce(x) -> Union[PuiseuxSeries, type(NotImplemented)]:
     return NotImplemented
 
 
-T = PuiseuxSeries.t_power(1)
-
-
 def format_series(s: PuiseuxSeries) -> str:
     body = format_sum((s.terms[e], "" if e == 0 else "t" if e == 1
                        else f"t^({e})") for e in sorted(s.terms))

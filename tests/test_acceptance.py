@@ -218,11 +218,19 @@ def test_c8_heisenberg_rigid_1_to_6():
 
 
 def test_c8_k2m():
-    for m in (3, 5):
+    """K(2|m) for every odd m from 3 to 15 is a nilpotent superalgebra with
+    dim H^2 = (m + 1)/2 and orbit dimension (2m^2 - m + 3)/2, that is
+    dim Der_0 = (m + 5)/2."""
+    dims = {}
+    for m in range(3, 16, 2):
         g = K2m(m)
         assert g.check_consistency() == []
         assert g.check_jacobi() == []
         assert g.is_nilpotent()
+        assert cohomology.h2_even(g)["dim"] == (m + 1) // 2, m
+        dims[m] = invariants.orbit_dim(g)
+        assert dims[m] == (2 * m * m - m + 3) // 2, m
+    assert list(dims.values()) == [9, 24, 47, 78, 117, 164, 219]
 
 
 # -- criterion 9: seeded property suites --------------------------------------------

@@ -11,8 +11,8 @@ from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.gamma23 import (REPRESENTATIVES, Mat, PencilSignature, SymPair,
                               classify_pair, pair_act, pencil_signature,
                               random_gl)
-from superlie.linalg import (_echelon, det, inv, integral, kernel, mat_mul,
-                             rank, rref, transpose)
+from superlie.linalg import (_echelon, det, integral, kernel, mat_mul, rank,
+                             rref, solve, transpose)
 
 from conftest import dense_views
 
@@ -222,7 +222,7 @@ def ref_simdiag(pair):
         return True
     for member, other in zip(_probe_members(pair), [g1] * len(PROBES) + [g2]):
         if not det(member).is_zero():
-            return _is_diagonalizable(mat_mul(inv(member), other))
+            return _is_diagonalizable(solve(member, other))
     comp = _kernel_complement(_common_kernel(pair))
     if comp is None:
         return False
@@ -391,6 +391,43 @@ def test_representatives_match_catalog_fingerprints():
         assert classify_pair((K, L)) == label
 
 
+# The normal forms as the upper triangles (G[0][0], G[0][1], G[0][2], G[1][1],
+# G[1][2], G[2][2]) of G1 and G2, in the order of REPRESENTATIVES.
+PINNED_PENCILS = {
+    "(2|3)_0": ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    "(2|3)_1": ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    "(2|3)_2": ((1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0)),
+    "(2|3)_3": ((1, 0, 0, 1, 0, 1), (0, 0, 0, 0, 0, 0)),
+    "(2|3)_4": ((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)),
+    "(2|3)_5": ((1, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0)),
+    "(2|3)_6": ((1, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 1)),
+    "(2|3)_7": ((0, 1, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)),
+    "(2|3)_8": ((0, 1, 0, 0, 0, 0), (0, 0, 0, 2, 1, 0)),
+    "(2|3)_9": ((0, 1, 0, 0, 0, 1), (0, 0, 0, 2, 0, 0)),
+    "(2|3)_10": ((0, 1, 0, 0, 0, 1), (0, 0, 0, 2, 0, 1)),
+    "(2|3)_11": ((0, 1, 0, 0, 0, 1), (0, 0, 0, 2, 1, 0)),
+}
+
+
+def test_representatives_pinned():
+    """The twelve pencils read off the catalog, written out."""
+    assert list(REPRESENTATIVES) == list(PINNED_PENCILS)
+    for label, pair in REPRESENTATIVES.items():
+        for g, want in zip(pair, PINNED_PENCILS[label]):
+            assert all(g[i][j] == g[j][i] for i in range(3) for j in range(3))
+            upper = tuple(g[i][j] for i in range(3) for j in range(i, 3))
+            assert upper == want, label
+
+
+def test_normal_forms_are_pure_gamma():
+    """The catalog algebras the pencils are read from store no e-e or e-f
+    pair, so the pencil is the whole algebra."""
+    for label in REPRESENTATIVES:
+        g = catalog.get(label).algebra
+        assert (g.m, g.n) == (2, 3), label
+        assert all(a >= g.m for a, _ in g.consts), label
+
+
 def test_signature_table_pinned():
     """The twelve signature keys and their labels, written out."""
     assert gamma23._SIGNATURE_TABLE == {
@@ -505,7 +542,7 @@ def test_span_dim_closed_form_matches_elimination():
             h = rank_k_sum(rng, rng.randint(0, 3), 3, 3, scalars,
                            symmetric=True)
             c = rng.choice(scalars)
-            zero = gamma23._zeros(3, 3)
+            zero = linalg.zeros(3, 3)
             for pair in ((g, h), (g, gamma23._scale(g, c)), (g, zero),
                          (zero, h)):
                 want = rank([[m[i][j] for i in range(3) for j in range(i, 3)]

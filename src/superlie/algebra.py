@@ -27,10 +27,6 @@ class AlgebraError(ValueError):
     pass
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero()
-
-
 def pairs(m: int, n: int) -> List[Tuple[int, int]]:
     """The pairs (a, b) whose bracket [x_a, x_b] an (m|n) algebra stores, in
     the order `to_doc` emits them: e-e pairs a < b, then e-f pairs, then f-f
@@ -57,7 +53,7 @@ def _mirror(m: int, a: int, b: int, terms):
 def _sparse(graded) -> List[Tuple[int, FieldElem]]:
     """Nonzero (index, coefficient) pairs of a graded vector over the
     combined basis (odd indices offset by m)."""
-    return [(k, x) for k, x in enumerate(chain(*graded)) if not _is_zero(x)]
+    return [(k, x) for k, x in enumerate(chain(*graded)) if not x.is_zero()]
 
 
 def integral_table(br):
@@ -85,7 +81,7 @@ class SuperAlgebra:
         self.consts = {}
         for a, b in order:
             terms = tuple(sorted(((k, x) for k, x in consts.get((a, b), ())
-                                  if not _is_zero(x)), key=itemgetter(0)))
+                                  if not x.is_zero()), key=itemgetter(0)))
             lo, hi = (m, m + n) if a < m <= b else (0, m)
             if any(not lo <= k < hi for k, _ in terms):
                 names = basis_names(m, n)
@@ -128,11 +124,6 @@ class SuperAlgebra:
         out = [acc.get(k, ZERO) for k in range(self.dim)]
         return out[:self.m], out[self.m:]
 
-    def basis_vector(self, idx: int):
-        """Graded unit vector for the idx-th basis element (0-based)."""
-        out = [ONE if k == idx else ZERO for k in range(self.dim)]
-        return out[:self.m], out[self.m:]
-
     def bracket_table(self):
         """table[a][b] = [x_a, x_b] as its nonzero (k, coefficient) terms, k
         increasing (odd indices offset by m), read off the stored pairs."""
@@ -155,7 +146,7 @@ class SuperAlgebra:
                 for k, y in br[p][s]:
                     z = -(x * y) if negate else x * y
                     acc[k] = acc[k] + z if k in acc else z
-        return all(_is_zero(x) for x in acc.values())
+        return all(x.is_zero() for x in acc.values())
 
     def check_jacobi(self) -> List[Tuple[int, int, int]]:
         """Super-Jacobi on all homogeneous basis triples; returns violations."""
@@ -166,24 +157,24 @@ class SuperAlgebra:
     def check_consistency(self) -> List[str]:
         """The (J1)/(J2) formulation: even part is a Lie algebra, rho is a
         representation, gamma is equivariant (J1) and cyclically flat (J2).
-        Each condition, written out below, is +- the super-Jacobi sum at
-        the same ordered triple, so this is empty iff `check_jacobi` is."""
-        even, odd = range(self.m), range(self.m, self.dim)
-        names = basis_names(self.m, self.n)
-        br = self.bracket_table()
-        checks = [
+        Each condition below is +- the super-Jacobi sum at the same ordered
+        triple, so these are the `check_jacobi` triples of parity eee, eef,
+        eff or fff, stably sorted by that pattern."""
+        texts = [
             # [a,[b,c]] - [[a,b],c] - [b,[a,c]]
-            (product(even, even, even), "even Jacobi fails at ({},{},{})"),
+            "even Jacobi fails at ({},{},{})",
             # [[a,b],f] - [a,[b,f]] + [b,[a,f]]
-            (product(even, even, odd), "rho([{},{}]) != commutator on {}"),
+            "rho([{},{}]) != commutator on {}",
             # (J1): [a, gamma(u,v)] = gamma(rho(a)u, v) + gamma(u, rho(a)v)
-            (product(even, odd, odd), "(J1) fails at ({},{},{})"),
+            "(J1) fails at ({},{},{})",
             # (J2): rho(gamma(u,v))w + rho(gamma(v,w))u + rho(gamma(w,u))v = 0
-            (product(odd, odd, odd), "(J2) fails at ({},{},{})"),
+            "(J2) fails at ({},{},{})",
         ]
-        return [text.format(*(names[k] for k in t))
-                for triples, text in checks for t in triples
-                if not self._jacobi_vanishes(br, *t)]
+        names = basis_names(self.m, self.n)
+        bad = [(sum(p), t) for t in self.check_jacobi()
+               if (p := [self.parity(k) for k in t]) == sorted(p)]
+        return [texts[odd].format(*(names[k] for k in t))
+                for odd, t in sorted(bad, key=itemgetter(0))]
 
     # -- lower central series -------------------------------------------------
 
@@ -201,14 +192,14 @@ class SuperAlgebra:
             rows = ([], [])
             for a, v in product(range(d), basis):
                 acc = self._bracket([(a, ONE)], v)
-                if any(not _is_zero(x) for x in acc.values()):
+                if any(not x.is_zero() for x in acc.values()):
                     odd = min(acc) >= m
                     rows[odd].append([acc.get(k, ZERO) for k in spans[odd]])
             basis, dim = [], ()
             for span, part in zip(spans, rows):
                 echelon, pivots = rref(part)
                 dim += (len(pivots),)
-                basis += [[(k, x) for k, x in zip(span, row) if not _is_zero(x)]
+                basis += [[(k, x) for k, x in zip(span, row) if not x.is_zero()]
                           for row in echelon[:len(pivots)]]
             if dim == dims[-1]:
                 break
@@ -296,7 +287,7 @@ class SuperAlgebra:
         for p in set(self.consts) | set(other.consts):
             u = dict(self.consts.get(p, ()))
             v = dict(other.consts.get(p, ()))
-            if any(not _is_zero(u.get(k, ZERO) - v.get(k, ZERO))
+            if any(not (u.get(k, ZERO) - v.get(k, ZERO)).is_zero()
                    for k in set(u) | set(v)):
                 return False
         return True

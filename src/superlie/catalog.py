@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import SuperAlgebra
+from .field import ONE
 
 
 class NotFound(KeyError):
@@ -36,7 +38,6 @@ Dim = Union[str, Tuple[int, int], int]
 class CatalogEntry:
     label: str
     doc: Dict
-    _algebra: Optional[SuperAlgebra] = None
 
     @property
     def m(self) -> int:
@@ -46,11 +47,9 @@ class CatalogEntry:
     def n(self) -> int:
         return int(self.doc["n"])
 
-    @property
+    @cached_property
     def algebra(self) -> SuperAlgebra:
-        if self._algebra is None:
-            self._algebra = SuperAlgebra.from_doc(self.doc)
-        return self._algebra
+        return SuperAlgebra.from_doc(self.doc)
 
 
 _CACHE: Dict[str, object] = {}
@@ -130,29 +129,22 @@ def expected() -> Dict:
 
 
 def heisenberg_1n(n: int) -> SuperAlgebra:
-    """The (1|n) Heisenberg superalgebra with even center: [f_i,f_i]=e_1."""
+    """The (1|n) Heisenberg superalgebra with even center: [f_i,f_i]=e_1,
+    built on the combined basis e1, f1..fn (f_i is x_i)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    doc = {"name": f"H(1|{n})", "m": 1, "n": n,
-           "brackets": [{"lhs": f"f{i}", "rhs": f"f{i}",
-                         "value": [{"coeff": "1", "basis": "e1"}]}
-                        for i in range(1, n + 1)]}
-    return SuperAlgebra.from_doc(doc)
+    return SuperAlgebra(1, n, {(i, i): [(0, ONE)] for i in range(1, n + 1)},
+                        name=f"H(1|{n})")
 
 
 def K2m(m: int) -> SuperAlgebra:
-    """The (2|m) algebra [e1,f_i]=f_{i+1}, [f_j,f_{m+1-j}]=(-1)^{j+1} e2."""
+    """The (2|m) algebra [e1,f_i]=f_{i+1}, [f_j,f_{m+1-j}]=(-1)^{j+1} e2,
+    built on the combined basis e1, e2, f1..fm (f_i is x_(1+i))."""
     if m % 2 == 0:
         raise MEven(f"m must be odd, got {m}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    brackets = []
-    for i in range(1, m):
-        brackets.append({"lhs": "e1", "rhs": f"f{i}",
-                         "value": [{"coeff": "1", "basis": f"f{i + 1}"}]})
-    for j in range(1, (m + 1) // 2 + 1):
-        sign = "1" if (j + 1) % 2 == 0 else "-1"
-        brackets.append({"lhs": f"f{j}", "rhs": f"f{m + 1 - j}",
-                         "value": [{"coeff": sign, "basis": "e2"}]})
-    return SuperAlgebra.from_doc({"name": f"K(2|{m})", "m": 2, "n": m,
-                                  "brackets": brackets})
+    consts = {(0, 1 + i): [(2 + i, ONE)] for i in range(1, m)}
+    consts.update({(1 + j, 2 + m - j): [(1, ONE if j % 2 else -ONE)]
+                   for j in range(1, (m + 1) // 2 + 1)})
+    return SuperAlgebra(2, m, consts, name=f"K(2|{m})")

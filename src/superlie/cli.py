@@ -65,13 +65,13 @@ class ParseError(Exception):
 
 def _read_object(path: str) -> dict:
     """The JSON object in a file; an unreadable or malformed file (a
-    directory, bad JSON, not an object) is a ParseError."""
+    directory, bad or deeply nested JSON, not an object) is a ParseError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(exc) from exc
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object")
@@ -212,7 +212,7 @@ def cmd_gamma23(args) -> int:
     try:
         a = gamma23.parse_sym_matrix(json.loads(args.g1))
         b = gamma23.parse_sym_matrix(json.loads(args.g2))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(exc) from exc
     label = gamma23.classify_pair((a, b))
     if label is None:

@@ -270,6 +270,9 @@ def evaluate(text: str, precision: Optional[Fraction] = None,
     """
     try:
         return _Reader(text, precision, symbol, True).read()
+    except RecursionError:
+        # a syntax-only read would recurse as deep again
+        raise ExprSyntaxError("expression nested too deeply") from None
     except Exception:
         # a syntax error anywhere wins: read again with values off
         _Reader(text, precision, symbol, False).read()

@@ -38,9 +38,8 @@ not diagonalizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import catalog
 from .field import FieldElem, parse_elem
@@ -255,18 +254,14 @@ def _singular_simdiag(g1, g2, rows) -> bool:
 # -- signature and classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilSignature:
+class PencilSignature(NamedTuple):
+    """A pencil's orbit invariants, a tuple: its own `_SIGNATURE_TABLE` key."""
     span_dim: int
     common_kernel_dim: int
     generic_rank: int
     det_root_count: int
     has_rank1_member: bool
     simdiag: bool
-
-    def key(self):
-        return (self.span_dim, self.common_kernel_dim, self.generic_rank,
-                self.det_root_count, self.has_rank1_member, self.simdiag)
 
 
 def pencil_signature(pair: SymPair) -> PencilSignature:
@@ -306,10 +301,10 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
         simdiag=_singular_simdiag(g1, g2, rows))
 
 
-def _build_signature_table() -> Dict[tuple, str]:
-    table: Dict[tuple, str] = {}
+def _build_signature_table() -> Dict[PencilSignature, str]:
+    table: Dict[PencilSignature, str] = {}
     for label, rep in REPRESENTATIVES.items():
-        key = pencil_signature(rep).key()
+        key = pencil_signature(rep)
         if key in table:
             raise AssertionError(
                 f"signature collision: {label} vs {table[key]} at {key}")
@@ -322,7 +317,7 @@ _SIGNATURE_TABLE = _build_signature_table()
 
 def classify_pair(pair: SymPair) -> Optional[str]:
     """Orbit label "(2|3)_k" (k = 0..11), or None when no signature matches."""
-    return _SIGNATURE_TABLE.get(pencil_signature(pair).key())
+    return _SIGNATURE_TABLE.get(pencil_signature(pair))
 
 
 # -- parsing (CLI input) -------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superlie.field import FieldElem
+from superlie.field import ONE, ZERO, FieldElem
 
 
 SEED = 20260823
@@ -21,12 +21,19 @@ def rand_elem(rng, span: int = 9) -> FieldElem:
                      Fraction(rng.randint(-span, span), rng.randint(1, span)))
 
 
+def basis_vector(g, idx: int):
+    """Graded unit vector (even, odd) for the idx-th basis element of g
+    (0-based, odd indices offset by m)."""
+    out = [ONE if k == idx else ZERO for k in range(g.dim)]
+    return out[:g.m], out[g.m:]
+
+
 def dense_views(g):
     """(c, rho, gamma) of an algebra as dense tensors: c[i][j] = [e_i, e_j]
     over e_1..e_m, rho[i][j] = [e_i, f_j] over f_1..f_n and
     gamma[i][j] = [f_i, f_j] over e_1..e_m, read through `bracket`."""
     m, d = g.m, g.dim
-    vecs = [g.basis_vector(k) for k in range(d)]
+    vecs = [basis_vector(g, k) for k in range(d)]
 
     def dense(rows, cols, part):
         return tuple(tuple(tuple(g.bracket(vecs[a], vecs[b])[part])

@@ -2,7 +2,7 @@
 `integral_table` scales it to integral form."""
 
 from superlie import catalog
-from conftest import table_cases
+from conftest import basis_vector, table_cases
 
 
 def test_bracket_table_matches_bracket_on_unit_vectors(rng):
@@ -10,7 +10,7 @@ def test_bracket_table_matches_bracket_on_unit_vectors(rng):
     index order, on every `table_cases` input."""
     for g in table_cases(rng):
         d = g.dim
-        vecs = [g.basis_vector(k) for k in range(d)]
+        vecs = [basis_vector(g, k) for k in range(d)]
         want = [[[(k, x) for k, x in enumerate(sum(g.bracket(vecs[a], vecs[b]),
                                                    [])) if not x.is_zero()]
                  for b in range(d)] for a in range(d)]

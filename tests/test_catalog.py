@@ -1,6 +1,7 @@
 import pytest
 
 from superlie import catalog
+from superlie.algebra import SuperAlgebra
 from superlie.catalog import K2m, MEven, NotFound, heisenberg_1n
 
 
@@ -55,6 +56,43 @@ def test_k2m():
         assert g.is_nilpotent()
     with pytest.raises(MEven):
         K2m(4)
+
+
+# the two families as they were once built: a bracket document, read back
+# by `from_doc`
+
+
+def heisenberg_1n_from_doc(n):
+    doc = {"name": f"H(1|{n})", "m": 1, "n": n,
+           "brackets": [{"lhs": f"f{i}", "rhs": f"f{i}",
+                         "value": [{"coeff": "1", "basis": "e1"}]}
+                        for i in range(1, n + 1)]}
+    return SuperAlgebra.from_doc(doc)
+
+
+def K2m_from_doc(m):
+    brackets = []
+    for i in range(1, m):
+        brackets.append({"lhs": "e1", "rhs": f"f{i}",
+                         "value": [{"coeff": "1", "basis": f"f{i + 1}"}]})
+    for j in range(1, (m + 1) // 2 + 1):
+        sign = "1" if (j + 1) % 2 == 0 else "-1"
+        brackets.append({"lhs": f"f{j}", "rhs": f"f{m + 1 - j}",
+                         "value": [{"coeff": sign, "basis": "e2"}]})
+    return SuperAlgebra.from_doc({"name": f"K(2|{m})", "m": 2, "n": m,
+                                  "brackets": brackets})
+
+
+def test_families_match_their_documents():
+    """K2m and heisenberg_1n, built on the combined basis, equal the
+    algebras read from their bracket documents: the same stored pairs and
+    coefficients, name and document."""
+    for got, want in ([(K2m(m), K2m_from_doc(m)) for m in range(1, 42, 2)]
+                      + [(heisenberg_1n(n), heisenberg_1n_from_doc(n))
+                         for n in range(1, 11)]):
+        assert repr(got.consts) == repr(want.consts), want.name
+        assert got.name == want.name
+        assert got.to_doc() == want.to_doc()
 
 
 def test_expected_tables_reference_real_labels():

@@ -607,6 +607,80 @@ def test_malformed_scalar_text_error_lines(tmp_path, capsys, text,
             (2, "", f"parse error: {error}\n"), argv
 
 
+def _nested(text: str, depth: int, how: str) -> str:
+    """`text` inside `depth` parentheses, or after `depth` minus signs."""
+    if how == "parentheses":
+        return "(" * depth + text + ")" * depth
+    return "-" * depth + text
+
+
+def _scalar_argvs(tmp_path, coeff, basis_vector, entry):
+    """The CLI calls that read `coeff` as a structure constant of (2|2)_6,
+    `basis_vector` as y1 of a (1|1)_1 -> (1|1)_0 witness and `entry` as the
+    first entry of a gamma23 matrix."""
+    from superlie import catalog
+    doc = json.loads(json.dumps(catalog.get("(2|2)_6").doc))
+    doc["brackets"][0]["value"][0]["coeff"] = coeff
+    algebra = tmp_path / "a.json"
+    algebra.write_text(json.dumps(doc))
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"basis": {"y1": basis_vector}}))
+    zero = ["0", "0", "0"]
+    g1 = json.dumps([[entry, "0", "0"], zero, zero])
+    g2 = json.dumps([zero, ["0", "1", "0"], zero])
+    return [[command, str(algebra)] for command in ("check", "invariants",
+                                                    "h2")] + [
+        ["degenerate", "--from", "(1|1)_1", "--to", "(1|1)_0",
+         "--witness", str(witness)],
+        ["gamma23", "--g1", g1, "--g2", g2]]
+
+
+@pytest.mark.parametrize("how", ["parentheses", "minus"])
+def test_scalar_text_nested_too_deeply(tmp_path, capsys, how):
+    """Scalar text nested 3000 levels deep, past the recursion limit: exit
+    2 and one stderr line, not a RecursionError traceback."""
+    text = _nested("1", 3000, how)
+    argvs = _scalar_argvs(tmp_path, text, _nested("t", 3000, how) + "*f1",
+                          text)
+    for argv in argvs:
+        error = "expression nested too deeply"
+        if argv[0] == "degenerate":
+            error = f"y1 of (1|1)_1->(1|1)_0: {error}"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"parse error: {error}\n"), argv[0]
+
+
+@pytest.mark.parametrize("how", ["parentheses", "minus"])
+def test_scalar_text_nested_200_deep_parses(tmp_path, capsys, how):
+    """Text nested 200 levels deep reads to its value: each call prints
+    what it prints for the text without the nesting."""
+    (tmp_path / "nested").mkdir()
+    (tmp_path / "plain").mkdir()
+    argvs = _scalar_argvs(tmp_path / "nested", _nested("1", 200, how),
+                          _nested("t", 200, how) + "*f1",
+                          _nested("1", 200, how))
+    plain = _scalar_argvs(tmp_path / "plain", "1", "t*f1", "1")
+    for argv, want in zip(argvs, plain):
+        assert run(capsys, *argv) == run(capsys, *want), argv[0]
+
+
+def test_json_nested_too_deeply(tmp_path, capsys):
+    """A JSON array nested 30000 levels deep, as an algebra file, a witness
+    file or a gamma23 matrix: exit 2 and one parse error line."""
+    deep = "[" * 30000 + "]" * 30000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    g2 = json.dumps([["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]])
+    for argv in ([[command, str(path)] for command in ("check", "invariants",
+                                                      "h2")]
+                 + [["degenerate", "--from", "(1|1)_1", "--to", "(1|1)_0",
+                     "--witness", str(path)],
+                    ["gamma23", "--g1", deep, "--g2", g2]]):
+        _one_line_usage_error(capsys, argv, "parse error: ")
+
+
 def test_hasse_dot(tmp_path, capsys):
     path = tmp_path / "g.dot"
     code, out = run(capsys, "hasse", "1", "2", "--dot", str(path))

@@ -14,7 +14,7 @@ from superlie.exprlang import constant, evaluate
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.linalg import kernel, rank, rref, transpose
 
-from conftest import rand_elem, table_cases
+from conftest import basis_vector, rand_elem, table_cases
 
 
 def expected_h2(label):
@@ -296,7 +296,7 @@ def _phi_of(g, phi, u, w):
 def dense_d2(g, phi):
     """All six terms of d2 phi on every ordered basis triple."""
     d = g.dim
-    vecs = [g.basis_vector(k) for k in range(d)]
+    vecs = [basis_vector(g, k) for k in range(d)]
     out = {}
     for a in range(d):
         for b in range(d):
@@ -320,7 +320,7 @@ def dense_d2(g, phi):
 def dense_d1(g, A, D):
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) on every pair."""
     m, n = g.m, g.n
-    vecs = [g.basis_vector(k) for k in range(m + n)]
+    vecs = [basis_vector(g, k) for k in range(m + n)]
 
     def psi(w):
         return ([sum((A[r][k] * w[0][k] for k in range(m)), ZERO)

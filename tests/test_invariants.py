@@ -8,7 +8,7 @@ from superlie.gamma23 import random_gl
 from superlie.groebner import poly_add, poly_scale
 from superlie.linalg import kernel, rank, rref
 
-from conftest import dense_views, table_cases
+from conftest import basis_vector, dense_views, table_cases
 
 
 def test_center_examples():
@@ -135,7 +135,7 @@ def dense_abc_derivations(g, alpha, beta, gamma, degree):
                    [("oe", q, p) for q in range(m) for p in range(n)]
     if not unknowns:
         return 0, []
-    vecs = [g.basis_vector(k) for k in range(d)]
+    vecs = [basis_vector(g, k) for k in range(d)]
     brackets = [[sum(g.bracket(x, y), []) for y in vecs] for x in vecs]
     rows = []
     for a in range(d):
@@ -169,7 +169,7 @@ def _nonzero(part, *signed):
 
 def dense_check_jacobi(g):
     d = g.dim
-    v = [g.basis_vector(k) for k in range(d)]
+    v = [basis_vector(g, k) for k in range(d)]
     br = g.bracket
     bad = []
     for a, b, c in product(range(d), repeat=3):
@@ -184,7 +184,7 @@ def dense_check_jacobi(g):
 
 def dense_check_consistency(g):
     m, n = g.m, g.n
-    v = [g.basis_vector(k) for k in range(m + n)]
+    v = [basis_vector(g, k) for k in range(m + n)]
     f = v[m:]
     br = g.bracket
     problems = []
@@ -228,7 +228,7 @@ def dense_lower_central_series(g):
     """Graded dimensions of g = g^1 >= g^2 >= ... from dense brackets of
     basis vectors with graded echelon bases, until stabilization."""
     m, n = g.m, g.n
-    vecs = [g.basis_vector(k) for k in range(m + n)]
+    vecs = [basis_vector(g, k) for k in range(m + n)]
     current = ([[ONE if i == k else ZERO for k in range(m)] for i in range(m)],
                [[ONE if j == l else ZERO for l in range(n)] for j in range(n)])
     dims = [(m, n)]

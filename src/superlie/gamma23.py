@@ -17,23 +17,25 @@ on an integral copy of it: the pair times the lcm L of the denominators of
 its twelve stored entries (`linalg.integral`), which is the group element
 T = L*I, S = I, so a rational pair becomes a pair of int matrices.  No
 elimination runs: the span dimension is read off the 2x2 minors of the two
-upper triangles, the rank of a member off its determinant and cofactors,
-and independent rows are picked greedily by cross products and 3x3
-determinants.  The cubic form
+upper triangles, and the rank of a member, or of the stack [G1; G2], is
+the number of its rows picked greedily as independent by cross products
+and 3x3 determinants.  The cubic form
 f = det(x*G1 + y*G2) has its four coefficients from the cofactors of G1
 and G2.  A regular pencil (f not identically 0) has generic rank 3; f has
 a multiple root iff its discriminant is 0, a triple one iff its Hessian is
 also 0, and then the root is read off the Hessian or off f, so it lies in
 the coefficient field.  The member at a root of multiplicity m drops rank
 by at most m, so the rank of that member gives the rank-one members and
-decides simultaneous diagonalizability (a drop of m).  A singular pencil
-(f = 0) has a rank-one member iff its 2x2 minor forms vanish together
-somewhere: always when they span at most a line, never when they span
-three dimensions, and for two iff their resultant is 0.  Off its common
-kernel, spanned by the cross product of two independent rows of [G1; G2],
-it is a regular 2x2 pencil, diagonalizable iff its determinant has
-distinct roots; with no common kernel it is the block L1 + L1^t, which is
-not diagonalizable.
+decides simultaneous diagonalizability (a drop of m).  Over C a singular
+pencil (f = 0) of span 2 has one of two Kronecker forms: a regular 2x2
+pencil plus a common kernel line, or L1 + L1^t = [[0, x, y], [x, 0, 0],
+[y, 0, 0]] with no common kernel (a kernel of dimension 2 would leave a
+span of at most 1).  Its generic rank is 2, since no plane of symmetric
+forms has all its members of rank at most 1, and it has a rank-one member
+iff its common kernel is a line, at a root of the 2x2 block's determinant.
+That kernel is spanned by the cross product of two independent rows of
+[G1; G2], and the pencil is diagonalizable iff the 2x2 block's
+determinant has distinct roots; L1 + L1^t is not diagonalizable.
 """
 
 from __future__ import annotations
@@ -121,24 +123,16 @@ def _cofactors(g) -> list:
             [c02, c12, a * d - b * b]]
 
 
-def _rank(g) -> int:
-    """The rank of a symmetric 3x3 matrix: 3 if its determinant is nonzero,
-    2 if a cofactor (a 2x2 minor) is, 1 if an entry is, else 0."""
-    c = _cofactors(g)
-    if g[0][0] * c[0][0] + g[0][1] * c[0][1] + g[0][2] * c[0][2]:
-        return 3
-    return 2 if any(map(any, c)) else 1 if any(map(any, g)) else 0
-
-
 def _cross(u, v) -> tuple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
 
 
 def _independent_rows(rows) -> list:
-    """A basis of the span of the 3-vectors `rows`, picked greedily: the
-    first nonzero row, the first row whose cross product with it is nonzero,
-    then the first row off the plane of the two."""
+    """A basis of the span of the 3-vectors `rows`, so as many as their
+    rank, picked greedily: the first nonzero row, the first row whose cross
+    product with it is nonzero, then the first row off the plane of the
+    two."""
     basis, normal = [], None
     for row in rows:
         if not basis:
@@ -186,35 +180,7 @@ def _root_drops(g1, g2, form) -> List[Tuple[int, int]]:
     m, x, y = (2, -h1, 2 * h0) if h0 or h1 or h2 else (3, -b, 3 * a)
     member = g1 if not y else [[x * p + y * q for p, q in zip(r1, r2)]
                                for r1, r2 in zip(g1, g2)]
-    return [(m, 3 - _rank(member))]
-
-
-def _minor_forms(g1, g2) -> list:
-    """The six distinct 2x2 minors of x*G1 + y*G2 as coefficient triples of
-    x^2, xy, y^2 (by symmetry, rows R and columns C give the minor of rows C
-    and columns R)."""
-    index_pairs = [(0, 1), (0, 2), (1, 2)]
-    forms = []
-    for k, (r1, r2) in enumerate(index_pairs):
-        for c1, c2 in index_pairs[k:]:
-            # (p1 x + q1 y)(p2 x + q2 y) - (s1 x + t1 y)(s2 x + t2 y)
-            p1, q1, p2, q2 = g1[r1][c1], g2[r1][c1], g1[r2][c2], g2[r2][c2]
-            s1, t1, s2, t2 = g1[r1][c2], g2[r1][c2], g1[r2][c1], g2[r2][c1]
-            forms.append([p1 * p2 - s1 * s2,
-                          p1 * q2 + q1 * p2 - s1 * t2 - t1 * s2,
-                          q1 * q2 - t1 * t2])
-    return forms
-
-
-def _common_root(forms) -> bool:
-    """Do independent quadratic forms vanish together at a projective point?
-    One form always has a root, two share one iff their resultant is 0, and
-    three share none."""
-    if len(forms) == 2:
-        (a0, a1, a2), (b0, b1, b2) = forms
-        r02 = a0 * b2 - a2 * b0
-        return not (r02 * r02 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
-    return len(forms) <= 1
+    return [(m, 3 - len(_independent_rows(member)))]
 
 
 def simdiag_test(pair: SymPair, sd: Optional[int] = None,
@@ -278,7 +244,7 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
         1 if any(upper) else 0
     if sd <= 1:
         # every member is a multiple of g
-        r = _rank(g1 if any(u1) else g2)
+        r = len(_independent_rows(g1 if any(u1) else g2))
         return PencilSignature(
             span_dim=sd, common_kernel_dim=3 - r, generic_rank=r,
             det_root_count=1 if r == 3 else -1, has_rank1_member=r == 1,
@@ -291,13 +257,12 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
             det_root_count=3 - sum(m - 1 for m, _ in drops),
             has_rank1_member=any(d == 2 for _, d in drops),
             simdiag=simdiag_test(pair, sd, drops))
-    # singular: a member has rank 1 exactly where every 2x2 minor vanishes
-    minors = _independent_rows(_minor_forms(g1, g2))
+    # singular: a regular 2x2 pencil plus a common kernel line, which has
+    # a rank-one member, or L1 + L1^t with no common kernel, which has none
     rows = _independent_rows(g1 + g2)
     return PencilSignature(
-        span_dim=2, common_kernel_dim=3 - len(rows),
-        generic_rank=2 if minors else 1, det_root_count=-1,
-        has_rank1_member=_common_root(minors),
+        span_dim=2, common_kernel_dim=3 - len(rows), generic_rank=2,
+        det_root_count=-1, has_rank1_member=len(rows) == 2,
         simdiag=_singular_simdiag(g1, g2, rows))
 
 

@@ -20,6 +20,15 @@ def test_from_doc_to_doc_roundtrip_all_catalog():
         assert g2.m == g.m and g2.n == g.n
 
 
+def test_constants_equal_is_reflexive_on_series_constants():
+    """A truncated series constant is not known to be zero minus itself,
+    yet the algebra equals itself; a different constant still differs."""
+    g = SuperAlgebra(2, 0, {(0, 1): [(1, PuiseuxSeries({0: ONE, 1: ONE}, 8))]})
+    h = SuperAlgebra(2, 0, {(0, 1): [(1, PuiseuxSeries({0: ONE}, 8))]})
+    assert g.constants_equal(g)
+    assert not g.constants_equal(h)
+
+
 def test_axioms_all_catalog():
     for entry in catalog.list_entries():
         g = entry.algebra

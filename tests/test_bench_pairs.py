@@ -156,10 +156,14 @@ def test_main_runs_pair_k_at_seed_k(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "pairs" in line] == [
         "a, seeds 4-6, 3 pairs"]
-    # --pairs belongs to --seed alone, and one of the two is needed
+    # --pairs belongs to --seed alone, one of the two is needed, and a
+    # count below 1 is refused before any run
     for extra in (["--seeds", "1-2", "--pairs", "2"], ["--seed", "1"],
                   ["--pairs", "2"], ["--seed", "1", "--seeds", "1-2",
-                                     "--pairs", "2"]):
+                                     "--pairs", "2"],
+                  ["--seed", "1", "--pairs", "0"],
+                  ["--seed", "1", "--pairs", "-2"]):
         with pytest.raises(SystemExit) as exc:
             bench_pairs.main(sides + ["--workload", "a"] + extra)
         assert exc.value.code == 2, extra
+    assert len(calls) == 6

@@ -312,8 +312,9 @@ BRANCHES = {"span<=1", ("roots", 3), ("roots", 2), ("roots", 1),
 
 def test_signature_matches_probe_oracle():
     """All six fields, from the integral pencil, equal the probe-and-
-    charpoly oracle's, and simdiag_test called on the pair alone agrees, on
-    rational pairs and on pairs over Q(i, sqrt2)."""
+    charpoly oracle's, simdiag_test called on the pair alone agrees, and
+    classify_pair gives every pair one of the twelve labels, on rational
+    pairs and on pairs over Q(i, sqrt2)."""
     rng = random.Random(20260823)
     pairs = list(REPRESENTATIVES.values())
     pairs += [pair_act(random_gl(2, rng), random_gl(3, rng), p)
@@ -333,6 +334,7 @@ def test_signature_matches_probe_oracle():
         want = ref_signature(pair)
         assert pencil_signature(pair) == want, pair
         assert gamma23.simdiag_test(pair) == want.simdiag, pair
+        assert classify_pair(pair) is not None, pair
         seen |= {("simdiag", want.simdiag),
                  ("rank1", want.has_rank1_member)}
         form = _poly_trim(_form_det(_pencil_entries(pair)))
@@ -492,9 +494,9 @@ def rank_k_sum(rng, k, rows, cols, scalars, symmetric=False):
 
 
 def test_rank_closed_form_matches_elimination():
-    """`_rank` of seeded symmetric sums of 0-3 rank-one forms, rational (as
-    FieldElems and as the int copy from `integral`) and over Q(i, sqrt2),
-    equals `linalg.rank`."""
+    """The number of `_independent_rows` of seeded symmetric sums of 0-3
+    rank-one forms, rational (as FieldElems and as the int copy from
+    `integral`) and over Q(i, sqrt2), equals `linalg.rank`."""
     rng = random.Random(20261020)
     seen = set()
     for scalars in (RATIONAL, IRRATIONAL):
@@ -504,7 +506,7 @@ def test_rank_closed_form_matches_elimination():
                 want = rank(g)
                 flat = integral(g[0] + g[1] + g[2])
                 for m in (g, [flat[:3], flat[3:6], flat[6:]]):
-                    assert gamma23._rank(m) == want, m
+                    assert len(gamma23._independent_rows(m)) == want, m
                 seen.add((scalars is IRRATIONAL, want))
     assert seen == {(irr, r) for irr in (False, True) for r in range(4)}
 

@@ -88,6 +88,14 @@ def parse_seeds(text: str) -> List[int]:
     return list(range(int(first), int(last) + 1))
 
 
+def positive_int(text: str) -> int:
+    """A count of at least 1."""
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
     """The metric values of one untraced run; SystemExit on a failed run."""
     proc = subprocess.run(
@@ -115,7 +123,7 @@ def main(argv=None) -> int:
     seeds.add_argument("--seed", type=int, help="one seed for every pair")
     seeds.add_argument("--seeds", type=parse_seeds,
                        help="a range A-B: one pair per seed")
-    ap.add_argument("--pairs", type=int,
+    ap.add_argument("--pairs", type=positive_int,
                     help="the number of pairs, with --seed")
     args = ap.parse_args(argv)
     if (args.seed is None) != (args.pairs is None):

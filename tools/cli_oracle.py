@@ -6,7 +6,9 @@ as ``tools/cli_oracle.sh``, in one process.
 Run it from the root of a checkout (nothing needs installing): it imports
 ``superlie`` from ``src/`` and calls ``superlie.cli.main(argv)`` once per
 file, with stdout captured and ``exit N`` appended; stderr is not
-captured, as in the shell script.  Each builtin witness pair is dumped at
+captured, as in the shell script.  ``gamma23`` is dumped for each
+representative and for four seeded rational actions on it
+(``gamma23_pairs``).  Each builtin witness pair is dumped at
 the default precision, then at ``--precision 16`` and ``--precision 1/2``
 (a ``/`` is written ``:`` in a file name).  All commands share one
 process, so they share ``orbitrel._MEMO`` and ``catalog._CACHE`` (cap 16
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -35,6 +38,17 @@ def run(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return out.getvalue(), code
+
+
+def gamma23_pairs():
+    """(name, pair) for each gamma23 representative, then for four seeded
+    rational actions on it, named "<label> act<k>"."""
+    for label, pair in gamma23.REPRESENTATIVES.items():
+        yield label, pair
+        for k in range(4):
+            rng = random.Random(f"{label}:{k}")
+            T, S = gamma23.random_gl(2, rng), gamma23.random_gl(3, rng)
+            yield f"{label} act{k}", gamma23.pair_act(T, S, pair)
 
 
 def main() -> int:
@@ -57,11 +71,11 @@ def main() -> int:
     for mn in shapes:
         for c in ("hasse", "components", "verify-all"):
             dump(f"{c} {mn}", [c, *mn.split(",")])
-    for label, pair in gamma23.REPRESENTATIVES.items():
+    for name, pair in gamma23_pairs():
         g1, g2 = (json.dumps([[field.format_elem(x) for x in row]
                               for row in g], separators=(",", ":"))
                   for g in pair)
-        dump(f"gamma23 {label}", ["gamma23", "--g1", g1, "--g2", g2])
+        dump(f"gamma23 {name}", ["gamma23", "--g1", g1, "--g2", g2])
     pairs = list(dict.fromkeys((w["from"], w["to"])
                                for w in catalog.witnesses()))
     for cap in (None, "16", "1/2"):

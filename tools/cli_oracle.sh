@@ -1,8 +1,10 @@
 #!/bin/sh
 # Dump the CLI's stdout and exit code for every label, shape, gamma23
-# representative, builtin witness pair (at the default precision, then at
-# --precision 16 and 1/2; a / is written : in a file name) and ordered pair
-# of distinct labels of one shape, and for one seeded selftest.
+# representative and four seeded actions on each (`gamma23_pairs` in
+# tools/cli_oracle.py), builtin witness pair (at the default precision,
+# then at --precision 16 and 1/2; a / is written : in a file name) and
+# ordered pair of distinct labels of one shape, and for one seeded
+# selftest.
 #
 #     tools/cli_oracle.sh OUT_DIR
 #
@@ -34,11 +36,12 @@ for mn in $(sl list | sed 's/_.*//' | sort -u | tr -d '()' | tr '|' ,); do
     sl $c ${mn%,*} ${mn#*,} > "$out/$c $mn"; echo "exit $?" >> "$out/$c $mn"
   done
 done
-PYTHONPATH=src python -c 'import json; from superlie import gamma23, field
-for l, p in gamma23.REPRESENTATIVES.items():
-    print(l, *(json.dumps([[field.format_elem(x) for x in r] for r in g],
-                          separators=(",", ":")) for g in p))' |
-while read -r l g1 g2; do
+PYTHONPATH="src:$(dirname "$0")" python -c 'import json
+from cli_oracle import field, gamma23_pairs
+for l, p in gamma23_pairs():
+    print(*(json.dumps([[field.format_elem(x) for x in r] for r in g],
+                       separators=(",", ":")) for g in p), l)' |
+while read -r g1 g2 l; do
   sl gamma23 --g1 "$g1" --g2 "$g2" > "$out/gamma23 $l"
   echo "exit $?" >> "$out/gamma23 $l"
 done

@@ -27,7 +27,8 @@ coboundary rows are read off `algebra.integral_table`: ints for a rational
 algebra, with the same kernels and ranks.
 
 d1 is minus the residual of the (1,1,1)-derivation system of degree 0,
-`invariants._abc_rows`: D[x,y] - [Dx,y] - [x,Dy] = -(d1 D)(x,y).  `d1`
+`invariants._abc_rows`: D[x,y] - [Dx,y] - [x,Dy] = -(d1 D)(x,y).  That
+system is built on the pairs a <= b, which hold every cochain slot; `d1`
 applies its rows to one map and `_coboundary_rows` transposes them, so
 the rank of d1, dim B^2(g,g)_0, is the orbit dimension.
 

@@ -6,11 +6,11 @@ computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 maximal trivial graded subalgebra t(g).  Each is read off g's bracket
 table; the linear systems (center, derived, derivations) off its
 `algebra.integral_table`, so a rational algebra's rows are ints.
-`invariant_report` builds that table once for its six derivation systems
-and reads each dimension as unknowns less rank.  The (1,1,1) system of
+`invariant_report` builds each degree's derivation residual once, on the
+pairs a <= b, and reads (0,1,0) off the center.  The (1,1,1) system of
 degree 0 is d1 up to sign (`cohomology` reads d1 off it), so the orbit
-dimension is rank d1.  t(g) decides the shapes
-(a|b) from the largest a + b down: a shape below a found one is found.
+dimension is rank d1.  t(g) decides the shapes (a|b) from the largest
+a + b down: a shape below a found one is found.
 """
 
 from __future__ import annotations
@@ -59,25 +59,15 @@ def gamma_is_zero(g: SuperAlgebra) -> bool:
 # -- (alpha,beta,gamma)-derivations -----------------------------------------
 
 
-def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
-    """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
-    ({(a, b, k): row}, number of unknowns), read from br, g's bracket table
-    or a multiple of it (`algebra.integral_table`).
-
-    Row (a, b, k) is coordinate k of the residual on the basis pair
-    (x_a, x_b), for homogeneous x, y
-        alpha * D[x,y] - beta * [Dx, y] - (-1)^(degree*|x|) * gamma * [x, Dy],
-    on ALL ordered basis pairs (beta != gamma makes both orders
-    informative); zero rows are left out and the keys ascend.  The unknowns
-    are the elementary maps x_src -> x_dst of the given degree; each
-    equation is a sum over the nonzero brackets only.  At (1,1,1) and
-    degree 0 the residual is -(d1 D)(x_a, x_b), which is how
-    `cohomology.d1` reads it.
-    """
-    # the equation is homogeneous in (alpha, beta, gamma) and linear in the
-    # structure constants, so both are scaled to integral form
-    alpha, beta, gamma = integral([FieldElem(x) if isinstance(x, Fraction)
-                                   else x for x in (alpha, beta, gamma)])
+def _abc_parts(g: SuperAlgebra, br, degree: int, half: bool):
+    """({(a, b, k): (P, Q, R)}, number of unknowns): coordinate k of
+    D[x_a,x_b], [Dx_a,x_b] and (-1)^(degree*|a|) [x_a,Dx_b] as {unknown:
+    coefficient}, from br, g's bracket table or a multiple of it
+    (`algebra.integral_table`), on the pairs a <= b when `half`, else on all
+    ordered pairs.  The unknowns are the elementary maps x_src -> x_dst of
+    degree 0 or 1; only the nonzero brackets are visited."""
+    if degree not in (0, 1):
+        raise ValueError(f"a derivation has degree 0 or 1, got {degree!r}")
     m, n = g.m, g.n
     if degree == 0:
         # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
@@ -90,28 +80,49 @@ def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int):
     from_src = [[] for _ in range(g.dim)]  # from_src[s]: (unknown, dst)
     for ui, (src, dst) in enumerate(unknowns):
         from_src[src].append((ui, dst))
-    rows = {}
+    parts = {}
     for a in range(g.dim):
-        # (-1)^(degree*|a|) * gamma
-        sgamma = -gamma if degree * g.parity(a) % 2 else gamma
-        for b in range(g.dim):
-            # the residual as (output coordinate, unknown, coefficient) terms
-            terms = [(dst, ui, alpha * x) for src, x in br[a][b]
+        odd = degree * g.parity(a) % 2  # the sign of R
+        for b in range(a if half else 0, g.dim):
+            # (part, output coordinate, unknown, coefficient) terms
+            terms = [(0, dst, ui, x) for src, x in br[a][b]
                      for ui, dst in from_src[src]]
-            terms += [(k, ui, -(beta * y)) for ui, dst in from_src[a]
+            terms += [(1, k, ui, y) for ui, dst in from_src[a]
                       for k, y in br[dst][b]]
-            terms += [(k, ui, -(sgamma * y)) for ui, dst in from_src[b]
+            terms += [(2, k, ui, -y if odd else y) for ui, dst in from_src[b]
                       for k, y in br[a][dst]]
-            block = {}  # output coordinate -> row
-            for k, ui, x in terms:
-                row = block.get(k)
-                if row is None:
-                    row = block[k] = [0] * len(unknowns)
-                row[ui] = row[ui] + x
-            for k in sorted(block):
-                if any(block[k]):
-                    rows[a, b, k] = block[k]
-    return rows, len(unknowns)
+            for j, k, ui, x in terms:
+                part = parts.setdefault((a, b, k), ({}, {}, {}))[j]
+                part[ui] = part[ui] + x if ui in part else x
+    return parts, len(unknowns)
+
+
+def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int,
+              parts=None):
+    """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
+    ({(a, b, k): row}, number of unknowns): coordinate k on (x_a, x_b) of
+        alpha * D[x,y] - beta * [Dx, y] - (-1)^(degree*|x|) * gamma * [x, Dy]
+    over `parts` or the `_abc_parts` of br, zero rows left out, keys
+    ascending.  At (b, a) it is -(-1)^(|a||b|) times the residual at (a, b)
+    with beta and gamma swapped, so for beta = gamma, or alpha = 0 and
+    beta = -gamma, the pairs a <= b (which `parts` must then hold) give the
+    kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b), as `cohomology.d1` reads.
+    """
+    # the equation is homogeneous in (alpha, beta, gamma) and linear in the
+    # structure constants, so both are scaled to integral form
+    alpha, beta, gamma = integral([FieldElem(x) if isinstance(x, Fraction)
+                                   else x for x in (alpha, beta, gamma)])
+    table, size = parts or _abc_parts(g, br, degree, beta == gamma or
+                                      alpha == 0 and beta == -gamma)
+    rows = {}
+    for key, trio in sorted(table.items()):
+        row = [0] * size
+        for scale, part in zip((alpha, -beta, -gamma), trio):
+            for ui, x in part.items() if scale else ():
+                row[ui] = row[ui] + scale * x
+        if any(row):
+            rows[key] = row
+    return rows, size
 
 
 def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
@@ -261,20 +272,27 @@ ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
 def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
-    """Every invariant of g.  The six (alpha,beta,gamma) systems are read
-    off one integral table, each entry as its unknowns less the rank of its
-    rows; Der_0 is the (1,1,1)@0 entry."""
+    """Every invariant of g.  Each degree's (1,1,1) and (0,1,-1) entries are
+    unknowns less rank off one half-pair `_abc_parts` build, Der_0 is the
+    (1,1,1)@0 entry, and (0,1,0)@d counts the parity-d maps into the
+    center."""
     br = integral_table(g.bracket_table())
+    z = center(g)[0]
+    parts = [_abc_parts(g, br, deg, True) for deg in (0, 1)]
     abc = {}
     for a, b, c in ABC_TUPLES:
         for deg in (0, 1):
-            rows, size = _abc_rows(g, br, a, b, c, deg)
-            abc[f"({a},{b},{c})@{deg}"] = size - rank(list(rows.values()))
+            if (a, b, c) == (0, 1, 0):
+                dim = g.m * z[deg] + g.n * z[1 - deg]
+            else:
+                rows, size = _abc_rows(g, br, a, b, c, deg, parts[deg])
+                dim = size - rank(list(rows.values()))
+            abc[f"({a},{b},{c})@{deg}"] = dim
     d0 = abc["(1,1,1)@0"]
     report = {
         "name": g.name,
         "shape": [g.m, g.n],
-        "center": list(center(g)[0]),
+        "center": list(z),
         "derived": list(derived(g)),
         "gamma_zero": gamma_is_zero(g),
         "der0_dim": d0,

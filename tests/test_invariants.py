@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
+
 from superlie import catalog, invariants
 from superlie.algebra import SuperAlgebra
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem
@@ -52,13 +54,29 @@ def test_orbit_dims_regression():
         assert got == want, f"orbit_dim({label}) = {got}, frozen {want}"
 
 
-def test_abc_derivations_010_is_hom_into_annihilator():
-    # degree-0 (0,1,0)-derivations = graded maps into the two-sided annihilator
-    for label in ("(2|3)_10", "(2|3)_11", "(2|3)_4"):
-        g = catalog.get(label).algebra
-        (ze, zo), _ = invariants.center(g)
-        dim, _ = invariants.abc_derivations(g, 0, 1, 0, degree=0)
-        assert dim == g.m * ze + g.n * zo
+def test_abc_derivations_010_is_hom_into_annihilator(rng):
+    """A (0,1,0)-derivation of degree d is any parity-d map into the
+    two-sided annihilator, the center: m * z_d + n * z_(1-d) of them, as
+    `invariant_report` reads it, against the full ordered system of
+    abc_derivations, on `table_cases` (Q(i, sqrt2) basis changes
+    included)."""
+    for g in table_cases(rng):
+        z, _ = invariants.center(g)
+        for deg in (0, 1):
+            dim, _ = invariants.abc_derivations(g, 0, 1, 0, deg)
+            assert dim == g.m * z[deg] + g.n * z[1 - deg], (g.name, deg)
+
+
+def test_abc_degree_is_zero_or_one():
+    """A degree other than 0 or 1 is refused, not read as degree 1."""
+    g = catalog.get("(2|3)_6").algebra
+    br = g.bracket_table()
+    for deg in (2, 3, -1):
+        with pytest.raises(ValueError, match="degree 0 or 1"):
+            invariants.abc_derivations(g, 1, 1, 1, deg)
+        with pytest.raises(ValueError, match="degree 0 or 1"):
+            invariants._abc_parts(g, br, deg, True)
+    assert invariants.abc_derivations(g, 1, 1, 1, 1)[0] == 6
 
 
 def test_ordinary_derivations_match_orbit_dim():
@@ -261,7 +279,11 @@ def test_sparse_abc_derivations_match_dense_oracle(rng):
             for _ in range(2):
                 cases.append(e.algebra.apply_basis_change(
                     random_gl(e.m, rng), random_gl(e.n, rng)))
-    tuples = invariants.ABC_TUPLES + [(1, 0, 0), (2, 1, -1), (I, 1, SQRT2)]
+    # (1,1,1), (0,1,0), (0,1,-1), (0,1,1), (3,2,2) and (0,2,-2) are built on
+    # the pairs a <= b; (1,0,0), (2,1,-1), (1,1,-1) and (i,1,sqrt2) on all
+    tuples = invariants.ABC_TUPLES + [(0, 1, 1), (3, 2, 2), (0, 2, -2),
+                                      (1, 0, 0), (2, 1, -1), (1, 1, -1),
+                                      (I, 1, SQRT2)]
     for g in cases:
         for tup in tuples:
             for deg in (0, 1):

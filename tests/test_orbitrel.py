@@ -654,17 +654,19 @@ def _key(g):
 
 
 def test_component_analysis_derives_each_input_once(monkeypatch):
-    """The (alpha,beta,gamma)-derivation system of one distinct (structure
-    constants, tuple, degree) is built once, however many derivation paths
-    reach the algebra; Der_0 is one of those systems, read for orbit_dim
-    and the (1,1,1)@0 entry together."""
+    """The parts of the (alpha,beta,gamma)-derivation residual of one
+    distinct (structure constants, degree) are built once, however many
+    derivation paths reach the algebra: one half-pair `_abc_parts` build per
+    degree, which the report reads for every tuple of that degree, Der_0
+    (orbit_dim and the (1,1,1)@0 entry) included."""
     calls = []
-    _count_calls(monkeypatch, invariants._abc_rows,
-                 lambda g, br, alpha, beta, gamma, degree:
-                 calls.append((_key(g), (alpha, beta, gamma), degree)))
+    _count_calls(monkeypatch, invariants._abc_parts,
+                 lambda g, br, degree, half:
+                 calls.append((_key(g), degree, half)))
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|3)")
-    assert len(calls) == len(set(calls)) == 192
+    assert all(half for _, _, half in calls)
+    assert len(calls) == len(set(calls)) == 64
 
 
 def test_component_analysis_reduces_each_input_once(monkeypatch):

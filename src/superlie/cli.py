@@ -505,6 +505,10 @@ def main(argv=None) -> int:
     except InsufficientPrecision as exc:
         print(f"insufficient precision: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError:
+        print(f"out of memory: {args.command} needs more memory than is "
+              "available", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     vec = [ZERO] * cochain_dim(g.m, g.n)
     for s, t in enumerate(cochain_basis_index(g.m, g.n)):
         if t in rows:
-            vec[s] = -sum((x * y for x, y in zip(rows[t], psi) if x), ZERO)
+            vec[s] = -sum((x * psi[u] for u, x in rows[t].items()), ZERO)
     return Cochain2Even(g.m, g.n, vec)
 
 
@@ -194,25 +194,28 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 
 def _d2_matrix(g: SuperAlgebra, ibr) -> list:
-    """The nonzero rows of `_d2_entries` in key order, dense over the
-    cochain slots, from `ibr`, the integral table of g
-    (`algebra.integral_table`): one row per coordinate of `d2` on a
-    canonical triple.  Repeated rows are left to the elimination."""
+    """The rows of `_d2_entries` in key order, as sparse {slot: coefficient}
+    rows with zero entries and empty rows dropped, from `ibr`, the integral
+    table of g (`algebra.integral_table`): one row per coordinate of `d2`
+    on a canonical triple.  Repeated rows are left to the elimination."""
     total = cochain_dim(g.m, g.n)
     entries = _d2_entries(g, ibr, [(s, 1) for s in range(total)])
-    return [[row.get(c, 0) for c in range(total)]
-            for _, row in sorted(entries.items()) if any(row.values())]
+    rows = [{s: x for s, x in row.items() if x}
+            for _, row in sorted(entries.items())]
+    return [row for row in rows if row]
 
 
 def _coboundary_rows(g: SuperAlgebra, ibr) -> list:
     """The nonzero images of the elementary even maps x_p -> x_q under d1,
-    as cochain vectors from `ibr`, the integral table of g
-    (`algebra.integral_table`): a spanning set of B^2.  Each is minus a
-    column of the (1,1,1)@0 derivation rows on the stored slots."""
+    as sparse {slot: coefficient} cochains from `ibr`, the integral table
+    of g (`algebra.integral_table`): a spanning set of B^2.  Each is minus
+    a column of the (1,1,1)@0 derivation rows on the stored slots."""
     rows, size = _abc_rows(g, ibr, 1, 1, 1, 0)
-    slots = [rows.get(t) for t in cochain_basis_index(g.m, g.n)]
-    images = [[-row[u] if row else 0 for row in slots] for u in range(size)]
-    return [image for image in images if any(image)]
+    images = [{} for _ in range(size)]
+    for s, t in enumerate(cochain_basis_index(g.m, g.n)):
+        for u, x in rows.get(t, {}).items():
+            images[u][s] = -x
+    return [image for image in images if image]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
@@ -232,7 +235,8 @@ def h2_even(g: SuperAlgebra) -> Dict:
     rows, pivots = _echelon(_d2_matrix(g, ibr), True)
     pivoted = set(pivots)
     free = [c for c in range(total) if c not in pivoted]
-    _, lasts = _echelon([[row[f] for f in reversed(free)]
+    place = {f: i for i, f in enumerate(reversed(free))}
+    _, lasts = _echelon([{place[s]: x for s, x in row.items() if s in place}
                          for row in _coboundary_rows(g, ibr)], False)
     dropped = {free[-1 - i] for i in lasts}
     kept = [f for f in free if f not in dropped]

@@ -5,7 +5,8 @@ computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
 maximal trivial graded subalgebra t(g).  Each is read off g's bracket
 table; the linear systems (center, derived, derivations) off its
-`algebra.integral_table`, so a rational algebra's rows are ints.
+`algebra.integral_table`, as sparse {column: scalar} rows handed to
+`linalg._echelon`, so a rational algebra's rows are ints.
 `invariant_report` builds each degree's derivation residual once, on the
 pairs a <= b, and reads (0,1,0) off the center.  The (1,1,1) system of
 degree 0 is d1 up to sign (`cohomology` reads d1 off it), so the orbit
@@ -22,33 +23,39 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import SuperAlgebra, integral_table
 from .field import FieldElem, I, ONE, SQRT2, ZERO
 from .groebner import Poly, system_verdict
-from .linalg import integral, kernel, rank
+from .linalg import _echelon, integral, kernel_vectors
 
 
 def center(g: SuperAlgebra):
     """Graded dimension of the center, with graded bases: for each parity,
-    the kernel of ad over the combined basis."""
+    the kernel of ad over the combined basis, as sparse rows (b, k) read off
+    the integral table."""
     m, d = g.m, g.dim
     br = integral_table(g.bracket_table())
 
     def ad_kernel(vs):
-        # column v, row (b, k): coordinate k of [x_v, x_b]
-        cols = [[dict(br[v][b]) for b in range(d)] for v in vs]
-        return kernel([[col[b].get(k, 0) for col in cols]
-                       for b in range(d) for k in range(d)]) if vs else []
+        # column i, sparse row (b, k): coordinate k of [x_vs[i], x_b]
+        rows = {}
+        for i, v in enumerate(vs):
+            for b in range(d):
+                for k, x in br[v][b]:
+                    rows.setdefault((b, k), {})[i] = x
+        return kernel_vectors(*_echelon(list(rows.values()), True), len(vs))
 
     even_basis, odd_basis = ad_kernel(range(m)), ad_kernel(range(m, d))
     return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
 
 
 def derived(g: SuperAlgebra) -> Tuple[int, int]:
-    """Graded dimension of [g, g]: the ranks of the even and odd parts of
-    the brackets [x_a, x_b], a <= b."""
+    """Graded dimension of [g, g]: the rank of the brackets [x_a, x_b],
+    a <= b, as sparse rows.  Each bracket is homogeneous, so the pivots
+    before column m are the even part's and the rest the odd part's."""
     m, d = g.m, g.dim
     br = integral_table(g.bracket_table())
-    rows = [[dict(br[a][b]).get(k, 0) for k in range(d)]
-            for a in range(d) for b in range(a, d)]
-    return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
+    _, pivots = _echelon([dict(br[a][b]) for a in range(d)
+                          for b in range(a, d)], False)
+    even = sum(c < m for c in pivots)
+    return even, len(pivots) - even
 
 
 def gamma_is_zero(g: SuperAlgebra) -> bool:
@@ -100,13 +107,15 @@ def _abc_parts(g: SuperAlgebra, br, degree: int, half: bool):
 def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int,
               parts=None):
     """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
-    ({(a, b, k): row}, number of unknowns): coordinate k on (x_a, x_b) of
+    ({(a, b, k): row}, number of unknowns), each row a sparse {unknown:
+    coefficient} dict: coordinate k on (x_a, x_b) of
         alpha * D[x,y] - beta * [Dx, y] - (-1)^(degree*|x|) * gamma * [x, Dy]
-    over `parts` or the `_abc_parts` of br, zero rows left out, keys
-    ascending.  At (b, a) it is -(-1)^(|a||b|) times the residual at (a, b)
-    with beta and gamma swapped, so for beta = gamma, or alpha = 0 and
-    beta = -gamma, the pairs a <= b (which `parts` must then hold) give the
-    kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b), as `cohomology.d1` reads.
+    over `parts` or the `_abc_parts` of br, zero entries and empty rows
+    left out, keys ascending.  At (b, a) it is -(-1)^(|a||b|) times the
+    residual at (a, b) with beta and gamma swapped, so for beta = gamma, or
+    alpha = 0 and beta = -gamma, the pairs a <= b (which `parts` must then
+    hold) give the kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b), as
+    `cohomology.d1` reads.
     """
     # the equation is homogeneous in (alpha, beta, gamma) and linear in the
     # structure constants, so both are scaled to integral form
@@ -116,11 +125,12 @@ def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int,
                                       alpha == 0 and beta == -gamma)
     rows = {}
     for key, trio in sorted(table.items()):
-        row = [0] * size
+        row = {}
         for scale, part in zip((alpha, -beta, -gamma), trio):
             for ui, x in part.items() if scale else ():
-                row[ui] = row[ui] + scale * x
-        if any(row):
+                row[ui] = row[ui] + scale * x if ui in row else scale * x
+        row = {ui: x for ui, x in row.items() if x}
+        if row:
             rows[key] = row
     return rows, size
 
@@ -131,8 +141,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     ints, Fractions or FieldElems."""
     rows, size = _abc_rows(g, integral_table(g.bracket_table()),
                            alpha, beta, gamma, degree)
-    basis = kernel(list(rows.values())) if rows else \
-        [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    basis = kernel_vectors(*_echelon(list(rows.values()), True), size)
     return len(basis), basis
 
 
@@ -140,7 +149,7 @@ def orbit_dim(g: SuperAlgebra) -> int:
     """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0: the
     rank of their system, which is d1 up to sign, so dim B^2(g,g)_0."""
     rows, _ = _abc_rows(g, integral_table(g.bracket_table()), 1, 1, 1, 0)
-    return rank(list(rows.values()))
+    return len(_echelon(list(rows.values()), False)[1])
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -286,7 +295,7 @@ def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
                 dim = g.m * z[deg] + g.n * z[1 - deg]
             else:
                 rows, size = _abc_rows(g, br, a, b, c, deg, parts[deg])
-                dim = size - rank(list(rows.values()))
+                dim = size - len(_echelon(list(rows.values()), False)[1])
             abc[f"({a},{b},{c})@{deg}"] = dim
     d0 = abc["(1,1,1)@0"]
     report = {

@@ -2,17 +2,17 @@
 
 Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
 solve, det) take ints and FieldElems, mixed, and are exact.  All but det
-share one elimination, `_echelon`, which first scales each row by
-`integral`; that leaves the row's span, hence the RREF, as it is.  A
-rational matrix so becomes an int matrix and is eliminated without
-division.  `rref` divides each pivot row once at the end; `kernel_vectors`,
-and so `kernel`, divides only the entries in the free columns it reads.
-Rows stay dense, but an int pivot of +-1, or any pivot of a matrix with
-irrational entries, updates a row only at its own nonzero columns, so
-sparse elimination costs in proportion to the nonzeros.  `det` keeps its
-own elimination over the field.  The series solver pivots on the entry of
-smallest leading exponent, which keeps truncation error under control for
-witness verification.
+share one elimination, `_echelon`, on sparse {column: scalar} rows: the
+dense routines convert at entry, and `cohomology` and `invariants` build
+their systems sparse.  `_echelon` first scales each row by `integral`,
+which leaves the RREF as it is, so a rational matrix is eliminated over
+the ints without division (Bareiss's fraction-free step).  A row changes
+only at its pivot's nonzero columns, so elimination costs in proportion
+to the nonzeros.  `rref` divides each pivot row once at the end;
+`kernel_vectors`, and so `kernel`, divides only the entries in the free
+columns it reads.  `det` keeps its own elimination over the field.  The
+series solver pivots on the entry of smallest leading exponent, which
+keeps truncation error under control for witness verification.
 """
 
 from __future__ import annotations
@@ -69,83 +69,98 @@ def integral(xs) -> list:
     return [x * q for x in xs] if q > 1 else list(xs)
 
 
-def _echelon(matrix: Sequence[Row], reduced: bool):
-    """Row echelon form, reduced when `reduced`: (rows, pivot_columns),
-    each row a multiple of the matching nonzero row of the RREF in the
-    reduced form.
-
-    Every input row is scaled by `integral`.  A pivot p clears a row at its
-    column c as a * row - row[c] * w * pivot.  When every entry is then an
-    int, a = |p| and w = sign(p), so no division happens: for a = 1 the row
-    is updated at the pivot row's nonzero columns, and otherwise it loses
-    its content (the gcd of its entries) after the update, so its entries
-    stay as small as the RREF's numerators and denominators allow.  Other
-    matrices (irrational entries) are eliminated over the field, with a = 1
-    and w = 1/p."""
-    ints = all(type(x) is int for row in matrix for x in row)
-    rows = [list(row) if ints else integral(row) for row in matrix if any(row)]
-    ints = ints or all(type(x) is int for row in rows for x in row)
-    pivots = []
-    for c in range(len(matrix[0]) if rows else 0):
-        r = len(pivots)
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                break
+def _eliminate(row: dict, pivot: dict, c: int, ints: bool) -> dict:
+    """`row` cleared at column c by `pivot`.  For ints, a * row - b * pivot,
+    a > 0 and b the pivot's and the row's entries at c over their gcd, less
+    its content for a != 1, so entries stay as small as the RREF allows;
+    else row - row[c] * (1/pivot[c]) * pivot, over the field."""
+    if ints:
+        p, x = pivot[c], row[c]
+        g = gcd(p, x)
+        a, b = (p // g, x // g) if p > 0 else (-p // g, -x // g)
+        if a != 1:
+            row = {j: a * y for j, y in row.items()}
+    else:
+        a, b = 1, row[c] * (ONE / pivot[c])
+    for j, y in pivot.items():
+        z = row.get(j, 0) - b * y
+        if z:
+            row[j] = z
         else:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        p = rows[r][c]
-        a, w = ((p, 1) if p > 0 else (-p, -1)) if ints else (1, ONE / p)
-        pivot = rows[r] if w == 1 else [w * x for x in rows[r]]
-        if a == 1:
-            nonzero = [(j, x) for j, x in enumerate(pivot) if x]
-        for row in rows[:r] + rows[r + 1:] if reduced else rows[r + 1:]:
-            f = row[c]
-            if not f:
-                continue
-            if a == 1:
-                for j, x in nonzero:
-                    row[j] -= f * x
-                continue
-            row[:] = [a * x - f * y for x, y in zip(row, pivot)]
-            g = gcd(*row)
-            if g > 1:
-                row[:] = [x // g for x in row]
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows[:len(pivots)], pivots
+            del row[j]
+    if a != 1:
+        content = gcd(*row.values())
+        if content > 1:
+            row = {j: y // content for j, y in row.items()}
+    return row
+
+
+def _echelon(rows: Sequence[dict], reduced: bool):
+    """Row echelon form of sparse rows ({column: scalar} dicts, left as they
+    are), reduced when `reduced`: (rows, pivot_columns ascending), each row
+    a multiple of its RREF row in the reduced form.  Unless all entries are
+    ints, each row is scaled by `integral`.  A row is inserted at its least
+    column: it is that column's pivot if it has none, else it is cleared
+    there and inserted again.  The reduced form then clears each pivot row
+    at the later pivots, from the last pivot down to the first."""
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    ints = all(type(x) is int for row in rows for x in row.values())
+    if not ints:
+        rows = [dict(zip(row, integral(list(row.values())))) for row in rows]
+        ints = all(type(x) is int for row in rows for x in row.values())
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row
+                break
+            row = _eliminate(row, pivots[c], c, ints)
+    order = sorted(pivots)
+    if reduced:
+        for c in reversed(order):
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                row = _eliminate(row, pivots[j], j, ints)
+            pivots[c] = row
+    return [pivots[c] for c in order], order
 
 
 def rref(matrix: Sequence[Row]):
     """Reduced row echelon form; returns (rows, pivot_columns).  Each pivot
     row of the reduced `_echelon` is divided by its pivot once."""
-    rows, pivots = _echelon(matrix, True)
-    out = []
-    for row, c in zip(rows, pivots):
-        inv = ONE / row[c]
-        out.append([x * inv if x else ZERO for x in row])
+    rows, pivots = _echelon([dict(enumerate(r)) for r in matrix], True)
     width = len(matrix[0]) if matrix else 0
-    return out + [[ZERO] * width for _ in range(len(matrix) - len(out))], pivots
+    out = [[ZERO] * width for _ in matrix]
+    for vec, row, c in zip(out, rows, pivots):
+        inv = ONE / row[c]
+        for j, x in row.items():
+            vec[j] = x * inv
+    return out, pivots
 
 
 def rank(matrix: Sequence[Row]) -> int:
-    return len(_echelon(matrix, False)[1])
+    return len(_echelon([dict(enumerate(r)) for r in matrix], False)[1])
 
 
-def kernel_vectors(rows, pivots, width: int, free) -> List[List[FieldElem]]:
-    """The kernel vectors at the non-pivot columns `free` of a matrix with
-    `width` columns, from its reduced `_echelon` form (rows, pivots): 1 at
-    the free column and minus the RREF entry at each pivot.  The RREF entry
-    of a row is its entry over its pivot, so only the entries in `free`
-    columns are divided, and each row's pivot is inverted once."""
+def kernel_vectors(rows, pivots, width: int,
+                   free=None) -> List[List[FieldElem]]:
+    """The kernel vectors at the non-pivot columns `free` (all of them when
+    None) of a matrix with `width` columns, from its reduced `_echelon`
+    form (rows, pivots): 1 at the free column and minus the RREF entry at
+    each pivot.  The RREF entry of a row is its entry over its pivot, so
+    only the entries in `free` columns are divided, and each row's pivot is
+    inverted once."""
+    if free is None:
+        pivoted = set(pivots)
+        free = [c for c in range(width) if c not in pivoted]
     inverses = [None] * len(rows)
     basis = []
     for fc in free:
         vec = [ZERO] * width
         vec[fc] = ONE
         for r, (row, pc) in enumerate(zip(rows, pivots)):
-            x = row[fc]
+            x = row.get(fc)
             if x:
                 if inverses[r] is None:
                     inverses[r] = ONE / row[pc]
@@ -159,11 +174,8 @@ def kernel(matrix: Sequence[Row]) -> List[List[FieldElem]]:
     column, read off the reduced `_echelon` form by `kernel_vectors`."""
     if not matrix:
         return []
-    width = len(matrix[0])
-    rows, pivots = _echelon(matrix, True)
-    pivoted = set(pivots)
-    return kernel_vectors(rows, pivots, width,
-                          [c for c in range(width) if c not in pivoted])
+    rows, pivots = _echelon([dict(enumerate(r)) for r in matrix], True)
+    return kernel_vectors(rows, pivots, len(matrix[0]))
 
 
 def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> List[Row]:

@@ -43,6 +43,13 @@ def dense_views(g):
     return dense(ev, ev, 0), dense(ev, od, 1), dense(od, od, 0)
 
 
+def dense(rows, width: int):
+    """Sparse {column: scalar} rows (`linalg._echelon`'s and the exact
+    systems' shape) written out over `width` columns, 0 where a row has no
+    entry."""
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
 def rand_gl(size: int, rng, irrational: bool = False):
     """A random invertible matrix: small rationals, or with `irrational`
     small elements of Q(i, sqrt2) with all four coordinates drawn."""

@@ -80,6 +80,24 @@ def test_closed_stdout_pipe_fails_without_traceback(unbuffered):
     assert proc.stderr == ""
 
 
+def test_out_of_memory_is_one_line(capsys, monkeypatch):
+    """A command that runs out of memory exits 1 with one `out of memory:`
+    line on stderr and no traceback; the MemoryError is raised by a stub,
+    so nothing is allocated."""
+    from superlie import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_h2", exhausted)
+    code = main(["h2", "(1|1)_0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == \
+        "out of memory: h2 needs more memory than is available\n"
+    assert "Traceback" not in captured.err
+
+
 def test_show_is_byte_deterministic(capsys):
     code1, out1 = run(capsys, "show", "(2|2)_6")
     code2, out2 = run(capsys, "show", "(2|2)_6")

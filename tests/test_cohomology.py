@@ -14,7 +14,7 @@ from superlie.exprlang import constant, evaluate
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.linalg import kernel, rank, rref, transpose
 
-from conftest import basis_vector, rand_elem, table_cases
+from conftest import basis_vector, dense, rand_elem, table_cases
 
 
 def expected_h2(label):
@@ -414,8 +414,9 @@ def test_orbit_dim_is_coboundary_rank(rng):
     for g, want in cases:
         got = invariants.orbit_dim(g)
         assert got == invariants.invariant_report(g, False)["orbit_dim"] \
-            == rank(cohomology._coboundary_rows(
-                g, integral_table(g.bracket_table()))), g.name
+            == rank(dense(cohomology._coboundary_rows(
+                g, integral_table(g.bracket_table())),
+                cohomology.cochain_dim(g.m, g.n))), g.name
         assert want is None or got == want, g.name
         A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
         D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
@@ -483,7 +484,8 @@ def rank_lift_h2(g, d2m):
     total = cohomology.cochain_dim(g.m, g.n)
     cocycles = kernel(d2m) if d2m else \
         [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
-    stack = cohomology._coboundary_rows(g, integral_table(g.bracket_table()))
+    stack = dense(cohomology._coboundary_rows(
+        g, integral_table(g.bracket_table())), total)
     b_rank = current = rank(stack)
     basis = []
     dim = len(cocycles) - b_rank
@@ -531,7 +533,8 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
         old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
                               else (lambda phi: d2(g, phi)))
         ibr = integral_table(g.bracket_table())
-        new = cohomology._d2_matrix(g, ibr)
+        total = cohomology.cochain_dim(g.m, g.n)
+        new = dense(cohomology._d2_matrix(g, ibr), total)
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
         assert all(any(row) for row in new), g.name
         dim, basis = rank_lift_h2(g, old)
@@ -540,7 +543,7 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
         assert want is None or dim == want, g.name
         assert [phi.vec for phi in got["basis"]] == basis, g.name
         assert all(is_cocycle(g, phi) for phi in got["basis"]), g.name
-        cob = cohomology._coboundary_rows(g, ibr)
+        cob = dense(cohomology._coboundary_rows(g, ibr), total)
         assert rank(cob + basis) == rank(cob) + dim, g.name
 
 
@@ -740,9 +743,11 @@ def test_d2_and_coboundary_rows_match_former_assembly(rng):
     for g in table_cases(rng):
         br = g.bracket_table()
         ibr = integral_table(br)
-        assert (_nonzero_rref_rows(cohomology._d2_matrix(g, ibr))
+        total = cohomology.cochain_dim(g.m, g.n)
+        assert (_nonzero_rref_rows(dense(cohomology._d2_matrix(g, ibr), total))
                 == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
-        assert (_nonzero_rref_rows(cohomology._coboundary_rows(g, ibr))
+        assert (_nonzero_rref_rows(dense(cohomology._coboundary_rows(g, ibr),
+                                         total))
                 == _nonzero_rref_rows(coboundary_rows_before(g, br))), g.name
         got, want = h2_even(g), h2_even_before(g)
         assert got["dim"] == want["dim"], g.name

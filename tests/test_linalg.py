@@ -1,14 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from superlie import linalg
-from superlie.field import FieldElem
+from superlie.field import I, SQRT2, FieldElem
 from superlie.linalg import (SingularMatrix, det, kernel, mat_mul, rank, rref,
                              series_solve, solve, transpose)
 from superlie.series import PuiseuxSeries
 
-from conftest import rand_elem
+from conftest import dense, rand_elem
 
 ZERO = FieldElem(0)
 ONE = FieldElem(1)
@@ -215,11 +216,123 @@ def test_rref_matches_dense_oracle(rng):
         assert a == before   # the input is not reduced in place
         # the row echelon form has the pivots of the RREF, and an int
         # matrix or a rational one is eliminated over the ints
-        rows, pivots = linalg._echelon(a, False)
+        rows, pivots = linalg._echelon([dict(enumerate(r)) for r in a], False)
+        rows = dense(rows, len(a[0]) if a else 0)
         assert pivots == want[1], a
         if all(not isinstance(x, FieldElem) or x.is_rational()
                for row in a for x in row):
             assert all(type(x) is int for row in rows for x in row), a
+
+
+# -- sparse _echelon against the dense elimination it replaced --------------
+
+
+def echelon_before(matrix, reduced):
+    """The dense elimination `linalg._echelon` ran before it took sparse
+    rows, kept as its oracle: (rows, pivot_columns) of the rows scaled by
+    `integral`, eliminated column by column over the ints when every entry
+    is then an int (dividing each row by its content), else over the
+    field."""
+    ints = all(type(x) is int for row in matrix for x in row)
+    rows = [list(row) if ints else linalg.integral(row)
+            for row in matrix if any(row)]
+    ints = ints or all(type(x) is int for row in rows for x in row)
+    pivots = []
+    for c in range(len(matrix[0]) if rows else 0):
+        r = len(pivots)
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        a, w = ((p, 1) if p > 0 else (-p, -1)) if ints else (1, ONE / p)
+        pivot = rows[r] if w == 1 else [w * x for x in rows[r]]
+        if a == 1:
+            nonzero = [(j, x) for j, x in enumerate(pivot) if x]
+        for row in rows[:r] + rows[r + 1:] if reduced else rows[r + 1:]:
+            f = row[c]
+            if not f:
+                continue
+            if a == 1:
+                for j, x in nonzero:
+                    row[j] -= f * x
+                continue
+            row[:] = [a * x - f * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            if g > 1:
+                row[:] = [x // g for x in row]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots
+
+
+def _mixed_pivot_rows(rng, width):
+    """Sparse rows over Q(i, sqrt2) whose least entry is an int and whose
+    other entries are FieldElems, some of them irrational, so that the
+    field path meets an int pivot and an int entry under it."""
+    rows = []
+    for _ in range(rng.randint(1, width + 2)):
+        lead = rng.randrange(width)
+        row = {lead: rng.choice([-2, -1, 1, 2, 3])}
+        for c in range(lead + 1, width):
+            if rng.random() < 0.6:
+                row[c] = _entry(rng, 1.0)
+        rows.append(row)
+    rows.append({width - 1: I + SQRT2})
+    return rows
+
+
+def _sparse_cases(rng):
+    """Sparse inputs of every kind `_matrices` draws (int, rational and
+    Q(i, sqrt2), mixed in a row), each with some zero entries kept and
+    empty rows and all-zero rows added, and rows led by an int pivot with
+    FieldElems after it: (rows, width)."""
+    out = []
+    for a in _matrices(rng):
+        if not a:
+            out.append(([], 0))
+            continue
+        rows = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+                for row in a]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)),
+                        rng.choice([{}, {0: 0}, {len(a[0]) - 1: ZERO}]))
+        out.append((rows, len(a[0])))
+    for width in range(1, 8):
+        for _ in range(6):
+            out.append((_mixed_pivot_rows(rng, width), width))
+    return out
+
+
+def test_sparse_echelon_matches_dense_elimination(rng):
+    """`_echelon` on sparse rows finds the pivots of `echelon_before` on the
+    same rows written out, reduced or not; each reduced row is a multiple
+    of the RREF row at its pivot; rows that are all rational come out as
+    ints; and the input dicts are left as they are."""
+    for rows, width in _sparse_cases(rng):
+        before = [dict(row) for row in rows]
+        matrix = dense(rows, width)
+        want = dense_rref(_fields(matrix))
+        rational = all(type(x) is int or x.is_rational()
+                       for row in rows for x in row.values())
+        for reduced in (False, True):
+            got, pivots = linalg._echelon(rows, reduced)
+            assert rows == before, rows
+            assert pivots == echelon_before(matrix, reduced)[1] == want[1], \
+                rows
+            assert all(x for row in got for x in row.values()), rows
+            assert [min(row) for row in got] == pivots, rows
+            if rational:
+                assert all(type(x) is int for row in got
+                           for x in row.values()), rows
+            if reduced:
+                for row, c, rref_row in zip(got, pivots, want[0]):
+                    inv = ONE / row[c]
+                    assert [row.get(j, 0) * inv for j in range(width)] \
+                        == rref_row, rows
 
 
 def dense_kernel(matrix):

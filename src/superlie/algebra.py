@@ -56,12 +56,19 @@ def _sparse(graded) -> List[Tuple[int, FieldElem]]:
     return [(k, x) for k, x in enumerate(chain(*graded)) if not x.is_zero()]
 
 
-def integral_table(br):
-    """The bracket table `br` times the lcm of its coefficients'
-    denominators (`linalg.integral`): ints for a rational algebra.  A system
-    linear in the structure constants has the same kernel and rank for it."""
-    flat = iter(integral([x for row in br for terms in row for _, x in terms]))
-    return [[[(k, next(flat)) for k, _ in terms] for terms in row] for row in br]
+def integral_table(g: "SuperAlgebra"):
+    """g's bracket table (`SuperAlgebra.bracket_table`) times the lcm of its
+    coefficients' denominators (`linalg.integral`): ints for a rational
+    algebra.  Only the stored pairs are scaled; `_mirror` fills the rest.  A
+    system linear in the structure constants has the same kernel and rank
+    for it."""
+    m, d = g.m, g.dim
+    flat = iter(integral([x for terms in g.consts.values() for _, x in terms]))
+    br = [[[] for _ in range(d)] for _ in range(d)]
+    for (a, b), terms in g.consts.items():
+        br[a][b] = [(k, next(flat)) for k, _ in terms]
+        br[b][a] = _mirror(m, a, b, br[a][b])
+    return br
 
 
 class SuperAlgebra:

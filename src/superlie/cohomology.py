@@ -26,11 +26,12 @@ only, with two neighbours equal only at an odd index; the d2 matrix of
 coboundary rows are read off `algebra.integral_table`: ints for a rational
 algebra, with the same kernels and ranks.
 
-d1 is minus the residual of the (1,1,1)-derivation system of degree 0,
-`invariants._abc_rows`: D[x,y] - [Dx,y] - [x,Dy] = -(d1 D)(x,y).  That
-system is built on the pairs a <= b, which hold every cochain slot; `d1`
-applies its rows to one map and `_coboundary_rows` transposes them, so
-the rank of d1, dim B^2(g,g)_0, is the orbit dimension.
+d1 is written once, by `_coboundary_rows`: the image of each elementary
+even map E: x_j -> x_i on the stored pairs, (d1 E)(x_a, x_b) = [Ex_a, x_b]
++ [x_a, Ex_b] - E[x_a, x_b], read off three lists of stored pairs; `d1`
+sums the images of one map.  It is minus the residual of the
+(1,1,1)-derivation system of degree 0 (`invariants._abc_rows`), so the rank
+of d1, dim B^2(g,g)_0, is the orbit dimension.
 
 `h2_even` eliminates the d2 matrix once, reduced.  Z^2 has one basis
 cocycle per free column, so a cocycle is determined by its free
@@ -49,10 +50,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebra import SuperAlgebra, _mirror, basis_names, integral_table, pairs
+from .algebra import SuperAlgebra, basis_names, integral_table, pairs
 from .exprlang import basis_index, constant
 from .field import ZERO, format_sum
-from .invariants import _abc_rows
 from .linalg import _echelon, kernel_vectors
 
 
@@ -86,27 +86,88 @@ def cochain_dim(m: int, n: int) -> int:
 
 # -- differentials -------------------------------------------------------------
 # `_d2_entries` writes d2 once: `d2` sums the images of one cochain's slots
-# and `_d2_matrix` reads unit ones.  d1 is read off `invariants._abc_rows`.
+# and `_d2_matrix` reads unit ones.  `_coboundary_rows` writes d1 once: `d1`
+# sums the images of one map's entries and `h2_even` eliminates them.
+
+
+def _into(g: SuperAlgebra, br):
+    """into[k]: the (p, q, x) of the stored pairs (p, q) whose bracket has x
+    x_k, with br g's bracket table or a multiple of it."""
+    into = [[] for _ in range(g.dim)]
+    for p, q in g.consts:
+        for k, x in br[p][q]:
+            into[k].append((p, q, x))
+    return into
+
+
+def _coboundary_rows(g: SuperAlgebra, br) -> list:
+    """The images under d1 of the elementary even maps E: x_j -> x_i, as
+    sparse {slot: coefficient} cochains from br, g's bracket table or a
+    multiple of it (`algebra.integral_table`): a spanning set of B^2.  They
+    come in the order of the entries (i, j) of A, then of D, row by row,
+    empty images included.  Each is
+
+        (d1 E)(x_a, x_b) = [E x_a, x_b] + [x_a, E x_b] - E[x_a, x_b]
+
+    on the stored pairs (j, b), the stored pairs (a, j) and the stored pairs
+    whose bracket has x_j."""
+    m, d = g.m, g.dim
+    # first[j], second[j]: the stored pairs (j, b), (a, j) as (b, base),
+    # (a, base), where slot base + k holds coordinate k of the pair's value
+    first, second = [[] for _ in range(d)], [[] for _ in range(d)]
+    bases = {}
+    s = 0
+    for a, b in pairs(m, g.n):
+        lo, hi = (m, d) if a < m <= b else (0, m)
+        bases[a, b] = s - lo
+        first[a].append((b, s - lo))
+        second[b].append((a, s - lo))
+        s += hi - lo
+    into = [[(bases[p, q], x) for p, q, x in terms] for terms in _into(g, br)]
+    images = []
+    for span in (range(m), range(m, d)):
+        for i in span:
+            for j in span:
+                image = {}
+                for b, base in first[j]:
+                    for k, y in br[i][b]:
+                        s = base + k
+                        image[s] = image[s] + y if s in image else y
+                for a, base in second[j]:
+                    for k, y in br[a][i]:
+                        s = base + k
+                        image[s] = image[s] + y if s in image else y
+                for base, x in into[j]:
+                    s = base + i
+                    image[s] = image[s] - x if s in image else -x
+                images.append({s: x for s, x in image.items() if x})
+    return images
 
 
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
-    psi = (A on the e's, D on the f's), columns = images, read off g's
-    bracket table."""
-    rows, _ = _abc_rows(g, g.bracket_table(), 1, 1, 1, 0)
-    # psi in the order of the unknowns: x_p -> x_q is entry (q, p)
+    psi = (A on the e's, D on the f's), columns = images, A m x m and D
+    n x n: the `_coboundary_rows` images of g's bracket table, each times
+    its entry of A or D."""
+    m, n = g.m, g.n
+    if len(A) != m or len(D) != n or any(len(row) != m for row in A) \
+            or any(len(row) != n for row in D):
+        raise ValueError(f"d1 on a ({m}|{n}) algebra takes A of size "
+                         f"{m}x{m} and D of size {n}x{n}")
     psi = [x for row in A for x in row] + [x for row in D for x in row]
-    vec = [ZERO] * cochain_dim(g.m, g.n)
-    for s, t in enumerate(cochain_basis_index(g.m, g.n)):
-        if t in rows:
-            vec[s] = -sum((x * psi[u] for u, x in rows[t].items()), ZERO)
-    return Cochain2Even(g.m, g.n, vec)
+    vec = [ZERO] * cochain_dim(m, n)
+    for x, image in zip(psi, _coboundary_rows(g, g.bracket_table())):
+        if x:
+            for s, y in image.items():
+                vec[s] = vec[s] + y * x
+    return Cochain2Even(m, n, vec)
 
 
 def _d2_entries(g: SuperAlgebra, br, support):
-    """{(triple, r): {slot: coefficient}}: coordinate r of d2 phi on each
-    canonical triple, split by the (slot, value) pairs of `support`, with
-    br g's bracket table or a multiple of it; canceled terms sum to zero.
+    """{(a, b, c, r): {slot: coefficient}}: coordinate r of d2 phi on each
+    canonical triple (a, b, c), split by the (slot, value) pairs of
+    `support`, with br g's bracket table or a multiple of it; canceled terms
+    sum to zero.
 
     Only the values of phi on the support (mirrored) and the nonzero
     brackets are visited, and a product is formed only for a canonical
@@ -117,49 +178,53 @@ def _d2_entries(g: SuperAlgebra, br, support):
     # triple
     before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
     left = [[(t, br[t][k]) for t in range(d) if br[t][k]] for k in range(d)]
-    into = [[] for _ in range(d)]   # into[k]: (p, q, x), [x_p, x_q] has x x_k
-    for p in range(d):
-        for q in range(p, d):
-            if before[p][q]:
-                for k, x in br[p][q]:
-                    into[k].append((p, q, x))
+    into = _into(g, br)
     index = cochain_basis_index(m, g.n)
     entries = {}
-
-    def add(s, x, terms, *targets):
-        """Add x * terms at each (key, negate, canonical) target with a
-        canonical key, in the column of slot s."""
-        for key, negate, canonical in targets:
-            if canonical:
-                for r, y in terms:
-                    z = x * y
-                    row = entries.setdefault((key, r), {})
-                    z = -z if negate else z
-                    row[s] = row[s] + z if s in row else z
-
     for s, c in support:
         a, b, k = index[s]
         # [x_t, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
         #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)] at phi(x_a, x_b) = c x_k;
         # the mirrored value phi(x_b, x_a) reaches no canonical triple
         for t, w in left[k]:
-            add(s, c, w, ((t, a, b), False, before[t][a]),
-                ((a, t, b), not (odd[a] and odd[t]),
-                 before[a][t] and before[t][b]),
-                ((a, b, t), odd[t] and odd[a] != odd[b], before[b][t]))
-        values = [(a, b, [(k, c)])]
-        if a != b:
-            values.append((b, a, _mirror(m, a, b, [(k, c)])))
+            if before[t][a]:
+                for r, y in w:
+                    row = entries.setdefault((t, a, b, r), {})
+                    z = c * y
+                    row[s] = row[s] + z if s in row else z
+            if before[a][t] and before[t][b]:
+                x = c if odd[a] and odd[t] else -c
+                for r, y in w:
+                    row = entries.setdefault((a, t, b, r), {})
+                    z = x * y
+                    row[s] = row[s] + z if s in row else z
+            if before[b][t]:
+                x = -c if odd[t] and odd[a] != odd[b] else c
+                for r, y in w:
+                    row = entries.setdefault((a, b, t, r), {})
+                    z = x * y
+                    row[s] = row[s] + z if s in row else z
         # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]) at
-        # each value phi(x_p, x_q) = v; each key puts x_i before x_j for
+        # each value phi(x_p, x_q) = v x_k; each key puts x_i before x_j for
         # the bracket [x_i, x_j]
+        values = [(a, b, c)]
+        if a != b:
+            values.append((b, a, c if odd[a] and odd[b] else -c))
         for p, q, v in values:
             for i, j, x in into[p]:
-                add(s, x, v, ((i, j, q), True, before[j][q]),
-                    ((i, q, j), odd[q] and odd[j],
-                     before[i][q] and before[q][j]))
+                if before[j][q]:
+                    row = entries.setdefault((i, j, q, k), {})
+                    z = -(x * v)
+                    row[s] = row[s] + z if s in row else z
+                if before[i][q] and before[q][j]:
+                    row = entries.setdefault((i, q, j, k), {})
+                    z = -(x * v) if odd[q] and odd[j] else x * v
+                    row[s] = row[s] + z if s in row else z
             for i, j, x in into[q]:
-                add(s, x, v, ((p, i, j), False, before[p][i]))
+                if before[p][i]:
+                    row = entries.setdefault((p, i, j, k), {})
+                    z = x * v
+                    row[s] = row[s] + z if s in row else z
     return entries
 
 
@@ -177,11 +242,14 @@ def d2(g: SuperAlgebra, phi: Cochain2Even):
     index repeats.  The values are read off g's bracket table.
     """
     m = g.m
+    if (phi.m, phi.n) != (m, g.n):
+        raise ValueError(f"a cochain of ({phi.m}|{phi.n}) is not one of "
+                         f"the ({m}|{g.n}) algebra {g.name or '?'}")
     entries = _d2_entries(g, g.bracket_table(),
                           [(s, x) for s, x in enumerate(phi.vec) if x])
     acc = {}
-    for (t, r), row in entries.items():
-        acc.setdefault(t, [ZERO] * g.dim)[r] = sum(row.values(), ZERO)
+    for (a, b, c, r), row in entries.items():
+        acc.setdefault((a, b, c), [ZERO] * g.dim)[r] = sum(row.values(), ZERO)
     return {t: (out[:m], out[m:]) for t, out in sorted(acc.items())
             if any(out)}
 
@@ -205,19 +273,6 @@ def _d2_matrix(g: SuperAlgebra, ibr) -> list:
     return [row for row in rows if row]
 
 
-def _coboundary_rows(g: SuperAlgebra, ibr) -> list:
-    """The nonzero images of the elementary even maps x_p -> x_q under d1,
-    as sparse {slot: coefficient} cochains from `ibr`, the integral table
-    of g (`algebra.integral_table`): a spanning set of B^2.  Each is minus
-    a column of the (1,1,1)@0 derivation rows on the stored slots."""
-    rows, size = _abc_rows(g, ibr, 1, 1, 1, 0)
-    images = [{} for _ in range(size)]
-    for s, t in enumerate(cochain_basis_index(g.m, g.n)):
-        for u, x in rows.get(t, {}).items():
-            images[u][s] = -x
-    return [image for image in images if image]
-
-
 def h2_even(g: SuperAlgebra) -> Dict:
     """{dim, basis}: dim H^2(g,g)_0 = dim Z^2 - dim B^2, with the basis of
     H^2 that a greedy pass keeps: of the cocycles z_f of Z^2's reduced
@@ -231,7 +286,7 @@ def h2_even(g: SuperAlgebra) -> Dict:
     built, by `linalg.kernel_vectors`."""
     m, n = g.m, g.n
     total = cochain_dim(m, n)
-    ibr = integral_table(g.bracket_table())
+    ibr = integral_table(g)
     rows, pivots = _echelon(_d2_matrix(g, ibr), True)
     pivoted = set(pivots)
     free = [c for c in range(total) if c not in pivoted]

@@ -9,9 +9,10 @@ table; the linear systems (center, derived, derivations) off its
 `linalg._echelon`, so a rational algebra's rows are ints.
 `invariant_report` builds each degree's derivation residual once, on the
 pairs a <= b, and reads (0,1,0) off the center.  The (1,1,1) system of
-degree 0 is d1 up to sign (`cohomology` reads d1 off it), so the orbit
-dimension is rank d1.  t(g) decides the shapes (a|b) from the largest
-a + b down: a shape below a found one is found.
+degree 0 is minus d1 (`cohomology._coboundary_rows` writes d1's images
+straight off the stored pairs), so the orbit dimension is rank d1.  t(g)
+decides the shapes (a|b) from the largest a + b down: a shape below a
+found one is found.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def center(g: SuperAlgebra):
     the kernel of ad over the combined basis, as sparse rows (b, k) read off
     the integral table."""
     m, d = g.m, g.dim
-    br = integral_table(g.bracket_table())
+    br = integral_table(g)
 
     def ad_kernel(vs):
         # column i, sparse row (b, k): coordinate k of [x_vs[i], x_b]
@@ -51,7 +52,7 @@ def derived(g: SuperAlgebra) -> Tuple[int, int]:
     a <= b, as sparse rows.  Each bracket is homogeneous, so the pivots
     before column m are the even part's and the rest the odd part's."""
     m, d = g.m, g.dim
-    br = integral_table(g.bracket_table())
+    br = integral_table(g)
     _, pivots = _echelon([dict(br[a][b]) for a in range(d)
                           for b in range(a, d)], False)
     even = sum(c < m for c in pivots)
@@ -114,8 +115,8 @@ def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int,
     left out, keys ascending.  At (b, a) it is -(-1)^(|a||b|) times the
     residual at (a, b) with beta and gamma swapped, so for beta = gamma, or
     alpha = 0 and beta = -gamma, the pairs a <= b (which `parts` must then
-    hold) give the kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b), as
-    `cohomology.d1` reads.
+    hold) give the kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b): column u
+    is minus the `cohomology._coboundary_rows` image of unknown u.
     """
     # the equation is homogeneous in (alpha, beta, gamma) and linear in the
     # structure constants, so both are scaled to integral form
@@ -139,8 +140,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations:
     the kernel of the `_abc_rows` system.  alpha, beta and gamma may be
     ints, Fractions or FieldElems."""
-    rows, size = _abc_rows(g, integral_table(g.bracket_table()),
-                           alpha, beta, gamma, degree)
+    rows, size = _abc_rows(g, integral_table(g), alpha, beta, gamma, degree)
     basis = kernel_vectors(*_echelon(list(rows.values()), True), size)
     return len(basis), basis
 
@@ -148,7 +148,7 @@ def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
 def orbit_dim(g: SuperAlgebra) -> int:
     """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0: the
     rank of their system, which is d1 up to sign, so dim B^2(g,g)_0."""
-    rows, _ = _abc_rows(g, integral_table(g.bracket_table()), 1, 1, 1, 0)
+    rows, _ = _abc_rows(g, integral_table(g), 1, 1, 1, 0)
     return len(_echelon(list(rows.values()), False)[1])
 
 
@@ -285,7 +285,7 @@ def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
     unknowns less rank off one half-pair `_abc_parts` build, Der_0 is the
     (1,1,1)@0 entry, and (0,1,0)@d counts the parity-d maps into the
     center."""
-    br = integral_table(g.bracket_table())
+    br = integral_table(g)
     z = center(g)[0]
     parts = [_abc_parts(g, br, deg, True) for deg in (0, 1)]
     abc = {}

@@ -414,13 +414,59 @@ def test_orbit_dim_is_coboundary_rank(rng):
     for g, want in cases:
         got = invariants.orbit_dim(g)
         assert got == invariants.invariant_report(g, False)["orbit_dim"] \
-            == rank(dense(cohomology._coboundary_rows(
-                g, integral_table(g.bracket_table())),
-                cohomology.cochain_dim(g.m, g.n))), g.name
+            == rank(dense(cohomology._coboundary_rows(g, integral_table(g)),
+                          cohomology.cochain_dim(g.m, g.n))), g.name
         assert want is None or got == want, g.name
         A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
         D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
         assert d1(g, A, D).vec == dense_d1(g, A, D).vec, g.name
+
+
+def test_coboundary_rows_are_minus_the_derivation_columns(rng):
+    """`_coboundary_rows` and `invariants._abc_rows` at (1,1,1)@0 write d1
+    twice: image u is minus column u of the derivation rows on the stored
+    slots, for every unknown u, empty images included, and the rows have
+    no other key, on `table_cases` and K(2|m), m = 3, 5, 7, 9."""
+    for g in table_cases(rng) + [catalog.K2m(m) for m in (3, 5, 7, 9)]:
+        ibr = integral_table(g)
+        rows, size = invariants._abc_rows(g, ibr, 1, 1, 1, 0)
+        index = cochain_basis_index(g.m, g.n)
+        assert set(rows) <= set(index), g.name
+        images = cohomology._coboundary_rows(g, ibr)
+        assert len(images) == size == g.m ** 2 + g.n ** 2, g.name
+        for u, image in enumerate(images):
+            assert image == {s: -rows[t][u] for s, t in enumerate(index)
+                             if u in rows.get(t, {})}, (g.name, u)
+
+
+def test_d1_refuses_maps_of_another_shape():
+    """d1 on an (m|n) algebra takes an m x m A and an n x n D: a 1 x 4 A
+    with a 1 x 4 D on (2|2)_3 (as many entries as 2 x 2 blocks) raises, as
+    do blocks of the other part's size."""
+    g = catalog.get("(2|2)_3").algebra
+    one = [[ONE] * 4]
+    with pytest.raises(ValueError, match="A of size 2x2 and D of size 2x2"):
+        d1(g, one, one)
+    square = [[ONE, ZERO], [ZERO, ONE]]
+    g = catalog.get("(3|1)_1").algebra
+    with pytest.raises(ValueError):
+        d1(g, square, square)
+    with pytest.raises(ValueError):
+        d1(g, [[ONE] * 3] * 3, [[ONE, ZERO]])
+    assert is_cocycle(g, d1(g, [[ONE] * 3] * 3, [[ONE]]))
+
+
+def test_d2_refuses_cochains_of_another_shape():
+    """A cochain of (1|3) has as many slots as one of (3|1), 15, but d2 and
+    is_cocycle on a (3|1) algebra refuse it: an H^2 class of (1|3)_1 read on
+    (3|1)_1 raises instead of giving a d2 value."""
+    assert cohomology.cochain_dim(1, 3) == cohomology.cochain_dim(3, 1)
+    phi = h2_even(catalog.get("(1|3)_1").algebra)["basis"][0]
+    g = catalog.get("(3|1)_1").algebra
+    with pytest.raises(ValueError, match=r"\(1\|3\)"):
+        d2(g, phi)
+    with pytest.raises(ValueError):
+        is_cocycle(g, phi)
 
 
 def _non_jacobi_algebras(rng):
@@ -484,8 +530,7 @@ def rank_lift_h2(g, d2m):
     total = cohomology.cochain_dim(g.m, g.n)
     cocycles = kernel(d2m) if d2m else \
         [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
-    stack = dense(cohomology._coboundary_rows(
-        g, integral_table(g.bracket_table())), total)
+    stack = dense(cohomology._coboundary_rows(g, integral_table(g)), total)
     b_rank = current = rank(stack)
     basis = []
     dim = len(cocycles) - b_rank
@@ -532,7 +577,7 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
     for g, from_dense, want in _h2_cases(rng):
         old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
                               else (lambda phi: d2(g, phi)))
-        ibr = integral_table(g.bracket_table())
+        ibr = integral_table(g)
         total = cohomology.cochain_dim(g.m, g.n)
         new = dense(cohomology._d2_matrix(g, ibr), total)
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
@@ -742,7 +787,7 @@ def test_d2_and_coboundary_rows_match_former_assembly(rng):
     h2_even gives the former dimension and lifted basis."""
     for g in table_cases(rng):
         br = g.bracket_table()
-        ibr = integral_table(br)
+        ibr = integral_table(g)
         total = cohomology.cochain_dim(g.m, g.n)
         assert (_nonzero_rref_rows(dense(cohomology._d2_matrix(g, ibr), total))
                 == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name

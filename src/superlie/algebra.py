@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from .exprlang import ExprTypeError, basis_index
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
-from .linalg import integral, rref, solve, series_solve, transpose
+from .linalg import _echelon, integral, solve, series_solve, transpose
 from .series import PuiseuxSeries
 
 
@@ -189,25 +189,19 @@ class SuperAlgebra:
         """Graded dimensions of g = g^1 >= g^2 >= ... until stabilization,
         which comes within dim + 1 steps: each step before it lowers the
         total dimension.  g^(k+1) is spanned by the [x_a, v] for v in a
-        basis of g^k; each is homogeneous, so the two parities are
-        echelonized apart.  Once g^k = 0 the next step repeats it."""
+        basis of g^k, eliminated as sparse rows.  Each is homogeneous, and
+        so is each echelon row, so the pivots before column m are the even
+        part's.  Once g^k = 0 the next step repeats it."""
         m, d = self.m, self.dim
-        spans = (range(m), range(m, d))     # the even and the odd coordinates
-        basis = [[(k, ONE)] for k in range(d)]      # of g^k, even vectors first
+        basis = [[(k, ONE)] for k in range(d)]      # of g^k
         dims = [(m, self.n)]
         for _ in range(d + 1):
-            rows = ([], [])
-            for a, v in product(range(d), basis):
-                acc = self._bracket([(a, ONE)], v)
-                if any(not x.is_zero() for x in acc.values()):
-                    odd = min(acc) >= m
-                    rows[odd].append([acc.get(k, ZERO) for k in spans[odd]])
-            basis, dim = [], ()
-            for span, part in zip(spans, rows):
-                echelon, pivots = rref(part)
-                dim += (len(pivots),)
-                basis += [[(k, x) for k, x in zip(span, row) if not x.is_zero()]
-                          for row in echelon[:len(pivots)]]
+            rows, pivots = _echelon([self._bracket([(a, ONE)], v)
+                                     for a, v in product(range(d), basis)],
+                                    False)
+            basis = [list(row.items()) for row in rows]
+            even = sum(c < m for c in pivots)
+            dim = (even, len(pivots) - even)
             if dim == dims[-1]:
                 break
             dims.append(dim)

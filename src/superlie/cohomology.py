@@ -26,12 +26,13 @@ only, with two neighbours equal only at an odd index; the d2 matrix of
 coboundary rows are read off `algebra.integral_table`: ints for a rational
 algebra, with the same kernels and ranks.
 
-d1 is written once, by `_coboundary_rows`: the image of each elementary
-even map E: x_j -> x_i on the stored pairs, (d1 E)(x_a, x_b) = [Ex_a, x_b]
-+ [x_a, Ex_b] - E[x_a, x_b], read off three lists of stored pairs; `d1`
-sums the images of one map.  It is minus the residual of the
-(1,1,1)-derivation system of degree 0 (`invariants._abc_rows`), so the rank
-of d1, dim B^2(g,g)_0, is the orbit dimension.
+d1 is not written here: (d1 E)(x_a, x_b) = [Ex_a, x_b] + [x_a, Ex_b] -
+E[x_a, x_b] is minus the (1,1,1)-derivation residual of degree 0, and
+`invariants._derivation_images`, the one writer of every derivation
+system, gives the image of each elementary even map E: x_j -> x_i keyed by
+cochain slot.  `d1` sums minus the images of one map, `h2_even` ranks them
+as the coboundary rows, and their rank, dim B^2(g,g)_0, is the orbit
+dimension.
 
 `h2_even` eliminates the d2 matrix once, reduced.  Z^2 has one basis
 cocycle per free column, so a cocycle is determined by its free
@@ -53,6 +54,7 @@ from typing import Dict, List, Tuple
 from .algebra import SuperAlgebra, basis_names, integral_table, pairs
 from .exprlang import basis_index, constant
 from .field import ZERO, format_sum
+from .invariants import _derivation_images
 from .linalg import _echelon, kernel_vectors
 
 
@@ -86,69 +88,16 @@ def cochain_dim(m: int, n: int) -> int:
 
 # -- differentials -------------------------------------------------------------
 # `_d2_entries` writes d2 once: `d2` sums the images of one cochain's slots
-# and `_d2_matrix` reads unit ones.  `_coboundary_rows` writes d1 once: `d1`
-# sums the images of one map's entries and `h2_even` eliminates them.
-
-
-def _into(g: SuperAlgebra, br):
-    """into[k]: the (p, q, x) of the stored pairs (p, q) whose bracket has x
-    x_k, with br g's bracket table or a multiple of it."""
-    into = [[] for _ in range(g.dim)]
-    for p, q in g.consts:
-        for k, x in br[p][q]:
-            into[k].append((p, q, x))
-    return into
-
-
-def _coboundary_rows(g: SuperAlgebra, br) -> list:
-    """The images under d1 of the elementary even maps E: x_j -> x_i, as
-    sparse {slot: coefficient} cochains from br, g's bracket table or a
-    multiple of it (`algebra.integral_table`): a spanning set of B^2.  They
-    come in the order of the entries (i, j) of A, then of D, row by row,
-    empty images included.  Each is
-
-        (d1 E)(x_a, x_b) = [E x_a, x_b] + [x_a, E x_b] - E[x_a, x_b]
-
-    on the stored pairs (j, b), the stored pairs (a, j) and the stored pairs
-    whose bracket has x_j."""
-    m, d = g.m, g.dim
-    # first[j], second[j]: the stored pairs (j, b), (a, j) as (b, base),
-    # (a, base), where slot base + k holds coordinate k of the pair's value
-    first, second = [[] for _ in range(d)], [[] for _ in range(d)]
-    bases = {}
-    s = 0
-    for a, b in pairs(m, g.n):
-        lo, hi = (m, d) if a < m <= b else (0, m)
-        bases[a, b] = s - lo
-        first[a].append((b, s - lo))
-        second[b].append((a, s - lo))
-        s += hi - lo
-    into = [[(bases[p, q], x) for p, q, x in terms] for terms in _into(g, br)]
-    images = []
-    for span in (range(m), range(m, d)):
-        for i in span:
-            for j in span:
-                image = {}
-                for b, base in first[j]:
-                    for k, y in br[i][b]:
-                        s = base + k
-                        image[s] = image[s] + y if s in image else y
-                for a, base in second[j]:
-                    for k, y in br[a][i]:
-                        s = base + k
-                        image[s] = image[s] + y if s in image else y
-                for base, x in into[j]:
-                    s = base + i
-                    image[s] = image[s] - x if s in image else -x
-                images.append({s: x for s, x in image.items() if x})
-    return images
+# and `_d2_matrix` reads unit ones.  d1's images are the derivation images
+# of `invariants`: `d1` sums them over one map's entries and `h2_even`
+# eliminates them.
 
 
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
     psi = (A on the e's, D on the f's), columns = images, A m x m and D
-    n x n: the `_coboundary_rows` images of g's bracket table, each times
-    its entry of A or D."""
+    n x n: minus the degree-0 (1,1,1) `invariants._derivation_images` of
+    g's bracket table, each times its entry of A or D."""
     m, n = g.m, g.n
     if len(A) != m or len(D) != n or any(len(row) != m for row in A) \
             or any(len(row) != n for row in D):
@@ -156,10 +105,11 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
                          f"{m}x{m} and D of size {n}x{n}")
     psi = [x for row in A for x in row] + [x for row in D for x in row]
     vec = [ZERO] * cochain_dim(m, n)
-    for x, image in zip(psi, _coboundary_rows(g, g.bracket_table())):
+    images = _derivation_images(g, g.bracket_table(), 1, 1, 1, 0)
+    for x, image in zip(psi, images):
         if x:
             for s, y in image.items():
-                vec[s] = vec[s] + y * x
+                vec[s] = vec[s] - y * x
     return Cochain2Even(m, n, vec)
 
 
@@ -178,7 +128,12 @@ def _d2_entries(g: SuperAlgebra, br, support):
     # triple
     before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
     left = [[(t, br[t][k]) for t in range(d) if br[t][k]] for k in range(d)]
-    into = _into(g, br)
+    # into[k]: the (p, q, x) of the stored pairs (p, q) whose bracket has
+    # x x_k
+    into = [[] for _ in range(d)]
+    for p, q in g.consts:
+        for k, x in br[p][q]:
+            into[k].append((p, q, x))
     index = cochain_basis_index(m, g.n)
     entries = {}
     for s, c in support:
@@ -292,7 +247,8 @@ def h2_even(g: SuperAlgebra) -> Dict:
     free = [c for c in range(total) if c not in pivoted]
     place = {f: i for i, f in enumerate(reversed(free))}
     _, lasts = _echelon([{place[s]: x for s, x in row.items() if s in place}
-                         for row in _coboundary_rows(g, ibr)], False)
+                         for row in _derivation_images(g, ibr, 1, 1, 1, 0)],
+                        False)
     dropped = {free[-1 - i] for i in lasts}
     kept = [f for f in free if f not in dropped]
     return {"dim": len(kept),

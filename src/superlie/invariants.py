@@ -4,15 +4,19 @@ Everything here is a necessary condition for g degenerating to h and is
 computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
 maximal trivial graded subalgebra t(g).  Each is read off g's bracket
-table; the linear systems (center, derived, derivations) off its
-`algebra.integral_table`, as sparse {column: scalar} rows handed to
-`linalg._echelon`, so a rational algebra's rows are ints.
-`invariant_report` builds each degree's derivation residual once, on the
-pairs a <= b, and reads (0,1,0) off the center.  The (1,1,1) system of
-degree 0 is minus d1 (`cohomology._coboundary_rows` writes d1's images
-straight off the stored pairs), so the orbit dimension is rank d1.  t(g)
-decides the shapes (a|b) from the largest a + b down: a shape below a
-found one is found.
+table, and the linear systems are sparse {column: scalar} rows handed to
+`linalg._echelon`: `derived` ranks the stored brackets, and the center
+and the derivations read `algebra.integral_table`, so a rational
+algebra's rows are ints.
+Every derivation system, d1 included, is written once, by
+`_derivation_images`: the image of each elementary map under the
+(alpha,beta,gamma) residual, straight off lists of the stored pairs (and
+their mirrors when the tuple needs all ordered pairs).  `abc_derivations`
+takes the kernel of the equations they are the columns of, and
+`orbit_dim` and `invariant_report` rank them; the report reads (0,1,0)
+off the center.  The (1,1,1) images of degree 0 are minus d1's, so the
+orbit dimension is rank d1.  t(g) decides the shapes (a|b) from the
+largest a + b down: a shape below a found one is found.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, integral_table
+from .algebra import SuperAlgebra, integral_table, pairs
 from .field import FieldElem, I, ONE, SQRT2, ZERO
 from .groebner import Poly, system_verdict
 from .linalg import _echelon, integral, kernel_vectors
@@ -48,14 +52,11 @@ def center(g: SuperAlgebra):
 
 
 def derived(g: SuperAlgebra) -> Tuple[int, int]:
-    """Graded dimension of [g, g]: the rank of the brackets [x_a, x_b],
-    a <= b, as sparse rows.  Each bracket is homogeneous, so the pivots
-    before column m are the even part's and the rest the odd part's."""
-    m, d = g.m, g.dim
-    br = integral_table(g)
-    _, pivots = _echelon([dict(br[a][b]) for a in range(d)
-                          for b in range(a, d)], False)
-    even = sum(c < m for c in pivots)
+    """Graded dimension of [g, g]: the rank of the stored brackets, as
+    sparse rows.  Each bracket is homogeneous, so the pivots before column
+    m are the even part's and the rest the odd part's."""
+    _, pivots = _echelon([dict(terms) for terms in g.consts.values()], False)
+    even = sum(c < g.m for c in pivots)
     return even, len(pivots) - even
 
 
@@ -67,89 +68,96 @@ def gamma_is_zero(g: SuperAlgebra) -> bool:
 # -- (alpha,beta,gamma)-derivations -----------------------------------------
 
 
-def _abc_parts(g: SuperAlgebra, br, degree: int, half: bool):
-    """({(a, b, k): (P, Q, R)}, number of unknowns): coordinate k of
-    D[x_a,x_b], [Dx_a,x_b] and (-1)^(degree*|a|) [x_a,Dx_b] as {unknown:
-    coefficient}, from br, g's bracket table or a multiple of it
-    (`algebra.integral_table`), on the pairs a <= b when `half`, else on all
-    ordered pairs.  The unknowns are the elementary maps x_src -> x_dst of
-    degree 0 or 1; only the nonzero brackets are visited."""
+def _derivation_images(g: SuperAlgebra, br, alpha, beta, gamma,
+                       degree: int) -> list:
+    """The images of the elementary maps E: x_j -> x_i of degree `degree`
+    (0 or 1) under the (alpha,beta,gamma)-derivation residual
+
+        (x_a, x_b) -> alpha E[x_a,x_b] - beta [E x_a, x_b]
+                      - (-1)^(degree*|a|) gamma [x_a, E x_b],
+
+    as sparse {key: coefficient} dicts, zero entries dropped, read off br,
+    g's bracket table or a multiple of it (`algebra.integral_table`), with
+    (alpha, beta, gamma) scaled by `integral`.  They come in the order of
+    the maps within a parity (degree 0) or from even to odd (degree 1),
+    then the rest, i row by row, empty images included.
+
+    The keys run over the coordinates of parity |a| + |b| + degree on each
+    pair (a, b) of a list: the stored pairs, then the pairs (a, a) of even
+    a unless beta = gamma, then the pairs (b, a) of a < b unless
+    beta = gamma or alpha = 0 and beta = -gamma.  At (b, a) the residual is
+    -(-1)^(|a||b|) times the one at (a, b) with beta and gamma swapped, so
+    in those two cases the half pairs have the whole kernel.  At degree 0
+    the stored pairs' keys are the `cohomology.cochain_basis_index` slots,
+    and the (1,1,1) images are minus d1's, as cochains."""
     if degree not in (0, 1):
         raise ValueError(f"a derivation has degree 0 or 1, got {degree!r}")
-    m, n = g.m, g.n
-    if degree == 0:
-        # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
-        unknowns = [(p, q) for q in range(m) for p in range(m)] + \
-                   [(m + p, m + q) for q in range(n) for p in range(n)]
-    else:
-        # even -> odd (n x m) and odd -> even (m x n)
-        unknowns = [(p, m + q) for q in range(n) for p in range(m)] + \
-                   [(m + p, q) for q in range(m) for p in range(n)]
-    from_src = [[] for _ in range(g.dim)]  # from_src[s]: (unknown, dst)
-    for ui, (src, dst) in enumerate(unknowns):
-        from_src[src].append((ui, dst))
-    parts = {}
-    for a in range(g.dim):
-        odd = degree * g.parity(a) % 2  # the sign of R
-        for b in range(a if half else 0, g.dim):
-            # (part, output coordinate, unknown, coefficient) terms
-            terms = [(0, dst, ui, x) for src, x in br[a][b]
-                     for ui, dst in from_src[src]]
-            terms += [(1, k, ui, y) for ui, dst in from_src[a]
-                      for k, y in br[dst][b]]
-            terms += [(2, k, ui, -y if odd else y) for ui, dst in from_src[b]
-                      for k, y in br[a][dst]]
-            for j, k, ui, x in terms:
-                part = parts.setdefault((a, b, k), ({}, {}, {}))[j]
-                part[ui] = part[ui] + x if ui in part else x
-    return parts, len(unknowns)
-
-
-def _abc_rows(g: SuperAlgebra, br, alpha, beta, gamma, degree: int,
-              parts=None):
-    """The degree-`degree` (alpha,beta,gamma)-derivation system of g as
-    ({(a, b, k): row}, number of unknowns), each row a sparse {unknown:
-    coefficient} dict: coordinate k on (x_a, x_b) of
-        alpha * D[x,y] - beta * [Dx, y] - (-1)^(degree*|x|) * gamma * [x, Dy]
-    over `parts` or the `_abc_parts` of br, zero entries and empty rows
-    left out, keys ascending.  At (b, a) it is -(-1)^(|a||b|) times the
-    residual at (a, b) with beta and gamma swapped, so for beta = gamma, or
-    alpha = 0 and beta = -gamma, the pairs a <= b (which `parts` must then
-    hold) give the kernel.  At (1,1,1)@0 it is -(d1 D)(x_a, x_b): column u
-    is minus the `cohomology._coboundary_rows` image of unknown u.
-    """
-    # the equation is homogeneous in (alpha, beta, gamma) and linear in the
+    # the residual is homogeneous in (alpha, beta, gamma) and linear in the
     # structure constants, so both are scaled to integral form
     alpha, beta, gamma = integral([FieldElem(x) if isinstance(x, Fraction)
                                    else x for x in (alpha, beta, gamma)])
-    table, size = parts or _abc_parts(g, br, degree, beta == gamma or
-                                      alpha == 0 and beta == -gamma)
-    rows = {}
-    for key, trio in sorted(table.items()):
-        row = {}
-        for scale, part in zip((alpha, -beta, -gamma), trio):
-            for ui, x in part.items() if scale else ():
-                row[ui] = row[ui] + scale * x if ui in row else scale * x
-        row = {ui: x for ui, x in row.items() if x}
-        if row:
-            rows[key] = row
-    return rows, size
+    m, d = g.m, g.dim
+    ordered = pairs(m, g.n)
+    if beta != gamma:       # at (a, a), a even: (gamma - beta) [E x_a, x_a]
+        ordered += [(a, a) for a in range(m)]
+    if not (beta == gamma or alpha == 0 and beta == -gamma):
+        ordered += [(b, a) for a in range(d) for b in range(a + 1, d)]
+    # first[j], second[j]: the pairs (j, b), (a, j) as (b, base, scale),
+    # (a, base, scale), key base + k holding coordinate k on the pair;
+    # into[j]: (base, alpha x) for each pair whose bracket has x x_j
+    first, second, into = ([[] for _ in range(d)] for _ in range(3))
+    s = 0
+    for a, b in ordered:
+        lo, hi = (m, d) if (a >= m) ^ (b >= m) ^ degree else (0, m)
+        if beta:
+            first[a].append((b, s - lo, -beta))
+        if gamma:
+            second[b].append((a, s - lo, gamma if degree and a >= m
+                              else -gamma))
+        if alpha:
+            for k, x in br[a][b]:
+                into[k].append((s - lo, alpha * x))
+        s += hi - lo
+    spans = (range(m), range(m, d))
+    images = []
+    for p in (0, 1):
+        for i in spans[(p + degree) % 2]:
+            for j in spans[p]:
+                image = {}
+                for b, base, c in first[j]:
+                    for k, y in br[i][b]:
+                        key, z = base + k, c * y
+                        image[key] = image[key] + z if key in image else z
+                for a, base, c in second[j]:
+                    for k, y in br[a][i]:
+                        key, z = base + k, c * y
+                        image[key] = image[key] + z if key in image else z
+                for base, x in into[j]:
+                    key = base + i
+                    image[key] = image[key] + x if key in image else x
+                images.append({key: x for key, x in image.items() if x})
+    return images
 
 
 def abc_derivations(g: SuperAlgebra, alpha, beta, gamma, degree: int):
     """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations:
-    the kernel of the `_abc_rows` system.  alpha, beta and gamma may be
-    ints, Fractions or FieldElems."""
-    rows, size = _abc_rows(g, integral_table(g), alpha, beta, gamma, degree)
-    basis = kernel_vectors(*_echelon(list(rows.values()), True), size)
+    the kernel of the equations whose columns are the `_derivation_images`.
+    alpha, beta and gamma may be ints, Fractions or FieldElems."""
+    images = _derivation_images(g, integral_table(g), alpha, beta, gamma,
+                                degree)
+    rows = {}
+    for u, image in enumerate(images):
+        for key, x in image.items():
+            rows.setdefault(key, {})[u] = x
+    basis = kernel_vectors(*_echelon(list(rows.values()), True), len(images))
     return len(basis), basis
 
 
 def orbit_dim(g: SuperAlgebra) -> int:
     """m^2 + n^2 - dim Der_0, Der_0 the (1,1,1)-derivations of degree 0: the
-    rank of their system, which is d1 up to sign, so dim B^2(g,g)_0."""
-    rows, _ = _abc_rows(g, integral_table(g), 1, 1, 1, 0)
-    return len(_echelon(list(rows.values()), False)[1])
+    rank of their images, which are minus d1's, so dim B^2(g,g)_0."""
+    images = _derivation_images(g, integral_table(g), 1, 1, 1, 0)
+    return len(_echelon(images, False)[1])
 
 
 # -- maximal trivial graded subalgebra ---------------------------------------
@@ -281,21 +289,19 @@ ABC_TUPLES = [(1, 1, 1), (0, 1, 0), (0, 1, -1)]
 
 
 def invariant_report(g: SuperAlgebra, with_trivial: bool = True) -> Dict:
-    """Every invariant of g.  Each degree's (1,1,1) and (0,1,-1) entries are
-    unknowns less rank off one half-pair `_abc_parts` build, Der_0 is the
-    (1,1,1)@0 entry, and (0,1,0)@d counts the parity-d maps into the
-    center."""
+    """Every invariant of g.  The (1,1,1) and (0,1,-1) entries are unknowns
+    less the rank of their `_derivation_images`, Der_0 is the (1,1,1)@0
+    entry, and (0,1,0)@d counts the parity-d maps into the center."""
     br = integral_table(g)
     z = center(g)[0]
-    parts = [_abc_parts(g, br, deg, True) for deg in (0, 1)]
     abc = {}
     for a, b, c in ABC_TUPLES:
         for deg in (0, 1):
             if (a, b, c) == (0, 1, 0):
                 dim = g.m * z[deg] + g.n * z[1 - deg]
             else:
-                rows, size = _abc_rows(g, br, a, b, c, deg, parts[deg])
-                dim = size - len(_echelon(list(rows.values()), False)[1])
+                images = _derivation_images(g, br, a, b, c, deg)
+                dim = len(images) - len(_echelon(images, False)[1])
             abc[f"({a},{b},{c})@{deg}"] = dim
     d0 = abc["(1,1,1)@0"]
     report = {

@@ -69,8 +69,9 @@ def test_c2_listed_cocycles_validate(label):
     exp = catalog.expected()
     g = catalog.get(label).algebra
     # a spanning set of B^2, built and ranked once for this algebra
-    coboundaries = dense(cohomology._coboundary_rows(g, integral_table(g)),
-                         cohomology.cochain_dim(g.m, g.n))
+    coboundaries = dense(
+        invariants._derivation_images(g, integral_table(g), 1, 1, 1, 0),
+        cohomology.cochain_dim(g.m, g.n))
     b_rank = rank(coboundaries)
 
     def independent_mod_coboundaries(phis):

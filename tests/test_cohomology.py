@@ -414,8 +414,9 @@ def test_orbit_dim_is_coboundary_rank(rng):
     for g, want in cases:
         got = invariants.orbit_dim(g)
         assert got == invariants.invariant_report(g, False)["orbit_dim"] \
-            == rank(dense(cohomology._coboundary_rows(g, integral_table(g)),
-                          cohomology.cochain_dim(g.m, g.n))), g.name
+            == rank(dense(invariants._derivation_images(
+                g, integral_table(g), 1, 1, 1, 0),
+                cohomology.cochain_dim(g.m, g.n))), g.name
         assert want is None or got == want, g.name
         A = [[_rand_scalar(rng) for _ in range(g.m)] for _ in range(g.m)]
         D = [[_rand_scalar(rng) for _ in range(g.n)] for _ in range(g.n)]
@@ -423,20 +424,19 @@ def test_orbit_dim_is_coboundary_rank(rng):
 
 
 def test_coboundary_rows_are_minus_the_derivation_columns(rng):
-    """`_coboundary_rows` and `invariants._abc_rows` at (1,1,1)@0 write d1
-    twice: image u is minus column u of the derivation rows on the stored
-    slots, for every unknown u, empty images included, and the rows have
-    no other key, on `table_cases` and K(2|m), m = 3, 5, 7, 9."""
+    """The degree-0 (1,1,1) `invariants._derivation_images` of the integral
+    table are m^2 + n^2 in number, keyed by cochain slots only, and their
+    nonempty negations are the former coboundary rows, one `d1` per map,
+    list for list, on `table_cases` and K(2|m), m = 3, 5, 7, 9."""
     for g in table_cases(rng) + [catalog.K2m(m) for m in (3, 5, 7, 9)]:
         ibr = integral_table(g)
-        rows, size = invariants._abc_rows(g, ibr, 1, 1, 1, 0)
-        index = cochain_basis_index(g.m, g.n)
-        assert set(rows) <= set(index), g.name
-        images = cohomology._coboundary_rows(g, ibr)
-        assert len(images) == size == g.m ** 2 + g.n ** 2, g.name
-        for u, image in enumerate(images):
-            assert image == {s: -rows[t][u] for s, t in enumerate(index)
-                             if u in rows.get(t, {})}, (g.name, u)
+        images = invariants._derivation_images(g, ibr, 1, 1, 1, 0)
+        total = cohomology.cochain_dim(g.m, g.n)
+        assert len(images) == g.m ** 2 + g.n ** 2, g.name
+        assert all(s < total for image in images for s in image), g.name
+        assert (dense([{s: -x for s, x in image.items()}
+                       for image in images if image], total)
+                == coboundary_rows_before(g, ibr)), g.name
 
 
 def test_d1_refuses_maps_of_another_shape():
@@ -530,7 +530,8 @@ def rank_lift_h2(g, d2m):
     total = cohomology.cochain_dim(g.m, g.n)
     cocycles = kernel(d2m) if d2m else \
         [[FieldElem(int(i == j)) for j in range(total)] for i in range(total)]
-    stack = dense(cohomology._coboundary_rows(g, integral_table(g)), total)
+    stack = dense(invariants._derivation_images(g, integral_table(g), 1, 1,
+                                                1, 0), total)
     b_rank = current = rank(stack)
     basis = []
     dim = len(cocycles) - b_rank
@@ -588,7 +589,7 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
         assert want is None or dim == want, g.name
         assert [phi.vec for phi in got["basis"]] == basis, g.name
         assert all(is_cocycle(g, phi) for phi in got["basis"]), g.name
-        cob = dense(cohomology._coboundary_rows(g, ibr), total)
+        cob = dense(invariants._derivation_images(g, ibr, 1, 1, 1, 0), total)
         assert rank(cob + basis) == rank(cob) + dim, g.name
 
 
@@ -791,8 +792,8 @@ def test_d2_and_coboundary_rows_match_former_assembly(rng):
         total = cohomology.cochain_dim(g.m, g.n)
         assert (_nonzero_rref_rows(dense(cohomology._d2_matrix(g, ibr), total))
                 == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
-        assert (_nonzero_rref_rows(dense(cohomology._coboundary_rows(g, ibr),
-                                         total))
+        assert (_nonzero_rref_rows(dense(invariants._derivation_images(
+            g, ibr, 1, 1, 1, 0), total))
                 == _nonzero_rref_rows(coboundary_rows_before(g, br))), g.name
         got, want = h2_even(g), h2_even_before(g)
         assert got["dim"] == want["dim"], g.name

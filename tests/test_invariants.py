@@ -75,7 +75,7 @@ def test_abc_degree_is_zero_or_one():
         with pytest.raises(ValueError, match="degree 0 or 1"):
             invariants.abc_derivations(g, 1, 1, 1, deg)
         with pytest.raises(ValueError, match="degree 0 or 1"):
-            invariants._abc_parts(g, br, deg, True)
+            invariants._derivation_images(g, br, 1, 1, 1, deg)
     assert invariants.abc_derivations(g, 1, 1, 1, 1)[0] == 6
 
 

@@ -654,19 +654,18 @@ def _key(g):
 
 
 def test_component_analysis_derives_each_input_once(monkeypatch):
-    """The parts of the (alpha,beta,gamma)-derivation residual of one
-    distinct (structure constants, degree) are built once, however many
-    derivation paths reach the algebra: one half-pair `_abc_parts` build per
-    degree, which the report reads for every tuple of that degree, Der_0
-    (orbit_dim and the (1,1,1)@0 entry) included."""
+    """The (alpha,beta,gamma)-derivation images of one distinct (structure
+    constants, degree, tuple) are built once, however many derivation paths
+    reach the algebra: the report builds the (1,1,1) and (0,1,-1) images of
+    each degree, Der_0 (orbit_dim and the (1,1,1)@0 entry) included."""
     calls = []
-    _count_calls(monkeypatch, invariants._abc_parts,
-                 lambda g, br, degree, half:
-                 calls.append((_key(g), degree, half)))
+    _count_calls(monkeypatch, invariants._derivation_images,
+                 lambda g, br, alpha, beta, gamma, degree:
+                 calls.append((_key(g), degree, (alpha, beta, gamma))))
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     orbitrel.component_analysis("(2|3)")
-    assert all(half for _, _, half in calls)
-    assert len(calls) == len(set(calls)) == 64
+    assert {t for _, _, t in calls} == {(1, 1, 1), (0, 1, -1)}
+    assert len(calls) == len(set(calls)) == 128
 
 
 def test_component_analysis_reduces_each_input_once(monkeypatch):

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from .exprlang import ExprTypeError, basis_index
 from .field import FieldElem, ONE, ZERO, parse_elem, format_elem
-from .linalg import _echelon, integral, solve, series_solve, transpose
+from .linalg import _echelon, integral, solve, series_solve
 from .series import PuiseuxSeries
 
 
@@ -48,12 +48,6 @@ def _mirror(m: int, a: int, b: int, terms):
     if a >= m and b >= m:
         return terms
     return [(k, -x) for k, x in terms]
-
-
-def _sparse(graded) -> List[Tuple[int, FieldElem]]:
-    """Nonzero (index, coefficient) pairs of a graded vector over the
-    combined basis (odd indices offset by m)."""
-    return [(k, x) for k, x in enumerate(chain(*graded)) if not x.is_zero()]
 
 
 def integral_table(g: "SuperAlgebra"):
@@ -126,8 +120,12 @@ class SuperAlgebra:
         return acc
 
     def bracket(self, x, y):
-        """Bracket of graded vectors x=(even,odd), y=(even,odd)."""
-        acc = self._bracket(_sparse(x), _sparse(y))
+        """Bracket of graded vectors x=(even,odd), y=(even,odd), from their
+        nonzero coordinates over the combined basis (odd indices offset by
+        m)."""
+        xs, ys = ([(k, c) for k, c in enumerate(chain(*v)) if not c.is_zero()]
+                  for v in (x, y))
+        acc = self._bracket(xs, ys)
         out = [acc.get(k, ZERO) for k in range(self.dim)]
         return out[:self.m], out[self.m:]
 
@@ -229,10 +227,12 @@ class SuperAlgebra:
     def apply_basis_change(self, T, S, precision=None) -> "SuperAlgebra":
         """Structure constants in the basis x_i = sum_a T[a][i] e_a,
         y_j = sum_b S[b][j] f_b.  T, S may have FieldElem or series entries.
-        Each stored pair of the new basis is bracketed in the old one; even
-        outputs are then solved by T, odd outputs by S.  With series entries
-        each pivot of that solve is inverted to `precision` relative orders
-        (the working precision when None)."""
+        Each stored pair of the new basis is bracketed in the old one; the
+        even outputs are then solved by T and the odd ones by S, each block
+        even when no pair has an output in it, so a singular T or S is
+        always refused.  With series entries each pivot of that solve is
+        inverted to `precision` relative orders (the working precision when
+        None)."""
         m, n, d = self.m, self.n, self.dim
         solver = solve
         if any(isinstance(x, PuiseuxSeries) for row in list(T) + list(S)
@@ -243,29 +243,17 @@ class SuperAlgebra:
             S = [[lift(x) for x in row] for row in S]
             solver = lambda P, rhs: series_solve(P, rhs, precision)
         # each new basis vector's nonzero coordinates, listed once
-        new = [_sparse(([T[a][i] for a in range(m)], [])) for i in range(m)]
-        new += [_sparse(([ZERO] * m, [S[b][j] for b in range(n)]))
-                for j in range(n)]
-        even, odd = [], []      # (pair, its bracket's coordinates) by parity
+        new = [[(k, x) for k, x in enumerate(col, offset) if not x.is_zero()]
+               for offset, P in ((0, T), (m, S)) for col in zip(*P)]
+        blocks = ([], [])   # (pair, its bracket) by the parity of its output
         for a, b in pairs(m, n):
-            acc = self._bracket(new[a], new[b])
-            if a < m <= b:
-                odd.append(((a, b), [acc.get(k, ZERO) for k in range(m, d)]))
-            else:
-                even.append(((a, b), [acc.get(k, ZERO) for k in range(m)]))
+            blocks[a < m <= b].append(((a, b), self._bracket(new[a], new[b])))
         consts = {}
-
-        def solved(P, cols, offset):
-            # with no columns (a (1|0) algebra) P is still solved, so a
-            # singular T is refused there too
-            rhs = transpose([v for _, v in cols]) or [[] for _ in P]
-            for (p, _), sol in zip(cols, transpose(solver(P, rhs))):
-                consts[p] = [(offset + k, x) for k, x in enumerate(sol)]
-
-        if m:
-            solved(T, even, 0)
-        if odd:
-            solved(S, odd, m)
+        for P, block, lo, hi in ((T, blocks[0], 0, m), (S, blocks[1], m, d)):
+            rhs = [[acc.get(k, ZERO) for _, acc in block]
+                   for k in range(lo, hi)]
+            for (p, _), sol in zip(block, zip(*solver(P, rhs))):
+                consts[p] = [(lo + k, x) for k, x in enumerate(sol)]
         return SuperAlgebra(m, n, consts, name=f"{self.name}'")
 
     # -- limits -------------------------------------------------------------

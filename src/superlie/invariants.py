@@ -5,9 +5,10 @@ computed exactly: graded center and derived subalgebra, Gamma-vanishing,
 (alpha,beta,gamma)-derivation dimensions, the orbit dimension, and the
 maximal trivial graded subalgebra t(g).  Each is read off g's bracket
 table, and the linear systems are sparse {column: scalar} rows handed to
-`linalg._echelon`: `derived` ranks the stored brackets, and the center
-and the derivations read `algebra.integral_table`, so a rational
-algebra's rows are ints.
+`linalg._echelon`: `derived` ranks the stored brackets, the center reads
+them and their mirrors, and `_echelon` scales each row to integral form;
+the derivations read `algebra.integral_table`, which `invariant_report`
+builds once.
 Every derivation system, d1 included, is written once, by
 `_derivation_images`: the image of each elementary map under the
 (alpha,beta,gamma) residual, straight off lists of the stored pairs (and
@@ -25,7 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import SuperAlgebra, integral_table, pairs
+from .algebra import SuperAlgebra, _mirror, integral_table, pairs
 from .field import FieldElem, I, ONE, SQRT2, ZERO
 from .groebner import Poly, system_verdict
 from .linalg import _echelon, integral, kernel_vectors
@@ -34,20 +35,18 @@ from .linalg import _echelon, integral, kernel_vectors
 def center(g: SuperAlgebra):
     """Graded dimension of the center, with graded bases: for each parity,
     the kernel of ad over the combined basis, as sparse rows (b, k) read off
-    the integral table."""
-    m, d = g.m, g.dim
-    br = integral_table(g)
-
-    def ad_kernel(vs):
-        # column i, sparse row (b, k): coordinate k of [x_vs[i], x_b]
-        rows = {}
-        for i, v in enumerate(vs):
-            for b in range(d):
-                for k, x in br[v][b]:
-                    rows.setdefault((b, k), {})[i] = x
-        return kernel_vectors(*_echelon(list(rows.values()), True), len(vs))
-
-    even_basis, odd_basis = ad_kernel(range(m)), ad_kernel(range(m, d))
+    each stored pair (a, b) and its mirror (b, a), as `derived` reads them;
+    `_echelon` scales the rows to integral form."""
+    m = g.m
+    # by the parity of u: {(v, k): {u's column: coordinate k of [x_u, x_v]}}
+    rows = ({}, {})
+    for (a, b), terms in g.consts.items():
+        for u, v, uv in ((a, b, terms), (b, a, _mirror(m, a, b, terms))):
+            for k, x in uv:
+                rows[u >= m].setdefault((v, k), {})[u - m * (u >= m)] = x
+    even_basis, odd_basis = (
+        kernel_vectors(*_echelon(list(r.values()), True), size)
+        for r, size in zip(rows, (m, g.n)))
     return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
 
 

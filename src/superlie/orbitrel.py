@@ -425,22 +425,16 @@ def build_hasse(dim, precision=None) -> HasseDiagram:
             failed.append(res)
     adj: Dict[str, List[str]] = {lab: [] for lab in nodes}
     for a, b in edges:
-        adj[a].append(b)
-    closure: Dict[str, set] = {}
-    for lab in nodes:
-        seen = {lab}
-        stack = [lab]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closure[lab] = seen
-    for a, b in edges:
         if dims[a] <= dims[b]:
             raise ConsistencyViolation(
                 f"edge {a} -> {b} does not decrease orbit dimension "
                 f"({dims[a]} <= {dims[b]})")
+        adj[a].append(b)
+    # every edge lowers the orbit dimension, so in increasing orbit
+    # dimension each node's targets are closed before it
+    closure: Dict[str, set] = {}
+    for lab in sorted(nodes, key=dims.get):
+        closure[lab] = {lab}.union(*(closure[b] for b in adj[lab]))
     for u in nodes:
         for v in closure[u]:
             if u == v:

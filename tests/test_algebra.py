@@ -8,7 +8,7 @@ from superlie import catalog, cohomology, invariants, orbitrel
 from superlie.algebra import AlgebraError, SuperAlgebra, pairs
 from superlie.field import ONE, ZERO, format_elem, parse_elem
 from superlie.gamma23 import random_gl
-from superlie.linalg import series_solve, solve, transpose
+from superlie.linalg import SingularMatrix, series_solve, solve, transpose
 from superlie.series import PuiseuxSeries
 
 
@@ -197,6 +197,18 @@ def tensor_basis_change(m, n, c, rho, gamma, T, S):
         for idx, (i, j) in enumerate(product(range(m), range(n))):
             new_rho[i][j] = sol[idx]
     return [new_c, new_rho, new_gamma]
+
+
+@pytest.mark.parametrize("lift", [lambda x: x, PuiseuxSeries.from_scalar],
+                         ids=["field", "series"])
+@pytest.mark.parametrize("label", ["(0|2)_0", "(0|3)_0"])
+def test_singular_odd_basis_is_refused_without_odd_outputs(label, lift):
+    """With m = 0 no stored pair has an odd output, and a singular S is
+    refused all the same."""
+    g = catalog.get(label).algebra
+    S = [[lift(ONE)] * g.n] + [[lift(ZERO)] * g.n for _ in range(g.n - 1)]
+    with pytest.raises(SingularMatrix):
+        g.apply_basis_change([], S)
 
 
 def tensor_limit(c, rho, gamma):

@@ -389,6 +389,22 @@ def test_graded_scaling_failures(tmp_path, capsys, basis, out):
     assert got == (1, out)
 
 
+@pytest.mark.parametrize("label, basis", [
+    ("(0|2)_0", {"y1": "f1", "y2": "f1"}),
+    ("(2|0)_0", {"x1": "e1", "x2": "e1"}),
+], ids=["odd", "even"])
+def test_singular_basis_fails_in_either_parity(tmp_path, capsys, label,
+                                               basis):
+    """A repeated column is refused in either parity block, also on a shape
+    where no stored pair has an output in that block."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"basis": basis}))
+    got = run(capsys, "degenerate", "--from", label, "--to", label,
+              "--witness", str(path))
+    assert got == (1, f"Failed {label} -> {label}: SingularBasis no pivot "
+                   "in column 1\n")
+
+
 def test_constant_does_not_read_precision_variable(tmp_path, capsys,
                                                    monkeypatch):
     """Whether a structure constant is exact does not depend on the

@@ -646,6 +646,17 @@ def test_report_ranks_match_derivation_kernels(rng):
             g.m ** 2 + g.n ** 2 - report["orbit_dim"], g.name
 
 
+def test_report_builds_the_integral_table_once(monkeypatch):
+    """The center reads the stored pairs, so a report builds the integral
+    table of its derivation systems once."""
+    calls = []
+    real = invariants.integral_table
+    monkeypatch.setattr(invariants, "integral_table",
+                        lambda g: calls.append(g.name) or real(g))
+    invariants.invariant_report(catalog.get("(2|3)_6").algebra)
+    assert calls == ["(2|3)_6"]
+
+
 def trivial_sub_max_exhaustive(g):
     """t(g) with every shape (a|b) searched, in increasing a then b."""
     m, n = g.m, g.n

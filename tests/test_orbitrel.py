@@ -704,6 +704,42 @@ def test_orbit_dim_strictly_decreases_along_edges():
             assert diagram.orbit_dims[frm] > diagram.orbit_dims[to]
 
 
+def test_hasse_closure_is_reachability_over_edges():
+    """On every shape each node's closure is the set of nodes reachable
+    from it along verified edges, itself included."""
+    shapes = sorted({(e.m, e.n) for e in catalog.list_entries()})
+    assert len(shapes) == 18
+    for dim in shapes:
+        diagram = build_hasse(dim)
+        assert sorted(diagram.closure) == sorted(diagram.nodes)
+        for u in diagram.nodes:
+            reach, more = set(), {u}
+            while more != reach:
+                reach = more
+                more = reach | {b for a, b in diagram.edges if a in reach}
+            assert diagram.closure[u] == reach, (dim, u)
+
+
+def test_hasse_refuses_an_edge_that_does_not_lower_orbit_dim(monkeypatch):
+    """Each verified pair reversed, after the real ones: the first reversed
+    edge is refused, with both orbit dimensions."""
+    real = orbitrel.verify_builtin_witnesses
+
+    def with_reversed(dim=None, precision=None):
+        results = real(dim, precision)
+        return results + [Verified(DegenerationWitness(
+            r.witness.to_name, r.witness.from_name, {})) for r in results]
+
+    monkeypatch.setattr(orbitrel, "verify_builtin_witnesses", with_reversed)
+    first = real((1, 2))[0].witness
+    a, b = first.to_name, first.from_name
+    da, db = (invariants.orbit_dim(catalog.get(x).algebra) for x in (a, b))
+    with pytest.raises(orbitrel.ConsistencyViolation) as exc:
+        build_hasse((1, 2))
+    assert str(exc.value) == (f"edge {a} -> {b} does not decrease orbit "
+                              f"dimension ({da} <= {db})")
+
+
 def test_components_families():
     exp = catalog.expected()["components"]
     for key in ("(1|2)", "(2|2)", "(1|3)"):

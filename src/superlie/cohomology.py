@@ -20,11 +20,11 @@ The four cocycles listed for (1|3)_1 are cocycles, but H^2 has dimension 3
 there, so they are dependent modulo coboundaries.
 
 d2 phi is graded-alternating (swapping neighbours x, y multiplies it by
--(-1)^(|x||y|)), so `d2` evaluates it on the canonical triples a <= b <= c
-only, with two neighbours equal only at an odd index; the d2 matrix of
-`h2_even` has rows for those triples only and the same kernel.  It and the
-coboundary rows are read off `algebra.integral_table`: ints for a rational
-algebra, with the same kernels and ranks.
+-(-1)^(|x||y|)), so `_d2_rows` writes it on the canonical triples
+a <= b <= c only, two neighbours equal only at an odd index: one row per
+coordinate from the six terms above, reading phi through `_slot_table`.
+`d2` is those rows times phi; `h2_even` eliminates them and the coboundary
+rows, both read off `algebra.integral_table` (ints for a rational algebra).
 
 d1 is not written here: (d1 E)(x_a, x_b) = [Ex_a, x_b] + [x_a, Ex_b] -
 E[x_a, x_b] is minus the (1,1,1)-derivation residual of degree 0, and
@@ -49,6 +49,7 @@ expression: "(1 + i)*e1*^e2*@e1", "-i*sqrt2*e1*^f1*@f1".
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Dict, List, Tuple
 
 from .algebra import SuperAlgebra, basis_names, integral_table, pairs
@@ -86,11 +87,27 @@ def cochain_dim(m: int, n: int) -> int:
     return m * (m * (m - 1) // 2) + n * m * n + m * (n * (n + 1) // 2)
 
 
+def _slot_table(m: int, n: int):
+    """at[p][q] = (sign, base, outputs): phi(x_p, x_q) is sign times the sum
+    over k in `outputs` of slot base + k times x_k, where sign is the graded
+    mirror sign -(-1)^(|p||q|) for p > q and 1 else; None where phi
+    vanishes, at p = q even."""
+    d = m + n
+    at = [[None] * d for _ in range(d)]
+    slot = 0
+    for a, b in pairs(m, n):
+        outputs = range(m, d) if a < m <= b else range(m)
+        at[a][b] = (1, slot - outputs.start, outputs)
+        at[b][a] = (1 if a >= m else -1, slot - outputs.start, outputs)
+        slot += len(outputs)
+    return at
+
+
 # -- differentials -------------------------------------------------------------
-# `_d2_entries` writes d2 once: `d2` sums the images of one cochain's slots
-# and `_d2_matrix` reads unit ones.  d1's images are the derivation images
-# of `invariants`: `d1` sums them over one map's entries and `h2_even`
-# eliminates them.
+# `_d2_rows` writes d2 once, reading phi through `_slot_table`: `h2_even`
+# eliminates its rows and `d2` multiplies them by one cochain.  d1's images
+# are the derivation images of `invariants`: `d1` sums them over one map's
+# entries and `h2_even` eliminates them.
 
 
 def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
@@ -113,100 +130,79 @@ def d1(g: SuperAlgebra, A, D) -> Cochain2Even:
     return Cochain2Even(m, n, vec)
 
 
-def _d2_entries(g: SuperAlgebra, br, support):
-    """{(a, b, c, r): {slot: coefficient}}: coordinate r of d2 phi on each
-    canonical triple (a, b, c), split by the (slot, value) pairs of
-    `support`, with br g's bracket table or a multiple of it; canceled terms
-    sum to zero.
-
-    Only the values of phi on the support (mirrored) and the nonzero
-    brackets are visited, and a product is formed only for a canonical
-    triple."""
+def _d2_rows(g: SuperAlgebra, br) -> dict:
+    """{(a, b, c, r): {slot: coefficient}}, keys ascending: coordinate r of
+    d2 phi on each canonical triple (a, b, c) as a row over the cochain
+    slots, with br g's bracket table or a multiple of it; zero entries and
+    empty rows are dropped.  Each row is written from the six terms of the
+    module docstring's formula at (x, y, z) = (x_a, x_b, x_c), reading phi
+    through `_slot_table`."""
     m, d = g.m, g.dim
-    odd = [k >= m for k in range(d)]
-    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
-    # triple
-    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
-    left = [[(t, br[t][k]) for t in range(d) if br[t][k]] for k in range(d)]
-    # into[k]: the (p, q, x) of the stored pairs (p, q) whose bracket has
-    # x x_k
-    into = [[] for _ in range(d)]
-    for p, q in g.consts:
-        for k, x in br[p][q]:
-            into[k].append((p, q, x))
-    index = cochain_basis_index(m, g.n)
-    entries = {}
-    for s, c in support:
-        a, b, k = index[s]
-        # [x_t, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
-        #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)] at phi(x_a, x_b) = c x_k;
-        # the mirrored value phi(x_b, x_a) reaches no canonical triple
-        for t, w in left[k]:
-            if before[t][a]:
-                for r, y in w:
-                    row = entries.setdefault((t, a, b, r), {})
-                    z = c * y
-                    row[s] = row[s] + z if s in row else z
-            if before[a][t] and before[t][b]:
-                x = c if odd[a] and odd[t] else -c
-                for r, y in w:
-                    row = entries.setdefault((a, t, b, r), {})
-                    z = x * y
-                    row[s] = row[s] + z if s in row else z
-            if before[b][t]:
-                x = -c if odd[t] and odd[a] != odd[b] else c
-                for r, y in w:
-                    row = entries.setdefault((a, b, t, r), {})
-                    z = x * y
-                    row[s] = row[s] + z if s in row else z
-        # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]) at
-        # each value phi(x_p, x_q) = v x_k; each key puts x_i before x_j for
-        # the bracket [x_i, x_j]
-        values = [(a, b, c)]
-        if a != b:
-            values.append((b, a, c if odd[a] and odd[b] else -c))
-        for p, q, v in values:
-            for i, j, x in into[p]:
-                if before[j][q]:
-                    row = entries.setdefault((i, j, q, k), {})
-                    z = -(x * v)
-                    row[s] = row[s] + z if s in row else z
-                if before[i][q] and before[q][j]:
-                    row = entries.setdefault((i, q, j, k), {})
-                    z = -(x * v) if odd[q] and odd[j] else x * v
-                    row[s] = row[s] + z if s in row else z
-            for i, j, x in into[q]:
-                if before[p][i]:
-                    row = entries.setdefault((p, i, j, k), {})
-                    z = x * v
-                    row[s] = row[s] + z if s in row else z
-    return entries
+    at = _slot_table(m, g.n)
+    mirror = [list(col) for col in zip(*at)]    # mirror[w][k] = at[k][w]
+    # central[u]: every bracket of x_u, and so every term with it, vanishes
+    central = [not any(row) for row in br]
+    rows = {}
+    for a, b, c in combinations_with_replacement(range(d), 3):
+        if (a == b < m or b == c < m
+                or central[a] and central[b] and central[c]):
+            continue
+        oa, ob, oc = a >= m, b >= m, c >= m
+        acc = {}    # {r: {slot: coefficient}}
+        # [x, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
+        #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]
+        for sign, u, phi in ((1, a, at[b][c]),
+                             (1 if oa and ob else -1, b, at[a][c]),
+                             (-1 if oc and oa != ob else 1, c, at[a][b])):
+            if phi is None or central[u]:
+                continue
+            s, base, outputs = phi
+            for k in outputs:
+                col = base + k
+                for r, y in br[u][k]:
+                    row = acc.get(r) or acc.setdefault(r, {})
+                    z = -y if sign != s else y
+                    row[col] = row[col] + z if col in row else z
+        # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z])
+        for sign, terms, phis in (
+                (-1, br[a][b], mirror[c]),
+                (-1 if ob and oc else 1, br[a][c], mirror[b]),
+                (1, br[b][c], at[a])):
+            for k, y in terms:
+                if phis[k] is None:
+                    continue
+                s, base, outputs = phis[k]
+                z = -y if sign != s else y
+                for r in outputs:
+                    row = acc.get(r) or acc.setdefault(r, {})
+                    col = base + r
+                    row[col] = row[col] + z if col in row else z
+        for r in sorted(acc):
+            row = {col: x for col, x in acc[r].items() if x}
+            if row:
+                rows[a, b, c, r] = row
+    return rows
 
 
 def d2(g: SuperAlgebra, phi: Cochain2Even):
-    """Evaluate d2 phi on the canonical homogeneous basis triples.
-
-    A triple (a, b, c) is canonical when a <= b <= c and two neighbours are
-    equal only at an odd index.  Returns a dict (a,b,c) -> graded vector
-    over the canonical triples, keys ascending, zero entries omitted.
+    """d2 phi on the canonical triples (a, b, c), a <= b <= c with two
+    neighbours equal only at an odd index: a dict (a,b,c) -> graded vector,
+    keys ascending, zero values omitted, from the rows of `_d2_rows` on g's
+    bracket table times phi.
 
     These values give all the others, since d2 phi is graded-alternating:
-    swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
-    on any ordered triple is the product of those signs over the swaps that
-    sort it, times the value on the sorted triple; it is zero where an even
-    index repeats.  The values are read off g's bracket table.
-    """
+    swapping two neighbours x, y multiplies it by -(-1)^(|x||y|), and it is
+    zero where an even index repeats."""
     m = g.m
     if (phi.m, phi.n) != (m, g.n):
         raise ValueError(f"a cochain of ({phi.m}|{phi.n}) is not one of "
                          f"the ({m}|{g.n}) algebra {g.name or '?'}")
-    entries = _d2_entries(g, g.bracket_table(),
-                          [(s, x) for s, x in enumerate(phi.vec) if x])
     acc = {}
-    for (a, b, c, r), row in entries.items():
-        acc.setdefault((a, b, c), [ZERO] * g.dim)[r] = sum(row.values(), ZERO)
-    return {t: (out[:m], out[m:]) for t, out in sorted(acc.items())
-            if any(out)}
+    for (a, b, c, r), row in _d2_rows(g, g.bracket_table()).items():
+        x = sum((y * phi.vec[s] for s, y in row.items()), ZERO)
+        if x:
+            acc.setdefault((a, b, c), [ZERO] * g.dim)[r] = x
+    return {t: (out[:m], out[m:]) for t, out in acc.items()}
 
 
 def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
@@ -214,18 +210,6 @@ def is_cocycle(g: SuperAlgebra, phi: Cochain2Even) -> bool:
 
 
 # -- cohomology ------------------------------------------------------------------
-
-
-def _d2_matrix(g: SuperAlgebra, ibr) -> list:
-    """The rows of `_d2_entries` in key order, as sparse {slot: coefficient}
-    rows with zero entries and empty rows dropped, from `ibr`, the integral
-    table of g (`algebra.integral_table`): one row per coordinate of `d2`
-    on a canonical triple.  Repeated rows are left to the elimination."""
-    total = cochain_dim(g.m, g.n)
-    entries = _d2_entries(g, ibr, [(s, 1) for s in range(total)])
-    rows = [{s: x for s, x in row.items() if x}
-            for _, row in sorted(entries.items())]
-    return [row for row in rows if row]
 
 
 def h2_even(g: SuperAlgebra) -> Dict:
@@ -242,7 +226,7 @@ def h2_even(g: SuperAlgebra) -> Dict:
     m, n = g.m, g.n
     total = cochain_dim(m, n)
     ibr = integral_table(g)
-    rows, pivots = _echelon(_d2_matrix(g, ibr), True)
+    rows, pivots = _echelon(_d2_rows(g, ibr).values(), True)
     pivoted = set(pivots)
     free = [c for c in range(total) if c not in pivoted]
     place = {f: i for i, f in enumerate(reversed(free))}
@@ -273,12 +257,13 @@ def parse_cocycle(text: str, m: int, n: int) -> Cochain2Even:
         if (c >= m) != mixed:
             raise ValueError(f"{names[0]}*^{names[1]}* must map to an "
                              f"{'f' if mixed else 'e'}")
-        if a == b < m:
+        if at[a][b] is None:
             raise ValueError("e_i*^e_i* vanishes")
-        return index[min(a, b), max(a, b), c], -1 if a > b and b < m else 1
+        sign, base, _ = at[a][b]
+        return base + c, sign
 
-    index = {t: s for s, t in enumerate(cochain_basis_index(m, n))}
-    vec = [ZERO] * len(index)
+    at = _slot_table(m, n)
+    vec = [ZERO] * cochain_dim(m, n)
     for k, x in constant(text, slot).items():
         vec[k] = x
     return Cochain2Even(m, n, vec)

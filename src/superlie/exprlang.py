@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .field import FieldElem, FieldSyntaxError, I, SQRT2
-from .series import DEFAULT_PRECISION, NotInvertible, PuiseuxSeries
+from .series import (DEFAULT_PRECISION, EXACT_ZERO, NotInvertible,
+                     PuiseuxSeries)
 
 ExprSyntaxError = FieldSyntaxError
 
@@ -290,9 +291,6 @@ def basis_index(name: str, m: int, n: int) -> int:
     return int(num) - 1 if kind == "e" else m + int(num) - 1
 
 
-_ZERO = PuiseuxSeries({})
-
-
 def evaluate_basis_vector(text: str, m: int, n: int,
                           precision: Optional[Fraction] = None):
     """A witness's basis vector over e1..em, f1..fn, as (even, odd)
@@ -305,7 +303,7 @@ def evaluate_basis_vector(text: str, m: int, n: int,
         raise ExprSyntaxError(f"division by zero in {text!r}") from None
     if not isinstance(value, dict):
         raise ExprTypeError(f"{text!r} is a scalar, not a basis vector")
-    coords = [value.get(k, _ZERO) for k in range(m + n)]
+    coords = [value.get(k, EXACT_ZERO) for k in range(m + n)]
     return coords[:m], coords[m:]
 
 

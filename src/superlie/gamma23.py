@@ -183,19 +183,10 @@ def _root_drops(g1, g2, form) -> List[Tuple[int, int]]:
     return [(m, 3 - len(_independent_rows(member)))]
 
 
-def simdiag_test(pair: SymPair, sd: Optional[int] = None,
-                 drops: Optional[List[Tuple[int, int]]] = None) -> bool:
-    """Is {G1, G2} simultaneously diagonalizable by a congruence?  `sd` (the
-    span dimension) and, when it is 2, `drops` (`_root_drops` of the
-    regular pencil) are what `pencil_signature` has found; given the pair
-    alone, this computes its signature."""
-    if sd is None:
-        return pencil_signature(pair).simdiag
-    if sd <= 1:
-        return True  # a single symmetric form is always congruent to a diagonal
-    # regular: every Jordan block at a root has size 1 iff the member
-    # there drops rank by the root's multiplicity
-    return all(m == d for m, d in drops)
+def simdiag_test(pair: SymPair) -> bool:
+    """Is {G1, G2} simultaneously diagonalizable by a congruence?  The
+    `simdiag` entry of its `pencil_signature`."""
+    return pencil_signature(pair).simdiag
 
 
 def _singular_simdiag(g1, g2, rows) -> bool:
@@ -243,20 +234,23 @@ def pencil_signature(pair: SymPair) -> PencilSignature:
                   for i in range(6) for j in range(i + 1, 6)) else \
         1 if any(upper) else 0
     if sd <= 1:
-        # every member is a multiple of g
+        # every member is a multiple of g, and a single symmetric form is
+        # always congruent to a diagonal
         r = len(_independent_rows(g1 if any(u1) else g2))
         return PencilSignature(
             span_dim=sd, common_kernel_dim=3 - r, generic_rank=r,
             det_root_count=1 if r == 3 else -1, has_rank1_member=r == 1,
-            simdiag=simdiag_test(pair, sd))
+            simdiag=True)
     form = _det_form(g1, g2)
     if any(form):
+        # regular: every Jordan block at a root has size 1 iff the member
+        # there drops rank by the root's multiplicity
         drops = _root_drops(g1, g2, form)
         return PencilSignature(
             span_dim=2, common_kernel_dim=0, generic_rank=3,
             det_root_count=3 - sum(m - 1 for m, _ in drops),
             has_rank1_member=any(d == 2 for _, d in drops),
-            simdiag=simdiag_test(pair, sd, drops))
+            simdiag=all(m == d for m, d in drops))
     # singular: a regular 2x2 pencil plus a common kernel line, which has
     # a rank-one member, or L1 + L1^t with no common kernel, which has none
     rows = _independent_rows(g1 + g2)

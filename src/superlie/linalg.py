@@ -4,11 +4,12 @@ Matrices are plain lists of lists.  The field routines (rref, rank, kernel,
 solve, det) take ints and FieldElems, mixed, and are exact.  All but det
 share one elimination, `_echelon`, on sparse {column: scalar} rows: the
 dense routines convert at entry, and `cohomology` and `invariants` build
-their systems sparse.  `_echelon` first scales each row by `integral`,
-which leaves the RREF as it is, so a rational matrix is eliminated over
-the ints without division (Bareiss's fraction-free step).  A row changes
-only at its pivot's nonzero columns, so elimination costs in proportion
-to the nonzeros.  `rref` divides each pivot row once at the end;
+their systems sparse.  Unless every entry is already an int, `_echelon`
+first scales all rows by one `integral` over all their entries, which
+leaves the RREF as it is, so a rational matrix is eliminated over the ints
+without division (Bareiss's fraction-free step).  A row changes only at
+its pivot's nonzero columns, so elimination costs in proportion to the
+nonzeros.  `rref` divides each pivot row once at the end;
 `kernel_vectors`, and so `kernel`, divides only the entries in the free
 columns it reads.  `det` keeps its own elimination over the field.  The
 series solver pivots on the entry of smallest leading exponent, which
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .field import FieldElem, ONE, ZERO
-from .series import InsufficientPrecision, PuiseuxSeries
+from .series import EXACT_ZERO, InsufficientPrecision
 
 Row = List[FieldElem]
 
@@ -95,19 +96,22 @@ def _eliminate(row: dict, pivot: dict, c: int, ints: bool) -> dict:
     return row
 
 
-def _echelon(rows: Sequence[dict], reduced: bool):
+def _echelon(rows: Iterable[dict], reduced: bool):
     """Row echelon form of sparse rows ({column: scalar} dicts, left as they
     are), reduced when `reduced`: (rows, pivot_columns ascending), each row
     a multiple of its RREF row in the reduced form.  Unless all entries are
-    ints, each row is scaled by `integral`.  A row is inserted at its least
-    column: it is that column's pivot if it has none, else it is cleared
-    there and inserted again.  The reduced form then clears each pivot row
-    at the later pivots, from the last pivot down to the first."""
+    ints, all rows are scaled by one `integral` over all their entries.  A
+    row is inserted at its least column: it is that column's pivot if it
+    has none, else it is cleared there and inserted again.  The reduced
+    form then clears each pivot row at the later pivots, from the last
+    pivot down to the first."""
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     ints = all(type(x) is int for row in rows for x in row.values())
     if not ints:
-        rows = [dict(zip(row, integral(list(row.values())))) for row in rows]
-        ints = all(type(x) is int for row in rows for x in row.values())
+        flat = integral([x for row in rows for x in row.values()])
+        ints = all(type(x) is int for x in flat)
+        scaled = iter(flat)
+        rows = [{c: next(scaled) for c in row} for row in rows]
     pivots = {}
     for row in rows:
         while row:
@@ -218,9 +222,6 @@ def det(matrix: Sequence[Row]) -> FieldElem:
 # -- series elimination -----------------------------------------------------
 
 
-_EXACT_ZERO = PuiseuxSeries({})
-
-
 def series_solve(matrix, rhs,
                  precision: Optional[Fraction] = None):
     """Solve A X = B over Puiseux series (A square).
@@ -253,7 +254,7 @@ def series_solve(matrix, rhs,
         pivot_inv = aug[c][c].inv(precision)
         # an exact zero times anything is the exact zero, and subtracting
         # it leaves an entry as it is: those products are skipped
-        aug[c] = [_EXACT_ZERO if x.is_zero() else x * pivot_inv
+        aug[c] = [EXACT_ZERO if x.is_zero() else x * pivot_inv
                   for x in aug[c]]
         for k in range(n):
             # an unresolved zero is eliminated too: its unknown terms lower

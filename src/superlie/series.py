@@ -214,7 +214,7 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if type(other) is FieldElem:
             if other.is_zero():
-                return _series({}, None)
+                return EXACT_ZERO
             return _scaled(self, 0, other)
         other = _coerce(other)
         if other is NotImplemented:
@@ -223,7 +223,7 @@ class PuiseuxSeries:
         t2, p2 = other.terms, other.precision
         if (not t1 and p1 is None) or (not t2 and p2 is None):
             # an exact zero factor: exact zero, whatever the other's precision
-            return _series({}, None)
+            return EXACT_ZERO
         if p1 is None and len(t1) == 1:
             return _scaled(other, *next(iter(t1.items())))
         if p2 is None and len(t2) == 1:
@@ -326,7 +326,7 @@ class PuiseuxSeries:
         (1+rest)^(1/2), exact only for an exact monomial."""
         if not self.terms:
             if self.precision is None:
-                return _series({}, None)
+                return EXACT_ZERO
             raise InsufficientPrecision("square root of an unresolved zero")
         root_c = field_sqrt(self.leading()[1])
         if root_c is None:
@@ -390,6 +390,10 @@ class PuiseuxSeries:
 
     def __str__(self):
         return format_series(self)
+
+
+# the exact zero; a series is immutable, so every caller shares this one
+EXACT_ZERO = _series({}, None)
 
 
 def _coerce(x) -> Union[PuiseuxSeries, type(NotImplemented)]:

@@ -574,13 +574,13 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
     the coboundaries.  On the catalog algebras of dimension <= 4 the oracle
     has a row for every ordered triple, from `dense_d2`, so dropping the
     non-canonical rows must keep the RREF; elsewhere it is scattered from
-    `d2`."""
+    the former `d2`, `d2_before`, since `d2` reads the rows under test."""
     for g, from_dense, want in _h2_cases(rng):
         old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
-                              else (lambda phi: d2(g, phi)))
+                              else (lambda phi: d2_before(g, phi)))
         ibr = integral_table(g)
         total = cohomology.cochain_dim(g.m, g.n)
-        new = dense(cohomology._d2_matrix(g, ibr), total)
+        new = dense(cohomology._d2_rows(g, ibr).values(), total)
         assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
         assert all(any(row) for row in new), g.name
         dim, basis = rank_lift_h2(g, old)
@@ -783,14 +783,16 @@ def h2_even_before(g):
 
 
 def test_d2_and_coboundary_rows_match_former_assembly(rng):
-    """On `table_cases`, the d2 matrix and the coboundary rows, now read off
-    the integral bracket table, have the RREF of the former ones, and
-    h2_even gives the former dimension and lifted basis."""
-    for g in table_cases(rng):
+    """On `table_cases` and K(2|m) for odd m <= 9, the d2 matrix and the
+    coboundary rows, now read off the integral bracket table, have the RREF
+    of the former ones, and h2_even gives the former dimension and lifted
+    basis."""
+    for g in table_cases(rng) + [catalog.K2m(m) for m in (3, 5, 7, 9)]:
         br = g.bracket_table()
         ibr = integral_table(g)
         total = cohomology.cochain_dim(g.m, g.n)
-        assert (_nonzero_rref_rows(dense(cohomology._d2_matrix(g, ibr), total))
+        assert (_nonzero_rref_rows(dense(cohomology._d2_rows(g, ibr).values(),
+                                         total))
                 == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
         assert (_nonzero_rref_rows(dense(invariants._derivation_images(
             g, ibr, 1, 1, 1, 0), total))

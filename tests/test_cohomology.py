@@ -12,8 +12,9 @@ from superlie.cohomology import (Cochain2Even, cochain_basis_index, d1, d2,
                                  parse_cocycle)
 from superlie.exprlang import constant, evaluate
 from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
-from superlie.linalg import kernel, rank, rref, transpose
+from superlie.linalg import kernel, rank, rref
 
+import modp
 from conftest import basis_vector, dense, rand_elem, table_cases
 
 
@@ -426,17 +427,20 @@ def test_orbit_dim_is_coboundary_rank(rng):
 def test_coboundary_rows_are_minus_the_derivation_columns(rng):
     """The degree-0 (1,1,1) `invariants._derivation_images` of the integral
     table are m^2 + n^2 in number, keyed by cochain slots only, and their
-    nonempty negations are the former coboundary rows, one `d1` per map,
-    list for list, on `table_cases` and K(2|m), m = 3, 5, 7, 9."""
+    nonempty negations are the coboundary rows, d1 of each elementary even
+    map written from its definition over the same table
+    (`modp.coboundary_rows`), list for list, on `table_cases` and K(2|m),
+    m = 3, 5, 7, 9."""
     for g in table_cases(rng) + [catalog.K2m(m) for m in (3, 5, 7, 9)]:
         ibr = integral_table(g)
         images = invariants._derivation_images(g, ibr, 1, 1, 1, 0)
         total = cohomology.cochain_dim(g.m, g.n)
         assert len(images) == g.m ** 2 + g.n ** 2, g.name
         assert all(s < total for image in images for s in image), g.name
-        assert (dense([{s: -x for s, x in image.items()}
-                       for image in images if image], total)
-                == coboundary_rows_before(g, ibr)), g.name
+        table = [[dict(terms) for terms in row] for row in ibr]
+        assert ([{s: -x for s, x in row.items()} for row in images if row]
+                == [row for row in modp.coboundary_rows(g, table) if row]), \
+            g.name
 
 
 def test_d1_refuses_maps_of_another_shape():
@@ -509,13 +513,12 @@ def test_d2_is_graded_alternating(rng):
 # -- the dense d2 matrix and the rank-per-cocycle lift, oracles for h2_even ----
 
 
-def dense_d2_matrix(g, evaluate):
+def dense_d2_matrix(g):
     """One dense row per output coordinate that any unit cochain reaches,
-    scattered from `evaluate` of each unit cochain, a map of triples to
-    graded vectors (`d2` or `dense_d2`)."""
+    scattered from `dense_d2` of each unit cochain."""
     total = cohomology.cochain_dim(g.m, g.n)
-    cols = [evaluate(Cochain2Even(g.m, g.n, [FieldElem(int(i == si))
-                                             for i in range(total)]))
+    cols = [dense_d2(g, Cochain2Even(g.m, g.n, [FieldElem(int(i == si))
+                                                for i in range(total)]))
             for si in range(total)]
     keys = sorted({(t, p, r) for image in cols for t, vv in image.items()
                    for p in (0, 1) for r, x in enumerate(vv[p])
@@ -573,24 +576,32 @@ def test_d2_matrix_and_lift_match_dense_oracles(rng):
     basis cocycle is a cocycle, and the basis adds its size to the rank of
     the coboundaries.  On the catalog algebras of dimension <= 4 the oracle
     has a row for every ordered triple, from `dense_d2`, so dropping the
-    non-canonical rows must keep the RREF; elsewhere it is scattered from
-    the former `d2`, `d2_before`, since `d2` reads the rows under test."""
+    non-canonical rows must keep the RREF; elsewhere it is `modp`'s, at
+    each of its primes, since `d2` reads the rows under test."""
     for g, from_dense, want in _h2_cases(rng):
-        old = dense_d2_matrix(g, (lambda phi: dense_d2(g, phi)) if from_dense
-                              else (lambda phi: d2_before(g, phi)))
         ibr = integral_table(g)
         total = cohomology.cochain_dim(g.m, g.n)
-        new = dense(cohomology._d2_rows(g, ibr).values(), total)
-        assert _nonzero_rref_rows(new) == _nonzero_rref_rows(old), g.name
-        assert all(any(row) for row in new), g.name
-        dim, basis = rank_lift_h2(g, old)
+        rows = cohomology._d2_rows(g, ibr).values()
         got = h2_even(g)
-        assert got["dim"] == dim, g.name
-        assert want is None or dim == want, g.name
-        assert [phi.vec for phi in got["basis"]] == basis, g.name
+        vecs = [phi.vec for phi in got["basis"]]
+        if from_dense:
+            old = dense_d2_matrix(g)
+            assert (_nonzero_rref_rows(dense(rows, total))
+                    == _nonzero_rref_rows(old)), g.name
+            dim, basis = rank_lift_h2(g, old)
+            assert got["dim"] == dim, g.name
+            assert vecs == basis, g.name
+        else:
+            for p in modp.PRIMES:
+                cocycles, dim, basis = modp.h2(g, p)
+                assert modp.rref(rows, p) == cocycles, (g.name, p)
+                assert got["dim"] == dim, (g.name, p)
+                assert modp.residue(vecs, p) == basis, (g.name, p)
+        assert want is None or got["dim"] == want, g.name
+        assert all(any(row.values()) for row in rows), g.name
         assert all(is_cocycle(g, phi) for phi in got["basis"]), g.name
         cob = dense(invariants._derivation_images(g, ibr, 1, 1, 1, 0), total)
-        assert rank(cob + basis) == rank(cob) + dim, g.name
+        assert rank(cob + vecs) == rank(cob) + got["dim"], g.name
 
 
 def test_values_agree_with_value(rng):
@@ -609,195 +620,23 @@ def test_values_agree_with_value(rng):
                     assert listed.get((a, b), []) == terms, (m, n, a, b)
 
 
-# -- the d1/d2 assembly over FieldElem tables, oracles for the integral one ----
-# These are the former d1, d2, d2 matrix, coboundary rows and h2_even, which
-# called d2 once per cochain slot and d1 once per elementary map.
-
-
-def d1_before(g, A, D, br=None):
-    """(d1 psi)(x,y) = [psi x, y] + [x, psi y] - psi([x,y]) for the even map
-    psi = (A on the e's, D on the f's), columns = images.  `br` is g's
-    bracket table when the caller has built it."""
-    m, n = g.m, g.n
-    if br is None:
-        br = g.bracket_table()
-    # psi[k] = psi(x_k) as a sparse combined-basis vector: the nonzero
-    # entries of column k of A, or of column k - m of D offset by m
-    psi = [[(r, x) for r, x in enumerate(col) if not x.is_zero()]
-           for col in zip(*A)]
-    psi += [[(m + r, x) for r, x in enumerate(col) if not x.is_zero()]
-            for col in zip(*D)]
-
-    def entry(a, b):
-        acc = [ZERO] * (m + n)
-        for r, x in psi[a]:
-            for k, y in br[r][b]:
-                acc[k] = acc[k] + x * y
-        for r, x in psi[b]:
-            for k, y in br[a][r]:
-                acc[k] = acc[k] + x * y
-        for r, x in br[a][b]:
-            for k, y in psi[r]:
-                acc[k] = acc[k] - x * y
-        return acc[m:] if a < m <= b else acc[:m]
-
-    return Cochain2Even(m, n, [x for a, b in pairs(m, n)
-                               for x in entry(a, b)])
-
-
-def d2_before(g, phi, br=None):
-    """Evaluate d2 phi on the canonical homogeneous basis triples.
-
-    A triple (a, b, c) is canonical when a <= b <= c and two neighbours are
-    equal only at an odd index.  Returns a dict (a,b,c) -> graded vector
-    over the canonical triples, keys ascending, zero entries omitted.
-
-    These values give all the others, since d2 phi is graded-alternating:
-    swapping two neighbours x, y multiplies it by -(-1)^(|x||y|).  The value
-    on any ordered triple is the product of those signs over the swaps that
-    sort it, times the value on the sorted triple; it is zero where an even
-    index repeats.  Only the nonzero values of phi and the nonzero brackets
-    are visited, and a product is formed only for a canonical triple.  `br`
-    is g's bracket table when the caller has built it.
-    """
-    m, n = g.m, g.n
-    d = m + n
-    if br is None:
-        br = g.bracket_table()
-    values = cochain_values(phi)
-    phi_left = [[] for _ in range(d)]   # phi_left[k]: (c, phi(x_k, x_c))
-    phi_right = [[] for _ in range(d)]  # phi_right[k]: (a, phi(x_a, x_k))
-    for a, b, v in values:
-        phi_left[a].append((b, v))
-        phi_right[b].append((a, v))
-    odd = [k >= m for k in range(d)]
-    # before[a][b]: x_a may stand left of its neighbour x_b in a canonical
-    # triple
-    before = [[a < b or a == b >= m for b in range(d)] for a in range(d)]
-    acc = {}
-
-    def add(x, vec, *targets):
-        """Add x * vec at each (key, negate, canonical) target with a
-        canonical key; the products are formed once, and only if one is."""
-        terms = None
-        for key, negate, canonical in targets:
-            if not canonical:
-                continue
-            if terms is None:
-                terms = [(r, x * y) for r, y in vec]
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = [ZERO] * d
-            for r, y in terms:
-                out[r] = out[r] - y if negate else out[r] + y
-
-    # [x_a, phi(y,z)] - (-1)^(|x||y|) [y, phi(x,z)]
-    #     + (-1)^(|z|(|x|+|y|)) [z, phi(x,y)]; a mirrored value phi(x_p, x_q)
-    # with p > q reaches no canonical triple
-    for p, q, v in values:
-        if p > q:
-            continue
-        for k, x in v:
-            for t in range(d):
-                w = br[t][k]                # [x_t, x_k]
-                if w:
-                    add(x, w, ((t, p, q), False, before[t][p]),
-                        ((p, t, q), not (odd[p] and odd[t]),
-                         before[p][t] and before[t][q]),
-                        ((p, q, t), odd[t] and odd[p] != odd[q],
-                         before[q][t]))
-    # - phi([x,y], z) + (-1)^(|y||z|) phi([x,z], y) + phi(x, [y,z]); each
-    # key puts x_p before x_q
-    for p in range(d):
-        for q in range(p, d):
-            if not before[p][q]:
-                continue
-            for k, x in br[p][q]:
-                for t, w in phi_left[k]:
-                    add(x, w, ((p, q, t), True, before[q][t]),
-                        ((p, t, q), odd[t] and odd[q],
-                         before[p][t] and before[t][q]))
-                for t, w in phi_right[k]:
-                    add(x, w, ((t, p, q), False, before[t][p]))
-    return {key: (out[:m], out[m:]) for key, out in sorted(acc.items())
-            if any(not x.is_zero() for x in out)}
-
-
-def d2_matrix_before(g, br):
-    """Rows = output coordinates over the canonical triples of `d2`,
-    columns = cochain slots (br is g's bracket table).  Of rows equal up to
-    a nonzero scalar only the first is kept, which leaves the row space,
-    hence the RREF and the kernel, as they are."""
-    total = cohomology.cochain_dim(g.m, g.n)
-    rows = {}   # (triple, combined index) -> {slot: entry}, slots ascending
-    for si in range(total):
-        unit = [ZERO] * total
-        unit[si] = ONE
-        for t, vv in d2_before(g, Cochain2Even(g.m, g.n, unit), br).items():
-            for r, x in enumerate(vv[0] + vv[1]):
-                if not x.is_zero():
-                    rows.setdefault((t, r), {})[si] = x
-    matrix, seen = [], set()
-    for key in sorted(rows):
-        row = rows[key]
-        lead = next(iter(row.values())).inv()
-        shape = tuple((c, x * lead) for c, x in row.items())
-        if shape not in seen:
-            seen.add(shape)
-            matrix.append([row.get(c, ZERO) for c in range(total)])
-    return matrix
-
-
-def coboundary_rows_before(g, br):
-    """The nonzero images of the elementary even maps under d1, as cochain
-    vectors: a spanning set of B^2 (br is g's bracket table)."""
-    def unit(size, q, p):       # E_qp; the zero matrix for q = p = -1
-        return [[ONE if (r, c) == (q, p) else ZERO for c in range(size)]
-                for r in range(size)]
-
-    m, n = g.m, g.n
-    images = [d1_before(g, unit(m, q, p), unit(n, -1, -1), br)
-              for q in range(m) for p in range(m)]
-    images += [d1_before(g, unit(m, -1, -1), unit(n, q, p), br)
-               for q in range(n) for p in range(n)]
-    return [list(phi.vec) for phi in images
-            if any(not x.is_zero() for x in phi.vec)]
-
-
-def h2_even_before(g):
-    """{dim, basis}: dim ker d2 - dim im d1, with a lifted basis of H^2."""
-    m, n = g.m, g.n
-    total = cohomology.cochain_dim(m, n)
-    br = g.bracket_table()
-    d2m = d2_matrix_before(g, br)
-    cocycles = kernel(d2m) if d2m else \
-        [[ONE if i == j else ZERO for j in range(total)] for i in range(total)]
-    cob_rows = coboundary_rows_before(g, br)
-    b_rank = rank(cob_rows)
-    # the pivot columns of [B | Z] past B are the cocycles that add to the
-    # span of B and of the cocycles before them
-    _, pivots = rref(transpose(cob_rows + cocycles))
-    return {"dim": len(cocycles) - b_rank,
-            "basis": [Cochain2Even(m, n, cocycles[c - len(cob_rows)])
-                      for c in pivots if c >= len(cob_rows)]}
-
-
-def test_d2_and_coboundary_rows_match_former_assembly(rng):
-    """On `table_cases` and K(2|m) for odd m <= 9, the d2 matrix and the
-    coboundary rows, now read off the integral bracket table, have the RREF
-    of the former ones, and h2_even gives the former dimension and lifted
+def test_d2_and_coboundary_rows_match_modp_oracle(rng):
+    """On `table_cases` and K(2|m) for odd m <= 9, at each prime of
+    `modp.PRIMES`: the d2 rows and the coboundary rows, read off the
+    integral bracket table, have the RREF of the cocycle rows of every
+    ordered triple and of the coboundary rows written from their
+    definitions, and h2_even gives the oracle's dimension and lifted
     basis."""
     for g in table_cases(rng) + [catalog.K2m(m) for m in (3, 5, 7, 9)]:
-        br = g.bracket_table()
         ibr = integral_table(g)
-        total = cohomology.cochain_dim(g.m, g.n)
-        assert (_nonzero_rref_rows(dense(cohomology._d2_rows(g, ibr).values(),
-                                         total))
-                == _nonzero_rref_rows(d2_matrix_before(g, br))), g.name
-        assert (_nonzero_rref_rows(dense(invariants._derivation_images(
-            g, ibr, 1, 1, 1, 0), total))
-                == _nonzero_rref_rows(coboundary_rows_before(g, br))), g.name
-        got, want = h2_even(g), h2_even_before(g)
-        assert got["dim"] == want["dim"], g.name
-        assert ([phi.vec for phi in got["basis"]]
-                == [phi.vec for phi in want["basis"]]), g.name
+        rows = cohomology._d2_rows(g, ibr).values()
+        images = invariants._derivation_images(g, ibr, 1, 1, 1, 0)
+        got = h2_even(g)
+        for p in modp.PRIMES:
+            cocycles, dim, basis = modp.h2(g, p)
+            assert modp.rref(rows, p) == cocycles, (g.name, p)
+            assert (modp.rref(images, p) == modp.rref(
+                modp.coboundary_rows(g, modp.table(g, p)), p)), (g.name, p)
+            assert got["dim"] == dim, (g.name, p)
+            assert modp.residue([phi.vec for phi in got["basis"]], p) \
+                == basis, (g.name, p)

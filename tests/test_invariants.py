@@ -10,6 +10,7 @@ from superlie.gamma23 import random_gl
 from superlie.groebner import poly_add, poly_scale
 from superlie.linalg import kernel, rank, rref
 
+import modp
 from conftest import basis_vector, dense_views, table_cases
 
 
@@ -524,109 +525,23 @@ def test_table_invariants_match_dense_oracles(rng):
                         (g.name, epiv, opiv)
 
 
-# -- the table invariants as they were over FieldElem tables, oracles for the
-# -- integral table ------------------------------------------------------------
-
-
-def center_before(g, br=None):
-    """Graded dimension of the center, with graded bases: for each parity,
-    the kernel of ad over the combined basis."""
-    m, d = g.m, g.dim
-    if br is None:
-        br = g.bracket_table()
-
-    def ad_kernel(vs):
-        # column v, row (b, k): coordinate k of [x_v, x_b]
-        cols = [[dict(br[v][b]) for b in range(d)] for v in vs]
-        return kernel([[col[b].get(k, ZERO) for col in cols]
-                       for b in range(d) for k in range(d)]) if vs else []
-
-    even_basis, odd_basis = ad_kernel(range(m)), ad_kernel(range(m, d))
-    return (len(even_basis), len(odd_basis)), (even_basis, odd_basis)
-
-
-def derived_before(g, br=None):
-    """Graded dimension of [g, g]: the ranks of the even and odd parts of
-    the brackets [x_a, x_b], a <= b."""
-    m, d = g.m, g.dim
-    if br is None:
-        br = g.bracket_table()
-    rows = [[dict(br[a][b]).get(k, ZERO) for k in range(d)]
-            for a in range(d) for b in range(a, d)]
-    return rank([r[:m] for r in rows]), rank([r[m:] for r in rows])
-
-
-def abc_derivations_before(g, alpha, beta, gamma, degree, br=None):
-    """Dimension (with basis) of degree-`degree` (alpha,beta,gamma)-derivations.
-
-    The defining equation, for homogeneous x, y:
-        alpha * D[x,y] = beta * [Dx, y] + (-1)^(degree*|x|) * gamma * [x, Dy]
-    evaluated on ALL ordered basis pairs (beta != gamma makes both orders
-    informative).  The unknowns are the elementary maps x_src -> x_dst of the
-    given degree; each equation is a sum over the nonzero brackets only.
-    """
-    alpha, beta, gamma = (x if isinstance(x, FieldElem) else FieldElem(x)
-                          for x in (alpha, beta, gamma))
-    m, n = g.m, g.n
-    d = m + n
-    if degree == 0:
-        # A (m x m), D (n x n): maps within parity, entry (q, p) is p -> q
-        unknowns = [(p, q) for q in range(m) for p in range(m)] + \
-                   [(m + p, m + q) for q in range(n) for p in range(n)]
-    else:
-        # even -> odd (n x m) and odd -> even (m x n)
-        unknowns = [(p, m + q) for q in range(n) for p in range(m)] + \
-                   [(m + p, q) for q in range(m) for p in range(n)]
-    if not unknowns:
-        return 0, []
-
-    if br is None:
-        br = g.bracket_table()
-    from_src = [[] for _ in range(d)]  # from_src[s]: (unknown, dst)
-    for ui, (src, dst) in enumerate(unknowns):
-        from_src[src].append((ui, dst))
-    rows = []
-    for a in range(d):
-        # (-1)^(degree*|a|) * gamma
-        sgamma = -gamma if degree * g.parity(a) % 2 else gamma
-        for b in range(d):
-            # residual = alpha*D[a,b] - beta*[Da,b] - sign*gamma*[a,Db] as
-            # (output coordinate, unknown, coefficient) terms
-            terms = [(dst, ui, alpha * x) for src, x in br[a][b]
-                     for ui, dst in from_src[src]]
-            terms += [(k, ui, -(beta * y)) for ui, dst in from_src[a]
-                      for k, y in br[dst][b]]
-            terms += [(k, ui, -(sgamma * y)) for ui, dst in from_src[b]
-                      for k, y in br[a][dst]]
-            block = {}  # output coordinate -> row
-            for k, ui, x in terms:
-                row = block.get(k)
-                if row is None:
-                    row = block[k] = [ZERO] * len(unknowns)
-                row[ui] = row[ui] + x
-            rows.extend(block[k] for k in sorted(block)
-                        if any(not x.is_zero() for x in block[k]))
-    basis = kernel(rows) if rows else \
-        [[ONE if i == j else ZERO for j in range(len(unknowns))]
-         for i in range(len(unknowns))]
-    return len(basis), basis
-
-
-def test_invariants_match_former_field_code(rng):
-    """center, derived and the (alpha,beta,gamma)-derivations, which now
-    read the integral copy of the bracket table, equal the code that read
-    the FieldElem table, values and bases, on `table_cases` (with Q(i,
-    sqrt2) basis changes up to dimension 3)."""
+def test_invariants_match_modp_oracle(rng):
+    """center, derived and the (alpha,beta,gamma)-derivations, values and
+    bases, equal `modp`'s, written from their definitions, at each of its
+    primes, on `table_cases` (with Q(i, sqrt2) basis changes up to
+    dimension 3)."""
     tuples = invariants.ABC_TUPLES + [(I, 1, SQRT2)]
     for g in table_cases(rng, irrational_dim=3):
-        br = g.bracket_table()
-        assert invariants.center(g) == center_before(g, br), g.name
-        assert invariants.derived(g) == derived_before(g, br), g.name
-        for tup in tuples:
-            for deg in (0, 1):
-                assert (invariants.abc_derivations(g, *tup, deg)
-                        == abc_derivations_before(g, *tup, deg, br)), \
-                    (g.name, tup, deg)
+        (dims, bases), derived = invariants.center(g), invariants.derived(g)
+        abc = {(tup, deg): invariants.abc_derivations(g, *tup, deg)
+               for tup in tuples for deg in (0, 1)}
+        for p in modp.PRIMES:
+            assert modp.center(g, p) == (dims, modp.residue(bases, p)), \
+                (g.name, p)
+            assert modp.derived(g, p) == derived, (g.name, p)
+            for (tup, deg), (dim, basis) in abc.items():
+                assert modp.abc_derivations(g, *tup, deg, p) \
+                    == (dim, modp.residue(basis, p)), (g.name, tup, deg, p)
 
 
 def test_report_ranks_match_derivation_kernels(rng):

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -224,49 +223,7 @@ def test_rref_matches_dense_oracle(rng):
             assert all(type(x) is int for row in rows for x in row), a
 
 
-# -- sparse _echelon against the dense elimination it replaced --------------
-
-
-def echelon_before(matrix, reduced):
-    """The dense elimination `linalg._echelon` ran before it took sparse
-    rows, kept as its oracle: (rows, pivot_columns) of the rows scaled by
-    `integral`, eliminated column by column over the ints when every entry
-    is then an int (dividing each row by its content), else over the
-    field."""
-    ints = all(type(x) is int for row in matrix for x in row)
-    rows = [list(row) if ints else linalg.integral(row)
-            for row in matrix if any(row)]
-    ints = ints or all(type(x) is int for row in rows for x in row)
-    pivots = []
-    for c in range(len(matrix[0]) if rows else 0):
-        r = len(pivots)
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                break
-        else:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        p = rows[r][c]
-        a, w = ((p, 1) if p > 0 else (-p, -1)) if ints else (1, ONE / p)
-        pivot = rows[r] if w == 1 else [w * x for x in rows[r]]
-        if a == 1:
-            nonzero = [(j, x) for j, x in enumerate(pivot) if x]
-        for row in rows[:r] + rows[r + 1:] if reduced else rows[r + 1:]:
-            f = row[c]
-            if not f:
-                continue
-            if a == 1:
-                for j, x in nonzero:
-                    row[j] -= f * x
-                continue
-            row[:] = [a * x - f * y for x, y in zip(row, pivot)]
-            g = gcd(*row)
-            if g > 1:
-                row[:] = [x // g for x in row]
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows[:len(pivots)], pivots
+# -- sparse _echelon against the dense RREF ------------------------------------
 
 
 def _mixed_pivot_rows(rng, width):
@@ -308,7 +265,7 @@ def _sparse_cases(rng):
 
 
 def test_sparse_echelon_matches_dense_elimination(rng):
-    """`_echelon` on sparse rows finds the pivots of `echelon_before` on the
+    """`_echelon` on sparse rows finds the pivots of the dense RREF of the
     same rows written out, reduced or not; each reduced row is a multiple
     of the RREF row at its pivot; rows that are all rational come out as
     ints; and the input dicts are left as they are."""
@@ -321,8 +278,7 @@ def test_sparse_echelon_matches_dense_elimination(rng):
         for reduced in (False, True):
             got, pivots = linalg._echelon(rows, reduced)
             assert rows == before, rows
-            assert pivots == echelon_before(matrix, reduced)[1] == want[1], \
-                rows
+            assert pivots == want[1], rows
             assert all(x for row in got for x in row.values()), rows
             assert [min(row) for row in got] == pivots, rows
             if rational:

@@ -6,9 +6,7 @@ components, gamma23, verify-all, selftest.
 Exit codes, each error reported by `main` alone on one stderr line:
 0 success, 1 verification failure, algebra error or insufficient precision,
 2 usage, parse, not-found or i/o error, 3 internal inconsistency.
-SUPERLIE_PRECISION overrides the default series precision; like
---precision, it must be a positive rational.  JSON output is
-byte-deterministic for fixed inputs.
+JSON output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .algebra import AlgebraError, SuperAlgebra
 from .catalog import NotFound
 from .cohomology import format_cocycle
 from .orbitrel import ConsistencyViolation, ShapeMismatch, WitnessError
-from .series import InsufficientPrecision, parse_precision
+from .series import DEFAULT_PRECISION, InsufficientPrecision, parse_precision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,12 +36,11 @@ def _dump(doc) -> str:
 
 
 def _precision(text: str) -> Fraction:
-    """--precision or SUPERLIE_PRECISION, by the rule the library uses."""
+    """--precision, by the rule the library uses."""
     try:
         return parse_precision(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"{exc} (--precision or SUPERLIE_PRECISION)") from None
+        raise argparse.ArgumentTypeError(f"{exc} (--precision)") from None
 
 
 def _count(text: str) -> int:
@@ -110,10 +107,10 @@ def cmd_show(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_algebra(args.target)
-    issues = list(g.check_consistency())
+    # check_consistency is empty exactly when check_jacobi is
     jac = g.check_jacobi()
-    if jac:
-        issues.append(f"jacobi violations at {jac}")
+    issues = [*g.check_consistency(), f"jacobi violations at {jac}"] \
+        if jac else []
     if not g.is_nilpotent():
         issues.append("not nilpotent")
     if issues:
@@ -393,12 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_precision(sp):
-        # argparse converts a string default with `type`, so the variable is
-        # checked exactly as the option is
         sp.add_argument("--precision", type=_precision,
-                        default=os.environ.get("SUPERLIE_PRECISION"),
                         help="series precision, a positive rational "
-                             "(default: $SUPERLIE_PRECISION)")
+                             f"(default: {DEFAULT_PRECISION})")
 
     sp = sub.add_parser("list", help="list catalog labels")
     sp.add_argument("--dim", type=_dim,

@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .field import FieldElem, FieldSyntaxError, I, SQRT2
-from .series import (DEFAULT_PRECISION, EXACT_ZERO, NotInvertible,
-                     PuiseuxSeries)
+from .series import EXACT_ZERO, NotInvertible, PuiseuxSeries
 
 ExprSyntaxError = FieldSyntaxError
 
@@ -330,9 +329,7 @@ def constant(text: str,
     raises ExprSyntaxError naming the cause.
     """
     try:
-        # whether a text is an exact constant does not depend on the
-        # truncation order, so SUPERLIE_PRECISION is not read
-        value = evaluate(text, DEFAULT_PRECISION, symbol)
+        value = evaluate(text, symbol=symbol)
         if symbol is None:
             return _exact(value, text)
         if not isinstance(value, dict):

@@ -104,13 +104,11 @@ def _algebras(w: DegenerationWitness):
     return g, h
 
 
-def _witness_matrices(w: DegenerationWitness, m: int, n: int, precision,
+def _witness_matrices(w: DegenerationWitness, m: int, n: int, p,
                       basis: Dict[str, str]):
-    """Columns T[:,i] / S[:,j] of the parametrized basis at this order; a
+    """Columns T[:,i] / S[:,j] of the parametrized basis at order p; a
     text that is not a vector of its parity raises WitnessError.  Each text
     is evaluated once per (text, m, n, order), through the memo."""
-    p = precision if precision is not None else working_precision()
-
     def matrix(sym: str, default: str, count: int, parity: int):
         cols = []
         for i in range(1, count + 1):
@@ -180,7 +178,7 @@ def verify_degeneration(w: Union[DegenerationWitness, Dict], precision=None):
     """Symbolically verify g --w--> h between the catalog algebras w names;
     returns Verified or Failed.
 
-    `precision` caps the series order (working_precision() when None).  The
+    `precision` caps the series order (DEFAULT_PRECISION, 8, when None).  The
     whole decision, the basis and then `alt_basis` if the basis fails, runs
     at order min(1, cap), and again at twice the order, up to the cap, while
     the order cannot decide; each order's decision is memoized, so the cap
@@ -486,10 +484,6 @@ def component_analysis(dim, precision=None) -> Dict:
                     warnings.append(f"inconclusive separation: {a} -/-> {b} "
                                     "not certified")
     return {"diagram": diagram, "components": maximal, "warnings": warnings}
-
-
-def components(dim, precision=None) -> List[str]:
-    return component_analysis(dim, precision=precision)["components"]
 
 
 # -- discrepancy report ------------------------------------------------------------

@@ -13,7 +13,6 @@ Exponents and precisions are stored as ``int`` when integral and as
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
@@ -37,15 +36,11 @@ def parse_precision(text: str) -> Fraction:
 
 
 def working_precision(cap=None) -> Fraction:
-    """Default truncation order; the SUPERLIE_PRECISION env var overrides it,
-    and a caller's `cap` both, by parse_precision's rule (a float raises
-    TypeError, as an exponent does)."""
-    if cap is not None:
-        return parse_precision(_exponent(cap))
-    raw = os.environ.get("SUPERLIE_PRECISION")
-    if raw is None:
+    """A caller's `cap`, by parse_precision's rule (a float raises
+    TypeError, as an exponent does), or DEFAULT_PRECISION when None."""
+    if cap is None:
         return DEFAULT_PRECISION
-    return parse_precision(raw)
+    return parse_precision(_exponent(cap))
 
 
 class SeriesError(ArithmeticError):

@@ -18,19 +18,6 @@ import modp
 from conftest import basis_vector, dense, rand_elem, table_cases
 
 
-def expected_h2(label):
-    """The exactly computed dimension: recorded erratum value if one exists,
-    else the source value."""
-    exp = catalog.expected()
-    return exp["known_h2_discrepancies"].get(label, exp["h2_dims"][label])
-
-
-def test_h2_dims_all_regression_labels():
-    for label in catalog.expected()["h2_dims"]:
-        g = catalog.get(label).algebra
-        assert h2_even(g)["dim"] == expected_h2(label), label
-
-
 def test_cocycle_format_roundtrip():
     g = catalog.get("(2|3)_24").algebra
     for text in catalog.expected()["cocycles"]["(2|3)_24"]:

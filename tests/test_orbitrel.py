@@ -8,7 +8,7 @@ from superlie.algebra import SuperAlgebra
 from superlie.exprlang import evaluate_basis_vector
 from superlie.orbitrel import (DegenerationWitness, Failed, Inconclusive,
                                Verified, auto_nondegen, build_hasse,
-                               components, WitnessError, discrepancy_report,
+                               WitnessError, discrepancy_report,
                                to_dot, verify_degeneration,
                                verify_builtin_witnesses)
 from superlie.linalg import SingularMatrix
@@ -23,18 +23,14 @@ def test_all_builtin_witnesses_verify():
     assert bad == []
 
 
-def test_witness_cache_is_keyed_by_precision(monkeypatch):
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+def test_witness_cache_is_keyed_by_precision():
     default = verify_builtin_witnesses("(2|3)")
     with pytest.raises(InsufficientPrecision):
         verify_builtin_witnesses("(2|3)", precision=Fraction(1, 2))
     # the default is resolved before the lookup: an explicit 8 shares its
-    # entries, and a changed environment variable does not
+    # entries
     explicit = verify_builtin_witnesses("(2|3)", precision=Fraction(8))
     assert all(a is b for a, b in zip(default, explicit, strict=True))
-    monkeypatch.setenv("SUPERLIE_PRECISION", "1/2")
-    with pytest.raises(InsufficientPrecision):
-        verify_builtin_witnesses("(2|3)")
 
 
 def test_witness_wrong_limit_detected():
@@ -169,7 +165,6 @@ def test_basis_memo_never_crosses_orders(monkeypatch):
     """(2|3)_10 -> (2|3)_8 cannot decide at order 1; its order-1 vectors
     stay in the memo, and the ladder to 16 then decides at order 2 exactly
     as it does from a cold memo."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     doc = next(d for d in catalog.witnesses("(2|3)")
                if (d["from"], d["to"]) == ("(2|3)_10", "(2|3)_8"))
     fields = lambda r: (type(r), r.ok, r.used_alt, r.precision)
@@ -186,7 +181,6 @@ def test_basis_memo_never_crosses_orders(monkeypatch):
 def test_basis_texts_evaluated_once_per_key(monkeypatch):
     """From a cold memo, the 117 rows at the default precision evaluate
     each distinct (text, m, n, order) once."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     calls = []
 
@@ -204,11 +198,10 @@ def test_basis_texts_evaluated_once_per_key(monkeypatch):
     assert len(calls) < sum(len(d["basis"]) for d in docs)
 
 
-def test_builtin_rows_decide_at_orders_one_and_two(monkeypatch):
+def test_builtin_rows_decide_at_orders_one_and_two():
     """Every builtin row verifies with its basis, at the default precision
     and at 16; exactly (2|3)_10 -> (2|3)_8 and (2|3)_6 -> (2|3)_11 need
     order 2 of the ladder, the other 115 decide at order 1."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     for cap in (None, Fraction(16)):
         results = verify_builtin_witnesses(precision=cap)
         assert len(results) == 117
@@ -231,7 +224,6 @@ def _decide_keys():
 def test_cap_16_served_from_the_default_decisions(monkeypatch):
     """From a cold memo, the 117 rows at cap 16 after the default cap are
     the very same objects, and equal field by field a cold run at 16."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     default = verify_builtin_witnesses()
     warm = verify_builtin_witnesses(precision=16)
@@ -269,7 +261,6 @@ def test_decision_keyed_by_the_whole_witness(monkeypatch):
 def test_undecided_order_is_not_stored(monkeypatch):
     """(2|3)_10 -> (2|3)_8 cannot decide at order 1: at cap 1 it raises on
     every call, and no order-1 decision is stored."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     doc = next(d for d in catalog.witnesses("(2|3)")
                if (d["from"], d["to"]) == ("(2|3)_10", "(2|3)_8"))
@@ -279,25 +270,6 @@ def test_undecided_order_is_not_stored(monkeypatch):
     assert _decide_keys() == set()
     assert verify_degeneration(doc, precision=2).precision == 2
     assert {key[-1] for key in _decide_keys()} == {2}
-
-
-def test_decision_ignores_the_environment_under_an_explicit_cap(
-        monkeypatch):
-    """With an explicit cap of 16, every builtin row decides alike from a
-    cold memo whether SUPERLIE_PRECISION is unset, 4 or 1/2: nothing under
-    one order's decision reads working_precision(), so the key is complete.
-    (At 1/2 a basis evaluated or solved at the working precision would
-    raise InsufficientPrecision.)"""
-    runs = []
-    for env in (None, "4", "1/2"):
-        if env is None:
-            monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
-        else:
-            monkeypatch.setenv("SUPERLIE_PRECISION", env)
-        monkeypatch.setattr(orbitrel, "_MEMO", {})
-        runs.append([_fields(r)
-                     for r in verify_builtin_witnesses(precision=16)])
-    assert len(runs[0]) == 117 and runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("cap, error", [
@@ -496,7 +468,6 @@ def test_only_non_scaling_bases_reach_the_series_path(monkeypatch):
     """From a cold memo, the builtin rows solve over series only the 26
     bases that are not graded scalings, once per ladder order they climb;
     a silent fallback of a scaling basis shows as an extra call."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     monkeypatch.setattr(orbitrel, "_MEMO", {})
     calls = []
     real = SuperAlgebra.apply_basis_change
@@ -738,12 +709,6 @@ def test_hasse_refuses_an_edge_that_does_not_lower_orbit_dim(monkeypatch):
         build_hasse((1, 2))
     assert str(exc.value) == (f"edge {a} -> {b} does not decrease orbit "
                               f"dimension ({da} <= {db})")
-
-
-def test_components_families():
-    exp = catalog.expected()["components"]
-    for key in ("(1|2)", "(2|2)", "(1|3)"):
-        assert sorted(components(key)) == sorted(exp[key])
 
 
 def test_discrepancy_report_low_dims_empty():

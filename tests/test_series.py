@@ -20,29 +20,21 @@ def t_pow(e, c=1):
 
 
 def test_default_precision_is_8(monkeypatch):
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
-    assert working_precision() == 8
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("SUPERLIE_PRECISION", "12")
-    assert working_precision() == 12
+    """No cap means 8, whatever the environment holds: the precision is
+    set only by an argument."""
+    monkeypatch.setenv("SUPERLIE_PRECISION", "1/2")
+    assert working_precision() == working_precision(None) == 8
 
 
 @pytest.mark.parametrize("text", ["0", "-1", "abc", "", "1/0"])
-def test_precision_must_be_positive_rational(monkeypatch, text):
+def test_precision_must_be_positive_rational(text):
     with pytest.raises(ValueError, match="positive rational"):
         parse_precision(text)
-    monkeypatch.setenv("SUPERLIE_PRECISION", text)
-    with pytest.raises(ValueError, match="positive rational"):
-        working_precision()
 
 
-def test_caller_cap_checked_by_the_same_rule(monkeypatch):
-    """A caller's cap overrides the default and the environment variable;
-    a float is refused as an exponent is, and a cap <= 0 as the text is."""
-    monkeypatch.setenv("SUPERLIE_PRECISION", "12")
-    assert working_precision(None) == 12
+def test_caller_cap_checked_by_the_same_rule():
+    """A caller's cap overrides the default; a float is refused as an
+    exponent is, and a cap <= 0 as the text is."""
     assert working_precision(16) == working_precision(Fraction(16)) == 16
     assert working_precision(Fraction(1, 2)) == Fraction(1, 2)
     for bad in (0.5, 8.0):
@@ -479,8 +471,7 @@ def _assert_matches(got, want):
             assert (type(e) is int) == (Fraction(e).denominator == 1)
 
 
-def test_seeded_arithmetic_matches_fraction_keyed_oracle(monkeypatch, rng):
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+def test_seeded_arithmetic_matches_fraction_keyed_oracle(rng):
     powers = [Fraction(k) for k in (-2, -1, 0, 1, 2, 3)] + \
         [Fraction(k, 2) for k in (-3, -1, 1, 3)] + [Fraction(3, 4)]
     for _ in range(600):
@@ -527,8 +518,7 @@ def _rand_solve_case(rng):
     return new[:-1], rhs_new, ref[:-1], rhs_ref
 
 
-def test_seeded_series_solve_matches_former_solver(monkeypatch, rng):
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+def test_seeded_series_solve_matches_former_solver(rng):
     solved = 0
     for _ in range(400):
         a, b, ra, rb = _rand_solve_case(rng)
@@ -674,8 +664,7 @@ def _rand_operand(rng):
     return PuiseuxSeries(terms, precision)
 
 
-def test_one_term_paths_match_general_product_and_inverse(monkeypatch, rng):
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
+def test_one_term_paths_match_general_product_and_inverse(rng):
     one_term = 0
     for _ in range(3000):
         x, y = _rand_operand(rng), _rand_operand(rng)
@@ -717,11 +706,10 @@ def _pow_by_products(x, exponent, precision=None):
     return out
 
 
-def test_pow_by_squaring_matches_repeated_products(monkeypatch, rng):
+def test_pow_by_squaring_matches_repeated_products(rng):
     """`pow` squares; the former loop multiplied k times.  Both give the
     same terms and precision, or the same exception, on seeded exact,
     truncated and zero series with numerators -3..9 over 1, 2 and 4."""
-    monkeypatch.delenv("SUPERLIE_PRECISION", raising=False)
     for _ in range(3000):
         x = _rand_operand(rng)
         if not isinstance(x, PuiseuxSeries):

@@ -1,29 +1,34 @@
-"""Dump the CLI's stdout and exit code for the same commands and file names
-as ``tools/cli_oracle.sh``, in one process.
+"""Dump the CLI's stdout and exit code for every label, shape, gamma23
+pair, builtin witness pair and ordered pair of distinct labels of one
+shape, one file per command, named "<command> <arguments>".
 
-    python3 tools/cli_oracle.py OUT_DIR
+    python3 tools/cli_oracle.py [--fresh] OUT_DIR
 
 Run it from the root of a checkout (nothing needs installing): it imports
 ``superlie`` from ``src/`` and calls ``superlie.cli.main(argv)`` once per
 file, with stdout captured and ``exit N`` appended; stderr is not
-captured, as in the shell script.  ``gamma23`` is dumped for each
-representative and for four seeded rational actions on it
-(``gamma23_pairs``).  Each builtin witness pair is dumped at
-the default precision, then at ``--precision 16`` and ``--precision 1/2``
-(a ``/`` is written ``:`` in a file name).  All commands share one
-process, so they share ``orbitrel._MEMO`` and ``catalog._CACHE`` (cap 16
-is served from the default's decisions); the shell script starts one
-interpreter per command and shares nothing.  Equal directories from the
-two modes (``diff -r``) show that no cache returns a result computed for
-other inputs.
+captured.  ``gamma23`` is dumped for each representative and for four
+seeded rational actions on it (``gamma23_pairs``).  Each builtin witness
+pair is dumped at the default precision, then at ``--precision 16`` and
+``--precision 1/2`` (a ``/`` is written ``:`` in a file name).  All
+commands share one process, so they share ``orbitrel._MEMO`` and
+``catalog._CACHE`` (cap 16 is served from the default's decisions).
+With ``--fresh`` each command runs as its own ``python -m superlie``
+(``superlie.cli`` in a checkout without ``__main__.py``) with
+``PYTHONPATH=src``, and shares nothing; it takes minutes, not seconds.
+Equal directories from the two modes (``diff -r``) show that no cache
+returns a result computed for other inputs.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,12 +37,22 @@ sys.path.insert(0, "src")
 from superlie import catalog, cli, field, gamma23  # noqa: E402
 
 
-def run(argv):
-    """(stdout, exit code) of one CLI call."""
+def run_in_process(argv):
+    """(stdout, exit code) of one CLI call in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return out.getvalue(), code
+
+
+def run_fresh(argv):
+    """(stdout, exit code) of one CLI call in its own interpreter."""
+    module = "superlie" if Path("src/superlie/__main__.py").exists() \
+        else "superlie.cli"
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          stdout=subprocess.PIPE, text=True)
+    return proc.stdout, proc.returncode
 
 
 def gamma23_pairs():
@@ -52,11 +67,15 @@ def gamma23_pairs():
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
-        print(f"usage: {sys.argv[0]} OUT_DIR", file=sys.stderr)
-        return 2
-    out = Path(sys.argv[1])
+    parser = argparse.ArgumentParser(
+        description="dump the CLI's stdout and exit code, one file per command")
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--fresh", action="store_true",
+                        help="run each command in its own interpreter")
+    args = parser.parse_args()
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    run = run_fresh if args.fresh else run_in_process
 
     def dump(name, argv):
         text, code = run(argv)

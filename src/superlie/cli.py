@@ -181,8 +181,7 @@ def _family(m: int, n: int):
 
 def cmd_hasse(args) -> int:
     _family(args.m, args.n)
-    diagram = orbitrel.build_hasse((args.m, args.n),
-                                   precision=args.precision)
+    diagram = orbitrel.build_hasse((args.m, args.n))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(orbitrel.to_dot(diagram))
@@ -196,8 +195,7 @@ def cmd_hasse(args) -> int:
 
 def cmd_components(args) -> int:
     _family(args.m, args.n)
-    res = orbitrel.component_analysis((args.m, args.n),
-                                      precision=args.precision)
+    res = orbitrel.component_analysis((args.m, args.n))
     labels = res["components"]
     print(f"{len(labels)} components: " + ", ".join(labels))
     for w in res["warnings"]:
@@ -234,7 +232,7 @@ def cmd_verify_all(args) -> int:
     if bad:
         failures.append(f"axiom failures: {bad}")
 
-    results = orbitrel.verify_builtin_witnesses(key, precision=args.precision)
+    results = orbitrel.verify_builtin_witnesses(key)
     n_ok = sum(1 for r in results if r.ok)
     print(f"witnesses: {n_ok}/{len(results)} verified")
     for r in results:
@@ -273,7 +271,7 @@ def cmd_verify_all(args) -> int:
     print(f"h2 regression: {checked - mismatched}/{checked} match")
 
     want = sorted(catalog.expected()["components"][key])
-    res = orbitrel.component_analysis(key, precision=args.precision)
+    res = orbitrel.component_analysis(key)
     got = sorted(res["components"])
     print(f"{len(got)} components: " + ", ".join(got))
     if got != want:
@@ -389,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_precision(sp):
-        sp.add_argument("--precision", type=_precision,
-                        help="series precision, a positive rational "
-                             f"(default: {DEFAULT_PRECISION})")
-
     sp = sub.add_parser("list", help="list catalog labels")
     sp.add_argument("--dim", type=_dim,
                     help='graded dimension, e.g. "(2|3)", or total '
@@ -423,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="frm", required=True)
     sp.add_argument("--to", required=True)
     sp.add_argument("--witness", help="JSON file with a basis mapping")
-    add_precision(sp)
+    sp.add_argument("--precision", type=_precision,
+                    help="series precision, a positive rational "
+                         f"(default: {DEFAULT_PRECISION})")
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("nondegen", help="search a non-degeneration certificate")
@@ -435,13 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--dot", help="write DOT output to this path")
-    add_precision(sp)
     sp.set_defaults(func=cmd_hasse)
 
     sp = sub.add_parser("components", help="irreducible components")
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
-    add_precision(sp)
     sp.set_defaults(func=cmd_components)
 
     sp = sub.add_parser("gamma23", help="classify a pair of symmetric forms")
@@ -453,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-all", help="full verification for one (m|n)")
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
-    add_precision(sp)
     sp.set_defaults(func=cmd_verify_all)
 
     sp = sub.add_parser("selftest", help="seeded property tests")

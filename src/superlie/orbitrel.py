@@ -406,8 +406,9 @@ def verify_builtin_witnesses(dim=None, precision=None) -> List:
             for doc in catalog.witnesses(dim)]
 
 
-def build_hasse(dim, precision=None) -> HasseDiagram:
-    """The diagram of verified builtin witnesses on one shape.  Raises
+def build_hasse(dim) -> HasseDiagram:
+    """The diagram of verified builtin witnesses on one shape, each verified
+    at the default cap, where every one decides.  Raises
     ConsistencyViolation when an edge does not lower the orbit dimension or
     a certificate contradicts a verified path."""
     m, n = catalog.normalize_dim(dim)
@@ -416,7 +417,7 @@ def build_hasse(dim, precision=None) -> HasseDiagram:
     dims = {e.label: _profile(e.algebra).record["orbit_dim"]
             for e in entries}
     edges, failed = [], []
-    for res in verify_builtin_witnesses((m, n), precision=precision):
+    for res in verify_builtin_witnesses((m, n)):
         if res.ok:
             edges.append((res.witness.from_name, res.witness.to_name))
         else:
@@ -471,8 +472,8 @@ def _separated(u: str, v: str, closure: Dict[str, set]) -> bool:
                for w in sorted(closure[v]))
 
 
-def component_analysis(dim, precision=None) -> Dict:
-    diagram = build_hasse(dim, precision=precision)
+def component_analysis(dim) -> Dict:
+    diagram = build_hasse(dim)
     nodes = diagram.nodes
     maximal = [u for u in nodes
                if not any(u in diagram.closure[v] for v in nodes if v != u)]

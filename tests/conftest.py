@@ -21,6 +21,27 @@ def rand_elem(rng, span: int = 9) -> FieldElem:
                      Fraction(rng.randint(-span, span), rng.randint(1, span)))
 
 
+def ref_format_terms(terms) -> str:
+    """The former writers' term rule, the oracle of `format_elem`,
+    `format_series` and `format_cocycle`, over (coefficient text, monomial)
+    terms: before a monomial a coefficient 1 or -1 is written as its sign
+    and one of more than one part in parentheses; the terms are joined by
+    " + ", or " - " before a negative term, and no term is "0"."""
+    out = ""
+    for coeff, mono in terms:
+        if mono and coeff in ("1", "-1"):
+            coeff = coeff[:-1]
+        elif mono:
+            paren = " + " in coeff or " - " in coeff
+            coeff = f"({coeff})*" if paren else f"{coeff}*"
+        text = coeff + mono
+        if out:
+            out += f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+        else:
+            out = text
+    return out or "0"
+
+
 def basis_vector(g, idx: int):
     """Graded unit vector (even, odd) for the idx-th basis element of g
     (0-based, odd indices offset by m)."""

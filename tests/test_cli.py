@@ -332,13 +332,13 @@ def test_precision_variable_is_not_read(capsys, monkeypatch):
     assert out == "Verified (2|3)_6 -> (2|3)_10\n"
 
 
-def test_hasse_insufficient_precision(capsys):
-    code = main(["hasse", "2", "3", "--precision", "1/2"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("insufficient precision: ")
-    assert captured.err.count("\n") == 1
+def test_precision_is_an_option_of_degenerate_only(capsys):
+    """Every builtin witness decides at the default cap."""
+    for command in ("hasse", "components", "verify-all"):
+        code = main([command, "2", "3", "--precision", "8"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), command
+        assert "unrecognized arguments: --precision 8" in err
 
 
 def test_degenerate_witness_file(tmp_path, capsys):

@@ -15,7 +15,8 @@ from superlie.field import I, ONE, SQRT2, ZERO, FieldElem, format_elem
 from superlie.linalg import kernel, rank, rref
 
 import modp
-from conftest import basis_vector, dense, rand_elem, table_cases
+from conftest import (basis_vector, dense, rand_elem, ref_format_terms,
+                      table_cases)
 
 
 def test_cocycle_format_roundtrip():
@@ -52,28 +53,12 @@ def test_cocycle_format_parse_roundtrip_random(rng):
 def _format_cocycle_before(phi):
     """format_cocycle as it was before it wrote through `field.format_sum`,
     kept as the oracle of the new writer."""
-    parts = []
     names = [f"e{i + 1}" for i in range(phi.m)] + \
             [f"f{j + 1}" for j in range(phi.n)]
-    for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n), phi.vec):
-        if x.is_zero():
-            continue
-        term = f"{names[a]}*^{names[b]}*@{names[k]}"
-        txt = format_elem(x)
-        if txt == "1":
-            parts.append(term)
-        elif txt == "-1":
-            parts.append(f"-{term}")
-        else:
-            if "+" in txt.strip("+-") or " - " in txt:
-                txt = f"({txt})"
-            parts.append(f"{txt}*{term}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return ref_format_terms([
+        (format_elem(x), f"{names[a]}*^{names[b]}*@{names[k]}")
+        for (a, b, k), x in zip(cochain_basis_index(phi.m, phi.n), phi.vec)
+        if not x.is_zero()])
 
 
 def test_format_cocycle_matches_former_writer(rng):

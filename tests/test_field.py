@@ -10,8 +10,10 @@ import pytest
 
 from superlie.field import (FieldElem, FieldSyntaxError, field_sqrt,
                             format_elem, parse_elem)
+from superlie.series import NotInvertible
 
-from conftest import SEED, rand_elem
+from conftest import SEED, rand_elem, ref_format_terms
+from exprtree import _evaluate, _parse
 
 
 def coords(x):
@@ -380,27 +382,11 @@ def test_differential_against_fraction_slots():
 # -- the former text writer ---------------------------------------------------
 
 
-def _ref_format_part(q, symbol, first):
-    sign = "-" if q < 0 else ("" if first else "+")
-    if not first:
-        sign = " - " if q < 0 else " + "
-    q = abs(q)
-    if symbol and q == 1:
-        coeff = ""
-    else:
-        coeff = str(q) + ("*" if symbol else "")
-    return f"{sign}{coeff}{symbol}"
-
-
 def ref_format_elem(x):
-    """``format_elem`` as it was written, part by part with its own signs."""
-    parts = []
-    for q, symbol in ((x.a, ""), (x.b, "i"), (x.c, "sqrt2"), (x.d, "i*sqrt2")):
-        if q:
-            parts.append(_ref_format_part(q, symbol, first=not parts))
-    if not parts:
-        return "0"
-    return "".join(parts)
+    """``format_elem`` as it was written: the nonzero rational coordinates
+    over 1, i, sqrt2 and i*sqrt2, by the former term rule."""
+    return ref_format_terms([(str(q), mono) for q, mono in zip(
+        x.coords(), ("", "i", "sqrt2", "i*sqrt2")) if q])
 
 
 def test_format_elem_matches_former_writer():
@@ -414,114 +400,28 @@ def test_format_elem_matches_former_writer():
             assert format_elem(x) == ref_format_elem(x)
 
 
-# -- differential test against the former parser -------------------------------
-#
-# parse_elem used to have a grammar of its own (below, as it was):
-#   elem   := term (('+' | '-') term)*
-#   term   := ('+' | '-')* factor (('*' | '/') factor)*
-#   factor := integer ['/' integer] | 'i' | 'sqrt2'
-# It is now exprlang's, which accepts all of it with the same values.
-
-_REF_TOKEN = re.compile(r"\s*(?:(\d+)|(sqrt2)|(i)|([+\-*/]))")
-
-
-class RefSyntaxError(ValueError):
-    pass
-
-
-def _ref_tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _REF_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise RefSyntaxError(f"unexpected character at {pos}")
-        if m.group(1):
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("sqrt2", None, m.start(2)))
-        elif m.group(3):
-            tokens.append(("i", None, m.start(3)))
-        else:
-            tokens.append(("op", m.group(4), m.start(4)))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-def ref_parse_elem(text):
-    """The former field.parse_elem."""
-    tokens = _ref_tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def factor():
-        nonlocal idx
-        kind, val, pos = tokens[idx]
-        if kind == "num":
-            idx += 1
-            if tokens[idx][0] == "op" and tokens[idx][1] == "/" and \
-                    tokens[idx + 1][0] == "num":
-                den = tokens[idx + 1][1]
-                if den == 0:
-                    raise RefSyntaxError("zero denominator")
-                idx += 2
-                return FieldElem(Fraction(val, den))
-            return FieldElem(val)
-        if kind == "i":
-            idx += 1
-            return FieldElem(0, 1)
-        if kind == "sqrt2":
-            idx += 1
-            return FieldElem(0, 0, 1)
-        raise RefSyntaxError("expected a number, 'i' or 'sqrt2'")
-
-    def term():
-        nonlocal idx
-        sign = FieldElem(1)
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if peek()[1] == "-":
-                sign = -sign
-            idx += 1
-        value = factor()
-        while peek()[0] == "op" and peek()[1] in "*/":
-            op = peek()[1]
-            idx += 1
-            rhs = factor()
-            value = value * rhs if op == "*" else value / rhs
-        return sign * value
-
-    result = term()
-    while peek()[0] == "op" and peek()[1] in "+-":
-        op = peek()[1]
-        idx += 1
-        rhs = term()
-        result = result + rhs if op == "+" else result - rhs
-    if peek()[0] != "end":
-        raise RefSyntaxError("trailing input")
-    return result
+# -- parse_elem against the tree reader ---------------------------------------
 
 
 def assert_parsers_agree(text):
-    """Equal values, or both reject; the former parser let a division by
-    zero escape as ZeroDivisionError, which is now a syntax error (naming a
-    literal p/0 first when the text has one, as it is found while parsing)."""
+    """`parse_elem` gives the tree reader's value when that is an exact
+    constant, and otherwise raises FieldSyntaxError naming why: the tree's
+    syntax error, a division by zero or a value that is not a constant.
+    Returns whether the text has a value."""
     try:
-        want = ref_parse_elem(text)
-    except ZeroDivisionError:
-        with pytest.raises(FieldSyntaxError,
-                           match="division by zero|zero denominator"):
-            parse_elem(text)
-        return
-    except RefSyntaxError:
-        with pytest.raises(FieldSyntaxError):
-            parse_elem(text)
-        return
-    assert parse_elem(text) == want, text
+        value = _evaluate(_parse(text))
+    except FieldSyntaxError as exc:
+        cause = f"^{re.escape(str(exc))}$"
+    except NotInvertible:
+        cause = "division by zero"
+    else:
+        if value.precision is None and set(value.terms) <= {0}:
+            assert parse_elem(text) == value.coeff(0), text
+            return True
+        cause = "not a constant"
+    with pytest.raises(FieldSyntaxError, match=cause):
+        parse_elem(text)
+    return False
 
 
 def old_grammar_text(rng):
@@ -549,7 +449,7 @@ def old_grammar_text(rng):
     return "".join(tok + rng.choice(("", "", " ", "  ")) for tok in tokens)
 
 
-def test_parse_elem_matches_former_parser_on_data():
+def test_parse_elem_matches_tree_oracle_on_data():
     texts = []
 
     def walk(node, key=None):
@@ -571,17 +471,12 @@ def test_parse_elem_matches_former_parser_on_data():
         assert_parsers_agree(text)
 
 
-def test_parse_elem_matches_former_parser_on_seeded_strings():
+def test_parse_elem_matches_tree_oracle_on_seeded_strings():
     rng = random.Random(SEED)
     outcomes = {"value": 0, "rejected": 0}
     for _ in range(12000):
         text = old_grammar_text(rng)
-        assert_parsers_agree(text)
-        try:
-            ref_parse_elem(text)
-            outcomes["value"] += 1
-        except (RefSyntaxError, ZeroDivisionError):
-            outcomes["rejected"] += 1
+        outcomes["value" if assert_parsers_agree(text) else "rejected"] += 1
     # both outcomes are exercised
     assert outcomes["value"] > 8000 and outcomes["rejected"] > 100
     for text in ("", "1 +", "sqrt3", "i i", "1/*2", "i/0", "1/0", "1 2",

@@ -28,11 +28,27 @@ def test_residue_is_a_ring_map_at_each_prime(rng):
                 modp.residue(bad, p)
 
 
+def _imports(name):
+    """(module, name) per import in tests/`name`; "*" for a plain import."""
+    tree = ast.parse((Path(__file__).parent / name).read_text())
+    return [(node.module or "", alias.name) if isinstance(node, ast.ImportFrom)
+            else (alias.name, "*") for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names]
+
+
 def test_modp_imports_nothing_from_superlie():
     """The oracle is written from the definitions alone."""
-    tree = ast.parse((Path(__file__).parent / "modp.py").read_text())
-    names = [alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.Import) for alias in node.names]
-    names += [node.module or "" for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom)]
+    names = [module for module, _ in _imports("modp.py")]
     assert [n for n in names if n.split(".")[0] == "superlie"] == [], names
+
+
+def test_exprtree_shares_only_the_tokenizer_with_exprlang():
+    """The tree reader takes from `superlie.exprlang` only the tokenizer and
+    the error classes, and no reader of scalar text from anywhere."""
+    names = _imports("exprtree.py")
+    assert {n for module, n in names if module == "superlie.exprlang"} == {
+        "_tokenize", "ExprSyntaxError", "ExprTypeError"}, names
+    assert not {n for module, n in names if module.startswith("superlie")} & {
+        "evaluate", "constant", "evaluate_basis_vector", "_Reader",
+        "parse_elem", "*"}, names
